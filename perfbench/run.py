@@ -8,14 +8,23 @@ program under test is its ``src/shapelab``.  Outputs go under
 
 ``--trace 0`` alternates fresh-process set-up probes and fresh-process
 ``shapelab run --config <workload>`` invocations for about S seconds (at
-least three runs) and reports the end-to-end metrics as medians:
+least three runs) and reports the end-to-end metrics:
 
-* ``wall_s``: launch to exit of one run, the time a user waits;
-* ``setup_s``: launch to exit of ``import shapelab`` plus resolving the
-  config into its case list, with no case run;
-* ``peak_rss_mb``: peak resident memory of one run;
+* ``cpu_s``: user plus system CPU time of one run, launch to exit, as the
+  mean of the run's samples without the lowest and the highest;
+* ``setup_s``: user plus system CPU time of a process that imports
+  shapelab and resolves the config into its case list, with no case run,
+  as a median;
+* ``peak_rss_mb``: median peak resident memory of one run;
 * ``min_headroom_decades``: smallest ``log10(tol/err)`` over the cases
   (``log10(err/tol)`` for the convergence-slope cases judged ``>=``).
+
+The times are CPU times, not wall times.  The run is single-threaded
+(workers 1, one BLAS thread), so its CPU time is the wall time a user waits
+less the time the host gives to other tenants; on a shared host that share
+changes from minute to minute and made wall-time medians of the same code
+spread by a third between runs.  The wall times are printed with the
+samples, and ``--trace 1`` reports the untraced wall median.
 
 ``--trace 1`` makes untraced runs for about S/2 seconds, then one run with
 every layer wrapped (see ``spans.py``), and reports the per-layer metrics,
@@ -78,12 +87,13 @@ def child_env() -> dict:
 class Child:
     code: int
     wall_s: float
+    cpu_s: float
     rss_mb: float
     stdout: str
 
 
 def run_child(argv: list[str], log: Path, env: dict) -> Child:
-    """Run one child to its end; wall time from launch to exit, peak RSS."""
+    """Run one child to its end; wall and CPU time, peak RSS."""
     with open(log, "w") as out, open(log.with_suffix(".err"), "w") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, cwd=ROOT)
@@ -95,7 +105,8 @@ def run_child(argv: list[str], log: Path, env: dict) -> Child:
             timer.cancel()
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return Child(proc.returncode, wall, usage.ru_maxrss / 1024.0, log.read_text())
+    return Child(proc.returncode, wall, usage.ru_utime + usage.ru_stime,
+                 usage.ru_maxrss / 1024.0, log.read_text())
 
 
 def case_headroom(case: dict) -> float:
@@ -164,11 +175,11 @@ class Bench:
         return run_child([sys.executable, str(HERE / "probe.py"), "setup", str(self.config)],
                          self.workdir / "setup.log", self.env)
 
-    def setup(self) -> float:
+    def setup(self) -> Child:
         child = self._setup_child()
         if child.code != 0 or child.stdout.split()[-1:] != [str(self.check.expected)]:
             self.check.problems.append(f"set-up probe: exit {child.code}, output {child.stdout!r}")
-        return child.wall_s
+        return child
 
     def cli(self, traced: bool = False) -> Child:
         out_dir = self.workdir / f"run-{self.runs}"
@@ -195,6 +206,18 @@ def _keep_going(start: float, n: int, budget: float, min_runs: int) -> bool:
     return n < min_runs or elapsed + 0.5 * per_run < budget
 
 
+def trimmed_mean(values: list[float]) -> float:
+    """Mean without the lowest and the highest value, once there are four.
+
+    A fresh process runs on whichever vCPU it lands on, and on a shared host
+    the two can differ in speed by a quarter for seconds at a time, so the
+    run times of one run fall into two groups; a median of four or five of
+    them jumps from one group to the other, a trimmed mean does not.
+    """
+    kept = sorted(values)[1:-1] if len(values) >= 4 else values
+    return statistics.fmean(kept)
+
+
 def measure_end_to_end(bench: Bench, seconds: float) -> dict:
     setups, runs = [], []
     start = time.perf_counter()
@@ -202,17 +225,20 @@ def measure_end_to_end(bench: Bench, seconds: float) -> dict:
         setups += [bench.setup() for _ in range(SETUPS_PER_RUN)]
         runs.append(bench.cli())
     headrooms = [case_headroom(c) for c in bench.check.first_cases.values()]
+    median = statistics.median
     samples = {
-        "wall_s": ([r.wall_s for r in runs], "s"),
-        "setup_s": (setups, "s"),
-        "peak_rss_mb": ([r.rss_mb for r in runs], "MB"),
-        "min_headroom_decades": ([min(headrooms, default=-99.0)], "decades"),
+        "cpu_s": ([r.cpu_s for r in runs], "s", trimmed_mean),
+        "setup_s": ([s.cpu_s for s in setups], "s", median),
+        "peak_rss_mb": ([r.rss_mb for r in runs], "MB", median),
+        "min_headroom_decades": ([min(headrooms, default=-99.0)], "decades", median),
     }
-    for name, (values, unit) in samples.items():
-        print(f"samples {name} n={len(values)} median={statistics.median(values):.6g} "
+    walls = {"run_wall_s": ([r.wall_s for r in runs], "s", median),
+             "setup_wall_s": ([s.wall_s for s in setups], "s", median)}
+    for name, (values, unit, stat) in {**samples, **walls}.items():
+        print(f"samples {name} n={len(values)} {stat.__name__}={stat(values):.6g} "
               f"{unit} all=" + ",".join(f"{v:.4g}" for v in values))
-    return {name: {"value": statistics.median(values), "unit": unit}
-            for name, (values, unit) in samples.items()}
+    return {name: {"value": stat(values), "unit": unit}
+            for name, (values, unit, stat) in samples.items()}
 
 
 def measure_layers(bench: Bench, seconds: float) -> dict:

@@ -140,6 +140,12 @@ def test_case_headroom():
     assert run.case_headroom({"err": "nan", "tolerance": 1e-4, "mode": "le"}) == -99.0
 
 
+def test_trimmed_mean_drops_the_extremes_from_four_samples_on():
+    assert run.trimmed_mean([9.0, 7.0, 10.0, 7.5, 30.0]) == pytest.approx(26.5 / 3)
+    assert run.trimmed_mean([7.0, 9.0, 9.5, 8.0]) == pytest.approx(8.5)
+    assert run.trimmed_mean([7.0, 9.0, 9.5]) == pytest.approx(25.5 / 3)
+
+
 def _report(path, err):
     path.mkdir(parents=True, exist_ok=True)
     case = {"case_id": "c", "passed": err <= 1e-3, "error": None, "err": err,
@@ -193,7 +199,7 @@ def test_smoke_end_to_end(workload, workdir):
     result = run.benchmark(workload, 11, 0.0, False, workdir, cfg=_small(workload, 2))
     assert result["correct"], (workdir / "result.json").read_text()
     assert (result["attempted"], result["failed"]) == (run.MIN_RUNS * 2, 0)
-    assert set(result["metrics"]) == {"wall_s", "setup_s", "peak_rss_mb",
+    assert set(result["metrics"]) == {"cpu_s", "setup_s", "peak_rss_mb",
                                       "min_headroom_decades"}
     assert all(m["value"] > 0 for m in result["metrics"].values())
 
