@@ -28,8 +28,8 @@ from .liouville import (VariationReport, boundary_flux_first,
                         second_volume)
 from .perturbation import (FlowFamily, NormalFamily, PerturbationError,
                            PolynomialField, TaylorFamily, boundary_data,
-                           det_derivatives, dilation, flow_map,
-                           inverse_jacobian_derivatives, jacobian, make_field,
-                           minor_expansion_check, rotation, shear, translation)
+                           det_derivatives, dilation, inverse_jacobian_derivatives,
+                           make_field, minor_expansion_check, rotation, shear,
+                           translation)
 
 __version__ = "0.1.0"

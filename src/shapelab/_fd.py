@@ -3,6 +3,8 @@
 Central 4th-order stencils for first derivatives and 5-point stencils for
 second derivatives, evaluated along a geometric step ladder.  Function
 values are memoized so shared abscissae (e.g. t=0) are computed once.
+Values may be scalars or arrays; arrays are differentiated componentwise
+and judged in the max-norm.
 """
 
 from __future__ import annotations
@@ -14,49 +16,53 @@ import numpy as np
 
 @dataclass
 class FDResult:
-    """Ladder of derivative estimates plus the Richardson value on the finest pair."""
+    """Ladder of derivative estimates plus the Richardson value on the finest pair.
+
+    ``estimates`` and ``richardson`` are floats for scalar g and arrays of
+    g's shape otherwise.
+    """
 
     order: int
     ladder: tuple
     estimates: tuple
-    richardson: float
+    richardson: float | np.ndarray
     observed_order: float | None
     monotone: bool
     warnings: tuple = field(default_factory=tuple)
 
     @property
-    def value(self) -> float:
+    def value(self) -> float | np.ndarray:
         return self.richardson
 
 
 DEFAULT_FIRST_LADDER = (1e-2, 5e-3, 2.5e-3)
 DEFAULT_SECOND_LADDER = (5e-2, 2.5e-2, 1.25e-2)
+STENCIL_ORDER = 4  # truncation order of both stencils below
 
 
 class _Memo:
     def __init__(self, g):
         self.g = g
-        self.cache: dict[float, float] = {}
+        self.cache: dict[float, np.ndarray] = {}
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t: float) -> np.ndarray:
         if t not in self.cache:
-            self.cache[t] = float(self.g(t))
+            self.cache[t] = np.asarray(self.g(t), dtype=float)
         return self.cache[t]
 
 
-def central_first(g, h: float) -> float:
+def central_first(g, h: float):
     """4th-order central first derivative at 0."""
     return (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
 
 
-def five_point_second(g, h: float) -> float:
+def five_point_second(g, h: float):
     """4th-order (5-point) second derivative at 0."""
     return (-g(2 * h) + 16 * g(h) - 30 * g(0.0) + 16 * g(-h) - g(-2 * h)) / (12 * h * h)
 
 
-def _stencil_order(order: int) -> int:
-    # truncation order of the stencils above (both O(h^4))
-    return 4
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def derivative_ladder(g, order: int = 1, ladder=None) -> FDResult:
@@ -77,23 +83,25 @@ def derivative_ladder(g, order: int = 1, ladder=None) -> FDResult:
     stencil = central_first if order == 1 else five_point_second
     estimates = tuple(stencil(g, h) for h in ladder)
 
-    p = _stencil_order(order)
     r = ladder[-2] / ladder[-1]
-    richardson = estimates[-1] + (estimates[-1] - estimates[-2]) / (r ** p - 1.0)
+    richardson = estimates[-1] + (estimates[-1] - estimates[-2]) / (r ** STENCIL_ORDER - 1.0)
 
     observed = None
     warnings = []
     if len(estimates) >= 3:
-        d1 = abs(estimates[-3] - estimates[-2])
-        d2 = abs(estimates[-2] - estimates[-1])
-        floor = 1e-11 * max(1.0, abs(richardson))
+        d1 = _max_abs(estimates[-3] - estimates[-2])
+        d2 = _max_abs(estimates[-2] - estimates[-1])
+        floor = 1e-11 * max(1.0, _max_abs(richardson))
         if d1 <= floor and d2 <= floor:
             observed = np.inf  # stencil exact for this integrand; only rounding left
         elif d1 > 0 and d2 > 0:
             observed = float(np.log(d1 / d2) / np.log(ladder[-3] / ladder[-2]))
-    gaps = [abs(e - richardson) for e in estimates]
+    gaps = [_max_abs(e - richardson) for e in estimates]
     monotone = all(a >= b * (1 - 1e-12) for a, b in zip(gaps, gaps[1:]))
     if not monotone:
         warnings.append("non-monotone ladder (cancellation suspected)")
-    return FDResult(order, ladder, estimates, float(richardson), observed,
+    if richardson.ndim == 0:
+        estimates = tuple(float(e) for e in estimates)
+        richardson = float(richardson)
+    return FDResult(order, ladder, estimates, richardson, observed,
                     monotone, tuple(warnings))

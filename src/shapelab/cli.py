@@ -17,8 +17,14 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .cases import Case, CaseSettings, build_registry, suites
-from .greens import GreensAccuracyError
+import numpy as np
+
+from . import geometry as geo
+from . import hadamard as hd
+from . import liouville as lv
+from . import perturbation as pert
+from .cases import Case, CaseSettings, _report_from_variation, build_registry, suites
+from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .report import write_reports
 
 EXIT_OK = 0
@@ -55,115 +61,95 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _custom_liouville_cases(specs) -> list[Case]:
-    """Assemble user-declared derivative cases from config dictionaries."""
-    from . import geometry as geo
-    from . import liouville as lv
-    from . import perturbation as pert
-    from .integrands import IntegrandSpec, VectorIntegrandSpec
+def _family_from_config(fam_spec):
+    field = pert.make_field(**fam_spec["field"])
+    kind = fam_spec.get("kind", "flow")
+    if kind == "flow":
+        return pert.FlowFamily(field)
+    if kind == "taylor":
+        r_field = pert.make_field(**fam_spec["r_field"]) if "r_field" in fam_spec else None
+        return pert.TaylorFamily(field, r_field)
+    raise ConfigError(f"unknown family kind {kind!r}; choose from ['flow', 'taylor']")
 
+
+def _liouville_case(spec) -> Case:
     ops = {"first_volume": lv.first_volume, "second_volume": lv.second_volume,
            "first_area": lv.first_area, "second_area": lv.second_area,
            "flux_first": lv.boundary_flux_first,
            "flux_second": lv.boundary_flux_second}
+    case_id, kind = spec["id"], spec["kind"]
+    if kind not in ops:
+        raise ConfigError(f"unknown kind {kind!r}; choose from {sorted(ops)}")
+    curve = geo.make_curve(**spec["domain"])
+    family = _family_from_config(spec["family"])
+    expr = spec["integrand"]
+    tolerance = float(spec.get("tolerance", 1e-4))
+    ladder = tuple(spec["ladder"]) if "ladder" in spec else None
+
+    def runner(st, case):
+        # sympy compilation runs with the case, not during config resolution
+        if kind.startswith("flux"):
+            integrand = VectorIntegrandSpec.from_expressions(*expr)
+        else:
+            integrand = IntegrandSpec.from_expression(expr)
+        rep = ops[kind](geo.Domain(curve, m=st.m), family, integrand, ladder=ladder)
+        return _report_from_variation(rep)
+
+    return Case(case_id, "liouville", "config-declared derivative case",
+                tolerance, runner, description=f"user case {case_id} ({kind})")
+
+
+def _hadamard_case(spec) -> Case:
+    routes = {"first": hd.delta_n_routes, "second": hd.delta2_n_routes}
+    case_id = spec["id"]
+    curve = geo.make_curve(**spec["domain"])
+    mixed = geo.MixedBoundary(tuple(spec["mixed"]))
+    if len(mixed.kinds) != curve.n_components:
+        raise ConfigError(f"mixed needs {curve.n_components} entries, one per "
+                          f"boundary component, not {len(mixed.kinds)}")
+    family = _family_from_config(spec["family"])
+    probes = [np.asarray(p, dtype=float) for p in spec["probes"]]
+    if len(probes) != 2:
+        raise ConfigError("exactly two probes required")
+    variation = spec.get("variation", "first")
+    if variation not in routes:
+        raise ConfigError(f"unknown variation {variation!r}; choose from {sorted(routes)}")
+    tolerance = float(spec.get("tolerance", 1e-3 if variation == "first" else 1e-2))
+    kwargs = {"ladder": tuple(spec["ladder"])} if spec.get("ladder") else {}
+
+    def runner(st, case):
+        tri = routes[variation](geo.Domain(curve, m=st.m), mixed, family,
+                                probes[0], probes[1], st.greens_config(), **kwargs)
+        return tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise
+
+    return Case(case_id, "hadamard", "config-declared variation case",
+                tolerance, runner,
+                description=f"user case {case_id} ({variation} variation)")
+
+
+def _assemble(specs, build) -> list[Case]:
+    """Build config-declared cases; every fault in a spec is a ConfigError."""
     out = []
     for spec in specs:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"custom case must be an object, not {spec!r}")
         try:
-            case_id = spec["id"]
-            op = ops[spec["kind"]]
-            curve = geo.make_curve(spec["domain"]["name"],
-                                   **{k: v for k, v in spec["domain"].items()
-                                      if k != "name"})
-            fam_spec = spec["family"]
-            tolerance = float(spec.get("tolerance", 1e-4))
-            ladder = tuple(spec["ladder"]) if "ladder" in spec else None
+            out.append(build(spec))
         except KeyError as exc:
-            raise ConfigError(f"custom case missing key {exc}") from exc
-
-        def runner(st, case, op=op, curve=curve, fam_spec=fam_spec,
-                   spec=spec, ladder=ladder):
-            from .cases import _report_from_variation
-            domain = geo.Domain(curve, m=st.m)
-            field = pert.make_field(fam_spec["field"]["name"],
-                                    **{k: v for k, v in fam_spec["field"].items()
-                                       if k != "name"})
-            if fam_spec.get("kind", "flow") == "flow":
-                family = pert.FlowFamily(field)
-            else:
-                r_field = None
-                if "r_field" in fam_spec:
-                    r_field = pert.make_field(fam_spec["r_field"]["name"],
-                                              **{k: v for k, v in fam_spec["r_field"].items()
-                                                 if k != "name"})
-                family = pert.TaylorFamily(field, r_field)
-            if spec["kind"].startswith("flux"):
-                integrand = VectorIntegrandSpec.from_expressions(*spec["integrand"])
-            else:
-                integrand = IntegrandSpec.from_expression(spec["integrand"])
-            rep = op(domain, family, integrand, ladder=ladder)
-            return _report_from_variation(rep)
-
-        out.append(Case(case_id, "liouville", "config-declared derivative case",
-                        tolerance, runner,
-                        description=f"user case {case_id} ({spec['kind']})"))
+            raise ConfigError(f"custom case {spec.get('id')!r}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"custom case {spec.get('id')!r}: {exc}") from exc
     return out
 
 
-def _family_from_config(fam_spec):
-    from . import perturbation as pert
-
-    field = pert.make_field(fam_spec["field"]["name"],
-                            **{k: v for k, v in fam_spec["field"].items()
-                               if k != "name"})
-    if fam_spec.get("kind", "flow") == "flow":
-        return pert.FlowFamily(field)
-    r_field = None
-    if "r_field" in fam_spec:
-        r_field = pert.make_field(fam_spec["r_field"]["name"],
-                                  **{k: v for k, v in fam_spec["r_field"].items()
-                                     if k != "name"})
-    return pert.TaylorFamily(field, r_field)
+def _custom_liouville_cases(specs) -> list[Case]:
+    """Assemble user-declared derivative cases from config dictionaries."""
+    return _assemble(specs, _liouville_case)
 
 
 def _custom_hadamard_cases(specs) -> list[Case]:
     """Assemble user-declared variation route-agreement cases."""
-    import numpy as np
-
-    from . import geometry as geo
-    from . import hadamard as hd
-
-    out = []
-    for spec in specs:
-        try:
-            case_id = spec["id"]
-            curve = geo.make_curve(spec["domain"]["name"],
-                                   **{k: v for k, v in spec["domain"].items()
-                                      if k != "name"})
-            mixed = geo.MixedBoundary(tuple(spec["mixed"]))
-            probes = [np.asarray(p, dtype=float) for p in spec["probes"]]
-            variation = spec.get("variation", "first")
-            tolerance = float(spec.get("tolerance",
-                                       1e-3 if variation == "first" else 1e-2))
-            ladder = tuple(spec["ladder"]) if "ladder" in spec else None
-        except KeyError as exc:
-            raise ConfigError(f"custom case missing key {exc}") from exc
-        if len(probes) != 2:
-            raise ConfigError(f"custom case {case_id}: exactly two probes required")
-
-        def runner(st, case, curve=curve, mixed=mixed, probes=probes,
-                   spec=spec, variation=variation, ladder=ladder):
-            domain = geo.Domain(curve, m=st.m)
-            family = _family_from_config(spec["family"])
-            routes = hd.delta_n_routes if variation == "first" else hd.delta2_n_routes
-            kwargs = {"ladder": ladder} if ladder else {}
-            tri = routes(domain, mixed, family, probes[0], probes[1],
-                         st.greens_config(), **kwargs)
-            return tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise
-
-        out.append(Case(case_id, "hadamard", "config-declared variation case",
-                        tolerance, runner,
-                        description=f"user case {case_id} ({variation} variation)"))
-    return out
+    return _assemble(specs, _hadamard_case)
 
 
 def resolve_cases(registry: list[Case], suite: str | None,
@@ -215,10 +201,8 @@ def cmd_run(args) -> int:
     workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
     out_dir = args.out_dir or cfg.get("out_dir", "reports")
 
-    settings = CaseSettings(seed=seed,
-                            m=int(overrides.get("m", 128)),
-                            n_charges=int(overrides.get("n_charges", 96)),
-                            overrides=overrides)
+    settings = CaseSettings(seed=seed, overrides=overrides,
+                            **{key: int(value) for key, value in overrides.items()})
     rows = run_cases(cases, settings, workers=workers)
     payload = write_reports(rows, out_dir, seed, overrides)
 
@@ -231,7 +215,7 @@ def cmd_run(args) -> int:
               f"({r.wall_time_s:.2f}s){extra}")
     n_fail = sum(not r.passed for r in rows)
     print(f"{len(rows) - n_fail}/{len(rows)} cases passed; reports in {out_dir}/")
-    if any(r.error and "GreensAccuracyError" in r.error for r in rows):
+    if any(r.solver_failed for r in rows):
         return EXIT_SOLVER
     return EXIT_OK if payload["all_passed"] else EXIT_CASE_FAILED
 

@@ -15,8 +15,7 @@ for the tubular extension of the normal field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,9 +262,6 @@ class BoundaryGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
 
-    def turning_number(self) -> float:
-        return float(np.dot(self.weights, self.curvature) / TWO_PI)
-
 
 def build_grid(curve: FourierCurve, m: int) -> BoundaryGrid:
     """Sample one curve component at M equispaced parameters.
@@ -393,10 +389,6 @@ class CollarExtension:
         _, offset, _, _, kappa = self.frame(points)
         return kappa / (1.0 + offset * kappa)
 
-    def extended_curvature(self, points: np.ndarray) -> np.ndarray:
-        """Curvature of the offset curve through each point, kappa/(1 + n*kappa)."""
-        return self.normal_divergence(points)
-
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """Full spatial gradient of the extension: (df/ds) tau / (1 + n*kappa)."""
         theta, offset, tau, _, kappa = self.frame(points)
@@ -432,11 +424,10 @@ def collar_extend(grid: BoundaryGrid, values: np.ndarray,
 
 @dataclass(frozen=True)
 class InteriorQuadrature:
-    """Nodes/weights over the enclosed region with a polynomial exactness report."""
+    """Nodes/weights over the enclosed region."""
 
     nodes: np.ndarray    # (K, 2)
     weights: np.ndarray  # (K,)
-    exactness: dict = field(default_factory=dict, compare=False)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -487,15 +478,7 @@ def interior_quadrature(curve: BoundaryCurve, n_radial: int = 48,
     if curve.n_components > 2:
         raise GeometryError("interior quadrature supports at most one hole")
     nodes, weights = _blended_rule(curve, n_radial, n_angular)
-    fine_nodes, fine_weights = _blended_rule(curve, 2 * n_radial, 2 * n_angular)
-
-    report = {"area_vs_curve": abs(float(np.sum(weights)) - curve.area())}
-    for label, px, py in (("x", 1, 0), ("y", 0, 1), ("x2", 2, 0), ("xy", 1, 1),
-                          ("y2", 0, 2), ("x3", 3, 0), ("x2y", 2, 1)):
-        coarse = np.dot(weights, nodes[:, 0] ** px * nodes[:, 1] ** py)
-        fine = np.dot(fine_weights, fine_nodes[:, 0] ** px * fine_nodes[:, 1] ** py)
-        report[label] = abs(coarse - fine)
-    return InteriorQuadrature(nodes, weights, report)
+    return InteriorQuadrature(nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +535,8 @@ class Domain:
             self._interior_cache[key] = interior_quadrature(self.curve, n_radial, n_angular)
         return self._interior_cache[key]
 
-    def boundary_integral(self, nodal_per_component) -> float:
-        return sum(g.integrate(v) for g, v in zip(self.grids, nodal_per_component))
-
     def refine(self, factor: int = 2) -> "Domain":
         return Domain(self.curve, self.m * factor)
-
-
-@lru_cache(maxsize=None)
-def _named_curve_cache():
-    return {}
 
 
 def make_curve(name: str, **params) -> BoundaryCurve:

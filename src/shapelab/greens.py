@@ -8,6 +8,11 @@ nodes with column-pivoted QR and relative truncation, the standard
 stabilization for these exponentially ill-conditioned systems.  One
 factorization is shared by every right-hand side (poles and variation
 data alike).
+
+The deformed boundary of T_t(Omega) takes the base boundary's path: its
+nodes, frames and charge rings are the T_t images of the base point sets,
+so re-solves along a finite-difference t-ladder differ only through the
+deformation, never through a change of discretization at t=0.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import (TWO_PI, Domain, MixedBoundary, _rotate_quarter,
-                       fourier_interpolate)
+from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate
+from .perturbation import pushed_frame
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -81,7 +86,7 @@ def fundamental_hessian(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discretization (base or pushed through a deformation)
+# Discretization of the base or deformed boundary
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -103,13 +108,6 @@ class ComponentDiscretization:
     charges: np.ndarray
 
 
-def _polygon_centroid(nodes: np.ndarray) -> np.ndarray:
-    rolled = np.roll(nodes, -1, axis=0)
-    cross = nodes[:, 0] * rolled[:, 1] - nodes[:, 1] * rolled[:, 0]
-    area = 0.5 * np.sum(cross)
-    return np.sum((nodes + rolled) * cross[:, None], axis=0) / (6.0 * area)
-
-
 def _winding_number(nodes: np.ndarray, point: np.ndarray) -> float:
     diff = nodes - point[None, :]
     ang = np.arctan2(diff[:, 1], diff[:, 0])
@@ -118,73 +116,39 @@ def _winding_number(nodes: np.ndarray, point: np.ndarray) -> float:
     return float(np.sum(dang) / TWO_PI)
 
 
-def _frame_from_pushed(family, t, curve, thetas):
-    base = curve.point(thetas)
-    vel = curve.velocity(thetas)
-    nodes = family.map(base, t)
-    jac = family.map_jacobian(base, t)
-    dx = np.einsum("nij,nj->ni", jac, vel)
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    if np.any(speed < 1e-10):
-        raise GreensError("pushed boundary degenerates: |dT_t x'| ~ 0")
-    tangent = dx / speed[:, None]
-    return nodes, tangent, _rotate_quarter(tangent), speed
-
-
-def discretize(domain: Domain, mixed: MixedBoundary,
-               config: GreensConfig) -> list[ComponentDiscretization]:
-    return discretize_pushed(domain, mixed, None, 0.0, config)
-
-
 def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
                       config: GreensConfig) -> list[ComponentDiscretization]:
-    """Discretize the (optionally deformed) boundary for collocation.
+    """Discretize the boundary of T_t(Omega) for collocation.
 
-    With ``family=None`` or t=0 this is the base boundary.  Otherwise every
-    point set is pushed through T_t, with frames from the deformation
-    Jacobian; the charge rings are dilations of the pushed curves about
-    their own centroids.
+    One path for every t: each point set (grid, collocation and check
+    nodes, charge rings) is the T_t image of its base-boundary set, with
+    frames from the deformation Jacobian, and ``family=None`` is the
+    identity.  The base charge rings are dilations of each component about
+    its area centroid.  The discretization is therefore continuous in t,
+    and a family that does not move a point set leaves it bit-identical.
     """
     if len(mixed.kinds) != domain.n_components:
         raise GreensError("boundary assignment does not match component count")
-    comps = []
     n_col = int(round(config.oversampling * config.n_charges))
-    identity = family is None or t == 0.0
+    th_col = TWO_PI * np.arange(n_col) / n_col
+    th_chk = TWO_PI * (np.arange(config.check_nodes) + 0.5) / config.check_nodes
+    th_chg = TWO_PI * (np.arange(config.n_charges) + 0.25) / config.n_charges
+    comps = []
     for i, (curve, grid) in enumerate(zip(domain.curve.components, domain.grids)):
-        th_col = TWO_PI * np.arange(n_col) / n_col
-        th_chk = TWO_PI * (np.arange(config.check_nodes) + 0.5) / config.check_nodes
-        th_chg = TWO_PI * (np.arange(config.n_charges) + 0.25) / config.n_charges
+        nodes, tangent, normal, speed = pushed_frame(curve, grid.thetas, family, t)
+        col_n, _, col_nu, _ = pushed_frame(curve, th_col, family, t)
+        chk_n, _, chk_nu, _ = pushed_frame(curve, th_chk, family, t)
         factor = config.charge_offset_outer if i == 0 else config.charge_offset_inner
-        if identity:
-            nodes, tangent, normal, speed = (grid.nodes, grid.tangent,
-                                             grid.normal, grid.speed)
-            weights = grid.weights
-            col_n, col_t, col_nu, _ = _frame_from_identity(curve, th_col)
-            chk_n, _, chk_nu, _ = _frame_from_identity(curve, th_chk)
-            centroid = curve.centroid()
-            charges = curve.scaled_about(centroid, factor).point(th_chg)
-        else:
-            nodes, tangent, normal, speed = _frame_from_pushed(family, t, curve, grid.thetas)
-            weights = (TWO_PI / grid.size) * speed
-            col_n, col_t, col_nu, _ = _frame_from_pushed(family, t, curve, th_col)
-            chk_n, _, chk_nu, _ = _frame_from_pushed(family, t, curve, th_chk)
-            ring = family.map(curve.point(th_chg), t)
-            centroid = _polygon_centroid(col_n)
-            charges = centroid[None, :] + factor * (ring - centroid[None, :])
+        charges = curve.scaled_about(curve.centroid(), factor).point(th_chg)
+        if family is not None:
+            charges = family.map(charges, t)
         comps.append(ComponentDiscretization(
             dirichlet=mixed.is_dirichlet(i), nodes=nodes, tangent=tangent,
-            normal=normal, weights=weights, speed=speed, thetas=grid.thetas,
-            colloc_nodes=col_n, colloc_normal=col_nu, colloc_thetas=th_col,
-            check_nodes=chk_n, check_normal=chk_nu, charges=charges))
+            normal=normal, weights=(TWO_PI / grid.size) * speed, speed=speed,
+            thetas=grid.thetas, colloc_nodes=col_n, colloc_normal=col_nu,
+            colloc_thetas=th_col, check_nodes=chk_n, check_normal=chk_nu,
+            charges=charges))
     return comps
-
-
-def _frame_from_identity(curve, thetas):
-    nodes = curve.point(thetas)
-    dx = curve.velocity(thetas)
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    tangent = dx / speed[:, None]
-    return nodes, tangent, _rotate_quarter(tangent), speed
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fd import FDResult, derivative_ladder
-from .geometry import Domain, _rotate_quarter, tangential_grad
+from .geometry import TWO_PI, Domain, tangential_grad
 from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .perturbation import (PerturbationError, PerturbationFamily,
-                           advective_normal_component, boundary_data)
+                           advective_normal_component, boundary_data,
+                           pushed_frame)
 
 
 @dataclass
@@ -73,13 +74,8 @@ def pullback_volume_integral(domain: Domain, family: PerturbationFamily,
 
 def _pushed_frames(domain: Domain, family: PerturbationFamily, t: float):
     for grid in domain.grids:
-        img = family.map(grid.nodes, t)
-        jac = family.map_jacobian(grid.nodes, t)
-        dx = np.einsum("nij,nj->ni", jac, grid.curve.velocity(grid.thetas))
-        speed = np.hypot(dx[:, 0], dx[:, 1])
-        weights = (2.0 * np.pi / grid.size) * speed
-        tangent = dx / speed[:, None]
-        yield img, weights, tangent, _rotate_quarter(tangent)
+        img, tangent, normal, speed = pushed_frame(grid.curve, grid.thetas, family, t)
+        yield img, (TWO_PI / grid.size) * speed, tangent, normal
 
 
 def pushed_area_integral(domain: Domain, family: PerturbationFamily,
@@ -364,10 +360,7 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily, h: float = 1e-4):
                 theta -= step
                 if np.max(np.abs(step)) < 1e-13:
                     break
-            base = grid.curve.point(theta)
-            dy = np.einsum("nij,nj->ni", family.map_jacobian(base, t),
-                           grid.curve.velocity(theta))
-            return _rotate_quarter(dy / np.hypot(dy[:, 0], dy[:, 1])[:, None])
+            return pushed_frame(grid.curve, theta, family, t)[2]
 
         out.append((normal_at(grid, h) - normal_at(grid, -h)) / (2.0 * h))
     return out

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryGrid, CollarExtension, fourier_derivative
+from .geometry import (MIN_SPEED, BoundaryGrid, CollarExtension, _rotate_quarter,
+                       fourier_derivative)
 
 
 class PerturbationError(ValueError):
@@ -352,14 +353,6 @@ class NormalFamily(PerturbationFamily):
 # Jacobian-derivative formulas
 # ---------------------------------------------------------------------------
 
-def flow_map(family: PerturbationFamily, points: np.ndarray, t: float) -> np.ndarray:
-    return family.map(points, t)
-
-
-def jacobian(family: PerturbationFamily, points: np.ndarray, t: float) -> np.ndarray:
-    return family.map_jacobian(points, t)
-
-
 def det_derivatives(family: PerturbationFamily, points: np.ndarray):
     """First and second t-derivatives of det DT_t at t=0.
 
@@ -499,3 +492,24 @@ def advective_normal_component(data: BoundaryData, grid: BoundaryGrid) -> np.nda
     """Nodal [(S.grad)S].nu computed from the velocity Jacobian."""
     adv = np.einsum("nij,nj->ni", data.velocity_jacobian, data.velocity)
     return np.einsum("ni,ni->n", adv, grid.normal)
+
+
+def pushed_frame(curve, thetas: np.ndarray, family: PerturbationFamily | None,
+                 t: float):
+    """Nodes, unit tangent, unit normal and speed of T_t(curve) at ``thetas``.
+
+    The tangent is the pushforward dT_t x'(theta) of the curve's velocity;
+    ``family=None`` is the identity, so the undeformed curve takes the same
+    path.  Rejects deformations whose pushed speed collapses.
+    """
+    nodes = curve.point(thetas)
+    dx = curve.velocity(thetas)
+    if family is not None:
+        base = nodes
+        nodes = family.map(base, t)
+        dx = np.einsum("nij,nj->ni", family.map_jacobian(base, t), dx)
+    speed = np.hypot(dx[:, 0], dx[:, 1])
+    if np.any(speed < MIN_SPEED):
+        raise PerturbationError("pushed boundary degenerates: |dT_t x'| ~ 0")
+    tangent = dx / speed[:, None]
+    return nodes, tangent, _rotate_quarter(tangent), speed

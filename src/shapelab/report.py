@@ -29,6 +29,7 @@ class ReportRow:
     details: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
     error: str | None = None
+    solver_failed: bool = False  # GreensAccuracyError: CLI exit 3, not in report.json
 
     def json_payload(self) -> dict:
         def clean(v):

@@ -1,7 +1,19 @@
 import json
 
+import pytest
+
 from shapelab import cli
-from shapelab.cases import CaseSettings, build_registry
+from shapelab import perturbation as pert
+from shapelab.cases import Case, CaseSettings, build_registry
+
+STAR_SHEAR = {
+    "id": "custom-star-shear",
+    "kind": "second_volume",
+    "domain": {"name": "star", "r0": 1.0, "eps": 0.15, "k": 3},
+    "family": {"kind": "flow", "field": {"name": "shear", "a": 0.5}},
+    "integrand": "x1*x2 + t*x2",
+    "tolerance": 1e-4,
+}
 
 
 class TestRegistry:
@@ -16,6 +28,20 @@ class TestRegistry:
         for case in build_registry():
             assert case.formula and case.tolerance > 0
             assert case.suite in ("jacobian", "liouville", "greens", "hadamard")
+
+    def test_poly_inverse_fd_integrates_each_abscissa_once(self, monkeypatch):
+        calls = []
+        integrate = pert.FlowFamily._integrate
+
+        def counted(self, points, t):
+            calls.append(t)
+            return integrate(self, points, t)
+
+        monkeypatch.setattr(pert.FlowFamily, "_integrate", counted)
+        registry = {c.case_id: c for c in build_registry()}
+        assert registry["jacobian-poly-inverse-fd"].run(CaseSettings(seed=7)).passed
+        # 3 families, 13 distinct abscissae of the order-1 and order-2 ladders
+        assert len(calls) == 39
 
     def test_single_case_runs(self):
         registry = {c.case_id: c for c in build_registry()}
@@ -89,17 +115,29 @@ class TestCli:
 
     def test_custom_case_passes_with_sane_tolerance(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"custom_liouville": [{
-            "id": "custom-star-shear",
-            "kind": "second_volume",
-            "domain": {"name": "star", "r0": 1.0, "eps": 0.15, "k": 3},
-            "family": {"kind": "flow", "field": {"name": "shear", "a": 0.5}},
-            "integrand": "x1*x2 + t*x2",
-            "tolerance": 1e-4,
-        }]}))
+        cfg.write_text(json.dumps({"custom_liouville": [STAR_SHEAR]}))
         code = cli.main(["run", "--case", "custom-star-shear",
                          "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 0
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("family", "kind"), "taylr", "unknown family kind 'taylr'"),
+        (("family", "field", "name"), "sheer", "unknown velocity field 'sheer'"),
+        (("domain", "name"), "starr", "unknown curve 'starr'"),
+        (("kind",), "second_volumes", "unknown kind 'second_volumes'"),
+    ])
+    def test_bad_custom_spec_is_config_error(self, tmp_path, capsys, path, value, message):
+        spec = json.loads(json.dumps(STAR_SHEAR))
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_liouville": [spec]}))
+        code = cli.main(["run", "--case", "custom-star-shear",
+                         "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_custom_hadamard_case(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -117,6 +155,28 @@ class TestCli:
                          "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 0
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("variation", "sceond", "unknown variation 'sceond'"),
+        ("mixed", ["dirichlet"], "mixed needs 2 entries, one per boundary component, not 1"),
+    ])
+    def test_bad_hadamard_spec_is_config_error(self, tmp_path, capsys, key, value, message):
+        spec = {"id": "custom-annulus", "mixed": ["dirichlet", "neumann"],
+                "domain": {"name": "annulus", "r_in": 0.5, "r_out": 1.0},
+                "family": {"kind": "taylor", "field": {"name": "shear", "a": 0.5}},
+                "probes": [[0.0, 0.75], [-0.74, -0.1]], key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_hadamard": [spec]}))
+        code = cli.main(["run", "--case", "custom-annulus",
+                         "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_non_object_custom_spec_is_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_hadamard": [3]}))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
     def test_solver_diagnostic_exit_code(self, tmp_path):
         code = cli.main(["run", "--case", "greens-disk-analytic",
                          "--override", "n_charges=8",
@@ -124,6 +184,15 @@ class TestCli:
         assert code == cli.EXIT_SOLVER
         payload = json.loads((tmp_path / "report.json").read_text())
         assert "GreensAccuracyError" in payload["cases"][0]["error"]
+
+    def test_exit_code_comes_from_the_exception_type(self, tmp_path, monkeypatch):
+        def runner(st, case):
+            raise RuntimeError("not a GreensAccuracyError")
+
+        case = Case("named-but-not-raised", "greens", "exit code", 1.0, runner)
+        monkeypatch.setattr(cli, "build_registry", lambda: [case])
+        code = cli.main(["run", "--case", case.case_id, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_CASE_FAILED
 
     def test_seeded_subset_is_deterministic(self, tmp_path):
         args = ["run", "--suite", "jacobian", "--seed", "11"]

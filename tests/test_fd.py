@@ -1,0 +1,37 @@
+import numpy as np
+import pytest
+
+from shapelab._fd import derivative_ladder
+
+
+def _vector(t):
+    return np.array([[np.sin(1.3 * t), np.exp(0.7 * t)],
+                     [np.cos(2.0 * t) * t, 1.0 / (1.5 - t)]])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_vector_ladder_equals_componentwise_scalar_ladders(order):
+    ladder = (0.04, 0.02, 0.01)
+    vec = derivative_ladder(_vector, order, ladder)
+    assert vec.value.shape == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            sca = derivative_ladder(lambda t: _vector(t)[i, j], order, ladder)
+            assert vec.value[i, j] == sca.value
+            assert [e[i, j] for e in vec.estimates] == list(sca.estimates)
+
+
+def test_scalar_results_are_floats():
+    res = derivative_ladder(np.sin, 1, (0.04, 0.02, 0.01))
+    assert type(res.value) is float
+    assert all(type(e) is float for e in res.estimates)
+
+
+def test_vector_order_and_monotone_use_the_max_norm():
+    # the linear component is differentiated exactly, so the max-norm
+    # diagnostics are those of the sine component alone
+    ladder = (0.2, 0.1, 0.05)
+    vec = derivative_ladder(lambda t: np.array([np.sin(t), 3.0 * t]), 1, ladder)
+    sca = derivative_ladder(np.sin, 1, ladder)
+    assert vec.observed_order == sca.observed_order
+    assert vec.monotone == sca.monotone

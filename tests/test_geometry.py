@@ -208,9 +208,14 @@ class TestInteriorQuadrature:
         with pytest.raises(geo.GeometryError):
             geo.interior_quadrature(geo.BoundaryCurve(comps))
 
-    def test_exactness_report_present(self):
-        rule = geo.interior_quadrature(geo.star_domain(1.0, 0.2, 3))
-        assert rule.exactness["x"] < 1e-8
+    def test_default_rule_matches_refined_rule(self):
+        curve = geo.star_domain(1.0, 0.2, 3)
+        rule = geo.interior_quadrature(curve)
+        fine = geo.interior_quadrature(curve, 2 * 48, 2 * 192)
+        for px, py in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1)):
+            coarse = rule.integrate(rule.nodes[:, 0] ** px * rule.nodes[:, 1] ** py)
+            refined = fine.integrate(fine.nodes[:, 0] ** px * fine.nodes[:, 1] ** py)
+            assert abs(coarse - refined) < 1e-8
 
 
 class TestMixedBoundary:

@@ -234,6 +234,17 @@ class TestPerturbedGreens:
                 continue
             assert abs(ev.value(x)[0] - gr.disk_greens(x / (1 + t), y / (1 + t))) < 1e-7
 
+    def test_zero_velocity_family_is_bit_identical_across_t(self):
+        # one discretization path for every t: a family that moves nothing
+        # must not move N, not even by rounding amplified through the solve
+        star = geo.Domain(geo.star_domain(1.0, 0.2, 3), m=128)
+        mixedb, cfg = geo.all_dirichlet(1), gr.GreensConfig(n_charges=96)
+        fam = pert.TaylorFamily(pert.zero_field())
+        y, x = np.array([0.0, 0.4]), np.array([[0.3, 0.0]])
+        base = gr.solve_corrector(star, mixedb, y, cfg).value(x)[0]
+        for t in (0.0, 1e-3, -1e-3):
+            assert gr.perturbed_greens(star, mixedb, fam, t, y, cfg).value(x)[0] == base
+
     def test_rotation_invariance_center_pole(self, disk):
         fam = pert.FlowFamily(pert.rotation())
         y = np.array([0.0, 0.0])
