@@ -21,7 +21,7 @@ from . import greens as gr
 from . import hadamard as hd
 from . import liouville as lv
 from . import perturbation as pert
-from ._fd import derivative_ladder
+from ._fd import _Memo, derivative_ladder
 from .integrands import (IntegrandSpec, VectorIntegrandSpec,
                          normal_scaled_integrand, random_polynomial_integrand)
 from .report import ReportRow
@@ -108,6 +108,7 @@ def _fd_det(fam, x0, h=0.02):
         j = fam.map_jacobian(x0, t)[0]
         return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
 
+    det = _Memo(det)  # both ladders share their abscissae
     d1 = derivative_ladder(det, order=1, ladder=(h, h / 2)).value
     d2 = derivative_ladder(det, order=2, ladder=(h, h / 2)).value
     return d1, d2

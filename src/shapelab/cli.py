@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import sympy as sp
 
 from . import geometry as geo
 from . import hadamard as hd
@@ -83,12 +84,20 @@ def _liouville_case(spec) -> Case:
     curve = geo.make_curve(**spec["domain"])
     family = _family_from_config(spec["family"])
     expr = spec["integrand"]
+    flux = kind.startswith("flux")
+    if flux and (isinstance(expr, str) or len(expr) != 2):
+        raise ConfigError(f"a {kind} integrand is a list of 2 expressions, not {expr!r}")
+    try:
+        for item in (expr if flux else [expr]):
+            sp.sympify(item)
+    except sp.SympifyError as exc:
+        raise ConfigError(f"integrand {expr!r} does not parse: {exc}") from exc
     tolerance = float(spec.get("tolerance", 1e-4))
     ladder = tuple(spec["ladder"]) if "ladder" in spec else None
 
     def runner(st, case):
         # sympy compilation runs with the case, not during config resolution
-        if kind.startswith("flux"):
+        if flux:
             integrand = VectorIntegrandSpec.from_expressions(*expr)
         else:
             integrand = IntegrandSpec.from_expression(expr)

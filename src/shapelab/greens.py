@@ -5,9 +5,15 @@ solutions: a sum of log-kernels with sources on dilated copies of each
 boundary component (outside the domain for the outer curve, inside each
 hole).  Coefficients are fit by least squares on oversampled collocation
 nodes with column-pivoted QR and relative truncation, the standard
-stabilization for these exponentially ill-conditioned systems.  One
-factorization is shared by every right-hand side (poles and variation
-data alike).
+stabilization for these exponentially ill-conditioned systems.  The
+collocation matrix is assembled once per boundary and shared by every
+right-hand side (poles and variation data alike); each solve factors it
+again.  Its condition estimate is an SVD, computed only when read.
+
+The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
+gradients over the charges use the complex form
+grad Gamma(p - s) = -conj(1 / (z - s)) / (2 pi) with z = p1 + i p2, which
+turns the sum into one complex matrix-vector product.
 
 The deformed boundary of T_t(Omega) takes the base boundary's path: its
 nodes, frames and charge rings are the T_t images of the base point sets,
@@ -17,6 +23,7 @@ deformation, never through a change of discretization at t=0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,38 +58,49 @@ class GreensConfig:
 # Log kernel
 # ---------------------------------------------------------------------------
 
-def fundamental_solution(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Gamma(p - s) = -log|p - s| / (2 pi), shape (N, K)."""
+def _kernel_offsets(points: np.ndarray, sources: np.ndarray):
+    """dx, dy and r2 = dx**2 + dy**2 from every source to every point, each (N, K)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    diff = points[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("nki,nki->nk", diff, diff)
+    dx = np.subtract.outer(points[:, 0], sources[:, 0])
+    dy = np.subtract.outer(points[:, 1], sources[:, 1])
+    r2 = dx * dx
+    r2 += dy * dy
     if np.any(r2 == 0.0):
         raise GreensError("evaluation point coincides with a source")
-    return -0.5 * INV_2PI * np.log(r2)
+    return dx, dy, r2
+
+
+def fundamental_solution(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Gamma(p - s) = -log|p - s| / (2 pi), shape (N, K)."""
+    _, _, r2 = _kernel_offsets(points, sources)
+    np.log(r2, out=r2)
+    r2 *= -0.5 * INV_2PI
+    return r2
+
+
+def _gradient_components(points: np.ndarray, sources: np.ndarray):
+    """The two (N, K) components of grad_p Gamma(p - s)."""
+    dx, dy, r2 = _kernel_offsets(points, sources)
+    dx *= -INV_2PI
+    dx /= r2
+    dy *= -INV_2PI
+    dy /= r2
+    return dx, dy
 
 
 def fundamental_gradient(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """grad_p Gamma(p - s), shape (N, K, 2)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    diff = points[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("nki,nki->nk", diff, diff)
-    if np.any(r2 == 0.0):
-        raise GreensError("evaluation point coincides with a source")
-    return -INV_2PI * diff / r2[..., None]
+    return np.stack(_gradient_components(points, sources), axis=-1)
 
 
 def fundamental_hessian(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Second p-derivatives of Gamma(p - s), shape (N, K, 2, 2)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    diff = points[:, None, :] - sources[None, :, :]
-    r2 = np.einsum("nki,nki->nk", diff, diff)
-    eye = np.eye(2)
+    dx, dy, r2 = _kernel_offsets(points, sources)
+    diff = np.stack([dx, dy], axis=-1)
     outer = np.einsum("nki,nkj->nkij", diff, diff)
     return INV_2PI * (2.0 * outer / r2[..., None, None] ** 2
-                      - eye[None, None, :, :] / r2[..., None, None])
+                      - np.eye(2) / r2[..., None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +184,16 @@ class HarmonicField:
         return fundamental_solution(points, self.charges) @ self.coefficients
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        return np.einsum("nki,k->ni",
-                         fundamental_gradient(points, self.charges),
-                         self.coefficients)
+        # grad Gamma(p - s) = -conj(1/(z - s)) / (2 pi) with z = p1 + i p2,
+        # so the sum over charges is one complex matrix-vector product.
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        w = np.subtract.outer(points[:, 0] + 1j * points[:, 1],
+                              self.charges[:, 0] + 1j * self.charges[:, 1])
+        if np.any(w == 0.0):
+            raise GreensError("evaluation point coincides with a source")
+        np.reciprocal(w, out=w)
+        total = w @ self.coefficients
+        return np.stack([-INV_2PI * total.real, INV_2PI * total.imag], axis=-1)
 
     def hessian(self, points: np.ndarray) -> np.ndarray:
         return np.einsum("nkij,k->nij",
@@ -180,17 +205,18 @@ class HarmonicField:
 class SolveDiagnostics:
     residual: float
     per_component: tuple
-    condition_estimate: float
     rank: int
     n_unknowns: int
 
 
 class MixedSolver:
-    """Shared collocation factorization for one (possibly deformed) boundary.
+    """Shared collocation matrix for one (possibly deformed) boundary.
 
-    Dirichlet rows match values, Neumann rows match normal derivatives; the
-    pivoted-QR least-squares solve (LAPACK gelsy) truncates at the configured
-    relative threshold.  All right-hand sides reuse the factorization data.
+    Dirichlet rows match values, Neumann rows match normal derivatives.  The
+    matrix is assembled once and shared by every right-hand side; each
+    ``solve`` is a pivoted-QR least-squares solve (LAPACK gelsy) that factors
+    it afresh and truncates at the configured relative threshold.  The
+    condition estimate is an SVD of the matrix, computed on first read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
@@ -206,12 +232,17 @@ class MixedSolver:
             if comp.dirichlet:
                 rows.append(fundamental_solution(comp.colloc_nodes, self.charges))
             else:
-                grad = fundamental_gradient(comp.colloc_nodes, self.charges)
-                rows.append(np.einsum("nki,ni->nk", grad, comp.colloc_normal))
+                gx, gy = _gradient_components(comp.colloc_nodes, self.charges)
+                gx *= comp.colloc_normal[:, :1]
+                gy *= comp.colloc_normal[:, 1:]
+                gx += gy
+                rows.append(gx)
         self.matrix = np.vstack(rows)
+
+    @functools.cached_property
+    def condition_estimate(self) -> float:
         sv = scipy.linalg.svdvals(self.matrix)
-        self.condition_estimate = float(sv[0] / max(sv[-1], 1e-300))
-        self._sv_max = sv[0]
+        return float(sv[0] / max(sv[-1], 1e-300))
 
     def solve(self, rhs_per_component: list[np.ndarray],
               check_data=None) -> tuple[HarmonicField, SolveDiagnostics]:
@@ -229,8 +260,8 @@ class MixedSolver:
                                      comp.check_normal)
                 residuals.append(float(np.max(np.abs(pred - data))))
         total = max(residuals) if residuals else float("nan")
-        diag = SolveDiagnostics(total, tuple(residuals), self.condition_estimate,
-                                int(rank), self.matrix.shape[1])
+        diag = SolveDiagnostics(total, tuple(residuals), int(rank),
+                                self.matrix.shape[1])
         if residuals and total > self.config.fail_threshold:
             raise GreensAccuracyError(
                 f"check-node residual {total:.3e} exceeds "

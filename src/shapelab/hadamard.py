@@ -174,16 +174,25 @@ def delta_n_bvp(solver: GreensSolver, family: PerturbationFamily,
     return field, diag
 
 
+def _resolved_value(domain: Domain, mixed: MixedBoundary,
+                    family: PerturbationFamily, x, y,
+                    config: GreensConfig | None):
+    """t -> N_t(x, y), each value a full re-solve on T_t(Omega)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+
+    def value(t):
+        solver = GreensSolver(domain, mixed, config, family=family, t=t)
+        return solver.solve(y).value(x)[0]
+
+    return value
+
+
 def delta_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                x: np.ndarray, y: np.ndarray, ladder=DELTA_N_LADDER,
                config: GreensConfig | None = None) -> FDResult:
     """First variation by re-solving on the deformed domain along a t-ladder."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-
-    def value(t):
-        solver = GreensSolver(domain, mixed, config, family=family, t=t)
-        return solver.solve(np.asarray(y, dtype=float)).value(x)[0]
-
+    value = _resolved_value(domain, mixed, family, x, y, config)
     return derivative_ladder(value, order=1, ladder=ladder)
 
 
@@ -267,12 +276,7 @@ def delta2_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily
                 x: np.ndarray, y: np.ndarray, ladder=DELTA2_N_LADDER,
                 config: GreensConfig | None = None) -> FDResult:
     """Second variation by 5-point differencing of full re-solves."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-
-    def value(t):
-        solver = GreensSolver(domain, mixed, config, family=family, t=t)
-        return solver.solve(np.asarray(y, dtype=float)).value(x)[0]
-
+    value = _resolved_value(domain, mixed, family, x, y, config)
     return derivative_ladder(value, order=2, ladder=ladder)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,20 @@ class TestRegistry:
         assert registry["jacobian-poly-inverse-fd"].run(CaseSettings(seed=7)).passed
         # 3 families, 13 distinct abscissae of the order-1 and order-2 ladders
         assert len(calls) == 39
+
+    def test_poly_det_fd_integrates_each_abscissa_once(self, monkeypatch):
+        calls = []
+        integrate = pert.FlowFamily._integrate
+
+        def counted(self, points, t):
+            calls.append(t)
+            return integrate(self, points, t)
+
+        monkeypatch.setattr(pert.FlowFamily, "_integrate", counted)
+        registry = {c.case_id: c for c in build_registry()}
+        assert registry["jacobian-poly-det-fd"].run(CaseSettings(seed=7)).passed
+        # 3 families, 7 distinct abscissae (0, +-h/2, +-h, +-2h) shared by both ladders
+        assert len(calls) == 21
 
     def test_single_case_runs(self):
         registry = {c.case_id: c for c in build_registry()}
@@ -138,6 +156,30 @@ class TestCli:
                          "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, integrand, message", [
+        ("second_volume", "x1**", "does not parse"),
+        ("flux_first", ["x1*x2", "x2**"], "does not parse"),
+        ("flux_first", ["x1", "x2", "x1*x2"], "list of 2 expressions"),
+    ])
+    def test_unparsable_integrand_is_config_error(self, tmp_path, capsys, kind,
+                                                  integrand, message):
+        spec = dict(STAR_SHEAR, kind=kind, integrand=integrand)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_liouville": [spec]}))
+        code = cli.main(["run", "--case", "custom-star-shear",
+                         "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "shapelab", "list-cases"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "hadamard-pole-symmetry" in done.stdout
 
     def test_custom_hadamard_case(self, tmp_path):
         cfg = tmp_path / "cfg.json"

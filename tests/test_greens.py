@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shapelab import geometry as geo
 from shapelab import greens as gr
+from shapelab import hadamard as hd
 from shapelab import perturbation as pert
 from shapelab.integrands import IntegrandSpec
 
@@ -55,6 +57,69 @@ class TestFundamentalSolution:
     def test_pole_rejected(self):
         with pytest.raises(gr.GreensError):
             gr.fundamental_solution(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("kernel", [gr.fundamental_solution,
+                                        gr.fundamental_gradient,
+                                        gr.fundamental_hessian])
+    def test_coincident_source_rejected_by_every_kernel(self, kernel):
+        with pytest.raises(gr.GreensError, match="coincides"):
+            kernel(np.array([[0.1, 0.2]]), np.array([[0.1, 0.2]]))
+
+
+def _einsum_offsets(points, sources):
+    diff = points[:, None, :] - sources[None, :, :]
+    return diff, np.einsum("nki,nki->nk", diff, diff)
+
+
+class TestKernelLayer:
+    """The (N, K) kernels against the (N, K, 2) einsum forms they replaced."""
+
+    def test_kernels_equal_einsum_forms_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1, 1, (300, 2))
+        src = rng.uniform(-3, 3, (70, 2))
+        diff, r2 = _einsum_offsets(pts, src)
+        np.testing.assert_array_equal(gr.fundamental_solution(pts, src),
+                                      -0.5 * gr.INV_2PI * np.log(r2))
+        np.testing.assert_array_equal(gr.fundamental_gradient(pts, src),
+                                      -gr.INV_2PI * diff / r2[..., None])
+        hessian = gr.INV_2PI * (2.0 * np.einsum("nki,nkj->nkij", diff, diff)
+                                / r2[..., None, None] ** 2
+                                - np.eye(2)[None, None] / r2[..., None, None])
+        np.testing.assert_array_equal(gr.fundamental_hessian(pts, src), hessian)
+
+    def test_annulus_collocation_matrix_equals_einsum_form(self, annulus_solver):
+        solver = annulus_solver.solver
+        rows = []
+        for comp in solver.components:
+            diff, r2 = _einsum_offsets(comp.colloc_nodes, solver.charges)
+            if comp.dirichlet:
+                rows.append(-0.5 * gr.INV_2PI * np.log(r2))
+            else:
+                grad = -gr.INV_2PI * diff / r2[..., None]
+                rows.append(np.einsum("nki,ni->nk", grad, comp.colloc_normal))
+        assert not solver.components[1].dirichlet
+        np.testing.assert_array_equal(solver.matrix, np.vstack(rows))
+
+    @pytest.mark.parametrize("which", ["disk", "annulus"])
+    def test_complex_gradient_matches_einsum_sum(self, request, which):
+        domain = request.getfixturevalue(which)
+        solver = request.getfixturevalue(f"{which}_solver")
+        field = solver.solve(np.array([0.1, 0.7])).corrector
+        nodes = domain.interior().nodes
+        assert len(nodes) == 9216
+        terms = gr.fundamental_gradient(nodes, field.charges)
+        reference = np.einsum("nki,k->ni", terms, field.coefficients)
+        # rounding bound of the reordered sum, point by point
+        bound = 16 * np.finfo(float).eps * np.einsum(
+            "k,nk->n", np.abs(field.coefficients), np.linalg.norm(terms, axis=-1))
+        gap = np.max(np.abs(field.gradient(nodes) - reference), axis=1)
+        assert np.all(gap <= bound)
+
+    def test_complex_gradient_rejects_a_charge(self, disk_solver):
+        field = disk_solver.solve(np.array([0.3, 0.0])).corrector
+        with pytest.raises(gr.GreensError, match="coincides"):
+            field.gradient(field.charges[3:4])
 
 
 class TestDiskSolve:
@@ -257,6 +322,20 @@ class TestPerturbedGreens:
 class TestDiagnostics:
     def test_condition_estimate_reported(self, disk_solver):
         assert disk_solver.solver.condition_estimate > 1e6
+
+    def test_condition_estimate_is_the_singular_value_ratio(self, annulus_solver):
+        sv = scipy.linalg.svdvals(annulus_solver.solver.matrix)
+        assert annulus_solver.solver.condition_estimate == float(sv[0] / sv[-1])
+
+    def test_fd_route_computes_no_svd(self, disk, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("svdvals called")
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
+        fam = pert.TaylorFamily(pert.dilation())
+        result = hd.delta_n_fd(disk, geo.all_dirichlet(1), fam,
+                               np.array([0.3, 0.0]), np.array([0.0, 0.4]))
+        assert np.isfinite(result.value)
 
     def test_hard_failure_raises_with_condition(self, disk):
         cfg = gr.GreensConfig(n_charges=8, fail_threshold=1e-10)
