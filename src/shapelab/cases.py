@@ -103,15 +103,10 @@ def _jacobian_rotation_det(st, case):
     return 0.0, {"analytic": 0.0}, err
 
 
-def _fd_det(fam, x0, h=0.02):
-    def det(t):
-        j = fam.map_jacobian(x0, t)[0]
-        return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-
-    det = _Memo(det)  # both ladders share their abscissae
-    d1 = derivative_ladder(det, order=1, ladder=(h, h / 2)).value
-    d2 = derivative_ladder(det, order=2, ladder=(h, h / 2)).value
-    return d1, d2
+def _fd_pair(g, h=0.02):
+    """First and second FD derivatives of g at 0; both ladders share one memo."""
+    g = _Memo(g)
+    return tuple(derivative_ladder(g, order=k, ladder=(h, h / 2)).value for k in (1, 2))
 
 
 def _jacobian_poly_det_fd(st, case):
@@ -121,7 +116,12 @@ def _jacobian_poly_det_fd(st, case):
         fam = pert.FlowFamily(pert.random_polynomial_field(rng, degree=2), step=2e-3)
         x0 = rng.uniform(-0.5, 0.5, size=(1, 2))
         a1, a2 = pert.det_derivatives(fam, x0)
-        f1, f2 = _fd_det(fam, x0)
+
+        def det(t):
+            j = fam.map_jacobian(x0, t)[0]
+            return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+
+        f1, f2 = _fd_pair(det)
         worst = max(worst, abs(a1[0] - f1), abs(a2[0] - f2))
     return a1[0], {"fd_first": f1, "fd_second": f2}, worst
 
@@ -141,12 +141,7 @@ def _jacobian_poly_inverse_fd(st, case):
         fam = pert.FlowFamily(pert.random_polynomial_field(rng, degree=2), step=2e-3)
         x0 = rng.uniform(-0.5, 0.5, size=(1, 2))
         a1, a2 = pert.inverse_jacobian_derivatives(fam, x0)
-
-        def inverse(t):
-            return np.linalg.inv(fam.map_jacobian(x0, t)[0])
-
-        f1 = derivative_ladder(inverse, order=1, ladder=(0.02, 0.01)).value
-        f2 = derivative_ladder(inverse, order=2, ladder=(0.02, 0.01)).value
+        f1, f2 = _fd_pair(lambda t: np.linalg.inv(fam.map_jacobian(x0, t)[0]))
         worst = max(worst, np.max(np.abs(a1[0] - f1)), np.max(np.abs(a2[0] - f2)))
     return 0.0, {"fd": 0.0}, worst
 

@@ -18,7 +18,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import sympy as sp
 
 from . import geometry as geo
 from . import hadamard as hd
@@ -87,6 +86,7 @@ def _liouville_case(spec) -> Case:
     flux = kind.startswith("flux")
     if flux and (isinstance(expr, str) or len(expr) != 2):
         raise ConfigError(f"a {kind} integrand is a list of 2 expressions, not {expr!r}")
+    import sympy as sp  # only user-written integrands need it
     try:
         for item in (expr if flux else [expr]):
             sp.sympify(item)

@@ -1,10 +1,12 @@
 """Space-time test integrands with declared analytic derivatives.
 
 Scalar integrands c(x, t) carry evaluators for c, c_t, c_tt, grad c, and
-hess c; vector fields a(x, t) additionally declare divergence data.  The
-sympy constructors build all derivatives symbolically, which is the usual
-manufactured-solution workflow; every evaluator is vectorized over point
-arrays of shape (N, 2).
+hess c; vector fields a(x, t) additionally declare divergence data.
+Polynomials (the seeded random integrands, constants) are numpy coefficient
+arrays differentiated by index shifts; user-written expressions go through
+sympy, imported on first use, which builds all derivatives symbolically (the
+usual manufactured-solution workflow).  Every evaluator is vectorized over
+point arrays of shape (N, 2).
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial.polynomial import polyvander2d
 
-X1, X2, T = sp.symbols("x1 x2 t")
+
+def _sympy():
+    """sympy and its symbols x1, x2, t, imported only when an expression is compiled."""
+    import sympy as sp
+    return sp, sp.symbols("x1 x2 t")
 
 
 def _vectorized(expr, shape_tail=()):
@@ -25,10 +31,8 @@ def _vectorized(expr, shape_tail=()):
     entries fill the trailing shape; scalar components are lambdified
     separately so constant entries broadcast cleanly.
     """
-    if shape_tail:
-        flat = [sp.lambdify((X1, X2, T), e, modules="numpy") for e in expr]
-    else:
-        flat = [sp.lambdify((X1, X2, T), expr, modules="numpy")]
+    sp, symbols = _sympy()
+    flat = [sp.lambdify(symbols, e, modules="numpy") for e in (expr if shape_tail else [expr])]
 
     def call(points: np.ndarray, t: float = 0.0) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -40,6 +44,26 @@ def _vectorized(expr, shape_tail=()):
             return np.ascontiguousarray(cols[0])
         out = np.stack(cols, axis=-1).reshape((n,) + shape_tail)
         return np.ascontiguousarray(out)
+
+    return call
+
+
+def _shifted(c: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficients of the derivative along ``axis`` (0: x1, 1: x2, 2: t), same shape."""
+    power = np.arange(c.shape[axis]).reshape([-1 if a == axis else 1 for a in range(3)])
+    return np.roll(power * c, -1, axis=axis)
+
+
+def _polynomial(coeffs: list, shape_tail=()):
+    """f(points, t) of sum c[px, py, pt] x1**px x2**py t**pt, one c per trailing entry."""
+    stacked = np.stack(coeffs)
+    k, px, py, pt = stacked.shape
+
+    def call(points: np.ndarray, t: float = 0.0) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        monomials = polyvander2d(points[:, 0], points[:, 1], (px - 1, py - 1))
+        space = (stacked @ (float(t) ** np.arange(pt))).reshape(k, -1)
+        return (monomials @ space.T).reshape((len(points),) + shape_tail)
 
     return call
 
@@ -59,23 +83,41 @@ class IntegrandSpec:
 
     @classmethod
     def from_expression(cls, expr, label: str | None = None) -> "IntegrandSpec":
+        sp, (x1, x2, t) = _sympy()
         expr = sp.sympify(expr)
-        grad = [sp.diff(expr, X1), sp.diff(expr, X2)]
-        hess = [[sp.diff(g, v) for v in (X1, X2)] for g in grad]
+        grad = [sp.diff(expr, x1), sp.diff(expr, x2)]
+        hess = [[sp.diff(g, v) for v in (x1, x2)] for g in grad]
         return cls(
             value=_vectorized(expr),
-            dt=_vectorized(sp.diff(expr, T)),
-            dtt=_vectorized(sp.diff(expr, T, 2)),
+            dt=_vectorized(sp.diff(expr, t)),
+            dtt=_vectorized(sp.diff(expr, t, 2)),
             gradient=_vectorized(sp.Matrix(grad), (2,)),
             hessian=_vectorized(sp.Matrix(hess), (2, 2)),
-            dt_gradient=_vectorized(sp.Matrix([sp.diff(g, T) for g in grad]), (2,)),
+            dt_gradient=_vectorized(sp.Matrix([sp.diff(g, t) for g in grad]), (2,)),
             label=label if label is not None else str(expr),
             zero=expr.is_zero is True,
         )
 
     @classmethod
+    def from_coefficients(cls, coeffs, label: str = "") -> "IntegrandSpec":
+        """The polynomial sum coeffs[px, py, pt] x1**px x2**py t**pt."""
+        c = np.asarray(coeffs, dtype=float)
+        cx, cy, ct = (_shifted(c, axis) for axis in range(3))
+        cxy = _shifted(cx, 1)
+        return cls(
+            value=_polynomial([c]),
+            dt=_polynomial([ct]),
+            dtt=_polynomial([_shifted(ct, 2)]),
+            gradient=_polynomial([cx, cy], (2,)),
+            hessian=_polynomial([_shifted(cx, 0), cxy, cxy, _shifted(cy, 1)], (2, 2)),
+            dt_gradient=_polynomial([_shifted(cx, 2), _shifted(cy, 2)], (2,)),
+            label=label,
+            zero=not c.any(),
+        )
+
+    @classmethod
     def constant(cls, value: float = 1.0) -> "IntegrandSpec":
-        return cls.from_expression(sp.Float(value), label=f"const {value}")
+        return cls.from_coefficients(np.full((1, 1, 1), value), label=f"const {value}")
 
     def spot_check(self, rng: np.random.Generator, n_points: int = 10,
                    box=(-1.0, 1.0), t_range: float = 0.1) -> float:
@@ -119,16 +161,17 @@ class VectorIntegrandSpec:
 
     @classmethod
     def from_expressions(cls, expr1, expr2, label: str | None = None) -> "VectorIntegrandSpec":
+        sp, (x1, x2, t) = _sympy()
         e1, e2 = sp.sympify(expr1), sp.sympify(expr2)
         vec = sp.Matrix([e1, e2])
-        div = sp.diff(e1, X1) + sp.diff(e2, X2)
+        div = sp.diff(e1, x1) + sp.diff(e2, x2)
         return cls(
             value=_vectorized(vec, (2,)),
-            dt=_vectorized(sp.diff(vec, T), (2,)),
-            dtt=_vectorized(sp.diff(vec, T, 2), (2,)),
+            dt=_vectorized(sp.diff(vec, t), (2,)),
+            dtt=_vectorized(sp.diff(vec, t, 2), (2,)),
             divergence=_vectorized(div),
-            divergence_dt=_vectorized(sp.diff(div, T)),
-            divergence_gradient=_vectorized(sp.Matrix([sp.diff(div, X1), sp.diff(div, X2)]), (2,)),
+            divergence_dt=_vectorized(sp.diff(div, t)),
+            divergence_gradient=_vectorized(sp.Matrix([sp.diff(div, x1), sp.diff(div, x2)]), (2,)),
             label=label if label is not None else f"({e1}, {e2})",
         )
 
@@ -162,9 +205,9 @@ def normal_scaled_integrand(c: IntegrandSpec, collar) -> VectorIntegrandSpec:
 def random_polynomial_integrand(rng: np.random.Generator, degree: int = 2,
                                 time_degree: int = 1, scale: float = 0.5) -> IntegrandSpec:
     """Random space-time polynomial used by the seeded property cases."""
-    expr = sp.Integer(0)
+    coeffs = np.zeros((degree + 1, degree + 1, time_degree + 1))
     for px in range(degree + 1):
         for py in range(degree + 1 - px):
             for pt in range(time_degree + 1):
-                expr += sp.Float(scale * rng.uniform(-1, 1)) * X1 ** px * X2 ** py * T ** pt
-    return IntegrandSpec.from_expression(expr, label=f"random poly deg {degree}")
+                coeffs[px, py, pt] = scale * rng.uniform(-1, 1)
+    return IntegrandSpec.from_coefficients(coeffs, label=f"random poly deg {degree}")

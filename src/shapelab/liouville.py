@@ -64,8 +64,7 @@ def pullback_volume_integral(domain: Domain, family: PerturbationFamily,
                              interior=None) -> float:
     """integral of c(., t) over T_t(Omega), pulled back to fixed interior nodes."""
     interior = interior if interior is not None else domain.interior()
-    img = family.map(interior.nodes, t)
-    jac = family.map_jacobian(interior.nodes, t)
+    img, jac = family.map_and_jacobian(interior.nodes, t)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     if np.any(det <= 0.0):
         raise PerturbationError(f"deformation folds the domain at t={t}")
@@ -344,17 +343,12 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily, h: float = 1e-4):
         def normal_at(grid, t):
             theta = grid.thetas.copy()
             for _ in range(30):
-                base = grid.curve.point(theta)
-                vel = grid.curve.velocity(theta)
-                y = family.map(base, t)
-                dy = np.einsum("nij,nj->ni", family.map_jacobian(base, t), vel)
+                y, jac = family.map_and_jacobian(grid.curve.point(theta), t)
+                dy = np.einsum("nij,nj->ni", jac, grid.curve.velocity(theta))
                 f = np.einsum("ni,ni->n", grid.nodes - y, dy)
                 eps = 1e-6
-                base2 = grid.curve.point(theta + eps)
-                y2 = family.map(base2, t)
-                dy2 = np.einsum("nij,nj->ni",
-                                family.map_jacobian(base2, t),
-                                grid.curve.velocity(theta + eps))
+                y2, jac2 = family.map_and_jacobian(grid.curve.point(theta + eps), t)
+                dy2 = np.einsum("nij,nj->ni", jac2, grid.curve.velocity(theta + eps))
                 f2 = np.einsum("ni,ni->n", grid.nodes - y2, dy2)
                 step = f / ((f2 - f) / eps)
                 theta -= step

@@ -43,46 +43,50 @@ class PolynomialField:
                 raise PerturbationError(f"bad monomial {(comp, px, py)}")
             if coeff != 0.0:
                 self.terms[(comp, px, py)] = float(coeff)
+        self._degree = max((max(px, py) for _, px, py in self.terms), default=1)
 
-    @staticmethod
-    def _pow(base: np.ndarray, exponent: int) -> np.ndarray:
-        if exponent == 0:
-            return np.ones_like(base)
-        return base ** exponent
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def _powers(self, points: np.ndarray):
+        """Tables [1, x, x^2, ...] and [1, y, y^2, ...] of (N, 2) points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros_like(points)
-        x, y = points[:, 0], points[:, 1]
+        return tuple([np.ones_like(u), u] + [u ** k for k in range(2, self._degree + 1)]
+                     for u in points.T)
+
+    def _values(self, xs, ys) -> np.ndarray:
+        """Field values from power tables, component-major (2, N)."""
+        out = np.zeros((2,) + xs[0].shape)
         for (comp, px, py), c in self.terms.items():
-            out[:, comp] += c * self._pow(x, px) * self._pow(y, py)
+            out[comp] += c * xs[px] * ys[py]
         return out
 
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((points.shape[0], 2, 2))
+    def _jacobians(self, xs, ys) -> np.ndarray:
+        """Jacobians dv_i/dx_j from power tables, component-major (2, 2, N)."""
+        out = np.zeros((2, 2) + xs[0].shape)
         for (comp, px, py), c in self.terms.items():
             if px:
-                out[:, comp, 0] += c * px * self._pow(x, px - 1) * self._pow(y, py)
+                out[comp, 0] += c * px * xs[px - 1] * ys[py]
             if py:
-                out[:, comp, 1] += c * py * self._pow(x, px) * self._pow(y, py - 1)
+                out[comp, 1] += c * py * xs[px] * ys[py - 1]
         return out
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self._values(*self._powers(points)).T)
+
+    def jacobian(self, points: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self._jacobians(*self._powers(points)).transpose(2, 0, 1))
 
     def second_derivative(self, points: np.ndarray) -> np.ndarray:
         """Tensor H[n, i, j, k] = d^2 v_i / dx_j dx_k at each point."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y = points[:, 0], points[:, 1]
-        out = np.zeros((points.shape[0], 2, 2, 2))
+        xs, ys = self._powers(points)
+        out = np.zeros((xs[0].shape[0], 2, 2, 2))
         for (comp, px, py), c in self.terms.items():
             if px >= 2:
-                out[:, comp, 0, 0] += c * px * (px - 1) * self._pow(x, px - 2) * self._pow(y, py)
+                out[:, comp, 0, 0] += c * px * (px - 1) * xs[px - 2] * ys[py]
             if px >= 1 and py >= 1:
-                mixed = c * px * py * self._pow(x, px - 1) * self._pow(y, py - 1)
+                mixed = c * px * py * xs[px - 1] * ys[py - 1]
                 out[:, comp, 0, 1] += mixed
                 out[:, comp, 1, 0] += mixed
             if py >= 2:
-                out[:, comp, 1, 1] += c * py * (py - 1) * self._pow(x, px) * self._pow(y, py - 2)
+                out[:, comp, 1, 1] += c * py * (py - 1) * xs[px] * ys[py - 2]
         return out
 
 
@@ -148,6 +152,10 @@ class PerturbationFamily:
     def map_jacobian(self, points: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def map_and_jacobian(self, points: np.ndarray, t: float):
+        """(T_t(points), DT_t(points)) for callers that need both."""
+        return self.map(points, t), self.map_jacobian(points, t)
+
     def velocity(self, points: np.ndarray) -> np.ndarray:
         """First deformation field S = dT_t/dt at t=0."""
         raise NotImplementedError
@@ -196,8 +204,8 @@ class TaylorFamily(PerturbationFamily):
 class FlowFamily(PerturbationFamily):
     """Deformation by the time-t map of dX/dt = v(X).
 
-    The map and its Jacobian are integrated together with classical RK4
-    (the Jacobian by the variational equation dJ/dt = Dv(X) J), keeping the
+    One classical RK4 integration yields both the map and its Jacobian (the
+    Jacobian by the variational equation dJ/dt = Dv(X) J), keeping the
     O(h^4) accuracy of the integrator and avoiding spatial differencing.
     Here S = v and R = (v.grad) v with analytic Jacobians.
     """
@@ -209,11 +217,11 @@ class FlowFamily(PerturbationFamily):
         self.max_steps = max_steps
         self.t_max = t_max
 
-    def _rhs(self, state):
-        x, jac = state
-        vel = self.field(x)
-        djac = np.einsum("nij,njk->nik", self.field.jacobian(x), jac)
-        return vel, djac
+    def _rhs(self, x, jac):
+        """(v(X), Dv(X) J) on component-major states (2, N) and (2, 2, N)."""
+        tables = self.field._powers(x.T)
+        dv = self.field._jacobians(*tables)
+        return self.field._values(*tables), dv[:, 0, None] * jac[0] + dv[:, 1, None] * jac[1]
 
     def _integrate(self, points, t):
         if abs(t) > self.t_max:
@@ -222,22 +230,25 @@ class FlowFamily(PerturbationFamily):
         if n_steps > self.max_steps:
             raise PerturbationError("step-count overflow in flow integration")
         h = t / n_steps
-        x = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-        jac = np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+        x = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
+        jac = np.eye(2)[:, :, None].repeat(x.shape[1], axis=2)
         for _ in range(n_steps):
-            k1 = self._rhs((x, jac))
-            k2 = self._rhs((x + 0.5 * h * k1[0], jac + 0.5 * h * k1[1]))
-            k3 = self._rhs((x + 0.5 * h * k2[0], jac + 0.5 * h * k2[1]))
-            k4 = self._rhs((x + h * k3[0], jac + h * k3[1]))
+            k1 = self._rhs(x, jac)
+            k2 = self._rhs(x + 0.5 * h * k1[0], jac + 0.5 * h * k1[1])
+            k3 = self._rhs(x + 0.5 * h * k2[0], jac + 0.5 * h * k2[1])
+            k4 = self._rhs(x + h * k3[0], jac + h * k3[1])
             x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             jac = jac + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        return x, jac
+        return np.ascontiguousarray(x.T), np.ascontiguousarray(jac.transpose(2, 0, 1))
 
     def map(self, points, t):
         return self._integrate(points, t)[0]
 
     def map_jacobian(self, points, t):
         return self._integrate(points, t)[1]
+
+    def map_and_jacobian(self, points, t):
+        return self._integrate(points, t)
 
     def velocity(self, points):
         return self.field(points)
@@ -505,9 +516,8 @@ def pushed_frame(curve, thetas: np.ndarray, family: PerturbationFamily | None,
     nodes = curve.point(thetas)
     dx = curve.velocity(thetas)
     if family is not None:
-        base = nodes
-        nodes = family.map(base, t)
-        dx = np.einsum("nij,nj->ni", family.map_jacobian(base, t), dx)
+        nodes, jac = family.map_and_jacobian(nodes, t)
+        dx = np.einsum("nij,nj->ni", jac, dx)
     speed = np.hypot(dx[:, 0], dx[:, 1])
     if np.any(speed < MIN_SPEED):
         raise PerturbationError("pushed boundary degenerates: |dT_t x'| ~ 0")

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shapelab
 from shapelab import geometry as geo
 from shapelab.integrands import (IntegrandSpec, VectorIntegrandSpec,
                                  normal_scaled_integrand,
@@ -47,6 +53,50 @@ class TestIntegrandSpec:
         a = random_polynomial_integrand(np.random.default_rng(4))
         b = random_polynomial_integrand(np.random.default_rng(4))
         np.testing.assert_allclose(a.value(PTS, 0.3), b.value(PTS, 0.3))
+
+
+class TestCoefficientIntegrand:
+    EVALUATORS = ("value", "dt", "dtt", "gradient", "hessian", "dt_gradient")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sympy_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1, 1, size=(4, 3, 3))
+        expr = " + ".join(f"({float(c)!r})*x1**{px}*x2**{py}*t**{pt}"
+                          for (px, py, pt), c in np.ndenumerate(coeffs))
+        poly = IntegrandSpec.from_coefficients(coeffs)
+        symbolic = IntegrandSpec.from_expression(expr)
+        pts = rng.uniform(-1.5, 1.5, size=(20, 2))
+        for t in (0.3, -0.07):
+            for name in self.EVALUATORS:
+                got = getattr(poly, name)(pts, t)
+                want = getattr(symbolic, name)(pts, t)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * np.max(np.abs(want)))
+
+    def test_random_polynomial_draws_one_uniform_per_monomial(self):
+        rng = np.random.default_rng(9)
+        spec = random_polynomial_integrand(rng, degree=2, time_degree=2, scale=0.5)
+        ref = np.random.default_rng(9)
+        draws = 0.5 * ref.uniform(-1, 1, size=6 * 3)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # draws in (px, py, pt) order, total degree <= 2 in space
+        monomials = [(px, py, pt) for px in range(3) for py in range(3 - px)
+                     for pt in range(3)]
+        x, y, t = 0.7, -0.4, 0.2
+        expected = sum(c * x ** px * y ** py * t ** pt
+                       for c, (px, py, pt) in zip(draws, monomials))
+        assert abs(spec.value(np.array([[x, y]]), t)[0] - expected) < 1e-14
+
+    def test_import_and_registry_leave_sympy_unloaded(self):
+        src = Path(shapelab.__file__).resolve().parents[1]
+        code = ("import sys, shapelab; from shapelab.cli import build_registry; "
+                "build_registry(); print('sympy' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestVectorIntegrandSpec:

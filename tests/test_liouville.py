@@ -225,6 +225,44 @@ class TestFDReference:
         assert res.observed_order is None or res.observed_order > 2.0
 
 
+def _count_integrations(monkeypatch):
+    calls = []
+    integrate = pert.FlowFamily._integrate
+
+    def counted(self, points, t):
+        calls.append((t, np.asarray(points).tobytes()))
+        return integrate(self, points, t)
+
+    monkeypatch.setattr(pert.FlowFamily, "_integrate", counted)
+    return calls
+
+
+class TestFlowIntegrationCount:
+    """Each oracle abscissa integrates the flow once for both T_t and DT_t."""
+
+    FIELD = {(0, 2, 0): 0.5, (1, 1, 1): 0.4}
+
+    def test_volume_oracle(self, monkeypatch, disk):
+        calls = _count_integrations(monkeypatch)
+        fam = pert.FlowFamily(pert.PolynomialField(self.FIELD))
+        lv.fd_reference("volume", disk, fam, IntegrandSpec.constant(1.0), order=2)
+        # 0, +-h and +-2h of the three-step ladder: 9 distinct abscissae
+        assert len(calls) == len({t for t, _ in calls}) == 9
+
+    def test_pushed_area_integral(self, monkeypatch):
+        calls = _count_integrations(monkeypatch)
+        fam = pert.FlowFamily(pert.PolynomialField(self.FIELD))
+        annulus = geo.Domain(geo.annulus(0.5, 1.0), m=32)
+        lv.pushed_area_integral(annulus, fam, IntegrandSpec.constant(1.0), 0.03)
+        assert [t for t, _ in calls] == [0.03, 0.03]  # one per boundary component
+
+    def test_nu_dot_fd_integrates_each_point_set_once(self, monkeypatch):
+        calls = _count_integrations(monkeypatch)
+        fam = pert.FlowFamily(pert.PolynomialField(self.FIELD))
+        lv.nu_dot_fd(geo.Domain(geo.disk(1.0), m=16), fam)
+        assert len(calls) == len(set(calls))
+
+
 class TestRandomizedProperty:
     @pytest.mark.parametrize("seed", range(3))
     def test_first_derivatives_against_richardson(self, seed):

@@ -226,3 +226,103 @@ class TestFieldLibrary:
             dp[j] = h
             fd = (field.jacobian(pts + dp) - field.jacobian(pts - dp)) / (2 * h)
             np.testing.assert_allclose(analytic[:, :, :, j], fd, atol=1e-8)
+
+
+# Reference copies of the per-monomial field loop and the einsum RK4 that the
+# power-table and component-major code replaced; both must agree bit for bit.
+
+def _ref_pow(base, exponent):
+    return np.ones_like(base) if exponent == 0 else base ** exponent
+
+
+def _ref_value(field, points):
+    out = np.zeros_like(points)
+    x, y = points[:, 0], points[:, 1]
+    for (comp, px, py), c in field.terms.items():
+        out[:, comp] += c * _ref_pow(x, px) * _ref_pow(y, py)
+    return out
+
+
+def _ref_jacobian(field, points):
+    x, y = points[:, 0], points[:, 1]
+    out = np.zeros((points.shape[0], 2, 2))
+    for (comp, px, py), c in field.terms.items():
+        if px:
+            out[:, comp, 0] += c * px * _ref_pow(x, px - 1) * _ref_pow(y, py)
+        if py:
+            out[:, comp, 1] += c * py * _ref_pow(x, px) * _ref_pow(y, py - 1)
+    return out
+
+
+def _ref_second_derivative(field, points):
+    x, y = points[:, 0], points[:, 1]
+    out = np.zeros((points.shape[0], 2, 2, 2))
+    for (comp, px, py), c in field.terms.items():
+        if px >= 2:
+            out[:, comp, 0, 0] += c * px * (px - 1) * _ref_pow(x, px - 2) * _ref_pow(y, py)
+        if px >= 1 and py >= 1:
+            mixed = c * px * py * _ref_pow(x, px - 1) * _ref_pow(y, py - 1)
+            out[:, comp, 0, 1] += mixed
+            out[:, comp, 1, 0] += mixed
+        if py >= 2:
+            out[:, comp, 1, 1] += c * py * (py - 1) * _ref_pow(x, px) * _ref_pow(y, py - 2)
+    return out
+
+
+def _ref_flow(field, points, t, step):
+    def rhs(x, jac):
+        return (_ref_value(field, x),
+                np.einsum("nij,njk->nik", _ref_jacobian(field, x), jac))
+
+    n_steps = max(1, int(np.ceil(abs(t) / step)))
+    h = t / n_steps
+    x = points.copy()
+    jac = np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
+    for _ in range(n_steps):
+        k1 = rhs(x, jac)
+        k2 = rhs(x + 0.5 * h * k1[0], jac + 0.5 * h * k1[1])
+        k3 = rhs(x + 0.5 * h * k2[0], jac + 0.5 * h * k2[1])
+        k4 = rhs(x + h * k3[0], jac + h * k3[1])
+        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        jac = jac + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return x, jac
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_field_matches_per_monomial_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        field = pert.random_polynomial_field(rng, degree=1 + seed % 3)
+        pts = rng.uniform(-1.5, 1.5, size=(50, 2))
+        np.testing.assert_array_equal(field(pts), _ref_value(field, pts))
+        np.testing.assert_array_equal(field.jacobian(pts), _ref_jacobian(field, pts))
+        np.testing.assert_array_equal(field.second_derivative(pts),
+                                      _ref_second_derivative(field, pts))
+
+    @pytest.mark.parametrize("step", [1e-2, 2e-3])
+    @pytest.mark.parametrize("t", [0.05, -0.0125, 0.2, 0.02 / 3])
+    def test_flow_matches_einsum_rk4(self, t, step):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            field = pert.random_polynomial_field(rng, degree=3)
+            pts = rng.uniform(-1.0, 1.0, size=(40, 2))
+            fam = pert.FlowFamily(field, step=step)
+            x, jac = _ref_flow(field, pts, t, step)
+            np.testing.assert_array_equal(fam.map(pts, t), x)
+            np.testing.assert_array_equal(fam.map_jacobian(pts, t), jac)
+
+    def test_map_and_jacobian_equals_separate_calls(self):
+        rng = np.random.default_rng(5)
+        grid = geo.build_grid(geo.circle(1.0), 64)
+        families = [
+            pert.TaylorFamily(pert.random_polynomial_field(rng, degree=3),
+                              pert.random_polynomial_field(rng, degree=2)),
+            pert.FlowFamily(pert.random_polynomial_field(rng, degree=3), step=2e-3),
+            pert.NormalFamily(grid, 0.3 + 0.1 * np.cos(3 * grid.thetas)),
+        ]
+        pts = np.vstack([1.02 * grid.nodes[::4], rng.uniform(-0.5, 0.5, size=(8, 2))])
+        for fam in families:
+            for t in (0.03, -0.01):
+                img, jac = fam.map_and_jacobian(pts, t)
+                np.testing.assert_array_equal(img, fam.map(pts, t))
+                np.testing.assert_array_equal(jac, fam.map_jacobian(pts, t))
