@@ -241,14 +241,17 @@ class FlowFamily(PerturbationFamily):
             jac = jac + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         return np.ascontiguousarray(x.T), np.ascontiguousarray(jac.transpose(2, 0, 1))
 
-    def map(self, points, t):
-        return self._integrate(points, t)[0]
+    def map(self, points, t, *, with_jacobian=False):
+        """T_t(points), or the pair (T_t, DT_t) of one integration with ``with_jacobian``."""
+        x, jac = self._integrate(points, t)
+        return (x, jac) if with_jacobian else x
 
     def map_jacobian(self, points, t):
         return self._integrate(points, t)[1]
 
     def map_and_jacobian(self, points, t):
-        return self._integrate(points, t)
+        # Through map: perfbench times map and map_jacobian as the flow layer.
+        return self.map(points, t, with_jacobian=True)
 
     def velocity(self, points):
         return self.field(points)

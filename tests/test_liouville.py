@@ -262,6 +262,36 @@ class TestFlowIntegrationCount:
         lv.nu_dot_fd(geo.Domain(geo.disk(1.0), m=16), fam)
         assert len(calls) == len(set(calls))
 
+    def test_every_integration_runs_inside_map_or_map_jacobian(self, monkeypatch, disk):
+        # perfbench times the flow layer as the FlowFamily.map and
+        # map_jacobian calls; a fused caller must not integrate around them.
+        open_calls, outside = [0], []
+        integrate = pert.FlowFamily._integrate
+
+        def counted(self, points, t):
+            if not open_calls[0]:
+                outside.append(t)
+            return integrate(self, points, t)
+
+        def entered(method):
+            def wrapper(*args, **kwargs):
+                open_calls[0] += 1
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    open_calls[0] -= 1
+            return wrapper
+
+        monkeypatch.setattr(pert.FlowFamily, "_integrate", counted)
+        for name in ("map", "map_jacobian"):
+            monkeypatch.setattr(pert.FlowFamily, name, entered(getattr(pert.FlowFamily, name)))
+        fam = pert.FlowFamily(pert.PolynomialField(self.FIELD))
+        lv.fd_reference("volume", disk, fam, IntegrandSpec.constant(1.0), order=1)
+        lv.pushed_area_integral(disk, fam, IntegrandSpec.constant(1.0), 0.03)
+        lv.nu_dot_fd(geo.Domain(geo.disk(1.0), m=16), fam)
+        pert.pushed_frame(disk.grids[0].curve, disk.grids[0].thetas, fam, 0.03)
+        assert outside == []
+
 
 class TestRandomizedProperty:
     @pytest.mark.parametrize("seed", range(3))
