@@ -303,16 +303,15 @@ def _greens_symmetry(st, case):
         dom = _domain(st, kind)
         solver = gr.GreensSolver(dom, mixedb, st.greens_config())
         rng = st.rng(case.case_id + kind)
-        pairs = 0
-        while pairs < 10:
+        pairs = []
+        while len(pairs) < 10:
             x = _interior_probe(rng, kind)
             y = _interior_probe(rng, kind)
-            if np.linalg.norm(x - y) < 0.2:
-                continue
-            evx = solver.solve(x)
-            evy = solver.solve(y)
-            worst = max(worst, abs(evx.value(y)[0] - evy.value(x)[0]))
-            pairs += 1
+            if np.linalg.norm(x - y) >= 0.2:
+                pairs.append((x, y))
+        ev = solver.solve(np.reshape(pairs, (-1, 2)))  # poles x0, y0, x1, y1, ...
+        for j, (x, y) in enumerate(pairs):
+            worst = max(worst, abs(ev[2 * j].value(y)[0] - ev[2 * j + 1].value(x)[0]))
     return 0.0, {"pairs": 20}, worst
 
 
@@ -329,10 +328,10 @@ def _greens_representation(st, case):
     worst = 0.0
     disk = _domain(st, "disk")
     probes = np.array([[0.3, 0.2], [-0.4, 0.1]])
-    for expr in ("1", "x1**2 - x2**2", "(x1**2 + x2**2)/4"):
-        rep = gr.representation_check(disk, geo.all_dirichlet(1),
-                                      IntegrandSpec.from_expression(expr), probes,
-                                      st.greens_config())
+    solutions = [IntegrandSpec.from_expression(expr)
+                 for expr in ("1", "x1**2 - x2**2", "(x1**2 + x2**2)/4")]
+    for rep in gr.representation_check(disk, geo.all_dirichlet(1), solutions, probes,
+                                       st.greens_config()):
         worst = max(worst, rep.max_error)
     ann = _domain(st, "annulus")
     rep = gr.representation_check(ann, geo.MixedBoundary(("dirichlet", "neumann")),
@@ -433,7 +432,7 @@ def _delta_n_dilation(st, case):
     x, y = _probe_pair("disk")
     solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
     val = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
-                             solver.solve(x), solver.solve(y))
+                             solver.solve(np.stack([x, y])))
     oracle = hd.disk_dilation_delta_n(x, y, order=1)
     return val, {"scaling_oracle": oracle}, abs(val - oracle) / (1 + abs(oracle))
 
@@ -443,7 +442,7 @@ def _delta_n_rotation(st, case):
     x, y = _probe_pair("disk")
     solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
     val = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
-                             solver.solve(x), solver.solve(y))
+                             solver.solve(np.stack([x, y])))
     return val, {"symmetry": 0.0}, abs(val)
 
 
@@ -456,7 +455,8 @@ def _delta_n_triangle(kind: str):
             else pert.TaylorFamily(pert.translation(1.0, 0.0))
         x, y = _probe_pair(kind)
         tri = hd.delta_n_routes(dom, mixedb, fam, x, y, st.greens_config())
-        return tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise
+        return (tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise,
+                None, tri.solve_details())
 
     return runner
 
@@ -476,7 +476,7 @@ def _delta2_n_triangle(kind: str):
             oracle = hd.disk_dilation_delta_n(x, y, order=2)
             oracles["scaling_oracle"] = oracle
             err = max(err, abs(tri.formula - oracle) / (1 + abs(oracle)))
-        return tri.formula, oracles, err
+        return tri.formula, oracles, err, None, tri.solve_details()
 
     return runner
 
@@ -487,7 +487,8 @@ def _delta2_rotation(st, case):
     tri = hd.delta2_n_routes(dom, geo.all_dirichlet(1),
                              pert.FlowFamily(pert.rotation()), x, y,
                              st.greens_config())
-    return tri.formula, {"symmetry": 0.0}, max(abs(tri.formula), abs(tri.bvp), abs(tri.fd))
+    return (tri.formula, {"symmetry": 0.0}, max(abs(tri.formula), abs(tri.bvp), abs(tri.fd)),
+            None, tri.solve_details())
 
 
 def _gradient_pairing(kind: str):
@@ -499,11 +500,9 @@ def _gradient_pairing(kind: str):
             else pert.TaylorFamily(pert.translation(1.0, 0.0))
         x, y = _probe_pair(kind)
         solver = gr.GreensSolver(dom, mixedb, st.greens_config())
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
-        udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-        udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        lhs, rhs, res = hd.gradient_pairing_residual(solver, fam, ev_x, ev_y,
-                                                     udot_x, udot_y)
+        ev = solver.solve(np.stack([x, y]))
+        udot, _ = hd.delta_n_bvp(solver, fam, ev)
+        lhs, rhs, res = hd.gradient_pairing_residual(solver, fam, ev, udot)
         return lhs, {"boundary_route": rhs}, res
 
     return runner
@@ -515,14 +514,13 @@ def _pole_symmetry(st, case):
     fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
     x, y = _probe_pair("annulus")
     solver = gr.GreensSolver(dom, mixedb, st.greens_config())
-    ev_x, ev_y = solver.solve(x), solver.solve(y)
-    d1 = hd.delta_n_formula(solver, fam, ev_x, ev_y)
-    d1s = hd.delta_n_formula(solver, fam, ev_y, ev_x)
-    udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-    udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
+    ev = solver.solve(np.stack([x, y]))
+    d1 = hd.delta_n_formula(solver, fam, ev)
+    d1s = hd.delta_n_formula(solver, fam, ev[::-1])
+    udot, _ = hd.delta_n_bvp(solver, fam, ev)
     co = hd.chi_sigma(dom, fam)
-    d2 = hd.delta2_n_formula(solver, fam, ev_x, ev_y, udot_x, udot_y, co)
-    d2s = hd.delta2_n_formula(solver, fam, ev_y, ev_x, udot_y, udot_x, co)
+    d2 = hd.delta2_n_formula(solver, fam, ev, udot, co)
+    d2s = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co)
     return d2, {"swapped": d2s}, max(abs(d1 - d1s), abs(d2 - d2s))
 
 

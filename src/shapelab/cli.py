@@ -129,7 +129,8 @@ def _hadamard_case(spec) -> Case:
     def runner(st, case):
         tri = routes[variation](geo.Domain(curve, m=st.m), mixed, family,
                                 probes[0], probes[1], st.greens_config(), **kwargs)
-        return tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise
+        return (tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise,
+                None, tri.solve_details())
 
     return Case(case_id, "hadamard", "config-declared variation case",
                 tolerance, runner,

@@ -7,13 +7,24 @@ hole).  Coefficients are fit by least squares on oversampled collocation
 nodes with column-pivoted QR and relative truncation, the standard
 stabilization for these exponentially ill-conditioned systems.  The
 collocation matrix is assembled once per boundary and shared by every
-right-hand side (poles and variation data alike); each solve factors it
-again.  Its condition estimate is an SVD, computed only when read.
+right-hand side (poles and variation data alike).  Its condition estimate
+is an SVD, computed only when read.
+
+Blocks are the unit of work: one gelsy call per batch; per-column products
+keep bits.  A solve takes one data set or a block of k of them (several
+poles, several variation data sets) and fits them in one
+``lstsq(..., lapack_driver="gelsy")`` call, which factors the matrix once
+for the batch; gelsy's rank depends only on the matrix, so every column
+gets the same truncation.  The result is a field with a (K, k) coefficient
+block.  A block field builds each (N, K) kernel matrix once per call and
+takes one matrix-vector product per column, so column j of any block
+evaluation is bit-identical to evaluating field j alone (one gemm would
+reorder the sums).  Block results stack the k columns on a leading axis.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
 gradients over the charges use the complex form
 grad Gamma(p - s) = -conj(1 / (z - s)) / (2 pi) with z = p1 + i p2, which
-turns the sum into one complex matrix-vector product.
+turns the sum into one complex matrix-vector product per field.
 
 The deformed boundary of T_t(Omega) takes the base boundary's path: its
 nodes, frames and charge rings are the T_t images of the base point sets,
@@ -24,7 +35,7 @@ deformation, never through a change of discretization at t=0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -103,6 +114,30 @@ def fundamental_hessian(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
                       - np.eye(2) / r2[..., None, None])
 
 
+def _per_column(kernel: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """kernel @ c for one coefficient vector, or one product per block column.
+
+    Column j of the (k, N) block result keeps the bits of ``kernel @ c_j``.
+    """
+    if coefficients.ndim == 1:
+        return kernel @ coefficients
+    return np.stack([kernel @ np.ascontiguousarray(c) for c in coefficients.T])
+
+
+def _per_pole(kernel, points: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """kernel(points, poles) with the pole axis in front; without it for one pole (2,)."""
+    out = np.moveaxis(kernel(points, np.atleast_2d(y)), 1, 0)
+    return out if y.ndim == 2 else out[0]
+
+
+def rowwise_dot(vectors: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Nodewise v . d of (N, 2) vectors, or of each (N, 2) slab of a (k, N, 2) block."""
+    if vectors.ndim == 2:
+        return np.einsum("ni,ni->n", vectors, directions)
+    return np.stack([np.einsum("ni,ni->n", np.ascontiguousarray(v), directions)
+                     for v in vectors])
+
+
 # ---------------------------------------------------------------------------
 # Discretization of the base or deformed boundary
 # ---------------------------------------------------------------------------
@@ -175,13 +210,21 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
 
 @dataclass
 class HarmonicField:
-    """Sum of log-kernels over exterior charges: smooth and harmonic inside."""
+    """Sum of log-kernels over exterior charges: smooth and harmonic inside.
+
+    ``coefficients`` is (K,) for one field or (K, k) for a block of k fields
+    on the same charges; a block's evaluations are (k, ...) stacks.
+    """
 
     charges: np.ndarray
     coefficients: np.ndarray
 
+    def __getitem__(self, j) -> "HarmonicField":
+        """Field j of a block, or the sub-block a slice selects."""
+        return HarmonicField(self.charges, self.coefficients[:, j])
+
     def value(self, points: np.ndarray) -> np.ndarray:
-        return fundamental_solution(points, self.charges) @ self.coefficients
+        return _per_column(fundamental_solution(points, self.charges), self.coefficients)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         # grad Gamma(p - s) = -conj(1/(z - s)) / (2 pi) with z = p1 + i p2,
@@ -192,13 +235,14 @@ class HarmonicField:
         if np.any(w == 0.0):
             raise GreensError("evaluation point coincides with a source")
         np.reciprocal(w, out=w)
-        total = w @ self.coefficients
+        total = _per_column(w, self.coefficients)
         return np.stack([-INV_2PI * total.real, INV_2PI * total.imag], axis=-1)
 
     def hessian(self, points: np.ndarray) -> np.ndarray:
-        return np.einsum("nkij,k->nij",
-                         fundamental_hessian(points, self.charges),
-                         self.coefficients)
+        kernel = fundamental_hessian(points, self.charges)
+        if self.coefficients.ndim == 1:
+            return np.einsum("nkij,k->nij", kernel, self.coefficients)
+        return np.stack([np.einsum("nkij,k->nij", kernel, c) for c in self.coefficients.T])
 
 
 @dataclass
@@ -213,10 +257,11 @@ class MixedSolver:
     """Shared collocation matrix for one (possibly deformed) boundary.
 
     Dirichlet rows match values, Neumann rows match normal derivatives.  The
-    matrix is assembled once and shared by every right-hand side; each
-    ``solve`` is a pivoted-QR least-squares solve (LAPACK gelsy) that factors
-    it afresh and truncates at the configured relative threshold.  The
-    condition estimate is an SVD of the matrix, computed on first read.
+    matrix is assembled once and shared by every right-hand side: one gelsy
+    call per batch; per-column products keep bits.  Each ``solve`` is one
+    pivoted-QR least-squares solve (LAPACK gelsy) of a data set or a block
+    of them, truncated at the configured relative threshold.  The condition
+    estimate is an SVD of the matrix, computed on first read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
@@ -244,11 +289,20 @@ class MixedSolver:
         sv = scipy.linalg.svdvals(self.matrix)
         return float(sv[0] / max(sv[-1], 1e-300))
 
-    def solve(self, rhs_per_component: list[np.ndarray],
-              check_data=None) -> tuple[HarmonicField, SolveDiagnostics]:
-        rhs = np.concatenate(rhs_per_component)
+    def solve(self, rhs_per_component: list[np.ndarray], check_data=None):
+        """Fit one data set, or a block of k, in one gelsy call.
+
+        Each component's data is (rows_i,) for one set or (k, rows_i) for k
+        sets; together they form the (rows, k) right-hand-side block.  The
+        field has a (K, k) coefficient block and the diagnostics are one
+        ``SolveDiagnostics`` per column (a tuple), or the plain field and
+        diagnostics for one set.  On matrices of 192 or more columns the
+        block's columns have matched single solves bit for bit; on smaller
+        ones they agree to rounding.
+        """
+        rhs = np.concatenate(rhs_per_component, axis=-1)
         coeff, _, rank, _ = scipy.linalg.lstsq(
-            self.matrix, rhs, cond=self.config.truncation, lapack_driver="gelsy")
+            self.matrix, rhs.T, cond=self.config.truncation, lapack_driver="gelsy")
         fld = HarmonicField(self.charges, coeff)
         residuals = []
         if check_data is not None:
@@ -256,28 +310,37 @@ class MixedSolver:
                 if comp.dirichlet:
                     pred = fld.value(comp.check_nodes)
                 else:
-                    pred = np.einsum("ni,ni->n", fld.gradient(comp.check_nodes),
-                                     comp.check_normal)
-                residuals.append(float(np.max(np.abs(pred - data))))
-        total = max(residuals) if residuals else float("nan")
-        diag = SolveDiagnostics(total, tuple(residuals), int(rank),
-                                self.matrix.shape[1])
+                    pred = rowwise_dot(fld.gradient(comp.check_nodes), comp.check_normal)
+                residuals.append(np.max(np.abs(pred - data), axis=-1))
+        # one row of per-component residuals per data set
+        n_sets = 1 if rhs.ndim == 1 else rhs.shape[0]
+        per_set = np.reshape(np.transpose(residuals), (n_sets, len(residuals)))
+        diags = tuple(SolveDiagnostics(float(row.max()) if row.size else float("nan"),
+                                       tuple(map(float, row)), int(rank),
+                                       self.matrix.shape[1]) for row in per_set)
+        total = max(d.residual for d in diags)
         if residuals and total > self.config.fail_threshold:
             raise GreensAccuracyError(
                 f"check-node residual {total:.3e} exceeds "
                 f"{self.config.fail_threshold:.1e} "
                 f"(condition estimate {self.condition_estimate:.2e})")
-        return fld, diag
+        return fld, diags[0] if rhs.ndim == 1 else diags
 
     # -- boundary data helpers ---------------------------------------------
     def interpolated_data(self, nodal_per_component: list[np.ndarray]):
-        """Fourier-interpolate grid-nodal data to collocation and check nodes."""
+        """Fourier-interpolate grid-nodal data, (M,) or (k, M) per component,
+        to collocation and check nodes."""
+        def interpolate(nodal, theta):
+            if np.ndim(nodal) == 1:
+                return fourier_interpolate(nodal, theta)
+            return np.stack([fourier_interpolate(row, theta) for row in nodal])
+
         col, chk = [], []
         for comp, nodal in zip(self.components, nodal_per_component):
-            col.append(fourier_interpolate(nodal, comp.colloc_thetas))
+            col.append(interpolate(nodal, comp.colloc_thetas))
             th_chk = TWO_PI * (np.arange(comp.check_nodes.shape[0]) + 0.5) \
                 / comp.check_nodes.shape[0]
-            chk.append(fourier_interpolate(nodal, th_chk))
+            chk.append(interpolate(nodal, th_chk))
         return col, chk
 
     def solve_nodal(self, nodal_per_component: list[np.ndarray]):
@@ -291,39 +354,56 @@ class MixedSolver:
 
 @dataclass
 class GreensEval:
-    """N(., y) = Gamma(. - y) + corrector, with nodal boundary traces."""
+    """N(., y) = Gamma(. - y) + corrector, with nodal boundary traces.
+
+    One pole y (2,), or a block of poles (k, 2) from one solve: then the
+    corrector is a k-column block, ``diagnostics`` a tuple, and every
+    evaluation a (k, ...) stack.  Nodal traces are cached, read-only.
+    """
 
     pole: np.ndarray
     corrector: HarmonicField
     components: list[ComponentDiscretization]
-    diagnostics: SolveDiagnostics
+    diagnostics: SolveDiagnostics | tuple
+    _traces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getitem__(self, j) -> "GreensEval":
+        """Pole j of a block, or the sub-block a slice selects; traces carry over."""
+        sub = GreensEval(self.pole[j], self.corrector[j], self.components,
+                         self.diagnostics[j])
+        sub._traces = {key: trace[j] for key, trace in self._traces.items()}
+        return sub
 
     def value(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (fundamental_solution(pts, self.pole[None, :])[:, 0]
-                + self.corrector.value(pts))
+        return _per_pole(fundamental_solution, pts, self.pole) + self.corrector.value(pts)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (fundamental_gradient(pts, self.pole[None, :])[:, 0, :]
-                + self.corrector.gradient(pts))
+        return _per_pole(fundamental_gradient, pts, self.pole) + self.corrector.gradient(pts)
 
     def hessian(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (fundamental_hessian(pts, self.pole[None, :])[:, 0, :, :]
-                + self.corrector.hessian(pts))
+        return _per_pole(fundamental_hessian, pts, self.pole) + self.corrector.hessian(pts)
 
     def corrector_value(self, points: np.ndarray) -> np.ndarray:
         return self.corrector.value(points)
 
     # nodal traces on component i
+    def _trace(self, i: int, frame: str) -> np.ndarray:
+        key = (frame, i)
+        if key not in self._traces:
+            comp = self.components[i]
+            trace = rowwise_dot(self.gradient(comp.nodes), getattr(comp, frame))
+            trace.flags.writeable = False
+            self._traces[key] = trace
+        return self._traces[key]
+
     def normal_trace(self, i: int) -> np.ndarray:
-        comp = self.components[i]
-        return np.einsum("ni,ni->n", self.gradient(comp.nodes), comp.normal)
+        return self._trace(i, "normal")
 
     def tangential_trace(self, i: int) -> np.ndarray:
-        comp = self.components[i]
-        return np.einsum("ni,ni->n", self.gradient(comp.nodes), comp.tangent)
+        return self._trace(i, "tangent")
 
     def boundary_values(self, i: int) -> np.ndarray:
         return self.value(self.components[i].nodes)
@@ -354,28 +434,34 @@ class GreensSolver:
         self.solver = MixedSolver(self.components, self.config)
 
     def corrector_data(self, y: np.ndarray):
+        """Corrector data at collocation and check nodes for a pole or (k, 2) poles."""
         col, chk = [], []
         for comp in self.components:
             if comp.dirichlet:
-                col.append(-fundamental_solution(comp.colloc_nodes, y[None, :])[:, 0])
-                chk.append(-fundamental_solution(comp.check_nodes, y[None, :])[:, 0])
+                col.append(-_per_pole(fundamental_solution, comp.colloc_nodes, y))
+                chk.append(-_per_pole(fundamental_solution, comp.check_nodes, y))
             else:
-                gc = fundamental_gradient(comp.colloc_nodes, y[None, :])[:, 0, :]
-                gk = fundamental_gradient(comp.check_nodes, y[None, :])[:, 0, :]
-                col.append(-np.einsum("ni,ni->n", gc, comp.colloc_normal))
-                chk.append(-np.einsum("ni,ni->n", gk, comp.check_normal))
+                gc = _per_pole(fundamental_gradient, comp.colloc_nodes, y)
+                gk = _per_pole(fundamental_gradient, comp.check_nodes, y)
+                col.append(-rowwise_dot(gc, comp.colloc_normal))
+                chk.append(-rowwise_dot(gk, comp.check_normal))
         return col, chk
 
     def solve(self, y) -> GreensEval:
+        """N(., y) for one pole (2,), or a block for poles (k, 2) in one gelsy call."""
         y = np.asarray(y, dtype=float)
-        if not contains(self.components, y):
-            raise GreensError(f"pole {y} is not interior to the domain")
+        for pole in np.atleast_2d(y):
+            if not contains(self.components, pole):
+                raise GreensError(f"pole {pole} is not interior to the domain")
         col, chk = self.corrector_data(y)
         fld, diag = self.solver.solve(col, check_data=chk)
         return GreensEval(y, fld, self.components, diag)
 
     def harmonic_bvp(self, nodal_data: list[np.ndarray]):
-        """Solve the mixed BVP with grid-nodal Dirichlet/Neumann data."""
+        """Solve the mixed BVP with grid-nodal Dirichlet/Neumann data.
+
+        Per component one data set (M,) or k of them (k, M), in one gelsy call.
+        """
         fld, diag = self.solver.solve_nodal(nodal_data)
         return fld, diag
 
@@ -440,7 +526,7 @@ def _log_moment_boundary(components, y: np.ndarray) -> float:
 
 def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
                          config: GreensConfig | None = None,
-                         n_radial: int = 64, n_angular: int = 256) -> RepresentationReport:
+                         n_radial: int = 64, n_angular: int = 256):
     """Reconstruct a manufactured solution from its Green's-function representation.
 
     Given z with -Laplacian z = f, Dirichlet values on gamma^0, and flux on
@@ -450,31 +536,43 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     The volume pairing is evaluated with singularity subtraction: the
     corrector part is smooth, the log kernel against f(y) reduces exactly to
     a boundary integral, and the remaining integrand vanishes at the pole.
+
+    ``z_spec`` is one manufactured solution, or a list of them (then a list
+    of reports comes back).  The probes are solved in one gelsy call, and
+    their correctors and traces are evaluated once for every solution.
     """
+    specs = list(z_spec) if isinstance(z_spec, (list, tuple)) else [z_spec]
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
     solver = GreensSolver(domain, mixed, config)
     interior = domain.interior(n_radial, n_angular)
-    hess = z_spec.hessian(interior.nodes, 0.0)
-    f = -(hess[:, 0, 0] + hess[:, 1, 1])
-    exact, recon = [], []
-    for y in np.atleast_2d(np.asarray(probes, dtype=float)):
-        ev = solver.solve(y)
-        fy = float(-np.trace(z_spec.hessian(y[None, :], 0.0)[0]))
-        gamma = fundamental_solution(interior.nodes, y[None, :])[:, 0]
-        total = float(np.dot(interior.weights,
-                             ev.corrector_value(interior.nodes) * f
-                             + gamma * (f - fy)))
-        total += fy * _log_moment_boundary(solver.components, y)
-        for i, comp in enumerate(solver.components):
-            if comp.dirichlet:
-                phi = z_spec.value(comp.nodes, 0.0)
-                total -= float(np.dot(comp.weights, phi * ev.normal_trace(i)))
-            else:
-                psi = np.einsum("ni,ni->n", z_spec.gradient(comp.nodes, 0.0),
-                                comp.normal)
-                total += float(np.dot(comp.weights, ev.value(comp.nodes) * psi))
-        recon.append(total)
-        exact.append(float(z_spec.value(y[None, :], 0.0)[0]))
-    recon = np.asarray(recon)
-    exact = np.asarray(exact)
-    return RepresentationReport(np.atleast_2d(probes), recon, exact,
-                                float(np.max(np.abs(recon - exact))))
+    ev = solver.solve(probes)
+    corrector = ev.corrector_value(interior.nodes)
+    gamma = fundamental_solution(interior.nodes, probes).T
+    moments = [_log_moment_boundary(solver.components, y) for y in probes]
+    traces = [ev.normal_trace(i) if comp.dirichlet else ev.value(comp.nodes)
+              for i, comp in enumerate(solver.components)]
+    reports = []
+    for spec in specs:
+        hess = spec.hessian(interior.nodes, 0.0)
+        f = -(hess[:, 0, 0] + hess[:, 1, 1])
+        data = [spec.value(comp.nodes, 0.0) if comp.dirichlet
+                else np.einsum("ni,ni->n", spec.gradient(comp.nodes, 0.0), comp.normal)
+                for comp in solver.components]
+        exact, recon = [], []
+        for j, y in enumerate(probes):
+            fy = float(-np.trace(spec.hessian(y[None, :], 0.0)[0]))
+            total = float(np.dot(interior.weights,
+                                 corrector[j] * f + gamma[j] * (f - fy)))
+            total += fy * moments[j]
+            for comp, trace, phi in zip(solver.components, traces, data):
+                if comp.dirichlet:
+                    total -= float(np.dot(comp.weights, phi * trace[j]))
+                else:
+                    total += float(np.dot(comp.weights, trace[j] * phi))
+            recon.append(total)
+            exact.append(float(spec.value(y[None, :], 0.0)[0]))
+        recon = np.asarray(recon)
+        exact = np.asarray(exact)
+        reports.append(RepresentationReport(probes, recon, exact,
+                                            float(np.max(np.abs(recon - exact)))))
+    return reports if isinstance(z_spec, (list, tuple)) else reports[0]

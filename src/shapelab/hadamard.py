@@ -27,7 +27,8 @@ import numpy as np
 from ._fd import FDResult, derivative_ladder
 from .geometry import (Domain, MixedBoundary, fourier_derivative,
                        second_fundamental_form, tangential_grad)
-from .greens import GreensConfig, GreensEval, GreensSolver, HarmonicField
+from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField,
+                     SolveDiagnostics, rowwise_dot)
 from .perturbation import PerturbationFamily, boundary_data
 
 DELTA_N_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -137,9 +138,10 @@ def probe_warning(solver: GreensSolver, point: np.ndarray,
 
 
 def delta_n_formula(solver: GreensSolver, family: PerturbationFamily,
-                    ev_x: GreensEval, ev_y: GreensEval) -> float:
+                    ev: GreensEval) -> float:
     """First variation by boundary pairing of traces against the normal speed.
 
+    ``ev`` is the block of the poles (x, y):
     <rho dN/dnu(.,x), dN/dnu(.,y)> on Dirichlet pieces minus
     <rho dN/ds(.,x), dN/ds(.,y)> on Neumann pieces; symmetric in x, y.
     """
@@ -147,11 +149,11 @@ def delta_n_formula(solver: GreensSolver, family: PerturbationFamily,
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
         rho = boundary_data(family, grid).normal_velocity
         if comp.dirichlet:
-            total += float(np.dot(comp.weights,
-                                  rho * ev_x.normal_trace(i) * ev_y.normal_trace(i)))
+            qx, qy = ev.normal_trace(i)
+            total += float(np.dot(comp.weights, rho * qx * qy))
         else:
-            total -= float(np.dot(comp.weights,
-                                  rho * ev_x.tangential_trace(i) * ev_y.tangential_trace(i)))
+            qx, qy = ev.tangential_trace(i)
+            total -= float(np.dot(comp.weights, rho * qx * qy))
     return total
 
 
@@ -160,7 +162,8 @@ def delta_n_bvp(solver: GreensSolver, family: PerturbationFamily,
     """First variation as the harmonic field solving the variation BVP.
 
     Dirichlet data -rho dN/dnu(.,y); Neumann data d/ds(rho dN/ds(.,y)),
-    assembled nodally and interpolated to the collocation nodes.
+    assembled nodally and interpolated to the collocation nodes.  For a
+    block of poles the fields come from one solve, as a block.
     """
     nodal = []
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
@@ -170,8 +173,7 @@ def delta_n_bvp(solver: GreensSolver, family: PerturbationFamily,
         else:
             product = rho * ev_y.tangential_trace(i)
             nodal.append(fourier_derivative(product) / grid.speed)
-    field, diag = solver.harmonic_bvp(nodal)
-    return field, diag
+    return solver.harmonic_bvp(nodal)
 
 
 def _resolved_value(domain: Domain, mixed: MixedBoundary,
@@ -217,11 +219,11 @@ def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
         rho = boundary_data(family, grid).normal_velocity
         grad_udot = udot_y.gradient(grid.nodes)
         if comp.dirichlet:
-            dn_udot = np.einsum("ni,ni->n", grad_udot, grid.normal)
+            dn_udot = rowwise_dot(grad_udot, grid.normal)
             nodal.append(-coeffs.chi[i] * ev_y.normal_trace(i)
                          - 2.0 * rho * dn_udot)
         else:
-            ds_udot = np.einsum("ni,ni->n", grad_udot, grid.tangent)
+            ds_udot = rowwise_dot(grad_udot, grid.tangent)
             product = (coeffs.chi[i] * ev_y.tangential_trace(i)
                        + 2.0 * rho * ds_udot)
             nodal.append(fourier_derivative(product) / grid.speed)
@@ -237,12 +239,13 @@ def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
 
 
 def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
-                     ev_x: GreensEval, ev_y: GreensEval,
-                     udot_x: HarmonicField, udot_y: HarmonicField,
+                     ev: GreensEval, udot: HarmonicField,
                      coeffs: HadamardCoefficients | None = None,
                      interior=None) -> float:
     """Second variation by the variational formula.
 
+    ``ev`` is the block of the poles (x, y) and ``udot`` the block of their
+    first variations deltaN(., x), deltaN(., y):
     -2 (grad deltaN(.,x), grad deltaN(.,y))_Omega
     + <chi dN/dnu(.,x), dN/dnu(.,y)> on Dirichlet pieces
     - <chi dN/ds(.,x), dN/ds(.,y)> on Neumann pieces
@@ -250,22 +253,19 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
       on Neumann pieces.
     Symmetric in the poles term by term; with no Neumann piece it collapses
     to the two-term Dirichlet form.  The interior gradients come from the
-    first-variation charge fields.
+    first-variation charge fields, both from one kernel matrix.
     """
     coeffs = coeffs if coeffs is not None else chi_sigma(solver.domain, family)
     interior = interior if interior is not None else solver.domain.interior()
-    gx = udot_x.gradient(interior.nodes)
-    gy = udot_y.gradient(interior.nodes)
+    gx, gy = udot.gradient(interior.nodes)
     total = -2.0 * float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
         if comp.dirichlet:
-            total += float(np.dot(comp.weights, coeffs.chi[i]
-                                  * ev_x.normal_trace(i) * ev_y.normal_trace(i)))
+            qx, qy = ev.normal_trace(i)
+            total += float(np.dot(comp.weights, coeffs.chi[i] * qx * qy))
         else:
-            qx = ev_x.tangential_trace(i)
-            qy = ev_y.tangential_trace(i)
-            wx = np.einsum("ni,ni->n", udot_x.gradient(grid.nodes), grid.tangent)
-            wy = np.einsum("ni,ni->n", udot_y.gradient(grid.nodes), grid.tangent)
+            qx, qy = ev.tangential_trace(i)
+            wx, wy = rowwise_dot(udot.gradient(grid.nodes), grid.tangent)
             rho = boundary_data(family, grid).normal_velocity
             total -= float(np.dot(comp.weights, coeffs.chi[i] * qx * qy))
             total -= 2.0 * float(np.dot(comp.weights, rho * (wx * qy + wy * qx)))
@@ -285,30 +285,29 @@ def delta2_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily
 # ---------------------------------------------------------------------------
 
 def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
-                              ev_x: GreensEval, ev_y: GreensEval,
-                              udot_x: HarmonicField, udot_y: HarmonicField,
-                              interior=None):
+                              ev: GreensEval, udot: HarmonicField, interior=None):
     """Interior gradient pairing of the two first variations vs its boundary form.
 
+    ``ev`` and ``udot`` are the blocks of the poles (x, y) and of their first
+    variations:
     (grad deltaN(.,x), grad deltaN(.,y))_Omega
     = -<rho dN/dnu(.,y), d deltaN/dnu(.,x)> on Dirichlet pieces
       -<dN/ds(.,x), rho d deltaN/ds(.,y)> on Neumann pieces
     (the Neumann pairing already integrated by parts).
     """
     interior = interior if interior is not None else solver.domain.interior()
-    gx = udot_x.gradient(interior.nodes)
-    gy = udot_y.gradient(interior.nodes)
+    gx, gy = udot.gradient(interior.nodes)
     lhs = float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))
     rhs = 0.0
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
         rho = boundary_data(family, grid).normal_velocity
         if comp.dirichlet:
-            dn_udot_x = np.einsum("ni,ni->n", udot_x.gradient(grid.nodes), grid.normal)
-            rhs -= float(np.dot(comp.weights, rho * ev_y.normal_trace(i) * dn_udot_x))
+            dn_udot_x = rowwise_dot(udot[0].gradient(grid.nodes), grid.normal)
+            rhs -= float(np.dot(comp.weights, rho * ev.normal_trace(i)[1] * dn_udot_x))
         else:
-            ds_udot_y = np.einsum("ni,ni->n", udot_y.gradient(grid.nodes), grid.tangent)
+            ds_udot_y = rowwise_dot(udot[1].gradient(grid.nodes), grid.tangent)
             rhs -= float(np.dot(comp.weights,
-                                ev_x.tangential_trace(i) * rho * ds_udot_y))
+                                ev.tangential_trace(i)[0] * rho * ds_udot_y))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -336,7 +335,12 @@ def disk_dilation_delta_n(x, y, order: int = 1) -> float:
 
 @dataclass
 class RouteTriangle:
-    """Pairwise comparison of the formula, BVP, and FD routes for one probe pair."""
+    """Pairwise comparison of the formula, BVP, and FD routes for one probe pair.
+
+    ``residual``, ``rank`` and ``n_unknowns`` summarize the base and BVP
+    solves: the worst check-node residual, the smallest rank, and the
+    number of charges.
+    """
 
     quantity: str
     formula: float
@@ -344,14 +348,34 @@ class RouteTriangle:
     fd: float
     pairwise: dict
     runtime: float
+    residual: float
+    rank: int
+    n_unknowns: int
 
     @property
     def max_pairwise(self) -> float:
         return max(self.pairwise.values())
 
+    def solve_details(self) -> dict:
+        """The solve summary as report ``details``."""
+        return {"solve_residual": self.residual, "solve_rank": self.rank,
+                "n_unknowns": self.n_unknowns}
+
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+
+
+def _triangle(quantity: str, formula: float, bvp: float, fd: float, start: float,
+              diagnostics: list[SolveDiagnostics]) -> RouteTriangle:
+    pairwise = {"formula_vs_bvp": _rel(formula, bvp),
+                "formula_vs_fd": _rel(formula, fd),
+                "bvp_vs_fd": _rel(bvp, fd)}
+    return RouteTriangle(quantity, formula, bvp, fd, pairwise,
+                         time.perf_counter() - start,
+                         max(d.residual for d in diagnostics),
+                         min(d.rank for d in diagnostics),
+                         diagnostics[0].n_unknowns)
 
 
 def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
@@ -367,39 +391,32 @@ def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFam
         if message:
             import warnings
             warnings.warn(message, stacklevel=2)
-    ev_x = solver.solve(x)
-    ev_y = solver.solve(y)
-    formula = delta_n_formula(solver, family, ev_x, ev_y)
-    udot_y, _ = delta_n_bvp(solver, family, ev_y)
+    ev = solver.solve(np.stack([x, y]))
+    formula = delta_n_formula(solver, family, ev)
+    udot_y, bvp_diag = delta_n_bvp(solver, family, ev[1])
     bvp = float(udot_y.value(x[None, :])[0])
     fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config).value
-    pairwise = {"formula_vs_bvp": _rel(formula, bvp),
-                "formula_vs_fd": _rel(formula, fd),
-                "bvp_vs_fd": _rel(bvp, fd)}
-    return RouteTriangle("delta_n", formula, bvp, fd, pairwise,
-                         time.perf_counter() - start)
+    return _triangle("delta_n", formula, bvp, fd, start, [*ev.diagnostics, bvp_diag])
 
 
 def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                     x, y, config: GreensConfig | None = None,
                     ladder=DELTA2_N_LADDER, interior=None) -> RouteTriangle:
-    """Run all three second-variation routes for one probe pair."""
+    """Run all three second-variation routes for one probe pair.
+
+    Three solves: the poles (x, y), their first variations, then the second
+    variation for y.
+    """
     start = time.perf_counter()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     solver = GreensSolver(domain, mixed, config)
-    ev_x = solver.solve(x)
-    ev_y = solver.solve(y)
+    ev = solver.solve(np.stack([x, y]))
     coeffs = chi_sigma(domain, family)
-    udot_x, _ = delta_n_bvp(solver, family, ev_x)
-    udot_y, _ = delta_n_bvp(solver, family, ev_y)
-    formula = delta2_n_formula(solver, family, ev_x, ev_y, udot_x, udot_y,
-                               coeffs, interior=interior)
-    uddot, _ = delta2_n_bvp(solver, family, ev_y, udot_y, coeffs)
+    udot, udot_diags = delta_n_bvp(solver, family, ev)
+    formula = delta2_n_formula(solver, family, ev, udot, coeffs, interior=interior)
+    uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
     fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config).value
-    pairwise = {"formula_vs_bvp": _rel(formula, bvp),
-                "formula_vs_fd": _rel(formula, fd),
-                "bvp_vs_fd": _rel(bvp, fd)}
-    return RouteTriangle("delta2_n", formula, bvp, fd, pairwise,
-                         time.perf_counter() - start)
+    return _triangle("delta2_n", formula, bvp, fd, start,
+                     [*ev.diagnostics, *udot_diags, uddot_diag])

@@ -203,7 +203,7 @@ def test_criterion_6_first_variation():
 
     solver = GreensSolver(disk, geo.all_dirichlet(1))
     value = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
-                               solver.solve(x), solver.solve(y))
+                               solver.solve(np.stack([x, y])))
     oracle = hd.disk_dilation_delta_n(x, y, order=1)
     assert abs(value - oracle) / (1 + abs(oracle)) <= 1e-4
 
@@ -219,7 +219,7 @@ def test_criterion_6_first_variation():
     assert tri.max_pairwise <= 1e-3
 
     rotation = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
-                                  solver.solve(x), solver.solve(y))
+                                  solver.solve(np.stack([x, y])))
     assert abs(rotation) <= 1e-8
     _stamp(6, "first variation: scaling oracle, route triangles, rotation null",
            start, 60.0)
@@ -249,11 +249,9 @@ def test_criterion_7_second_variation():
     assert tri.max_pairwise <= 1e-2
 
     solver = GreensSolver(annulus, mixed)
-    ev_x, ev_y = solver.solve(xa), solver.solve(ya)
-    udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-    udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-    _, _, residual = hd.gradient_pairing_residual(solver, fam, ev_x, ev_y,
-                                                  udot_x, udot_y)
+    ev = solver.solve(np.stack([xa, ya]))
+    udot, _ = hd.delta_n_bvp(solver, fam, ev)
+    _, _, residual = hd.gradient_pairing_residual(solver, fam, ev, udot)
     assert residual <= 1e-3
     _stamp(7, "second variation: coefficient forms, anchors, route triangles, "
               "gradient pairing", start, 300.0)

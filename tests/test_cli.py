@@ -197,6 +197,28 @@ class TestCli:
                          "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == 0
 
+    def test_route_rows_report_their_solve_diagnostics(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_hadamard": [{
+            "id": "custom-disk-dilation",
+            "domain": {"name": "circle", "r": 1.0},
+            "mixed": ["dirichlet"],
+            "family": {"kind": "taylor", "field": {"name": "dilation"}},
+            "probes": [[0.3, 0.0], [0.0, 0.4]],
+            "variation": "second",
+        }]}))
+        ids = ["custom-disk-dilation", "hadamard-delta-n-triangle-annulus",
+               "hadamard-delta2-n-triangle-disk", "hadamard-delta2-rotation-zero"]
+        code = cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                         *[arg for case_id in ids for arg in ("--case", case_id)]])
+        assert code == 0
+        rows = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert sorted(row["case_id"] for row in rows) == sorted(ids)
+        for row in rows:
+            details = row["details"]
+            assert 0.0 < details["solve_residual"] < 1e-4
+            assert 0 < details["solve_rank"] <= details["n_unknowns"]
+
     @pytest.mark.parametrize("key, value, message", [
         ("variation", "sceond", "unknown variation 'sceond'"),
         ("mixed", ["dirichlet"], "mixed needs 2 entries, one per boundary component, not 1"),

@@ -100,7 +100,7 @@ class TestFirstVariation:
         x, y = DISK_PROBES
         solver = GreensSolver(disk, geo.all_dirichlet(1))
         val = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
-                                 solver.solve(x), solver.solve(y))
+                                 solver.solve(np.stack([x, y])))
         oracle = hd.disk_dilation_delta_n(x, y, order=1)
         assert abs(val - oracle) / (1 + abs(oracle)) < 1e-4
 
@@ -115,16 +115,16 @@ class TestFirstVariation:
         x, y = DISK_PROBES
         solver = GreensSolver(disk, geo.all_dirichlet(1))
         val = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
-                                 solver.solve(x), solver.solve(y))
+                                 solver.solve(np.stack([x, y])))
         assert abs(val) < 1e-12
 
     def test_formula_symmetric_in_poles(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         solver = GreensSolver(annulus, annulus_mixed)
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
+        ev = solver.solve(np.stack([x, y]))
         fam = translation()
-        assert hd.delta_n_formula(solver, fam, ev_x, ev_y) == pytest.approx(
-            hd.delta_n_formula(solver, fam, ev_y, ev_x), abs=1e-15)
+        assert hd.delta_n_formula(solver, fam, ev) == pytest.approx(
+            hd.delta_n_formula(solver, fam, ev[::-1]), abs=1e-15)
 
     def test_route_triangle_disk(self, disk):
         x, y = DISK_PROBES
@@ -140,10 +140,10 @@ class TestFirstVariation:
     def test_bvp_equals_formula_at_probes(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         solver = GreensSolver(annulus, annulus_mixed)
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
+        ev = solver.solve(np.stack([x, y]))
         fam = translation()
-        udot, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        formula = hd.delta_n_formula(solver, fam, ev_x, ev_y)
+        udot, _ = hd.delta_n_bvp(solver, fam, ev[1])
+        formula = hd.delta_n_formula(solver, fam, ev)
         assert abs(udot.value(x[None, :])[0] - formula) < 1e-5
 
     def test_probe_warning_near_boundary(self, disk):
@@ -311,16 +311,30 @@ class TestSecondVariationRoutes:
         tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y)
         assert tri.max_pairwise < 1e-2
 
+    def test_route_triangle_keeps_its_solve_diagnostics(self, annulus, annulus_mixed):
+        x, y = ANNULUS_PROBES
+        fam = translation()
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y)
+        solver = GreensSolver(annulus, annulus_mixed)
+        ev = solver.solve(np.stack([x, y]))
+        udot, udot_diags = hd.delta_n_bvp(solver, fam, ev)
+        _, uddot_diag = hd.delta2_n_bvp(solver, fam, ev[1], udot[1])
+        diags = [*ev.diagnostics, *udot_diags, uddot_diag]
+        assert tri.residual == max(d.residual for d in diags) > 0.0
+        assert tri.rank == min(d.rank for d in diags)
+        assert tri.n_unknowns == solver.solver.matrix.shape[1] == 256
+        assert tri.solve_details() == {"solve_residual": tri.residual,
+                                       "solve_rank": tri.rank, "n_unknowns": 256}
+
     def test_pole_exchange_symmetry(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         solver = GreensSolver(annulus, annulus_mixed)
         fam = translation()
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
-        udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-        udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
+        ev = solver.solve(np.stack([x, y]))
+        udot, _ = hd.delta_n_bvp(solver, fam, ev)
         co = hd.chi_sigma(annulus, fam)
-        forward = hd.delta2_n_formula(solver, fam, ev_x, ev_y, udot_x, udot_y, co)
-        backward = hd.delta2_n_formula(solver, fam, ev_y, ev_x, udot_y, udot_x, co)
+        forward = hd.delta2_n_formula(solver, fam, ev, udot, co)
+        backward = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co)
         assert abs(forward - backward) < 1e-10
 
 
@@ -329,31 +343,25 @@ class TestGradientPairing:
         solver = GreensSolver(disk, geo.all_dirichlet(1))
         fam = pert.FlowFamily(pert.rotation())  # delta rho = 0
         x, y = DISK_PROBES
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
-        udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-        udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        lhs, rhs, residual = hd.gradient_pairing_residual(solver, fam, ev_x, ev_y,
-                                                          udot_x, udot_y)
+        ev = solver.solve(np.stack([x, y]))
+        udot, _ = hd.delta_n_bvp(solver, fam, ev)
+        lhs, rhs, residual = hd.gradient_pairing_residual(solver, fam, ev, udot)
         assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
     def test_disk_dilation(self, disk):
         solver = GreensSolver(disk, geo.all_dirichlet(1))
         fam = pert.TaylorFamily(pert.dilation())
         x, y = DISK_PROBES
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
-        udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-        udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        _, _, residual = hd.gradient_pairing_residual(solver, fam, ev_x, ev_y,
-                                                      udot_x, udot_y)
+        ev = solver.solve(np.stack([x, y]))
+        udot, _ = hd.delta_n_bvp(solver, fam, ev)
+        _, _, residual = hd.gradient_pairing_residual(solver, fam, ev, udot)
         assert residual < 1e-4
 
     def test_annulus_translation(self, annulus, annulus_mixed):
         solver = GreensSolver(annulus, annulus_mixed)
         fam = translation()
         x, y = ANNULUS_PROBES
-        ev_x, ev_y = solver.solve(x), solver.solve(y)
-        udot_x, _ = hd.delta_n_bvp(solver, fam, ev_x)
-        udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        _, _, residual = hd.gradient_pairing_residual(solver, fam, ev_x, ev_y,
-                                                      udot_x, udot_y)
+        ev = solver.solve(np.stack([x, y]))
+        udot, _ = hd.delta_n_bvp(solver, fam, ev)
+        _, _, residual = hd.gradient_pairing_residual(solver, fam, ev, udot)
         assert residual < 1e-3
