@@ -4,14 +4,16 @@ Every case evaluates one formula against declared oracles and reports a
 single scalar ``err`` judged against a fixed tolerance (``mode="le"``) or a
 convergence slope judged against a floor (``mode="ge"``).  Randomized cases
 derive their generator deterministically from the global seed and the case
-id, so reports are reproducible regardless of worker count or ordering.
+id, so reports are reproducible regardless of case order.  Every integrand
+is a polynomial built from coefficient arrays, so the registry never
+imports sympy.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +36,6 @@ class CaseSettings:
     seed: int = 0
     m: int = 128
     n_charges: int = 96
-    overrides: dict = field(default_factory=dict)
 
     def rng(self, case_id: str) -> np.random.Generator:
         return np.random.default_rng(int(self.seed) * 2654435761 % 2 ** 31
@@ -192,6 +193,21 @@ def _domain(st, kind: str) -> geo.Domain:
     raise ValueError(kind)
 
 
+def _poly(terms: dict) -> np.ndarray:
+    """Coefficient array of the sum of c x1**px x2**py t**pt over {(px, py, pt): c}."""
+    c = np.zeros(np.max(list(terms), axis=0) + 1)
+    for power, coeff in terms.items():
+        c[power] = coeff
+    return c
+
+
+# the position field (x1, x2)
+POSITION = (_poly({(1, 0, 0): 1.0}), _poly({(0, 1, 0): 1.0}))
+# (0.4 x1**2 + 0.3 x2 + 0.2 t x1, 0.5 x1 x2 - 0.1 x1 + 0.3 t)
+RANDOM_FLUX = (_poly({(2, 0, 0): 0.4, (0, 1, 0): 0.3, (1, 0, 1): 0.2}),
+               _poly({(1, 1, 0): 0.5, (1, 0, 0): -0.1, (0, 0, 1): 0.3}))
+
+
 def _liouville_case(op, domain, family, integrand, analytic=None):
     def runner(st, case):
         rep = op(_domain(st, domain), family(), integrand(),
@@ -216,9 +232,7 @@ def _liouville_random(order: int, index: int):
                                        pert.random_polynomial_field(rng, degree=2, scale=0.3))
         kind = kinds[index % 3]
         if kind == "flux":
-            e1 = "x1**2*0.4 + x2*0.3 + 0.2*t*x1"
-            e2 = "x1*x2*0.5 - 0.1*x1 + 0.3*t"
-            a = VectorIntegrandSpec.from_expressions(e1, e2)
+            a = VectorIntegrandSpec.from_coefficients(*RANDOM_FLUX)
             op = lv.boundary_flux_first if order == 1 else lv.boundary_flux_second
             rep = op(dom, family, a)
         else:
@@ -233,7 +247,8 @@ def _liouville_random(order: int, index: int):
 
 def _liouville_consistency(st, case):
     dom = _domain(st, "disk")
-    c = IntegrandSpec.from_expression("1 + 0.3*x1 + 0.2*x2**2")
+    c = IntegrandSpec.from_coefficients(_poly({(0, 0, 0): 1.0, (1, 0, 0): 0.3,
+                                               (0, 2, 0): 0.2}))
     fam = pert.TaylorFamily(pert.PolynomialField({(0, 1, 0): 0.5, (0, 0, 1): -0.2,
                                                   (1, 0, 0): 0.3, (1, 1, 1): 0.4}))
     collar = geo.collar_extend(dom.grids[0], np.ones(dom.grids[0].size))
@@ -328,8 +343,10 @@ def _greens_representation(st, case):
     worst = 0.0
     disk = _domain(st, "disk")
     probes = np.array([[0.3, 0.2], [-0.4, 0.1]])
-    solutions = [IntegrandSpec.from_expression(expr)
-                 for expr in ("1", "x1**2 - x2**2", "(x1**2 + x2**2)/4")]
+    # 1, x1**2 - x2**2 and (x1**2 + x2**2)/4
+    solutions = [IntegrandSpec.from_coefficients(_poly(terms))
+                 for terms in ({(0, 0, 0): 1.0}, {(2, 0, 0): 1.0, (0, 2, 0): -1.0},
+                               {(2, 0, 0): 0.25, (0, 2, 0): 0.25})]
     for rep in gr.representation_check(disk, geo.all_dirichlet(1), solutions, probes,
                                        st.greens_config()):
         worst = max(worst, rep.max_error)
@@ -568,7 +585,7 @@ def build_registry() -> list[Case]:
         Case("liouville-disk-translation-moment", "liouville",
              "first volume derivative formula", 1e-10,
              _liouville_case(lv.first_volume, "disk", trans,
-                             lambda: IntegrandSpec.from_expression("x1"),
+                             lambda: IntegrandSpec.from_coefficients(POSITION[0]),
                              analytic=lambda: np.pi),
              description="First moment of a translating disk: derivative pi."),
         Case("liouville-rotation-first-volume-zero", "liouville",
@@ -589,13 +606,13 @@ def build_registry() -> list[Case]:
         Case("liouville-flux-first-dilation", "liouville",
              "first flux derivative formula", 1e-10,
              _liouville_case(lv.boundary_flux_first, "disk", dil,
-                             lambda: VectorIntegrandSpec.from_expressions("x1", "x2"),
+                             lambda: VectorIntegrandSpec.from_coefficients(*POSITION),
                              analytic=lambda: 4 * np.pi),
              description="Flux of the position field through the dilated circle: rate 4*pi."),
         Case("liouville-flux-second-dilation", "liouville",
              "second flux derivative formula", 1e-8,
              _liouville_case(lv.boundary_flux_second, "disk", dil,
-                             lambda: VectorIntegrandSpec.from_expressions("x1", "x2"),
+                             lambda: VectorIntegrandSpec.from_coefficients(*POSITION),
                              analytic=lambda: 4 * np.pi),
              description="Second derivative of the same flux: 4*pi."),
         Case("liouville-area-flux-consistency", "liouville",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,6 +57,9 @@ def load_config(path: str | None) -> dict:
     bad = set(overrides) - OVERRIDE_KEYS
     if bad:
         raise ConfigError(f"unknown override keys: {sorted(bad)}")
+    # cases run one after another in this process; "workers": 1 is still accepted
+    if cfg.get("workers", 1) != 1:
+        raise ConfigError(f"workers must be 1, not {cfg['workers']!r}")
     return cfg
 
 
@@ -177,15 +179,6 @@ def resolve_cases(registry: list[Case], suite: str | None,
     return [c for c in registry if c.suite == suite]
 
 
-def run_cases(cases: list[Case], settings: CaseSettings, workers: int = 1):
-    if workers <= 1:
-        rows = [c.run(settings) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: c.run(settings), cases))
-    return sorted(rows, key=lambda r: r.case_id)
-
-
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -208,12 +201,10 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    workers = args.workers if args.workers is not None else int(cfg.get("workers", 1))
     out_dir = args.out_dir or cfg.get("out_dir", "reports")
 
-    settings = CaseSettings(seed=seed, overrides=overrides,
-                            **{key: int(value) for key, value in overrides.items()})
-    rows = run_cases(cases, settings, workers=workers)
+    settings = CaseSettings(seed=seed, **{key: int(value) for key, value in overrides.items()})
+    rows = sorted((c.run(settings) for c in cases), key=lambda r: r.case_id)
     payload = write_reports(rows, out_dir, seed, overrides)
 
     width = max(len(r.case_id) for r in rows)
@@ -266,7 +257,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--suite", choices=suites() + ["all"], default=None)
     run_p.add_argument("--case", action="append", help="case id (repeatable)")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--workers", type=int, default=None)
     run_p.add_argument("--out-dir", default=None)
     run_p.add_argument("--config", default=None, help="JSON config file")
     run_p.add_argument("--override", action="append",

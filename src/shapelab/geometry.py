@@ -521,7 +521,6 @@ class Domain:
 
     def __init__(self, curve: BoundaryCurve, m: int = 128):
         self.curve = curve
-        self.m = m
         self.grids = tuple(build_grid(c, m) for c in curve.components)
         self._interior_cache: dict = {}
 
@@ -534,9 +533,6 @@ class Domain:
         if key not in self._interior_cache:
             self._interior_cache[key] = interior_quadrature(self.curve, n_radial, n_angular)
         return self._interior_cache[key]
-
-    def refine(self, factor: int = 2) -> "Domain":
-        return Domain(self.curve, self.m * factor)
 
 
 def make_curve(name: str, **params) -> BoundaryCurve:

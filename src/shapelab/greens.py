@@ -44,6 +44,14 @@ from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate
 from .perturbation import pushed_frame
 
 INV_2PI = 1.0 / (2.0 * np.pi)
+# collocation nodes per charge, the holes' charge-ring dilation, the angles of
+# the off-grid check nodes of each component, gelsy's relative rank cutoff,
+# and the (radial, angular) interior rule of the representation check
+OVERSAMPLING = 2.0
+CHARGE_OFFSET_INNER = 0.6
+CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
+TRUNCATION = 1e-13
+REPRESENTATION_RULE = (64, 256)
 
 
 class GreensError(ValueError):
@@ -57,11 +65,7 @@ class GreensAccuracyError(RuntimeError):
 @dataclass(frozen=True)
 class GreensConfig:
     n_charges: int = 128
-    oversampling: float = 2.0
     charge_offset_outer: float = 1.6
-    charge_offset_inner: float = 0.6
-    check_nodes: int = 64
-    truncation: float = 1e-13
     fail_threshold: float = 1e-4
 
 
@@ -182,16 +186,15 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     """
     if len(mixed.kinds) != domain.n_components:
         raise GreensError("boundary assignment does not match component count")
-    n_col = int(round(config.oversampling * config.n_charges))
+    n_col = int(round(OVERSAMPLING * config.n_charges))
     th_col = TWO_PI * np.arange(n_col) / n_col
-    th_chk = TWO_PI * (np.arange(config.check_nodes) + 0.5) / config.check_nodes
     th_chg = TWO_PI * (np.arange(config.n_charges) + 0.25) / config.n_charges
     comps = []
     for i, (curve, grid) in enumerate(zip(domain.curve.components, domain.grids)):
         nodes, tangent, normal, speed = pushed_frame(curve, grid.thetas, family, t)
         col_n, _, col_nu, _ = pushed_frame(curve, th_col, family, t)
-        chk_n, _, chk_nu, _ = pushed_frame(curve, th_chk, family, t)
-        factor = config.charge_offset_outer if i == 0 else config.charge_offset_inner
+        chk_n, _, chk_nu, _ = pushed_frame(curve, CHECK_THETAS, family, t)
+        factor = config.charge_offset_outer if i == 0 else CHARGE_OFFSET_INNER
         charges = curve.scaled_about(curve.centroid(), factor).point(th_chg)
         if family is not None:
             charges = family.map(charges, t)
@@ -260,7 +263,7 @@ class MixedSolver:
     matrix is assembled once and shared by every right-hand side: one gelsy
     call per batch; per-column products keep bits.  Each ``solve`` is one
     pivoted-QR least-squares solve (LAPACK gelsy) of a data set or a block
-    of them, truncated at the configured relative threshold.  The condition
+    of them, truncated at the relative threshold ``TRUNCATION``.  The condition
     estimate is an SVD of the matrix, computed on first read.
     """
 
@@ -302,7 +305,7 @@ class MixedSolver:
         """
         rhs = np.concatenate(rhs_per_component, axis=-1)
         coeff, _, rank, _ = scipy.linalg.lstsq(
-            self.matrix, rhs.T, cond=self.config.truncation, lapack_driver="gelsy")
+            self.matrix, rhs.T, cond=TRUNCATION, lapack_driver="gelsy")
         fld = HarmonicField(self.charges, coeff)
         residuals = []
         if check_data is not None:
@@ -326,25 +329,17 @@ class MixedSolver:
                 f"(condition estimate {self.condition_estimate:.2e})")
         return fld, diags[0] if rhs.ndim == 1 else diags
 
-    # -- boundary data helpers ---------------------------------------------
-    def interpolated_data(self, nodal_per_component: list[np.ndarray]):
-        """Fourier-interpolate grid-nodal data, (M,) or (k, M) per component,
-        to collocation and check nodes."""
+    def solve_nodal(self, nodal_per_component: list[np.ndarray]):
+        """Fit grid-nodal data, (M,) or (k, M) per component, Fourier-interpolated
+        to the collocation and check nodes."""
         def interpolate(nodal, theta):
             if np.ndim(nodal) == 1:
                 return fourier_interpolate(nodal, theta)
             return np.stack([fourier_interpolate(row, theta) for row in nodal])
 
-        col, chk = [], []
-        for comp, nodal in zip(self.components, nodal_per_component):
-            col.append(interpolate(nodal, comp.colloc_thetas))
-            th_chk = TWO_PI * (np.arange(comp.check_nodes.shape[0]) + 0.5) \
-                / comp.check_nodes.shape[0]
-            chk.append(interpolate(nodal, th_chk))
-        return col, chk
-
-    def solve_nodal(self, nodal_per_component: list[np.ndarray]):
-        col, chk = self.interpolated_data(nodal_per_component)
+        col = [interpolate(nodal, comp.colloc_thetas)
+               for comp, nodal in zip(self.components, nodal_per_component)]
+        chk = [interpolate(nodal, CHECK_THETAS) for nodal in nodal_per_component]
         return self.solve(col, check_data=chk)
 
 
@@ -462,8 +457,7 @@ class GreensSolver:
 
         Per component one data set (M,) or k of them (k, M), in one gelsy call.
         """
-        fld, diag = self.solver.solve_nodal(nodal_data)
-        return fld, diag
+        return self.solver.solve_nodal(nodal_data)
 
 
 def solve_corrector(domain: Domain, mixed: MixedBoundary, y,
@@ -525,8 +519,7 @@ def _log_moment_boundary(components, y: np.ndarray) -> float:
 
 
 def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
-                         config: GreensConfig | None = None,
-                         n_radial: int = 64, n_angular: int = 256):
+                         config: GreensConfig | None = None):
     """Reconstruct a manufactured solution from its Green's-function representation.
 
     Given z with -Laplacian z = f, Dirichlet values on gamma^0, and flux on
@@ -544,7 +537,7 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     specs = list(z_spec) if isinstance(z_spec, (list, tuple)) else [z_spec]
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     solver = GreensSolver(domain, mixed, config)
-    interior = domain.interior(n_radial, n_angular)
+    interior = domain.interior(*REPRESENTATION_RULE)
     ev = solver.solve(probes)
     corrector = ev.corrector_value(interior.nodes)
     gamma = fundamental_solution(interior.nodes, probes).T

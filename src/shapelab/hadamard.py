@@ -19,7 +19,7 @@ one is kept as a reported diagnostic (``chi_display_residual``).
 
 from __future__ import annotations
 
-import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +33,8 @@ from .perturbation import PerturbationFamily, boundary_data
 
 DELTA_N_LADDER = (1e-2, 5e-3, 2.5e-3)
 DELTA2_N_LADDER = (5e-2, 2.5e-2, 1.25e-2)
+# probes closer to the boundary than this many mean node gaps get a warning
+PROBE_MIN_SPACINGS = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +126,14 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
 # First variation
 # ---------------------------------------------------------------------------
 
-def probe_warning(solver: GreensSolver, point: np.ndarray,
-                  min_spacing: float = 3.0) -> str | None:
+def probe_warning(solver: GreensSolver, point: np.ndarray) -> str | None:
     """Accuracy warning for probes closer to the boundary than a few node gaps."""
     point = np.asarray(point, dtype=float)
     for comp in solver.components:
         gaps = np.linalg.norm(comp.nodes - point[None, :], axis=1)
         spacing = float(np.mean(comp.weights))
-        if gaps.min() < min_spacing * spacing:
-            return (f"probe {point} is within {min_spacing} node spacings of "
+        if gaps.min() < PROBE_MIN_SPACINGS * spacing:
+            return (f"probe {point} is within {PROBE_MIN_SPACINGS} node spacings of "
                     "the boundary; trace quadrature degrades")
     return None
 
@@ -240,8 +241,7 @@ def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
 
 def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
                      ev: GreensEval, udot: HarmonicField,
-                     coeffs: HadamardCoefficients | None = None,
-                     interior=None) -> float:
+                     coeffs: HadamardCoefficients | None = None) -> float:
     """Second variation by the variational formula.
 
     ``ev`` is the block of the poles (x, y) and ``udot`` the block of their
@@ -256,7 +256,7 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     first-variation charge fields, both from one kernel matrix.
     """
     coeffs = coeffs if coeffs is not None else chi_sigma(solver.domain, family)
-    interior = interior if interior is not None else solver.domain.interior()
+    interior = solver.domain.interior()
     gx, gy = udot.gradient(interior.nodes)
     total = -2.0 * float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
@@ -285,7 +285,7 @@ def delta2_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily
 # ---------------------------------------------------------------------------
 
 def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
-                              ev: GreensEval, udot: HarmonicField, interior=None):
+                              ev: GreensEval, udot: HarmonicField):
     """Interior gradient pairing of the two first variations vs its boundary form.
 
     ``ev`` and ``udot`` are the blocks of the poles (x, y) and of their first
@@ -295,7 +295,7 @@ def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
       -<dN/ds(.,x), rho d deltaN/ds(.,y)> on Neumann pieces
     (the Neumann pairing already integrated by parts).
     """
-    interior = interior if interior is not None else solver.domain.interior()
+    interior = solver.domain.interior()
     gx, gy = udot.gradient(interior.nodes)
     lhs = float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))
     rhs = 0.0
@@ -347,7 +347,6 @@ class RouteTriangle:
     bvp: float
     fd: float
     pairwise: dict
-    runtime: float
     residual: float
     rank: int
     n_unknowns: int
@@ -366,57 +365,55 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def _triangle(quantity: str, formula: float, bvp: float, fd: float, start: float,
+def _triangle(quantity: str, formula: float, bvp: float, fd: float,
               diagnostics: list[SolveDiagnostics]) -> RouteTriangle:
     pairwise = {"formula_vs_bvp": _rel(formula, bvp),
                 "formula_vs_fd": _rel(formula, fd),
                 "bvp_vs_fd": _rel(bvp, fd)}
     return RouteTriangle(quantity, formula, bvp, fd, pairwise,
-                         time.perf_counter() - start,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),
                          diagnostics[0].n_unknowns)
+
+
+def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):
+    """Probes, solver and pole block (x, y) of a route run.
+
+    Each probe's ``probe_warning`` is issued for the caller of the route.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    solver = GreensSolver(domain, mixed, config)
+    for message in filter(None, (probe_warning(solver, p) for p in (x, y))):
+        warnings.warn(message, stacklevel=3)
+    return x, y, solver, solver.solve(np.stack([x, y]))
 
 
 def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                    x, y, config: GreensConfig | None = None,
                    ladder=DELTA_N_LADDER) -> RouteTriangle:
     """Run all three first-variation routes for one probe pair."""
-    start = time.perf_counter()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    solver = GreensSolver(domain, mixed, config)
-    for p in (x, y):
-        message = probe_warning(solver, p)
-        if message:
-            import warnings
-            warnings.warn(message, stacklevel=2)
-    ev = solver.solve(np.stack([x, y]))
+    x, y, solver, ev = _route_poles(domain, mixed, x, y, config)
     formula = delta_n_formula(solver, family, ev)
     udot_y, bvp_diag = delta_n_bvp(solver, family, ev[1])
     bvp = float(udot_y.value(x[None, :])[0])
     fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config).value
-    return _triangle("delta_n", formula, bvp, fd, start, [*ev.diagnostics, bvp_diag])
+    return _triangle("delta_n", formula, bvp, fd, [*ev.diagnostics, bvp_diag])
 
 
 def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                     x, y, config: GreensConfig | None = None,
-                    ladder=DELTA2_N_LADDER, interior=None) -> RouteTriangle:
+                    ladder=DELTA2_N_LADDER) -> RouteTriangle:
     """Run all three second-variation routes for one probe pair.
 
     Three solves: the poles (x, y), their first variations, then the second
     variation for y.
     """
-    start = time.perf_counter()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    solver = GreensSolver(domain, mixed, config)
-    ev = solver.solve(np.stack([x, y]))
+    x, y, solver, ev = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)
     udot, udot_diags = delta_n_bvp(solver, family, ev)
-    formula = delta2_n_formula(solver, family, ev, udot, coeffs, interior=interior)
+    formula = delta2_n_formula(solver, family, ev, udot, coeffs)
     uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
     fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config).value
-    return _triangle("delta2_n", formula, bvp, fd, start,
+    return _triangle("delta2_n", formula, bvp, fd,
                      [*ev.diagnostics, *udot_diags, uddot_diag])

@@ -2,7 +2,7 @@
 
 Scalar integrands c(x, t) carry evaluators for c, c_t, c_tt, grad c, and
 hess c; vector fields a(x, t) additionally declare divergence data.
-Polynomials (the seeded random integrands, constants) are numpy coefficient
+Polynomials (every integrand of the built-in registry) are numpy coefficient
 arrays differentiated by index shifts; user-written expressions go through
 sympy, imported on first use, which builds all derivatives symbolically (the
 usual manufactured-solution workflow).  Every evaluator is vectorized over
@@ -16,6 +16,11 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyvander2d
+
+# spot_check samples: points per check, their square, and the largest |t|
+SPOT_POINTS = 10
+SPOT_BOX = (-1.0, 1.0)
+SPOT_T_RANGE = 0.1
 
 
 def _sympy():
@@ -119,11 +124,10 @@ class IntegrandSpec:
     def constant(cls, value: float = 1.0) -> "IntegrandSpec":
         return cls.from_coefficients(np.full((1, 1, 1), value), label=f"const {value}")
 
-    def spot_check(self, rng: np.random.Generator, n_points: int = 10,
-                   box=(-1.0, 1.0), t_range: float = 0.1) -> float:
+    def spot_check(self, rng: np.random.Generator) -> float:
         """Max relative error of declared derivatives against finite differences."""
-        pts = rng.uniform(box[0], box[1], size=(n_points, 2))
-        ts = rng.uniform(-t_range, t_range, size=n_points)
+        pts = rng.uniform(SPOT_BOX[0], SPOT_BOX[1], size=(SPOT_POINTS, 2))
+        ts = rng.uniform(-SPOT_T_RANGE, SPOT_T_RANGE, size=SPOT_POINTS)
         h = 1e-5
         h2 = 1e-4  # wider step for the second difference (cancellation)
         worst = 0.0
@@ -173,6 +177,24 @@ class VectorIntegrandSpec:
             divergence_dt=_vectorized(sp.diff(div, t)),
             divergence_gradient=_vectorized(sp.Matrix([sp.diff(div, x1), sp.diff(div, x2)]), (2,)),
             label=label if label is not None else f"({e1}, {e2})",
+        )
+
+    @classmethod
+    def from_coefficients(cls, c1, c2, label: str = "") -> "VectorIntegrandSpec":
+        """The field (a1, a2) of two coefficient arrays, as in IntegrandSpec."""
+        c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+        shape = np.maximum(c1.shape, c2.shape)  # pad both to one shape
+        c = [np.pad(ck, [(0, n - k) for n, k in zip(shape, ck.shape)]) for ck in (c1, c2)]
+        ct = [_shifted(ck, 2) for ck in c]
+        div = _shifted(c[0], 0) + _shifted(c[1], 1)
+        return cls(
+            value=_polynomial(c, (2,)),
+            dt=_polynomial(ct, (2,)),
+            dtt=_polynomial([_shifted(ck, 2) for ck in ct], (2,)),
+            divergence=_polynomial([div]),
+            divergence_dt=_polynomial([_shifted(div, 2)]),
+            divergence_gradient=_polynomial([_shifted(div, 0), _shifted(div, 1)], (2,)),
+            label=label,
         )
 
 

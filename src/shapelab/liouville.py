@@ -10,7 +10,6 @@ normalized by 1 + |formula|, and the observed FD order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +32,10 @@ class VariationReport:
     abs_err: float = 0.0
     rel_err: float = 0.0
     fd: FDResult | None = None
-    runtime: float = 0.0
     warnings: tuple = ()
 
     @classmethod
-    def build(cls, quantity, formula_value, fd=None, analytic=None,
-              runtime=0.0, warnings=()):
+    def build(cls, quantity, formula_value, fd=None, analytic=None, warnings=()):
         oracles = {}
         if fd is not None:
             oracles["fd_richardson"] = fd.value
@@ -52,7 +49,7 @@ class VariationReport:
         abs_err = abs(formula_value - reference)
         rel_err = abs_err / (1.0 + abs(formula_value))
         return cls(quantity, float(formula_value), oracles, float(abs_err),
-                   float(rel_err), fd, runtime, tuple(warnings))
+                   float(rel_err), fd, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +57,9 @@ class VariationReport:
 # ---------------------------------------------------------------------------
 
 def pullback_volume_integral(domain: Domain, family: PerturbationFamily,
-                             c: IntegrandSpec, t: float,
-                             interior=None) -> float:
+                             c: IntegrandSpec, t: float) -> float:
     """integral of c(., t) over T_t(Omega), pulled back to fixed interior nodes."""
-    interior = interior if interior is not None else domain.interior()
+    interior = domain.interior()
     img, jac = family.map_and_jacobian(interior.nodes, t)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     if np.any(det <= 0.0):
@@ -96,14 +92,11 @@ def pushed_flux_integral(domain: Domain, family: PerturbationFamily,
 
 
 def fd_reference(kind: str, domain: Domain, family: PerturbationFamily,
-                 integrand, order: int = 1, ladder=None,
-                 interior=None) -> FDResult:
+                 integrand, order: int = 1, ladder=None) -> FDResult:
     """FD derivative of the pulled-back integral of the given kind at t=0."""
     if kind == "volume":
-        interior = interior if interior is not None else domain.interior()
-
         def g(t):
-            return pullback_volume_integral(domain, family, integrand, t, interior)
+            return pullback_volume_integral(domain, family, integrand, t)
     elif kind == "area":
         def g(t):
             return pushed_area_integral(domain, family, integrand, t)
@@ -124,26 +117,22 @@ def _zero_report(quantity: str) -> VariationReport:
 # ---------------------------------------------------------------------------
 
 def first_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
-                 ladder=None, analytic=None, interior=None,
-                 skip_fd: bool = False) -> VariationReport:
+                 ladder=None, analytic=None, skip_fd: bool = False) -> VariationReport:
     """d/dt of the volume integral at t=0: interior c_t plus boundary c0*(S.nu)."""
     if c.zero:
         return _zero_report("first_volume")
-    start = time.perf_counter()
-    interior = interior if interior is not None else domain.interior()
+    interior = domain.interior()
     value = float(np.dot(interior.weights, c.dt(interior.nodes, 0.0)))
     for grid in domain.grids:
         data = boundary_data(family, grid)
         value += grid.integrate(c.value(grid.nodes, 0.0) * data.normal_velocity)
     fd = None if skip_fd else fd_reference("volume", domain, family, c,
-                                           order=1, ladder=ladder, interior=interior)
-    return VariationReport.build("first_volume", value, fd=fd, analytic=analytic,
-                                 runtime=time.perf_counter() - start)
+                                           order=1, ladder=ladder)
+    return VariationReport.build("first_volume", value, fd=fd, analytic=analytic)
 
 
 def second_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
-                  ladder=None, analytic=None, interior=None,
-                  skip_fd: bool = False) -> VariationReport:
+                  ladder=None, analytic=None, skip_fd: bool = False) -> VariationReport:
     """d^2/dt^2 of the volume integral at t=0.
 
     Interior c_tt plus <2 c_t + div(c0 S), S.nu> plus
@@ -151,8 +140,7 @@ def second_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
     """
     if c.zero:
         return _zero_report("second_volume")
-    start = time.perf_counter()
-    interior = interior if interior is not None else domain.interior()
+    interior = domain.interior()
     value = float(np.dot(interior.weights, c.dtt(interior.nodes, 0.0)))
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -165,9 +153,8 @@ def second_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
         adv = advective_normal_component(data, grid)
         value += grid.integrate(c0 * (data.normal_acceleration - adv))
     fd = None if skip_fd else fd_reference("volume", domain, family, c,
-                                           order=2, ladder=ladder, interior=interior)
-    return VariationReport.build("second_volume", value, fd=fd, analytic=analytic,
-                                 runtime=time.perf_counter() - start)
+                                           order=2, ladder=ladder)
+    return VariationReport.build("second_volume", value, fd=fd, analytic=analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,6 @@ def first_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
     """d/dt of the boundary integral: c_t plus (kappa c0 + dc0/dnu)(S.nu)."""
     if c.zero:
         return _zero_report("first_area")
-    start = time.perf_counter()
     value = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -189,8 +175,7 @@ def first_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
         value += grid.integrate((grid.curvature * c0 + dn_c) * data.normal_velocity)
     fd = None if skip_fd else fd_reference("area", domain, family, c,
                                            order=1, ladder=ladder)
-    return VariationReport.build("first_area", value, fd=fd, analytic=analytic,
-                                 runtime=time.perf_counter() - start)
+    return VariationReport.build("first_area", value, fd=fd, analytic=analytic)
 
 
 def _scaled_field_divergence(grid, data, c: IntegrandSpec) -> np.ndarray:
@@ -232,7 +217,6 @@ def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
     """
     if c.zero:
         return _zero_report("second_area")
-    start = time.perf_counter()
     value = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -257,8 +241,7 @@ def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
         value += grid.integrate(bracket * (data.normal_acceleration - adv))
     fd = None if skip_fd else fd_reference("area", domain, family, c,
                                            order=2, ladder=ladder)
-    return VariationReport.build("second_area", value, fd=fd, analytic=analytic,
-                                 runtime=time.perf_counter() - start)
+    return VariationReport.build("second_area", value, fd=fd, analytic=analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +252,6 @@ def boundary_flux_first(domain: Domain, family: PerturbationFamily,
                         a: VectorIntegrandSpec, ladder=None, analytic=None,
                         skip_fd: bool = False) -> VariationReport:
     """d/dt of the flux integral: nu . a_t plus (div a)(S.nu)."""
-    start = time.perf_counter()
     value = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -279,9 +261,7 @@ def boundary_flux_first(domain: Domain, family: PerturbationFamily,
         value += grid.integrate(div * data.normal_velocity)
     fd = None if skip_fd else fd_reference("flux", domain, family, a,
                                            order=1, ladder=ladder)
-    return VariationReport.build("boundary_flux_first", value, fd=fd,
-                                 analytic=analytic,
-                                 runtime=time.perf_counter() - start)
+    return VariationReport.build("boundary_flux_first", value, fd=fd, analytic=analytic)
 
 
 def boundary_flux_second(domain: Domain, family: PerturbationFamily,
@@ -294,7 +274,6 @@ def boundary_flux_second(domain: Domain, family: PerturbationFamily,
     """
     if a.dtt is None or a.divergence_gradient is None:
         raise ValueError("second flux derivative needs a_tt and grad(div a)")
-    start = time.perf_counter()
     value = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -312,9 +291,7 @@ def boundary_flux_second(domain: Domain, family: PerturbationFamily,
         value += grid.integrate(div * (data.normal_acceleration - adv))
     fd = None if skip_fd else fd_reference("flux", domain, family, a,
                                            order=2, ladder=ladder)
-    return VariationReport.build("boundary_flux_second", value, fd=fd,
-                                 analytic=analytic,
-                                 runtime=time.perf_counter() - start)
+    return VariationReport.build("boundary_flux_second", value, fd=fd, analytic=analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +311,11 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily, h: float = 1e-4):
     """FD-in-t of the deformed boundary's normal field at the fixed nodes.
 
     nu_dot is the rate of the moving normal field seen at a fixed spatial
-    point, so each base node is projected onto the deformed curve (Newton on
-    the nearest-point condition using pushed positions and tangents) and the
-    normal there is differenced in t.
+    point, so each base node is projected onto the deformed curve and the
+    normal there is differenced in t.  The projection is Gauss-Newton on
+    |p - y(theta)|^2 with y = T_t(x(theta)) and y' = DT_t x'(theta), one flow
+    integration per iteration: theta += (p - y).y' / |y'|^2.  The nodes sit
+    O(h) from the deformed curve, so each iteration gains about four digits.
     """
     out = []
     for grid in domain.grids:
@@ -345,13 +324,9 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily, h: float = 1e-4):
             for _ in range(30):
                 y, jac = family.map_and_jacobian(grid.curve.point(theta), t)
                 dy = np.einsum("nij,nj->ni", jac, grid.curve.velocity(theta))
-                f = np.einsum("ni,ni->n", grid.nodes - y, dy)
-                eps = 1e-6
-                y2, jac2 = family.map_and_jacobian(grid.curve.point(theta + eps), t)
-                dy2 = np.einsum("nij,nj->ni", jac2, grid.curve.velocity(theta + eps))
-                f2 = np.einsum("ni,ni->n", grid.nodes - y2, dy2)
-                step = f / ((f2 - f) / eps)
-                theta -= step
+                step = (np.einsum("ni,ni->n", grid.nodes - y, dy)
+                        / np.einsum("ni,ni->n", dy, dy))
+                theta += step
                 if np.max(np.abs(step)) < 1e-13:
                     break
             return pushed_frame(grid.curve, theta, family, t)[2]

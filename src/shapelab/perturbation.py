@@ -19,6 +19,15 @@ from .geometry import (MIN_SPEED, BoundaryGrid, CollarExtension, _rotate_quarter
                        fourier_derivative)
 
 
+# flow integration: largest |t| and most RK4 steps per integration
+FLOW_T_MAX = 0.25
+FLOW_MAX_STEPS = 10000
+# minor-expansion check: base t-ladder, slope floor, and most ladder halvings
+MINOR_LADDER = (0.1, 0.05, 0.025, 0.0125)
+MINOR_SLOPE_THRESHOLD = 2.5
+MINOR_MAX_REFINEMENTS = 4
+
+
 class PerturbationError(ValueError):
     """Raised for invalid fields, exhausted integrators, or failed checks."""
 
@@ -210,12 +219,9 @@ class FlowFamily(PerturbationFamily):
     Here S = v and R = (v.grad) v with analytic Jacobians.
     """
 
-    def __init__(self, field: PolynomialField, step: float = 1e-2,
-                 max_steps: int = 10000, t_max: float = 0.25):
+    def __init__(self, field: PolynomialField, step: float = 1e-2):
         self.field = field
         self.step = step
-        self.max_steps = max_steps
-        self.t_max = t_max
 
     def _rhs(self, x, jac):
         """(v(X), Dv(X) J) on component-major states (2, N) and (2, 2, N)."""
@@ -224,10 +230,10 @@ class FlowFamily(PerturbationFamily):
         return self.field._values(*tables), dv[:, 0, None] * jac[0] + dv[:, 1, None] * jac[1]
 
     def _integrate(self, points, t):
-        if abs(t) > self.t_max:
-            raise PerturbationError(f"|t|={abs(t)} exceeds t_max={self.t_max}")
+        if abs(t) > FLOW_T_MAX:
+            raise PerturbationError(f"|t|={abs(t)} exceeds t_max={FLOW_T_MAX}")
         n_steps = max(1, int(np.ceil(abs(t) / self.step)))
-        if n_steps > self.max_steps:
+        if n_steps > FLOW_MAX_STEPS:
             raise PerturbationError("step-count overflow in flow integration")
         h = t / n_steps
         x = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
@@ -425,10 +431,7 @@ def _predicted_minor(ds: np.ndarray, dr: np.ndarray, i: int, j: int, t: float) -
     return sign * (t * lin + t * t * quad)
 
 
-def minor_expansion_check(ds: np.ndarray, dr: np.ndarray, i: int, j: int,
-                          ladder=(0.1, 0.05, 0.025, 0.0125),
-                          slope_threshold: float = 2.5,
-                          max_refinements: int = 4) -> MinorExpansionReport:
+def minor_expansion_check(ds: np.ndarray, dr: np.ndarray, i: int, j: int) -> MinorExpansionReport:
     """Verify that the (i,j) minor of DT_t matches its quadratic model to o(t^2).
 
     The exact minor comes from a determinant of the synthetic Jacobian
@@ -448,7 +451,6 @@ def minor_expansion_check(ds: np.ndarray, dr: np.ndarray, i: int, j: int,
     d = ds.shape[0]
     if ds.shape != (d, d) or dr.shape != (d, d):
         raise PerturbationError("DS and DR must be square matrices of equal size")
-    ladder = tuple(float(t) for t in ladder)
     scale = max(1.0, np.abs(ds).max(), np.abs(dr).max()) ** d
 
     def measure(steps):
@@ -465,14 +467,14 @@ def minor_expansion_check(ds: np.ndarray, dr: np.ndarray, i: int, j: int,
         logs_r = np.log(np.maximum(rem, 1e-300))
         return rem, float(np.polyfit(logs_t, logs_r, 1)[0])
 
-    steps = ladder
+    steps = MINOR_LADDER
     remainders, slope = measure(steps)
-    for _ in range(max_refinements):
-        if slope >= slope_threshold:
+    for _ in range(MINOR_MAX_REFINEMENTS):
+        if slope >= MINOR_SLOPE_THRESHOLD:
             break
         steps = tuple(0.5 * t for t in steps)
         remainders, slope = measure(steps)
-    passed = bool(slope >= slope_threshold)
+    passed = bool(slope >= MINOR_SLOPE_THRESHOLD)
     return MinorExpansionReport(i, j, steps, tuple(remainders), slope, passed)
 
 

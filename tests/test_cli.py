@@ -266,12 +266,19 @@ class TestCli:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
 
-    def test_workers_do_not_change_report(self, tmp_path):
-        base = ["run", "--suite", "jacobian", "--seed", "3"]
-        cli.main(base + ["--out-dir", str(tmp_path / "w1")])
-        cli.main(base + ["--workers", "4", "--out-dir", str(tmp_path / "w4")])
-        assert (tmp_path / "w1" / "report.json").read_bytes() == \
-            (tmp_path / "w4" / "report.json").read_bytes()
+    def test_cases_run_in_one_process_loop(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        code = cli.main(["run", "--case", "jacobian-dilation-det", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "workers must be 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--suite", "jacobian", "--workers", "1"])
+        assert exc.value.code == 2
+        cfg.write_text(json.dumps({"workers": 1}))
+        assert cli.main(["run", "--case", "jacobian-dilation-det", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
 
     def test_report_json_has_no_timing(self, tmp_path):
         cli.main(["run", "--case", "jacobian-dilation-det",

@@ -151,6 +151,16 @@ class TestFirstVariation:
         assert hd.probe_warning(solver, np.array([0.99, 0.0])) is not None
         assert hd.probe_warning(solver, np.array([0.3, 0.0])) is None
 
+    @pytest.mark.parametrize("routes", [hd.delta_n_routes, hd.delta2_n_routes])
+    def test_routes_warn_for_a_probe_near_the_boundary(self, disk, routes):
+        # 0.14 from the circle, inside 3 node spacings (0.147) at m=128; the
+        # translation along the circle keeps every re-solve under the gate
+        near = np.array([0.86, 0.0])
+        with pytest.warns(UserWarning, match="node spacings"):
+            tri = routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.translation(0.0, 1.0)),
+                         near, DISK_PROBES[1])
+        assert np.isfinite(tri.max_pairwise)
+
 
 # ---------------------------------------------------------------------------
 # second variation

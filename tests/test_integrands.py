@@ -89,14 +89,46 @@ class TestCoefficientIntegrand:
                        for c, (px, py, pt) in zip(draws, monomials))
         assert abs(spec.value(np.array([[x, y]]), t)[0] - expected) < 1e-14
 
+    # the registry cases whose integrands are fixed polynomials
+    POLYNOMIAL_CASES = ("liouville-disk-translation-moment", "liouville-flux-first-dilation",
+                        "liouville-flux-second-dilation", "liouville-area-flux-consistency",
+                        "greens-representation", "liouville-random-first-2",
+                        "liouville-random-first-5", "liouville-random-second-2")
+
     def test_import_and_registry_leave_sympy_unloaded(self):
         src = Path(shapelab.__file__).resolve().parents[1]
         code = ("import sys, shapelab; from shapelab.cli import build_registry; "
-                "build_registry(); print('sympy' in sys.modules)")
+                "from shapelab.cases import CaseSettings; "
+                f"wanted = {self.POLYNOMIAL_CASES!r}; "
+                "rows = [c.run(CaseSettings(seed=7)) for c in build_registry() "
+                "if c.case_id in wanted]; "
+                "print(len(rows), all(r.passed for r in rows), 'sympy' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == f"{len(self.POLYNOMIAL_CASES)} True False"
+
+
+class TestVectorCoefficientIntegrand:
+    EVALUATORS = ("value", "dt", "dtt", "divergence", "divergence_dt", "divergence_gradient")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sympy_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        # components of different shapes, padded to a common one
+        coeffs = rng.uniform(-1, 1, size=(4, 3, 3)), rng.uniform(-1, 1, size=(2, 4, 3))
+        exprs = [" + ".join(f"({float(c)!r})*x1**{px}*x2**{py}*t**{pt}"
+                            for (px, py, pt), c in np.ndenumerate(ck)) for ck in coeffs]
+        poly = VectorIntegrandSpec.from_coefficients(*coeffs)
+        symbolic = VectorIntegrandSpec.from_expressions(*exprs)
+        pts = rng.uniform(-1.5, 1.5, size=(20, 2))
+        for t in (0.3, -0.07):
+            for name in self.EVALUATORS:
+                got = getattr(poly, name)(pts, t)
+                want = getattr(symbolic, name)(pts, t)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * np.max(np.abs(want)))
 
 
 class TestVectorIntegrandSpec:

@@ -262,6 +262,19 @@ class TestFlowIntegrationCount:
         lv.nu_dot_fd(geo.Domain(geo.disk(1.0), m=16), fam)
         assert len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("curve,count", [(geo.disk(1.0), 8),
+                                             (geo.star_domain(1.0, 0.2, 3), 10),
+                                             (geo.annulus(0.5, 1.0), 14)])
+    def test_nu_dot_fd_takes_one_integration_per_projection_step(self, monkeypatch,
+                                                                 curve, count):
+        # Gauss-Newton: three steps and the final frame per t and component
+        # (the 1e-6 difference quotient in theta took 10, 14 and 20)
+        calls = _count_integrations(monkeypatch)
+        fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}),
+                              step=1e-3)
+        lv.nu_dot_fd(geo.Domain(curve, m=128), fam)
+        assert len(calls) == count
+
     def test_every_integration_runs_inside_map_or_map_jacobian(self, monkeypatch, disk):
         # perfbench times the flow layer as the FlowFamily.map and
         # map_jacobian calls; a fused caller must not integrate around them.

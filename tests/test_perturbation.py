@@ -29,12 +29,12 @@ class TestFlowMap:
         np.testing.assert_allclose(det, 1.0, atol=1e-12)
 
     def test_t_max_enforced(self):
-        fam = pert.FlowFamily(pert.dilation(), t_max=0.25)
+        fam = pert.FlowFamily(pert.dilation())
         with pytest.raises(pert.PerturbationError):
             fam.map(PTS, 0.3)
 
     def test_step_count_overflow(self):
-        fam = pert.FlowFamily(pert.dilation(), step=1e-9, max_steps=100)
+        fam = pert.FlowFamily(pert.dilation(), step=1e-9)
         with pytest.raises(pert.PerturbationError, match="overflow"):
             fam.map(PTS, 0.1)
 
