@@ -44,14 +44,8 @@ from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate
 from .perturbation import pushed_frame
 
 INV_2PI = 1.0 / (2.0 * np.pi)
-# collocation nodes per charge, the holes' charge-ring dilation, the angles of
-# the off-grid check nodes of each component, gelsy's relative rank cutoff,
-# and the (radial, angular) interior rule of the representation check
-OVERSAMPLING = 2.0
-CHARGE_OFFSET_INNER = 0.6
+# angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
-TRUNCATION = 1e-13
-REPRESENTATION_RULE = (64, 256)
 
 
 class GreensError(ValueError):
@@ -186,7 +180,7 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     """
     if len(mixed.kinds) != domain.n_components:
         raise GreensError("boundary assignment does not match component count")
-    n_col = int(round(OVERSAMPLING * config.n_charges))
+    n_col = int(round(2.0 * config.n_charges))  # two collocation nodes per charge
     th_col = TWO_PI * np.arange(n_col) / n_col
     th_chg = TWO_PI * (np.arange(config.n_charges) + 0.25) / config.n_charges
     comps = []
@@ -194,7 +188,7 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
         nodes, tangent, normal, speed = pushed_frame(curve, grid.thetas, family, t)
         col_n, _, col_nu, _ = pushed_frame(curve, th_col, family, t)
         chk_n, _, chk_nu, _ = pushed_frame(curve, CHECK_THETAS, family, t)
-        factor = config.charge_offset_outer if i == 0 else CHARGE_OFFSET_INNER
+        factor = config.charge_offset_outer if i == 0 else 0.6  # holes: shrunk ring
         charges = curve.scaled_about(curve.centroid(), factor).point(th_chg)
         if family is not None:
             charges = family.map(charges, t)
@@ -263,7 +257,7 @@ class MixedSolver:
     matrix is assembled once and shared by every right-hand side: one gelsy
     call per batch; per-column products keep bits.  Each ``solve`` is one
     pivoted-QR least-squares solve (LAPACK gelsy) of a data set or a block
-    of them, truncated at the relative threshold ``TRUNCATION``.  The condition
+    of them, truncated at the relative threshold 1e-13.  The condition
     estimate is an SVD of the matrix, computed on first read.
     """
 
@@ -305,7 +299,7 @@ class MixedSolver:
         """
         rhs = np.concatenate(rhs_per_component, axis=-1)
         coeff, _, rank, _ = scipy.linalg.lstsq(
-            self.matrix, rhs.T, cond=TRUNCATION, lapack_driver="gelsy")
+            self.matrix, rhs.T, cond=1e-13, lapack_driver="gelsy")
         fld = HarmonicField(self.charges, coeff)
         residuals = []
         if check_data is not None:
@@ -537,7 +531,8 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     specs = list(z_spec) if isinstance(z_spec, (list, tuple)) else [z_spec]
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     solver = GreensSolver(domain, mixed, config)
-    interior = domain.interior(*REPRESENTATION_RULE)
+    # finer than the default rule: 48x192 makes a non-constant forcing's error 2.6x larger
+    interior = domain.interior(64, 256)
     ev = solver.solve(probes)
     corrector = ev.corrector_value(interior.nodes)
     gamma = fundamental_solution(interior.nodes, probes).T

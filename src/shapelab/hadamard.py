@@ -33,8 +33,6 @@ from .perturbation import PerturbationFamily, boundary_data
 
 DELTA_N_LADDER = (1e-2, 5e-3, 2.5e-3)
 DELTA2_N_LADDER = (5e-2, 2.5e-2, 1.25e-2)
-# probes closer to the boundary than this many mean node gaps get a warning
-PROBE_MIN_SPACINGS = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +125,13 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
 # ---------------------------------------------------------------------------
 
 def probe_warning(solver: GreensSolver, point: np.ndarray) -> str | None:
-    """Accuracy warning for probes closer to the boundary than a few node gaps."""
+    """Accuracy warning for probes closer to the boundary than three node gaps."""
     point = np.asarray(point, dtype=float)
     for comp in solver.components:
         gaps = np.linalg.norm(comp.nodes - point[None, :], axis=1)
         spacing = float(np.mean(comp.weights))
-        if gaps.min() < PROBE_MIN_SPACINGS * spacing:
-            return (f"probe {point} is within {PROBE_MIN_SPACINGS} node spacings of "
+        if gaps.min() < 3.0 * spacing:
+            return (f"probe {point} is within 3.0 node spacings of "
                     "the boundary; trace quadrature degrades")
     return None
 

@@ -17,11 +17,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyvander2d
 
-# spot_check samples: points per check, their square, and the largest |t|
-SPOT_POINTS = 10
-SPOT_BOX = (-1.0, 1.0)
-SPOT_T_RANGE = 0.1
-
 
 def _sympy():
     """sympy and its symbols x1, x2, t, imported only when an expression is compiled."""
@@ -126,8 +121,8 @@ class IntegrandSpec:
 
     def spot_check(self, rng: np.random.Generator) -> float:
         """Max relative error of declared derivatives against finite differences."""
-        pts = rng.uniform(SPOT_BOX[0], SPOT_BOX[1], size=(SPOT_POINTS, 2))
-        ts = rng.uniform(-SPOT_T_RANGE, SPOT_T_RANGE, size=SPOT_POINTS)
+        pts = rng.uniform(-1.0, 1.0, size=(10, 2))
+        ts = rng.uniform(-0.1, 0.1, size=10)
         h = 1e-5
         h2 = 1e-4  # wider step for the second difference (cancellation)
         worst = 0.0
@@ -180,7 +175,7 @@ class VectorIntegrandSpec:
         )
 
     @classmethod
-    def from_coefficients(cls, c1, c2, label: str = "") -> "VectorIntegrandSpec":
+    def from_coefficients(cls, c1, c2) -> "VectorIntegrandSpec":
         """The field (a1, a2) of two coefficient arrays, as in IntegrandSpec."""
         c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
         shape = np.maximum(c1.shape, c2.shape)  # pad both to one shape
@@ -194,7 +189,6 @@ class VectorIntegrandSpec:
             divergence=_polynomial([div]),
             divergence_dt=_polynomial([_shifted(div, 2)]),
             divergence_gradient=_polynomial([_shifted(div, 0), _shifted(div, 1)], (2,)),
-            label=label,
         )
 
 

@@ -19,13 +19,8 @@ from .geometry import (MIN_SPEED, BoundaryGrid, CollarExtension, _rotate_quarter
                        fourier_derivative)
 
 
-# flow integration: largest |t| and most RK4 steps per integration
+# largest |t| a flow integration accepts
 FLOW_T_MAX = 0.25
-FLOW_MAX_STEPS = 10000
-# minor-expansion check: base t-ladder, slope floor, and most ladder halvings
-MINOR_LADDER = (0.1, 0.05, 0.025, 0.0125)
-MINOR_SLOPE_THRESHOLD = 2.5
-MINOR_MAX_REFINEMENTS = 4
 
 
 class PerturbationError(ValueError):
@@ -233,7 +228,7 @@ class FlowFamily(PerturbationFamily):
         if abs(t) > FLOW_T_MAX:
             raise PerturbationError(f"|t|={abs(t)} exceeds t_max={FLOW_T_MAX}")
         n_steps = max(1, int(np.ceil(abs(t) / self.step)))
-        if n_steps > FLOW_MAX_STEPS:
+        if n_steps > 10000:
             raise PerturbationError("step-count overflow in flow integration")
         h = t / n_steps
         x = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
@@ -467,14 +462,15 @@ def minor_expansion_check(ds: np.ndarray, dr: np.ndarray, i: int, j: int) -> Min
         logs_r = np.log(np.maximum(rem, 1e-300))
         return rem, float(np.polyfit(logs_t, logs_r, 1)[0])
 
-    steps = MINOR_LADDER
+    threshold = 2.5
+    steps = (0.1, 0.05, 0.025, 0.0125)
     remainders, slope = measure(steps)
-    for _ in range(MINOR_MAX_REFINEMENTS):
-        if slope >= MINOR_SLOPE_THRESHOLD:
+    for _ in range(4):
+        if slope >= threshold:
             break
         steps = tuple(0.5 * t for t in steps)
         remainders, slope = measure(steps)
-    passed = bool(slope >= MINOR_SLOPE_THRESHOLD)
+    passed = bool(slope >= threshold)
     return MinorExpansionReport(i, j, steps, tuple(remainders), slope, passed)
 
 
