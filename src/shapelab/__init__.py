@@ -10,22 +10,20 @@ from .geometry import (BoundaryCurve, BoundaryGrid, CollarExtension, Domain,
                        GeometryError, InteriorQuadrature, MixedBoundary,
                        all_dirichlet, annulus, build_grid, collar_extend,
                        disk, elliptical_domain, interior_quadrature, make_curve,
-                       second_fundamental_form, star_domain, tangential_grad,
-                       tangential_laplacian)
+                       second_fundamental_form, star_domain, tangential_grad)
 from .greens import (GreensAccuracyError, GreensConfig, GreensError,
                      GreensEval, GreensSolver, disk_greens,
                      fundamental_gradient, fundamental_solution,
-                     perturbed_greens, representation_check, solve_corrector)
+                     perturbed_greens, representation_check)
 from .hadamard import (HadamardCoefficients, chi_sigma, delta2_n_bvp,
                        delta2_n_fd, delta2_n_formula, delta2_n_routes,
                        delta_n_bvp, delta_n_fd, delta_n_formula,
                        delta_n_routes, gradient_pairing_residual,
                        probe_warning, second_bvp_data)
 from .integrands import IntegrandSpec, VectorIntegrandSpec
-from .liouville import (VariationReport, boundary_flux_first,
-                        boundary_flux_second, fd_reference, first_area,
-                        first_volume, nu_dot, nu_dot_fd, second_area,
-                        second_volume)
+from .liouville import (boundary_flux_first, boundary_flux_second,
+                        fd_reference, first_area, first_volume, nu_dot,
+                        nu_dot_fd, second_area, second_volume)
 from .perturbation import (FlowFamily, NormalFamily, PerturbationError,
                            PolynomialField, TaylorFamily, boundary_data,
                            det_derivatives, dilation, inverse_jacobian_derivatives,

@@ -18,21 +18,17 @@ import numpy as np
 class FDResult:
     """Ladder of derivative estimates plus the Richardson value on the finest pair.
 
-    ``estimates`` and ``richardson`` are floats for scalar g and arrays of
-    g's shape otherwise.
+    ``estimates`` and ``value`` are floats for scalar g and arrays of g's
+    shape otherwise.
     """
 
     order: int
     ladder: tuple
     estimates: tuple
-    richardson: float | np.ndarray
+    value: float | np.ndarray
     observed_order: float | None
     monotone: bool
     warnings: tuple = field(default_factory=tuple)
-
-    @property
-    def value(self) -> float | np.ndarray:
-        return self.richardson
 
 
 DEFAULT_FIRST_LADDER = (1e-2, 5e-3, 2.5e-3)

@@ -76,12 +76,52 @@ class Case:
                          time.perf_counter() - start)
 
 
-def _report_from_variation(rep: lv.VariationReport):
-    observed = rep.fd.observed_order if rep.fd is not None else None
-    details = {}
-    if rep.fd is not None:
-        details = {"ladder": list(rep.fd.ladder), "estimates": list(rep.fd.estimates)}
-    return rep.formula_value, rep.oracles, rep.rel_err, observed, details
+# ---------------------------------------------------------------------------
+# formula and route results as report rows
+# ---------------------------------------------------------------------------
+
+def variation_ops() -> dict:
+    """Config kind -> (formula, integral kind of its FD oracle, derivative order).
+
+    Built per call, so that the table holds whatever the module attributes
+    are at that time (a tracer may wrap them after import).
+    """
+    return {"first_volume": (lv.first_volume, "volume", 1),
+            "second_volume": (lv.second_volume, "volume", 2),
+            "first_area": (lv.first_area, "area", 1),
+            "second_area": (lv.second_area, "area", 2),
+            "flux_first": (lv.boundary_flux_first, "flux", 1),
+            "flux_second": (lv.boundary_flux_second, "flux", 2)}
+
+
+def variation_result(kind: str, domain, family, integrand, ladder=None, analytic=None):
+    """(value, oracles, err, observed_order, details) of one Liouville formula.
+
+    The formula of ``kind`` is checked against the FD derivative of its
+    pulled-back integral and, when given, a closed-form ``analytic`` value.
+    err is measured against the closed form when there is one, else against
+    FD, and normalized by 1 + |formula|.
+    """
+    formula, integral, order = variation_ops()[kind]
+    value = formula(domain, family, integrand)
+    fd = lv.fd_reference(integral, domain, family, integrand, order=order, ladder=ladder)
+    oracles = {"fd_richardson": fd.value, "fd_estimates": list(fd.estimates)}
+    reference = fd.value
+    if analytic is not None:
+        oracles["analytic"] = reference = analytic
+    err = abs(value - reference) / (1.0 + abs(value))
+    details = {"ladder": list(fd.ladder), "estimates": list(fd.estimates)}
+    return value, oracles, err, fd.observed_order, details
+
+
+def route_result(tri: hd.RouteTriangle, err=None, **oracles):
+    """(value, oracles, err, observed_order, details) of a Hadamard route run.
+
+    By default the oracles are the BVP and FD routes and err is the worst
+    pairwise gap of the three routes.  The solves' summary goes to details.
+    """
+    return (tri.formula, oracles or {"bvp": tri.bvp, "fd": tri.fd},
+            tri.max_pairwise if err is None else err, None, tri.solve_details())
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +248,18 @@ RANDOM_FLUX = (_poly({(2, 0, 0): 0.4, (0, 1, 0): 0.3, (1, 0, 1): 0.2}),
                _poly({(1, 1, 0): 0.5, (1, 0, 0): -0.1, (0, 0, 1): 0.3}))
 
 
-def _liouville_case(op, domain, family, integrand, analytic=None):
+def _liouville_case(kind, domain, family, integrand, analytic):
     def runner(st, case):
-        rep = op(_domain(st, domain), family(), integrand(),
-                 analytic=analytic() if analytic is not None else None)
-        return _report_from_variation(rep)
+        return variation_result(kind, _domain(st, domain), family(), integrand(),
+                                analytic=analytic)
 
     return runner
 
 
 def _liouville_random(order: int, index: int):
     domains = ["disk", "ellipse", "star"]
-    kinds = ["volume", "area", "flux"]
+    kinds = [("first_volume", "second_volume"), ("first_area", "second_area"),
+             ("flux_first", "flux_second")]
 
     def runner(st, case):
         rng = st.rng(case.case_id)
@@ -230,17 +270,12 @@ def _liouville_random(order: int, index: int):
         else:
             family = pert.TaylorFamily(pert.random_polynomial_field(rng, degree=2, scale=0.3),
                                        pert.random_polynomial_field(rng, degree=2, scale=0.3))
-        kind = kinds[index % 3]
-        if kind == "flux":
-            a = VectorIntegrandSpec.from_coefficients(*RANDOM_FLUX)
-            op = lv.boundary_flux_first if order == 1 else lv.boundary_flux_second
-            rep = op(dom, family, a)
+        kind = kinds[index % 3][order - 1]
+        if kind.startswith("flux"):
+            integrand = VectorIntegrandSpec.from_coefficients(*RANDOM_FLUX)
         else:
-            c = random_polynomial_integrand(rng, degree=2, time_degree=2)
-            ops = {("volume", 1): lv.first_volume, ("volume", 2): lv.second_volume,
-                   ("area", 1): lv.first_area, ("area", 2): lv.second_area}
-            rep = ops[(kind, order)](dom, family, c)
-        return _report_from_variation(rep)
+            integrand = random_polynomial_integrand(rng, degree=2, time_degree=2)
+        return variation_result(kind, dom, family, integrand)
 
     return runner
 
@@ -253,10 +288,9 @@ def _liouville_consistency(st, case):
                                                   (1, 0, 0): 0.3, (1, 1, 1): 0.4}))
     collar = geo.collar_extend(dom.grids[0], np.ones(dom.grids[0].size))
     a = normal_scaled_integrand(c, collar)
-    r1 = lv.first_area(dom, fam, c, skip_fd=True)
-    r2 = lv.boundary_flux_first(dom, fam, a, skip_fd=True)
-    err = abs(r1.formula_value - r2.formula_value)
-    return r1.formula_value, {"flux_route": r2.formula_value}, err
+    area = lv.first_area(dom, fam, c)
+    flux = lv.boundary_flux_first(dom, fam, a)
+    return area, {"flux_route": flux}, abs(area - flux)
 
 
 def _liouville_nu_dot(st, case):
@@ -463,37 +497,26 @@ def _delta_n_rotation(st, case):
     return val, {"symmetry": 0.0}, abs(val)
 
 
-def _delta_n_triangle(kind: str):
+def _setup(kind: str):
+    """(boundary assignment, family) of the disk and mixed-annulus route cases."""
+    if kind == "disk":
+        return geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation())
+    return (geo.MixedBoundary(("dirichlet", "neumann")),
+            pert.TaylorFamily(pert.translation(1.0, 0.0)))
+
+
+def _route_triangle(order: int, kind: str):
+    """The three routes of one variation; the second on the disk adds the scaling oracle."""
     def runner(st, case):
-        dom = _domain(st, kind)
-        mixedb = geo.all_dirichlet(1) if kind == "disk" \
-            else geo.MixedBoundary(("dirichlet", "neumann"))
-        fam = pert.TaylorFamily(pert.dilation()) if kind == "disk" \
-            else pert.TaylorFamily(pert.translation(1.0, 0.0))
+        routes = hd.delta_n_routes if order == 1 else hd.delta2_n_routes
+        mixedb, fam = _setup(kind)
         x, y = _probe_pair(kind)
-        tri = hd.delta_n_routes(dom, mixedb, fam, x, y, st.greens_config())
-        return (tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise,
-                None, tri.solve_details())
-
-    return runner
-
-
-def _delta2_n_triangle(kind: str):
-    def runner(st, case):
-        dom = _domain(st, kind)
-        mixedb = geo.all_dirichlet(1) if kind == "disk" \
-            else geo.MixedBoundary(("dirichlet", "neumann"))
-        fam = pert.TaylorFamily(pert.dilation()) if kind == "disk" \
-            else pert.TaylorFamily(pert.translation(1.0, 0.0))
-        x, y = _probe_pair(kind)
-        tri = hd.delta2_n_routes(dom, mixedb, fam, x, y, st.greens_config())
-        oracles = {"bvp": tri.bvp, "fd": tri.fd}
-        err = tri.max_pairwise
-        if kind == "disk":
-            oracle = hd.disk_dilation_delta_n(x, y, order=2)
-            oracles["scaling_oracle"] = oracle
-            err = max(err, abs(tri.formula - oracle) / (1 + abs(oracle)))
-        return tri.formula, oracles, err, None, tri.solve_details()
+        tri = routes(_domain(st, kind), mixedb, fam, x, y, st.greens_config())
+        if order == 1 or kind != "disk":
+            return route_result(tri)
+        oracle = hd.disk_dilation_delta_n(x, y, order=2)
+        err = max(tri.max_pairwise, abs(tri.formula - oracle) / (1 + abs(oracle)))
+        return route_result(tri, err, bvp=tri.bvp, fd=tri.fd, scaling_oracle=oracle)
 
     return runner
 
@@ -504,17 +527,14 @@ def _delta2_rotation(st, case):
     tri = hd.delta2_n_routes(dom, geo.all_dirichlet(1),
                              pert.FlowFamily(pert.rotation()), x, y,
                              st.greens_config())
-    return (tri.formula, {"symmetry": 0.0}, max(abs(tri.formula), abs(tri.bvp), abs(tri.fd)),
-            None, tri.solve_details())
+    return route_result(tri, max(abs(tri.formula), abs(tri.bvp), abs(tri.fd)),
+                        symmetry=0.0)
 
 
 def _gradient_pairing(kind: str):
     def runner(st, case):
         dom = _domain(st, kind)
-        mixedb = geo.all_dirichlet(1) if kind == "disk" \
-            else geo.MixedBoundary(("dirichlet", "neumann"))
-        fam = pert.TaylorFamily(pert.dilation()) if kind == "disk" \
-            else pert.TaylorFamily(pert.translation(1.0, 0.0))
+        mixedb, fam = _setup(kind)
         x, y = _probe_pair(kind)
         solver = gr.GreensSolver(dom, mixedb, st.greens_config())
         ev = solver.solve(np.stack([x, y]))
@@ -527,8 +547,7 @@ def _gradient_pairing(kind: str):
 
 def _pole_symmetry(st, case):
     dom = _domain(st, "annulus")
-    mixedb = geo.MixedBoundary(("dirichlet", "neumann"))
-    fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
+    mixedb, fam = _setup("annulus")
     x, y = _probe_pair("annulus")
     solver = gr.GreensSolver(dom, mixedb, st.greens_config())
     ev = solver.solve(np.stack([x, y]))
@@ -574,46 +593,41 @@ def build_registry() -> list[Case]:
              description="Kinematic second derivative of the flow map equals the advective acceleration normally."),
         Case("liouville-disk-dilation-first-volume", "liouville",
              "first volume derivative formula", 1e-8,
-             _liouville_case(lv.first_volume, "disk", dil, lambda: one(1.0),
-                             analytic=lambda: TWO_PI),
+             _liouville_case("first_volume", "disk", dil, lambda: one(1.0), TWO_PI),
              description="Dilated disk area rate: formula value 2*pi against the closed form."),
         Case("liouville-disk-dilation-first-area", "liouville",
              "first area derivative formula", 1e-8,
-             _liouville_case(lv.first_area, "disk", dil, lambda: one(1.0),
-                             analytic=lambda: TWO_PI),
+             _liouville_case("first_area", "disk", dil, lambda: one(1.0), TWO_PI),
              description="Dilated circle perimeter rate: 2*pi against the closed form."),
         Case("liouville-disk-translation-moment", "liouville",
              "first volume derivative formula", 1e-10,
-             _liouville_case(lv.first_volume, "disk", trans,
+             _liouville_case("first_volume", "disk", trans,
                              lambda: IntegrandSpec.from_coefficients(POSITION[0]),
-                             analytic=lambda: np.pi),
+                             np.pi),
              description="First moment of a translating disk: derivative pi."),
         Case("liouville-rotation-first-volume-zero", "liouville",
              "first volume derivative formula", 1e-10,
-             _liouville_case(lv.first_volume, "disk", rot, lambda: one(1.0),
-                             analytic=lambda: 0.0),
+             _liouville_case("first_volume", "disk", rot, lambda: one(1.0), 0.0),
              description="Rotation flow preserves area: derivative vanishes."),
         Case("liouville-disk-dilation-second-volume", "liouville",
              "second volume derivative formula", 1e-6,
-             _liouville_case(lv.second_volume, "disk", dil, lambda: one(1.0),
-                             analytic=lambda: TWO_PI),
+             _liouville_case("second_volume", "disk", dil, lambda: one(1.0), TWO_PI),
              description="Second derivative of the dilated disk area: 2*pi."),
         Case("liouville-disk-dilation-second-area", "liouville",
              "second area derivative formula", 1e-6,
-             _liouville_case(lv.second_area, "disk", dil, lambda: one(1.0),
-                             analytic=lambda: 0.0),
+             _liouville_case("second_area", "disk", dil, lambda: one(1.0), 0.0),
              description="Dilated perimeter is linear in t: second derivative vanishes."),
         Case("liouville-flux-first-dilation", "liouville",
              "first flux derivative formula", 1e-10,
-             _liouville_case(lv.boundary_flux_first, "disk", dil,
+             _liouville_case("flux_first", "disk", dil,
                              lambda: VectorIntegrandSpec.from_coefficients(*POSITION),
-                             analytic=lambda: 4 * np.pi),
+                             4 * np.pi),
              description="Flux of the position field through the dilated circle: rate 4*pi."),
         Case("liouville-flux-second-dilation", "liouville",
              "second flux derivative formula", 1e-8,
-             _liouville_case(lv.boundary_flux_second, "disk", dil,
+             _liouville_case("flux_second", "disk", dil,
                              lambda: VectorIntegrandSpec.from_coefficients(*POSITION),
-                             analytic=lambda: 4 * np.pi),
+                             4 * np.pi),
              description="Second derivative of the same flux: 4*pi."),
         Case("liouville-area-flux-consistency", "liouville",
              "area formula as a normal-field flux", 1e-9, _liouville_consistency,
@@ -623,7 +637,7 @@ def build_registry() -> list[Case]:
              description="Moving-normal rate under translation: sin(theta) tau, orthogonal to nu."),
         Case("liouville-star-translation-second-area", "liouville",
              "second area derivative formula", 1e-3, _liouville_case(
-                 lv.second_area, "star", trans, lambda: one(1.0), analytic=lambda: 0.0),
+                 "second_area", "star", trans, lambda: one(1.0), 0.0),
              description="Translation preserves the star perimeter; second derivative vanishes (FD cross-check)."),
     ]
     for k in range(6):
@@ -679,16 +693,16 @@ def build_registry() -> list[Case]:
              _delta_n_rotation,
              description="Rotation flow on the disk: first variation vanishes."),
         Case("hadamard-delta-n-triangle-disk", "hadamard",
-             "first-variation route agreement", 1e-3, _delta_n_triangle("disk"),
+             "first-variation route agreement", 1e-3, _route_triangle(1, "disk"),
              description="Pairing formula vs variation BVP vs re-solve differences on the disk."),
         Case("hadamard-delta-n-triangle-annulus", "hadamard",
-             "first-variation route agreement", 1e-3, _delta_n_triangle("annulus"),
+             "first-variation route agreement", 1e-3, _route_triangle(1, "annulus"),
              description="Same three routes on the mixed annulus under translation."),
         Case("hadamard-delta2-n-triangle-disk", "hadamard",
-             "second-variation route agreement", 1e-2, _delta2_n_triangle("disk"),
+             "second-variation route agreement", 1e-2, _route_triangle(2, "disk"),
              description="Second variation: formula vs second-order BVP vs 5-point differences, plus the scaling oracle."),
         Case("hadamard-delta2-n-triangle-annulus", "hadamard",
-             "second-variation route agreement", 1e-2, _delta2_n_triangle("annulus"),
+             "second-variation route agreement", 1e-2, _route_triangle(2, "annulus"),
              description="Same three routes on the mixed annulus under translation."),
         Case("hadamard-delta2-rotation-zero", "hadamard",
              "second-variation route agreement", 1e-6, _delta2_rotation,

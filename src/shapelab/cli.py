@@ -20,9 +20,9 @@ import numpy as np
 
 from . import geometry as geo
 from . import hadamard as hd
-from . import liouville as lv
 from . import perturbation as pert
-from .cases import Case, CaseSettings, _report_from_variation, build_registry, suites
+from .cases import (Case, CaseSettings, build_registry, route_result, suites,
+                    variation_ops, variation_result)
 from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .report import write_reports
 
@@ -75,13 +75,10 @@ def _family_from_config(fam_spec):
 
 
 def _liouville_case(spec) -> Case:
-    ops = {"first_volume": lv.first_volume, "second_volume": lv.second_volume,
-           "first_area": lv.first_area, "second_area": lv.second_area,
-           "flux_first": lv.boundary_flux_first,
-           "flux_second": lv.boundary_flux_second}
     case_id, kind = spec["id"], spec["kind"]
-    if kind not in ops:
-        raise ConfigError(f"unknown kind {kind!r}; choose from {sorted(ops)}")
+    kinds = sorted(variation_ops())
+    if kind not in kinds:
+        raise ConfigError(f"unknown kind {kind!r}; choose from {kinds}")
     curve = geo.make_curve(**spec["domain"])
     family = _family_from_config(spec["family"])
     expr = spec["integrand"]
@@ -103,8 +100,8 @@ def _liouville_case(spec) -> Case:
             integrand = VectorIntegrandSpec.from_expressions(*expr)
         else:
             integrand = IntegrandSpec.from_expression(expr)
-        rep = ops[kind](geo.Domain(curve, m=st.m), family, integrand, ladder=ladder)
-        return _report_from_variation(rep)
+        return variation_result(kind, geo.Domain(curve, m=st.m), family, integrand,
+                                ladder=ladder)
 
     return Case(case_id, "liouville", "config-declared derivative case",
                 tolerance, runner, description=f"user case {case_id} ({kind})")
@@ -129,10 +126,9 @@ def _hadamard_case(spec) -> Case:
     kwargs = {"ladder": tuple(spec["ladder"])} if spec.get("ladder") else {}
 
     def runner(st, case):
-        tri = routes[variation](geo.Domain(curve, m=st.m), mixed, family,
-                                probes[0], probes[1], st.greens_config(), **kwargs)
-        return (tri.formula, {"bvp": tri.bvp, "fd": tri.fd}, tri.max_pairwise,
-                None, tri.solve_details())
+        return route_result(routes[variation](geo.Domain(curve, m=st.m), mixed, family,
+                                              probes[0], probes[1], st.greens_config(),
+                                              **kwargs))
 
     return Case(case_id, "hadamard", "config-declared variation case",
                 tolerance, runner,
@@ -179,17 +175,26 @@ def resolve_cases(registry: list[Case], suite: str | None,
     return [c for c in registry if c.suite == suite]
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, not {value!r}") from exc
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        overrides = dict(cfg.get("overrides", {}))
+        overrides = {key: _integer(key, value)
+                     for key, value in cfg.get("overrides", {}).items()}
         for item in args.override or []:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not key=value")
             key, value = item.split("=", 1)
             if key not in OVERRIDE_KEYS:
                 raise ConfigError(f"unknown override key {key!r}")
-            overrides[key] = int(value)
+            overrides[key] = _integer(key, value)
+        seed = args.seed if args.seed is not None else _integer("seed", cfg.get("seed", 0))
         registry = build_registry()
         registry += _custom_liouville_cases(cfg.get("custom_liouville", []))
         registry += _custom_hadamard_cases(cfg.get("custom_hadamard", []))
@@ -200,10 +205,9 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = args.out_dir or cfg.get("out_dir", "reports")
 
-    settings = CaseSettings(seed=seed, **{key: int(value) for key, value in overrides.items()})
+    settings = CaseSettings(seed=seed, **overrides)
     rows = sorted((c.run(settings) for c in cases), key=lambda r: r.case_id)
     payload = write_reports(rows, out_dir, seed, overrides)
 

@@ -291,11 +291,6 @@ def tangential_grad(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
     return fourier_derivative(values) / grid.speed
 
 
-def tangential_laplacian(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
-    """Second arclength derivative d^2 f/ds^2 (tangential Laplacian in the plane)."""
-    return tangential_grad(grid, tangential_grad(grid, values))
-
-
 def second_fundamental_form(grid: BoundaryGrid, xi, eta, j: int) -> float:
     """Curvature-weighted tangential bilinear form kappa (xi.tau)(eta.tau) at node j.
 
@@ -374,12 +369,6 @@ class CollarExtension:
         theta, _ = self.project(points)
         return fourier_interpolate(self.values, theta)
 
-    def normal_derivative(self, points: np.ndarray) -> np.ndarray:
-        """d/dn of the extension: identically zero by construction."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.project(points)
-        return np.zeros(points.shape[0])
-
     def extended_normal(self, points: np.ndarray) -> np.ndarray:
         _, _, _, nu, _ = self.frame(points)
         return nu
@@ -388,22 +377,6 @@ class CollarExtension:
         """div of the extended unit normal: kappa/(1 + n*kappa) in tubular coordinates."""
         _, offset, _, _, kappa = self.frame(points)
         return kappa / (1.0 + offset * kappa)
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Full spatial gradient of the extension: (df/ds) tau / (1 + n*kappa)."""
-        theta, offset, tau, _, kappa = self.frame(points)
-        dtheta = fourier_interpolate(fourier_derivative(self.values), theta)
-        dx = self.grid.curve.velocity(theta)
-        speed = np.hypot(dx[:, 0], dx[:, 1])
-        dds = dtheta / speed / (1.0 + offset * kappa)
-        return dds[:, None] * tau
-
-    def scaled_field_divergence(self, points: np.ndarray, field: np.ndarray,
-                                field_divergence: np.ndarray) -> np.ndarray:
-        """div(f~ V) for an ambient field V given by values and divergence."""
-        grad = self.gradient(points)
-        return (np.einsum("ni,ni->n", grad, np.atleast_2d(field))
-                + self.evaluate(points) * field_divergence)
 
 
 def collar_extend(grid: BoundaryGrid, values: np.ndarray,
@@ -517,22 +490,22 @@ def all_dirichlet(n_components: int) -> MixedBoundary:
 
 
 class Domain:
-    """A boundary curve with grids on every component and cached interior rules."""
+    """A boundary curve with grids on every component and a cached interior rule."""
 
     def __init__(self, curve: BoundaryCurve, m: int = 128):
         self.curve = curve
         self.grids = tuple(build_grid(c, m) for c in curve.components)
-        self._interior_cache: dict = {}
+        self._interior: InteriorQuadrature | None = None
 
     @property
     def n_components(self) -> int:
         return self.curve.n_components
 
-    def interior(self, n_radial: int = 48, n_angular: int = 192) -> InteriorQuadrature:
-        key = (n_radial, n_angular)
-        if key not in self._interior_cache:
-            self._interior_cache[key] = interior_quadrature(self.curve, n_radial, n_angular)
-        return self._interior_cache[key]
+    def interior(self) -> InteriorQuadrature:
+        """The interior rule of the domain (48 x 192 nodes), built once."""
+        if self._interior is None:
+            self._interior = interior_quadrature(self.curve)
+        return self._interior
 
 
 def make_curve(name: str, **params) -> BoundaryCurve:

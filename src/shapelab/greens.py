@@ -398,14 +398,6 @@ class GreensEval:
         return self.value(self.components[i].nodes)
 
 
-def greens_traces(ev: GreensEval):
-    """Nodal (dN/dnu on Dirichlet pieces, dN/ds on Neumann pieces) per component."""
-    out = []
-    for i, comp in enumerate(ev.components):
-        out.append(ev.normal_trace(i) if comp.dirichlet else ev.tangential_trace(i))
-    return out
-
-
 def contains(components: list[ComponentDiscretization], point: np.ndarray) -> bool:
     w = sum(_winding_number(c.nodes, np.asarray(point, float)) for c in components)
     return abs(w - 1.0) < 0.5
@@ -452,11 +444,6 @@ class GreensSolver:
         Per component one data set (M,) or k of them (k, M), in one gelsy call.
         """
         return self.solver.solve_nodal(nodal_data)
-
-
-def solve_corrector(domain: Domain, mixed: MixedBoundary, y,
-                    config: GreensConfig | None = None) -> GreensEval:
-    return GreensSolver(domain, mixed, config).solve(y)
 
 
 def perturbed_greens(domain: Domain, mixed: MixedBoundary, family, t: float, y,
@@ -531,8 +518,7 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     specs = list(z_spec) if isinstance(z_spec, (list, tuple)) else [z_spec]
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     solver = GreensSolver(domain, mixed, config)
-    # finer than the default rule: 48x192 makes a non-constant forcing's error 2.6x larger
-    interior = domain.interior(64, 256)
+    interior = domain.interior()
     ev = solver.solve(probes)
     corrector = ev.corrector_value(interior.nodes)
     gamma = fundamental_solution(interior.nodes, probes).T

@@ -20,7 +20,7 @@ one is kept as a reported diagnostic (``chi_display_residual``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,22 +43,14 @@ DELTA2_N_LADDER = (5e-2, 2.5e-2, 1.25e-2)
 class HadamardCoefficients:
     """Nodal second-variation boundary coefficients in three assemblies."""
 
-    chi_raw: list          # acceleration-field route
+    chi: list              # acceleration-field (raw) route
     chi_transport: list    # normal-speed derivative route (corrected display)
     chi_curvature: list    # second-fundamental-form route
-    sigma_raw: list
+    sigma: list
     sigma_transport: list
     sigma_curvature: list
     chi_display_residual: list  # literal transport display minus raw form
     max_discrepancy: float
-
-    @property
-    def chi(self) -> list:
-        return self.chi_raw
-
-    @property
-    def sigma(self) -> list:
-        return self.sigma_raw
 
 
 def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficients:
@@ -175,26 +167,36 @@ def delta_n_bvp(solver: GreensSolver, family: PerturbationFamily,
     return solver.harmonic_bvp(nodal)
 
 
-def _resolved_value(domain: Domain, mixed: MixedBoundary,
-                    family: PerturbationFamily, x, y,
-                    config: GreensConfig | None):
-    """t -> N_t(x, y), each value a full re-solve on T_t(Omega)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _probe_messages(solver: GreensSolver, points) -> list[str]:
+    return [m for m in (probe_warning(solver, p) for p in points) if m is not None]
+
+
+def _resolved_ladder(order: int, domain: Domain, mixed: MixedBoundary,
+                     family: PerturbationFamily, x, y, ladder,
+                     config: GreensConfig | None) -> FDResult:
+    """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega).
+
+    The result's ``warnings`` gain the probe warnings of every re-solve,
+    judged against that re-solve's own boundary, each distinct one once.
+    """
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    messages = []
 
     def value(t):
         solver = GreensSolver(domain, mixed, config, family=family, t=t)
-        return solver.solve(y).value(x)[0]
+        messages.extend(_probe_messages(solver, (x, y)))
+        return solver.solve(y).value(x[None, :])[0]
 
-    return value
+    fd = derivative_ladder(value, order=order, ladder=ladder)
+    return replace(fd, warnings=tuple(dict.fromkeys(fd.warnings + tuple(messages))))
 
 
 def delta_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                x: np.ndarray, y: np.ndarray, ladder=DELTA_N_LADDER,
                config: GreensConfig | None = None) -> FDResult:
     """First variation by re-solving on the deformed domain along a t-ladder."""
-    value = _resolved_value(domain, mixed, family, x, y, config)
-    return derivative_ladder(value, order=1, ladder=ladder)
+    return _resolved_ladder(1, domain, mixed, family, x, y, ladder, config)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +276,7 @@ def delta2_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily
                 x: np.ndarray, y: np.ndarray, ladder=DELTA2_N_LADDER,
                 config: GreensConfig | None = None) -> FDResult:
     """Second variation by 5-point differencing of full re-solves."""
-    value = _resolved_value(domain, mixed, family, x, y, config)
-    return derivative_ladder(value, order=2, ladder=ladder)
+    return _resolved_ladder(2, domain, mixed, family, x, y, ladder, config)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,6 @@ class RouteTriangle:
     number of charges.
     """
 
-    quantity: str
     formula: float
     bvp: float
     fd: float
@@ -363,39 +363,48 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def _triangle(quantity: str, formula: float, bvp: float, fd: float,
-              diagnostics: list[SolveDiagnostics]) -> RouteTriangle:
+def _triangle(formula: float, bvp: float, fd: FDResult,
+              diagnostics: list[SolveDiagnostics], issued: list[str]) -> RouteTriangle:
+    """The route comparison; re-solve probe warnings not ``issued`` yet go to the caller.
+
+    The FD ladder's own warnings stay in the FD result.
+    """
+    for message in fd.warnings:
+        if message.startswith("probe ") and message not in issued:
+            warnings.warn(message, stacklevel=3)
     pairwise = {"formula_vs_bvp": _rel(formula, bvp),
-                "formula_vs_fd": _rel(formula, fd),
-                "bvp_vs_fd": _rel(bvp, fd)}
-    return RouteTriangle(quantity, formula, bvp, fd, pairwise,
+                "formula_vs_fd": _rel(formula, fd.value),
+                "bvp_vs_fd": _rel(bvp, fd.value)}
+    return RouteTriangle(formula, bvp, fd.value, pairwise,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),
                          diagnostics[0].n_unknowns)
 
 
 def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):
-    """Probes, solver and pole block (x, y) of a route run.
+    """Probes, solver, pole block (x, y) and probe warnings of a route run.
 
-    Each probe's ``probe_warning`` is issued for the caller of the route.
+    The probe warnings on the base boundary are issued for the caller of the
+    route before any solve, and returned.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     solver = GreensSolver(domain, mixed, config)
-    for message in filter(None, (probe_warning(solver, p) for p in (x, y))):
+    messages = _probe_messages(solver, (x, y))
+    for message in messages:
         warnings.warn(message, stacklevel=3)
-    return x, y, solver, solver.solve(np.stack([x, y]))
+    return x, y, solver, solver.solve(np.stack([x, y])), messages
 
 
 def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                    x, y, config: GreensConfig | None = None,
                    ladder=DELTA_N_LADDER) -> RouteTriangle:
     """Run all three first-variation routes for one probe pair."""
-    x, y, solver, ev = _route_poles(domain, mixed, x, y, config)
+    x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     formula = delta_n_formula(solver, family, ev)
     udot_y, bvp_diag = delta_n_bvp(solver, family, ev[1])
     bvp = float(udot_y.value(x[None, :])[0])
-    fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config).value
-    return _triangle("delta_n", formula, bvp, fd, [*ev.diagnostics, bvp_diag])
+    fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config)
+    return _triangle(formula, bvp, fd, [*ev.diagnostics, bvp_diag], messages)
 
 
 def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
@@ -406,12 +415,12 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     Three solves: the poles (x, y), their first variations, then the second
     variation for y.
     """
-    x, y, solver, ev = _route_poles(domain, mixed, x, y, config)
+    x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)
     udot, udot_diags = delta_n_bvp(solver, family, ev)
     formula = delta2_n_formula(solver, family, ev, udot, coeffs)
     uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
-    fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config).value
-    return _triangle("delta2_n", formula, bvp, fd,
-                     [*ev.diagnostics, *udot_diags, uddot_diag])
+    fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config)
+    return _triangle(formula, bvp, fd, [*ev.diagnostics, *udot_diags, uddot_diag],
+                     messages)

@@ -79,7 +79,6 @@ class IntegrandSpec:
     hessian: Callable | None = None    # (pts, t) -> (N, 2, 2)
     dt_gradient: Callable | None = None  # (pts, t) -> (N, 2), grad of c_t
     label: str = ""
-    zero: bool = False
 
     @classmethod
     def from_expression(cls, expr, label: str | None = None) -> "IntegrandSpec":
@@ -95,7 +94,6 @@ class IntegrandSpec:
             hessian=_vectorized(sp.Matrix(hess), (2, 2)),
             dt_gradient=_vectorized(sp.Matrix([sp.diff(g, t) for g in grad]), (2,)),
             label=label if label is not None else str(expr),
-            zero=expr.is_zero is True,
         )
 
     @classmethod
@@ -112,7 +110,6 @@ class IntegrandSpec:
             hessian=_polynomial([_shifted(cx, 0), cxy, cxy, _shifted(cy, 1)], (2, 2)),
             dt_gradient=_polynomial([_shifted(cx, 2), _shifted(cy, 2)], (2,)),
             label=label,
-            zero=not c.any(),
         )
 
     @classmethod

@@ -1,16 +1,14 @@
 """First and second derivative formulas for integrals over moving domains.
 
-Each operation evaluates a boundary/volume formula at t=0 from data on the
-undeformed domain, then cross-checks it against a finite-difference oracle
-that differentiates the pulled-back integral: volume integrals transform
-with det DT_t on fixed interior nodes, boundary integrals are recomputed on
-pushed nodes with stretched weights.  Reports carry both values, errors
-normalized by 1 + |formula|, and the observed FD order.
+Each formula evaluates a derivative at t=0 from data on the undeformed
+domain and returns a float.  ``fd_reference`` is the independent oracle: it
+differentiates the pulled-back integral, where volume integrals transform
+with det DT_t on fixed interior nodes and boundary integrals are recomputed
+on pushed nodes with stretched weights.  ``cases.variation_result`` turns a
+formula and its oracles into a report row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,36 +18,6 @@ from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .perturbation import (PerturbationError, PerturbationFamily,
                            advective_normal_component, boundary_data,
                            pushed_frame)
-
-
-@dataclass
-class VariationReport:
-    """Formula value versus oracle(s) for one derivative evaluation."""
-
-    quantity: str
-    formula_value: float
-    oracles: dict = field(default_factory=dict)
-    abs_err: float = 0.0
-    rel_err: float = 0.0
-    fd: FDResult | None = None
-    warnings: tuple = ()
-
-    @classmethod
-    def build(cls, quantity, formula_value, fd=None, analytic=None, warnings=()):
-        oracles = {}
-        if fd is not None:
-            oracles["fd_richardson"] = fd.value
-            oracles["fd_estimates"] = list(fd.estimates)
-            warnings = tuple(warnings) + fd.warnings
-        if analytic is not None:
-            oracles["analytic"] = analytic
-        # highest-trust oracle first: closed form beats finite differences
-        reference = analytic if analytic is not None else (
-            fd.value if fd is not None else formula_value)
-        abs_err = abs(formula_value - reference)
-        rel_err = abs_err / (1.0 + abs(formula_value))
-        return cls(quantity, float(formula_value), oracles, float(abs_err),
-                   float(rel_err), fd, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -108,38 +76,26 @@ def fd_reference(kind: str, domain: Domain, family: PerturbationFamily,
     return derivative_ladder(g, order=order, ladder=ladder)
 
 
-def _zero_report(quantity: str) -> VariationReport:
-    return VariationReport.build(quantity, 0.0, analytic=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Volume formulas
 # ---------------------------------------------------------------------------
 
-def first_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
-                 ladder=None, analytic=None, skip_fd: bool = False) -> VariationReport:
+def first_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec) -> float:
     """d/dt of the volume integral at t=0: interior c_t plus boundary c0*(S.nu)."""
-    if c.zero:
-        return _zero_report("first_volume")
     interior = domain.interior()
     value = float(np.dot(interior.weights, c.dt(interior.nodes, 0.0)))
     for grid in domain.grids:
         data = boundary_data(family, grid)
         value += grid.integrate(c.value(grid.nodes, 0.0) * data.normal_velocity)
-    fd = None if skip_fd else fd_reference("volume", domain, family, c,
-                                           order=1, ladder=ladder)
-    return VariationReport.build("first_volume", value, fd=fd, analytic=analytic)
+    return value
 
 
-def second_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
-                  ladder=None, analytic=None, skip_fd: bool = False) -> VariationReport:
+def second_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec) -> float:
     """d^2/dt^2 of the volume integral at t=0.
 
     Interior c_tt plus <2 c_t + div(c0 S), S.nu> plus
     <c0, R.nu - [(S.grad)S].nu> on the boundary.
     """
-    if c.zero:
-        return _zero_report("second_volume")
     interior = domain.interior()
     value = float(np.dot(interior.weights, c.dtt(interior.nodes, 0.0)))
     for grid in domain.grids:
@@ -152,20 +108,15 @@ def second_volume(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
         value += grid.integrate((2.0 * cdot + div_c0s) * data.normal_velocity)
         adv = advective_normal_component(data, grid)
         value += grid.integrate(c0 * (data.normal_acceleration - adv))
-    fd = None if skip_fd else fd_reference("volume", domain, family, c,
-                                           order=2, ladder=ladder)
-    return VariationReport.build("second_volume", value, fd=fd, analytic=analytic)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Area formulas
 # ---------------------------------------------------------------------------
 
-def first_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
-               ladder=None, analytic=None, skip_fd: bool = False) -> VariationReport:
+def first_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec) -> float:
     """d/dt of the boundary integral: c_t plus (kappa c0 + dc0/dnu)(S.nu)."""
-    if c.zero:
-        return _zero_report("first_area")
     value = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -173,9 +124,7 @@ def first_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
         dn_c = np.einsum("ni,ni->n", c.gradient(grid.nodes, 0.0), grid.normal)
         value += grid.integrate(c.dt(grid.nodes, 0.0))
         value += grid.integrate((grid.curvature * c0 + dn_c) * data.normal_velocity)
-    fd = None if skip_fd else fd_reference("area", domain, family, c,
-                                           order=1, ladder=ladder)
-    return VariationReport.build("first_area", value, fd=fd, analytic=analytic)
+    return value
 
 
 def _scaled_field_divergence(grid, data, c: IntegrandSpec) -> np.ndarray:
@@ -203,8 +152,7 @@ def _scaled_field_divergence(grid, data, c: IntegrandSpec) -> np.ndarray:
     return grad_dot_s + bracket * div_s
 
 
-def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
-                ladder=None, analytic=None, skip_fd: bool = False) -> VariationReport:
+def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec) -> float:
     """d^2/dt^2 of the boundary integral at t=0.
 
     Assembled from the flux rule applied to the moving unit-normal field
@@ -215,8 +163,6 @@ def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
     d^2 c0/ds^2 with rho^2 is kept in integrated-by-parts form
     -<dc0/ds, d(rho^2)/ds> so only first derivatives of user data appear.
     """
-    if c.zero:
-        return _zero_report("second_area")
     value = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -239,9 +185,7 @@ def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
         adv = advective_normal_component(data, grid)
         bracket = grid.curvature * c0 + dn_c
         value += grid.integrate(bracket * (data.normal_acceleration - adv))
-    fd = None if skip_fd else fd_reference("area", domain, family, c,
-                                           order=2, ladder=ladder)
-    return VariationReport.build("second_area", value, fd=fd, analytic=analytic)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +193,7 @@ def second_area(domain: Domain, family: PerturbationFamily, c: IntegrandSpec,
 # ---------------------------------------------------------------------------
 
 def boundary_flux_first(domain: Domain, family: PerturbationFamily,
-                        a: VectorIntegrandSpec, ladder=None, analytic=None,
-                        skip_fd: bool = False) -> VariationReport:
+                        a: VectorIntegrandSpec) -> float:
     """d/dt of the flux integral: nu . a_t plus (div a)(S.nu)."""
     value = 0.0
     for grid in domain.grids:
@@ -259,14 +202,11 @@ def boundary_flux_first(domain: Domain, family: PerturbationFamily,
         div = a.divergence(grid.nodes, 0.0)
         value += grid.integrate(np.einsum("ni,ni->n", at, grid.normal))
         value += grid.integrate(div * data.normal_velocity)
-    fd = None if skip_fd else fd_reference("flux", domain, family, a,
-                                           order=1, ladder=ladder)
-    return VariationReport.build("boundary_flux_first", value, fd=fd, analytic=analytic)
+    return value
 
 
 def boundary_flux_second(domain: Domain, family: PerturbationFamily,
-                         a: VectorIntegrandSpec, ladder=None, analytic=None,
-                         skip_fd: bool = False) -> VariationReport:
+                         a: VectorIntegrandSpec) -> float:
     """d^2/dt^2 of the flux integral at t=0.
 
     nu . a_tt plus <2 div a_t + grad(div a).S + (div a)(div S), S.nu>
@@ -289,9 +229,7 @@ def boundary_flux_second(domain: Domain, family: PerturbationFamily,
         value += grid.integrate(transported * data.normal_velocity)
         adv = advective_normal_component(data, grid)
         value += grid.integrate(div * (data.normal_acceleration - adv))
-    fd = None if skip_fd else fd_reference("flux", domain, family, a,
-                                           order=2, ladder=ladder)
-    return VariationReport.build("boundary_flux_second", value, fd=fd, analytic=analytic)
+    return value
 
 
 # ---------------------------------------------------------------------------

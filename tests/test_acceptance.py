@@ -28,6 +28,11 @@ def _stamp(number, description, start, bound):
     print(f"\nACCEPTANCE {number}: PASS ({elapsed:.1f}s < {bound}s) {description}")
 
 
+def _rel_err(value, fd):
+    """Gap between a formula value and its FD oracle, normalized by 1 + |value|."""
+    return abs(value - fd.value) / (1.0 + abs(value))
+
+
 def test_criterion_1_jacobian_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
@@ -65,10 +70,8 @@ def test_criterion_2_first_formulas():
     disk = geo.Domain(geo.disk(1.0), m=128)
     dil = pert.TaylorFamily(pert.dilation())
     one = IntegrandSpec.constant(1.0)
-    assert abs(lv.first_volume(disk, dil, one, skip_fd=True).formula_value
-               - TWO_PI) <= 1e-8
-    assert abs(lv.first_area(disk, dil, one, skip_fd=True).formula_value
-               - TWO_PI) <= 1e-8
+    assert abs(lv.first_volume(disk, dil, one) - TWO_PI) <= 1e-8
+    assert abs(lv.first_area(disk, dil, one) - TWO_PI) <= 1e-8
 
     domains = [geo.Domain(geo.disk(1.0), m=128),
                geo.Domain(geo.elliptical_domain(2.0, 1.0), m=128),
@@ -83,9 +86,9 @@ def test_criterion_2_first_formulas():
             fam = pert.TaylorFamily(pert.random_polynomial_field(rng, 2, 0.3),
                                     pert.random_polynomial_field(rng, 2, 0.3))
         c = random_polynomial_integrand(rng, degree=2, time_degree=1)
-        op = lv.first_volume if k % 3 != 2 else lv.first_area
-        rep = op(dom, fam, c)
-        assert rep.rel_err <= 1e-4, f"case {k}: rel err {rep.rel_err}"
+        op, kind = (lv.first_volume, "volume") if k % 3 != 2 else (lv.first_area, "area")
+        err = _rel_err(op(dom, fam, c), lv.fd_reference(kind, dom, fam, c, order=1))
+        assert err <= 1e-4, f"case {k}: rel err {err}"
         checked += 1
     assert checked == 10
     _stamp(2, "first volume/area formulas: anchors and 10 randomized cases",
@@ -97,9 +100,8 @@ def test_criterion_3_second_formulas():
     disk = geo.Domain(geo.disk(1.0), m=128)
     dil = pert.TaylorFamily(pert.dilation())
     one = IntegrandSpec.constant(1.0)
-    assert abs(lv.second_volume(disk, dil, one, skip_fd=True).formula_value
-               - TWO_PI) <= 1e-6
-    assert abs(lv.second_area(disk, dil, one, skip_fd=True).formula_value) <= 1e-6
+    assert abs(lv.second_volume(disk, dil, one) - TWO_PI) <= 1e-6
+    assert abs(lv.second_area(disk, dil, one)) <= 1e-6
 
     domains = [geo.Domain(geo.disk(1.0), m=128),
                geo.Domain(geo.elliptical_domain(1.5, 1.0), m=128),
@@ -113,9 +115,9 @@ def test_criterion_3_second_formulas():
             fam = pert.TaylorFamily(pert.random_polynomial_field(rng, 2, 0.3),
                                     pert.random_polynomial_field(rng, 2, 0.3))
         c = random_polynomial_integrand(rng, degree=2, time_degree=2)
-        op = lv.second_volume if k % 2 == 0 else lv.second_area
-        rep = op(dom, fam, c)
-        assert rep.rel_err <= 1e-2, f"case {k}: rel err {rep.rel_err}"
+        op, kind = (lv.second_volume, "volume") if k % 2 == 0 else (lv.second_area, "area")
+        err = _rel_err(op(dom, fam, c), lv.fd_reference(kind, dom, fam, c, order=2))
+        assert err <= 1e-2, f"case {k}: rel err {err}"
 
     # flow families: the normal acceleration equals the advective component,
     # with the acceleration extracted kinematically from the flow map

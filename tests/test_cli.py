@@ -98,6 +98,28 @@ class TestCli:
                          "--override", "granularity=2",
                          "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", ["m=abc", "n_charges=1.5"])
+    def test_non_integer_override_is_config_error(self, tmp_path, capsys, override):
+        assert cli.main(["run", "--case", "jacobian-dilation-det",
+                         "--override", override,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_non_integer_config_seed_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cases": ["jacobian-dilation-det"], "seed": "x"}))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "seed must be an integer, not 'x'" in capsys.readouterr().err
+
+    def test_non_integer_config_override_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cases": ["jacobian-dilation-det"],
+                                   "overrides": {"m": "abc"}}))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "m must be an integer, not 'abc'" in capsys.readouterr().err
+
     def test_run_writes_reports(self, tmp_path, capsys):
         code = cli.main(["run", "--case", "jacobian-dilation-det",
                          "--case", "jacobian-rotation-det-zero",

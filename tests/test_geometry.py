@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapelab import geometry as geo
+from shapelab.integrands import IntegrandSpec, normal_scaled_integrand
 
 TWO_PI = 2.0 * np.pi
 
@@ -100,13 +101,13 @@ class TestTangentialCalculus:
 
     def test_laplacian_on_circle(self):
         grid = geo.build_grid(geo.circle(1.0), 64)
-        np.testing.assert_allclose(geo.tangential_laplacian(grid, np.cos(grid.thetas)),
-                                   -np.cos(grid.thetas), atol=1e-11)
+        second = geo.tangential_grad(grid, geo.tangential_grad(grid, np.cos(grid.thetas)))
+        np.testing.assert_allclose(second, -np.cos(grid.thetas), atol=1e-11)
 
     def test_laplacian_integrates_to_zero(self):
         grid = geo.build_grid(geo.star(1.0, 0.2, 3), 128)
         f = np.exp(np.sin(grid.thetas))
-        assert abs(grid.integrate(geo.tangential_laplacian(grid, f))) < 1e-10
+        assert abs(grid.integrate(geo.tangential_grad(grid, geo.tangential_grad(grid, f)))) < 1e-10
 
 
 class TestSecondFundamentalForm:
@@ -147,7 +148,6 @@ class TestCollar:
         outer = 1.1 * grid.nodes[5]
         assert ext.evaluate(inner[None, :])[0] == pytest.approx(
             ext.evaluate(outer[None, :])[0], abs=1e-12)
-        assert ext.normal_derivative(grid.nodes[:4]) == pytest.approx(0.0)
 
     def test_normal_divergence_tubular_formula(self):
         grid = geo.build_grid(geo.circle(1.0), 64)
@@ -167,21 +167,28 @@ class TestCollar:
             geo.collar_extend(grid, np.ones(64), half_width=0.3)
 
     def test_gradient_is_tangential(self):
+        # central differences of the extension across and along the circle
         grid = geo.build_grid(geo.circle(1.0), 64)
         ext = geo.collar_extend(grid, np.sin(grid.thetas))
-        g = ext.gradient(grid.nodes[:8])
-        np.testing.assert_allclose(np.einsum("ni,ni->n", g, grid.normal[:8]),
-                                   0.0, atol=1e-12)
-        np.testing.assert_allclose(np.einsum("ni,ni->n", g, grid.tangent[:8]),
-                                   np.cos(grid.thetas[:8]), atol=1e-10)
+        pts, h = grid.nodes[:8], 1e-5
+
+        def slope(direction):
+            return (ext.evaluate(pts + h * direction)
+                    - ext.evaluate(pts - h * direction)) / (2 * h)
+
+        np.testing.assert_allclose(slope(grid.normal[:8]), 0.0, atol=1e-10)
+        np.testing.assert_allclose(slope(grid.tangent[:8]), np.cos(grid.thetas[:8]),
+                                   atol=1e-8)
 
     def test_scaled_field_divergence(self):
-        grid = geo.build_grid(geo.circle(1.0), 64)
-        ext = geo.collar_extend(grid, np.ones(64))
-        pts = grid.nodes[:8]
-        # div(1 * x) = 2 everywhere
-        div = ext.scaled_field_divergence(pts, pts, np.full(8, 2.0))
-        np.testing.assert_allclose(div, 2.0, atol=1e-11)
+        # div(c nu~) of the collar normal scaled by c, against central differences
+        grid = geo.build_grid(geo.ellipse(2.0, 1.0), 128)
+        ext = geo.collar_extend(grid, np.ones(128))
+        a = normal_scaled_integrand(IntegrandSpec.from_expression("1 + x1*x2"), ext)
+        pts, h = 1.05 * grid.nodes[::16], 1e-5
+        fd = sum((a.value(pts + h * e)[:, i] - a.value(pts - h * e)[:, i]) / (2 * h)
+                 for i, e in enumerate(np.eye(2)))
+        np.testing.assert_allclose(a.divergence(pts), fd, atol=1e-7)
 
 
 class TestInteriorQuadrature:

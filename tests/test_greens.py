@@ -241,12 +241,6 @@ class TestAnnulusMixed:
             residuals[n] = gr.GreensSolver(annulus, mixedb, cfg).solve(y).diagnostics.residual
         assert residuals[64] <= 0.1 * residuals[32] or residuals[64] < 1e-9
 
-    def test_traces_helper_selects_by_condition(self, annulus_solver):
-        ev = annulus_solver.solve(np.array([0.0, 0.72]))
-        traces = gr.greens_traces(ev)
-        np.testing.assert_allclose(traces[0], ev.normal_trace(0))
-        np.testing.assert_allclose(traces[1], ev.tangential_trace(1))
-
 
 class TestRepresentation:
     def test_constant_state_on_annulus(self, annulus):
@@ -286,7 +280,7 @@ class TestPerturbedGreens:
         mixedb = geo.all_dirichlet(1)
         fam = pert.TaylorFamily(pert.dilation())
         y = np.array([0.0, 0.4])
-        base = gr.solve_corrector(disk, mixedb, y)
+        base = gr.GreensSolver(disk, mixedb).solve(y)
         moved = gr.perturbed_greens(disk, mixedb, fam, 0.0, y)
         x = np.array([[0.3, -0.1]])
         assert base.value(x)[0] == pytest.approx(moved.value(x)[0], abs=1e-12)
@@ -309,14 +303,14 @@ class TestPerturbedGreens:
         mixedb, cfg = geo.all_dirichlet(1), gr.GreensConfig(n_charges=96)
         fam = pert.TaylorFamily(pert.zero_field())
         y, x = np.array([0.0, 0.4]), np.array([[0.3, 0.0]])
-        base = gr.solve_corrector(star, mixedb, y, cfg).value(x)[0]
+        base = gr.GreensSolver(star, mixedb, cfg).solve(y).value(x)[0]
         for t in (0.0, 1e-3, -1e-3):
             assert gr.perturbed_greens(star, mixedb, fam, t, y, cfg).value(x)[0] == base
 
     def test_rotation_invariance_center_pole(self, disk):
         fam = pert.FlowFamily(pert.rotation())
         y = np.array([0.0, 0.0])
-        base = gr.solve_corrector(disk, geo.all_dirichlet(1), y)
+        base = gr.GreensSolver(disk, geo.all_dirichlet(1)).solve(y)
         moved = gr.perturbed_greens(disk, geo.all_dirichlet(1), fam, 0.1, y)
         x = np.array([[0.35, 0.2]])
         assert abs(base.value(x)[0] - moved.value(x)[0]) < 1e-9

@@ -43,9 +43,9 @@ def generic_flow():
 class TestCoefficients:
     def test_dilation_anchor(self, disk):
         co = hd.chi_sigma(disk, pert.TaylorFamily(pert.dilation()))
-        for chi in (co.chi_raw, co.chi_transport, co.chi_curvature):
+        for chi in (co.chi, co.chi_transport, co.chi_curvature):
             np.testing.assert_allclose(chi[0], -1.0, atol=1e-10)
-        for sigma in (co.sigma_raw, co.sigma_transport, co.sigma_curvature):
+        for sigma in (co.sigma, co.sigma_transport, co.sigma_curvature):
             np.testing.assert_allclose(sigma[0], 0.0, atol=1e-10)
 
     def test_three_forms_agree_on_generic_flow(self):
@@ -160,6 +160,18 @@ class TestFirstVariation:
             tri = routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.translation(0.0, 1.0)),
                          near, DISK_PROBES[1])
         assert np.isfinite(tri.max_pairwise)
+
+    def test_routes_warn_for_a_probe_near_a_re_solved_boundary(self, disk):
+        # (0.80, 0) is 0.20 from the unit circle, outside 3 node spacings
+        # (0.147) at m=128, but the t = -0.1 re-solve of the dilation moves
+        # the circle to radius 0.9; that warning is issued once
+        with pytest.warns(UserWarning, match="node spacings") as record:
+            tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
+                                     np.array([0.80, 0.0]), DISK_PROBES[1])
+        messages = [str(w.message) for w in record if "node spacings" in str(w.message)]
+        assert len(messages) == 1 and "0.8" in messages[0]
+        assert tri.max_pairwise < 1e-9
+        assert tri.residual < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,6 @@ class TestIntegrandSpec:
         assert spec.gradient(PTS, 0.0).shape == (2, 2)
         np.testing.assert_allclose(spec.gradient(PTS, 0.0), 0.0)
 
-    def test_zero_flag(self):
-        assert IntegrandSpec.constant(0.0).zero
-        assert IntegrandSpec.from_expression("0*x1").zero
-        assert not IntegrandSpec.constant(1.0).zero
-
     def test_random_polynomial_reproducible(self):
         a = random_polynomial_integrand(np.random.default_rng(4))
         b = random_polynomial_integrand(np.random.default_rng(4))

@@ -5,6 +5,7 @@ from shapelab import geometry as geo
 from shapelab import liouville as lv
 from shapelab import perturbation as pert
 from shapelab._fd import derivative_ladder
+from shapelab.cases import variation_result
 from shapelab.integrands import (IntegrandSpec, VectorIntegrandSpec,
                                  normal_scaled_integrand,
                                  random_polynomial_integrand)
@@ -30,27 +31,28 @@ def translation(dx=1.0, dy=0.0):
     return pert.TaylorFamily(pert.translation(dx, dy))
 
 
+def fd(kind, domain, family, integrand, order):
+    return lv.fd_reference(kind, domain, family, integrand, order=order).value
+
+
+def rel_gap(value, reference):
+    return abs(value - reference) / (1.0 + abs(value))
+
+
 class TestFirstVolume:
     def test_dilated_disk_area_rate(self, disk):
-        rep = lv.first_volume(disk, dilation(), IntegrandSpec.constant(1.0),
-                              analytic=TWO_PI)
-        assert abs(rep.formula_value - TWO_PI) < 1e-12
-        assert abs(rep.oracles["fd_richardson"] - TWO_PI) < 1e-8
+        one = IntegrandSpec.constant(1.0)
+        assert abs(lv.first_volume(disk, dilation(), one) - TWO_PI) < 1e-12
+        assert abs(fd("volume", disk, dilation(), one, 1) - TWO_PI) < 1e-8
 
     def test_rotation_flow_gives_zero(self, disk):
-        rep = lv.first_volume(disk, pert.FlowFamily(pert.rotation()),
-                              IntegrandSpec.constant(1.0))
-        assert abs(rep.formula_value) < 1e-12
+        value = lv.first_volume(disk, pert.FlowFamily(pert.rotation()),
+                                IntegrandSpec.constant(1.0))
+        assert abs(value) < 1e-12
 
     def test_translated_disk_moment(self, disk):
-        rep = lv.first_volume(disk, translation(),
-                              IntegrandSpec.from_expression("x1"),
-                              analytic=np.pi)
-        assert rep.abs_err < 1e-12
-
-    def test_zero_integrand_short_circuits(self, disk):
-        rep = lv.first_volume(disk, dilation(), IntegrandSpec.constant(0.0))
-        assert rep.formula_value == 0.0 and rep.fd is None
+        value = lv.first_volume(disk, translation(), IntegrandSpec.from_expression("x1"))
+        assert abs(value - np.pi) < 1e-12
 
     def test_folding_deformation_rejected(self, disk):
         squash = pert.TaylorFamily(pert.PolynomialField({(0, 1, 0): -1.0}))
@@ -60,97 +62,84 @@ class TestFirstVolume:
 
 class TestSecondVolume:
     def test_dilated_disk_area_curvature(self, disk):
-        rep = lv.second_volume(disk, dilation(), IntegrandSpec.constant(1.0),
-                               analytic=TWO_PI)
-        assert abs(rep.formula_value - TWO_PI) < 1e-12
-        assert abs(rep.oracles["fd_richardson"] - TWO_PI) < 1e-6
+        one = IntegrandSpec.constant(1.0)
+        assert abs(lv.second_volume(disk, dilation(), one) - TWO_PI) < 1e-12
+        assert abs(fd("volume", disk, dilation(), one, 2) - TWO_PI) < 1e-6
 
     def test_rotation_flow_gives_zero(self, disk):
-        rep = lv.second_volume(disk, pert.FlowFamily(pert.rotation()),
-                               IntegrandSpec.constant(1.0))
-        assert abs(rep.formula_value) < 1e-12
+        value = lv.second_volume(disk, pert.FlowFamily(pert.rotation()),
+                                 IntegrandSpec.constant(1.0))
+        assert abs(value) < 1e-12
 
     def test_ellipse_flow_against_fd(self, ellipse):
         fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
-        rep = lv.second_volume(ellipse, fam, IntegrandSpec.from_expression("x2**2"))
-        assert rep.rel_err < 1e-4
+        c = IntegrandSpec.from_expression("x2**2")
+        assert rel_gap(lv.second_volume(ellipse, fam, c), fd("volume", ellipse, fam, c, 2)) < 1e-4
 
     def test_pure_transport_matches_fd_tightly(self, disk):
-        rep = lv.second_volume(disk, translation(0.8, -0.4),
-                               IntegrandSpec.from_expression("x1**2*x2"))
-        assert rep.rel_err < 1e-6
+        fam, c = translation(0.8, -0.4), IntegrandSpec.from_expression("x1**2*x2")
+        assert rel_gap(lv.second_volume(disk, fam, c), fd("volume", disk, fam, c, 2)) < 1e-6
 
 
 class TestFirstArea:
     def test_dilated_circle_perimeter_rate(self, disk):
-        rep = lv.first_area(disk, dilation(), IntegrandSpec.constant(1.0),
-                            analytic=TWO_PI)
-        assert abs(rep.formula_value - TWO_PI) < 1e-12
+        value = lv.first_area(disk, dilation(), IntegrandSpec.constant(1.0))
+        assert abs(value - TWO_PI) < 1e-12
 
     def test_rotation_with_invariant_integrand(self, ellipse):
-        rep = lv.first_area(ellipse, pert.FlowFamily(pert.rotation()),
-                            IntegrandSpec.from_expression("x1**2 + x2**2"))
-        assert abs(rep.formula_value) < 1e-10
-        assert abs(rep.oracles["fd_richardson"]) < 1e-8
+        fam = pert.FlowFamily(pert.rotation())
+        c = IntegrandSpec.from_expression("x1**2 + x2**2")
+        assert abs(lv.first_area(ellipse, fam, c)) < 1e-10
+        assert abs(fd("area", ellipse, fam, c, 1)) < 1e-8
 
     def test_translation_preserves_perimeter(self, disk):
-        rep = lv.first_area(disk, translation(), IntegrandSpec.constant(1.0),
-                            analytic=0.0)
-        assert abs(rep.formula_value) < 1e-12
+        assert abs(lv.first_area(disk, translation(), IntegrandSpec.constant(1.0))) < 1e-12
 
 
 class TestSecondArea:
     def test_dilated_perimeter_is_linear(self, disk):
-        rep = lv.second_area(disk, dilation(), IntegrandSpec.constant(1.0),
-                             analytic=0.0)
-        assert abs(rep.formula_value) < 1e-12
+        assert abs(lv.second_area(disk, dilation(), IntegrandSpec.constant(1.0))) < 1e-12
 
     def test_rotation_gives_zero(self, disk):
-        rep = lv.second_area(disk, pert.FlowFamily(pert.rotation()),
-                             IntegrandSpec.constant(1.0))
-        assert abs(rep.formula_value) < 1e-12
+        value = lv.second_area(disk, pert.FlowFamily(pert.rotation()),
+                               IntegrandSpec.constant(1.0))
+        assert abs(value) < 1e-12
 
     def test_star_translation_against_fd(self):
         dom = geo.Domain(geo.star_domain(1.0, 0.2, 3), m=128)
-        rep = lv.second_area(dom, translation(), IntegrandSpec.constant(1.0),
-                             analytic=0.0)
-        assert rep.rel_err < 1e-3
-        assert abs(rep.formula_value) < 1e-10
+        one = IntegrandSpec.constant(1.0)
+        value = lv.second_area(dom, translation(), one)
+        assert rel_gap(value, fd("area", dom, translation(), one, 2)) < 1e-3
+        assert abs(value) < 1e-10
 
     def test_dilation_with_quadratic_integrand(self, disk):
         # boundary integral of x2^2 over the dilated circle is pi (1+t)^3
-        rep = lv.second_area(disk, dilation(), IntegrandSpec.from_expression("x2**2"),
-                             analytic=6 * np.pi)
-        assert rep.abs_err < 1e-12
+        value = lv.second_area(disk, dilation(), IntegrandSpec.from_expression("x2**2"))
+        assert abs(value - 6 * np.pi) < 1e-12
 
     def test_generic_flow_nonconstant_integrand(self, ellipse):
         fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
-        rep = lv.second_area(ellipse, fam, IntegrandSpec.from_expression("x2**2"))
-        assert rep.rel_err < 1e-6
+        c = IntegrandSpec.from_expression("x2**2")
+        assert rel_gap(lv.second_area(ellipse, fam, c), fd("area", ellipse, fam, c, 2)) < 1e-6
 
     def test_time_dependent_integrand(self, ellipse):
         fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
         c = IntegrandSpec.from_expression("x2**2 + t*x1*x2 + 0.3*t**2*x1")
-        rep = lv.second_area(ellipse, fam, c)
-        assert rep.rel_err < 1e-6
+        assert rel_gap(lv.second_area(ellipse, fam, c), fd("area", ellipse, fam, c, 2)) < 1e-6
 
 
 class TestBoundaryFlux:
     def test_position_field_under_dilation(self, disk):
         a = VectorIntegrandSpec.from_expressions("x1", "x2")
-        rep = lv.boundary_flux_first(disk, dilation(), a, analytic=4 * np.pi)
-        assert rep.abs_err < 1e-12
-        rep2 = lv.boundary_flux_second(disk, dilation(), a, analytic=4 * np.pi)
-        assert rep2.abs_err < 1e-12
+        assert abs(lv.boundary_flux_first(disk, dilation(), a) - 4 * np.pi) < 1e-12
+        assert abs(lv.boundary_flux_second(disk, dilation(), a) - 4 * np.pi) < 1e-12
 
     def test_divergence_free_static_field(self, ellipse):
         a = VectorIntegrandSpec.from_expressions("x2", "x1")
         fam = pert.TaylorFamily(pert.PolynomialField({(0, 1, 0): 0.4, (1, 0, 1): -0.7}))
-        rep = lv.boundary_flux_first(ellipse, fam, a)
-        assert abs(rep.formula_value) < 1e-12
-        assert abs(rep.oracles["fd_richardson"]) < 1e-8
-        rep2 = lv.boundary_flux_second(ellipse, fam, a)
-        assert abs(rep2.formula_value) < 1e-12
+        assert abs(lv.boundary_flux_first(ellipse, fam, a)) < 1e-12
+        assert abs(fd("flux", ellipse, fam, a, 1)) < 1e-8
+        assert abs(lv.boundary_flux_second(ellipse, fam, a)) < 1e-12
 
     def test_reduces_to_first_area_for_normal_field(self, disk):
         c = IntegrandSpec.from_expression("1 + 0.3*x1 + 0.2*x2**2")
@@ -158,16 +147,14 @@ class TestBoundaryFlux:
             {(0, 1, 0): 0.5, (0, 0, 1): -0.2, (1, 0, 0): 0.3, (1, 1, 1): 0.4}))
         collar = geo.collar_extend(disk.grids[0], np.ones(disk.grids[0].size))
         a = normal_scaled_integrand(c, collar)
-        area_rep = lv.first_area(disk, fam, c, skip_fd=True)
-        flux_rep = lv.boundary_flux_first(disk, fam, a, skip_fd=True)
-        assert abs(area_rep.formula_value - flux_rep.formula_value) < 1e-9
+        assert abs(lv.first_area(disk, fam, c) - lv.boundary_flux_first(disk, fam, a)) < 1e-9
 
     def test_random_polynomial_field_on_ellipse(self, ellipse):
         a = VectorIntegrandSpec.from_expressions(
             "0.4*x1**2 + 0.3*x2 + 0.2*t*x1", "0.5*x1*x2 - 0.1*x1 + 0.3*t")
         fam = pert.FlowFamily(pert.PolynomialField({(0, 0, 1): -0.5, (1, 1, 0): 0.3}))
-        rep = lv.boundary_flux_second(ellipse, fam, a)
-        assert rep.rel_err < 1e-3
+        assert rel_gap(lv.boundary_flux_second(ellipse, fam, a),
+                       fd("flux", ellipse, fam, a, 2)) < 1e-3
 
     def test_second_flux_requires_declared_data(self, disk):
         collar = geo.collar_extend(disk.grids[0], np.ones(disk.grids[0].size))
@@ -313,8 +300,8 @@ class TestRandomizedProperty:
         dom = geo.Domain(geo.star_domain(1.0, 0.15, 3), m=128)
         fam = pert.FlowFamily(pert.random_polynomial_field(rng, 2, 0.25))
         c = random_polynomial_integrand(rng, degree=2, time_degree=1)
-        for op in (lv.first_volume, lv.first_area):
-            assert op(dom, fam, c).rel_err < 1e-4
+        for op, kind in ((lv.first_volume, "volume"), (lv.first_area, "area")):
+            assert rel_gap(op(dom, fam, c), fd(kind, dom, fam, c, 1)) < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_second_derivatives_against_five_point(self, seed):
@@ -323,5 +310,34 @@ class TestRandomizedProperty:
         fam = pert.TaylorFamily(pert.random_polynomial_field(rng, 2, 0.3),
                                 pert.random_polynomial_field(rng, 2, 0.3))
         c = random_polynomial_integrand(rng, degree=2, time_degree=2)
-        for op in (lv.second_volume, lv.second_area):
-            assert op(dom, fam, c).rel_err < 1e-2
+        for op, kind in ((lv.second_volume, "volume"), (lv.second_area, "area")):
+            assert rel_gap(op(dom, fam, c), fd(kind, dom, fam, c, 2)) < 1e-2
+
+
+class TestVariationResult:
+    def test_err_is_judged_against_the_analytic_value(self, disk):
+        one = IntegrandSpec.constant(1.0)
+        value, oracles, err, observed, details = variation_result(
+            "first_volume", disk, dilation(), one, analytic=TWO_PI + 1e-3)
+        reference = lv.fd_reference("volume", disk, dilation(), one, order=1)
+        assert value == lv.first_volume(disk, dilation(), one)
+        assert err == abs(value - (TWO_PI + 1e-3)) / (1.0 + abs(value)) > 1e-4
+        assert oracles["analytic"] == TWO_PI + 1e-3
+        assert oracles["fd_richardson"] == reference.value
+        assert oracles["fd_estimates"] == list(reference.estimates)
+        assert observed == reference.observed_order
+        assert details == {"ladder": list(reference.ladder),
+                           "estimates": list(reference.estimates)}
+
+    def test_err_is_judged_against_fd_without_an_analytic_value(self, ellipse):
+        fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
+        a = VectorIntegrandSpec.from_expressions("x1*x2", "x2**2 + t*x1")
+        ladder = (4e-2, 2e-2, 1e-2)
+        value, oracles, err, _, details = variation_result(
+            "flux_second", ellipse, fam, a, ladder=ladder)
+        reference = lv.fd_reference("flux", ellipse, fam, a, order=2, ladder=ladder)
+        assert value == lv.boundary_flux_second(ellipse, fam, a)
+        assert "analytic" not in oracles
+        assert oracles["fd_richardson"] == reference.value
+        assert err == rel_gap(value, reference.value) < 1e-3
+        assert details["ladder"] == list(ladder)
