@@ -53,6 +53,11 @@ def load_config(path: str | None) -> dict:
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, kind, name in (("overrides", dict, "an object"), ("cases", list, "a list"),
+                            ("custom_liouville", list, "a list"),
+                            ("custom_hadamard", list, "a list")):
+        if not isinstance(cfg.get(key, kind()), kind):
+            raise ConfigError(f"{key} must be {name}, not {cfg[key]!r}")
     overrides = cfg.get("overrides", {})
     bad = set(overrides) - OVERRIDE_KEYS
     if bad:

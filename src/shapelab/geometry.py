@@ -2,9 +2,10 @@
 
 Curves are closed trigonometric-polynomial maps theta in [0, 2pi) -> R^2,
 so all derivatives are analytic and equispaced trapezoid quadrature is
-spectrally accurate.  The module provides boundary grids with frames and
-curvature, tangential differentiation, constant-along-normal collar
-extensions, and a blended radial quadrature for the enclosed region.
+spectrally accurate.  The module provides the one frame path
+(``pushed_frame``, for base and deformed point sets alike), boundary grids
+with frames and curvature, tangential differentiation, constant-along-normal
+collar extensions, and a blended radial quadrature for the enclosed region.
 
 Conventions: the outer component runs counterclockwise and holes run
 clockwise, so the unit normal nu = rot(tau) always points out of the
@@ -16,6 +17,7 @@ for the tubular extension of the normal field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +73,10 @@ def fourier_interpolate(values: np.ndarray, theta: np.ndarray) -> np.ndarray:
 # Curves
 # ---------------------------------------------------------------------------
 
+# trapezoid nodes of the area and centroid integrals
+AREA_THETAS = TWO_PI * np.arange(512) / 512
+
+
 def _rotate_quarter(vec: np.ndarray) -> np.ndarray:
     """Map (a, b) -> (b, -a); sends the tangent of a ccw curve to the outward normal."""
     return np.stack([vec[..., 1], -vec[..., 0]], axis=-1)
@@ -118,6 +124,11 @@ class FourierCurve:
     def acceleration(self, theta):
         return self._eval(theta, 2)
 
+    def curvature(self, theta):
+        """Signed curvature (x' x x'') / |x'|^3."""
+        dx = self.velocity(theta)
+        return _cross2(dx, self.acceleration(theta)) / np.hypot(dx[..., 0], dx[..., 1]) ** 3
+
     def reversed(self) -> "FourierCurve":
         """Same trace with opposite orientation (theta -> -theta)."""
         return FourierCurve(self.cos_coeffs, -self.sin_coeffs)
@@ -129,20 +140,15 @@ class FourierCurve:
         cos_c[0] = center + factor * (self.cos_coeffs[0] - center)
         return FourierCurve(cos_c, sin_c)
 
-    def signed_area(self, samples: int = 512) -> float:
-        theta = TWO_PI * np.arange(samples) / samples
-        x = self.point(theta)
-        dx = self.velocity(theta)
-        return 0.5 * np.sum(_cross2(x, dx)) * TWO_PI / samples
+    def signed_area(self) -> float:
+        x, dx = self.point(AREA_THETAS), self.velocity(AREA_THETAS)
+        return 0.5 * np.sum(_cross2(x, dx)) * TWO_PI / AREA_THETAS.size
 
-    def centroid(self, samples: int = 512) -> np.ndarray:
+    def centroid(self) -> np.ndarray:
         """Area centroid of the enclosed region (orientation independent)."""
-        theta = TWO_PI * np.arange(samples) / samples
-        x = self.point(theta)
-        dx = self.velocity(theta)
-        area = 0.5 * np.sum(_cross2(x, dx)) * TWO_PI / samples
-        mx = np.sum(_cross2(x, dx)[:, None] * x, axis=0) * TWO_PI / samples / 3.0
-        return mx / area
+        x, dx = self.point(AREA_THETAS), self.velocity(AREA_THETAS)
+        mx = np.sum(_cross2(x, dx)[:, None] * x, axis=0) * TWO_PI / AREA_THETAS.size / 3.0
+        return mx / self.signed_area()
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> FourierCurve:
@@ -263,27 +269,40 @@ class BoundaryGrid:
         return float(np.dot(self.weights, values))
 
 
+def pushed_frame(curve: FourierCurve, thetas: np.ndarray, family=None, t: float = 0.0):
+    """Nodes, unit tangent, unit normal and speed of T_t(curve) at ``thetas``.
+
+    The one place a curve velocity becomes a frame.  The tangent is the
+    pushforward DT_t x'(theta) of the curve's velocity, with T_t and DT_t
+    from ``family.map_and_jacobian``; ``family=None`` is the identity, so
+    the undeformed curve takes the same path.  Rejects a speed that
+    collapses at any node.
+    """
+    nodes = curve.point(thetas)
+    dx = curve.velocity(thetas)
+    if family is not None:
+        nodes, jac = family.map_and_jacobian(nodes, t)
+        dx = np.einsum("nij,nj->ni", jac, dx)
+    speed = np.hypot(dx[:, 0], dx[:, 1])
+    bad = np.flatnonzero(speed < MIN_SPEED)
+    if bad.size:
+        raise GeometryError(f"degenerate boundary: |DT_t x'| ~ 0 at node {bad[0]}")
+    tangent = dx / speed[:, None]
+    return nodes, tangent, _rotate_quarter(tangent), speed
+
+
 def build_grid(curve: FourierCurve, m: int) -> BoundaryGrid:
     """Sample one curve component at M equispaced parameters.
 
-    M must be a power of two with M >= 16.  Rejects parameterizations whose
-    speed |x'| collapses anywhere on the grid.
+    M must be a power of two with M >= 16.  The frame comes from
+    ``pushed_frame`` with no deformation.
     """
     if m < 16 or (m & (m - 1)) != 0:
         raise GeometryError("node count must be a power of two >= 16")
     thetas = TWO_PI * np.arange(m) / m
-    nodes = curve.point(thetas)
-    dx = curve.velocity(thetas)
-    ddx = curve.acceleration(thetas)
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    bad = np.where(speed < MIN_SPEED)[0]
-    if bad.size:
-        raise GeometryError(f"degenerate parameterization: |x'| ~ 0 at node {bad[0]}")
-    tangent = dx / speed[:, None]
-    normal = _rotate_quarter(tangent)
-    curvature = _cross2(dx, ddx) / speed ** 3
-    weights = (TWO_PI / m) * speed
-    return BoundaryGrid(curve, thetas, nodes, speed, weights, tangent, normal, curvature)
+    nodes, tangent, normal, speed = pushed_frame(curve, thetas)
+    return BoundaryGrid(curve, thetas, nodes, speed, (TWO_PI / m) * speed, tangent, normal,
+                        curve.curvature(thetas))
 
 
 def tangential_grad(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
@@ -304,6 +323,17 @@ def second_fundamental_form(grid: BoundaryGrid, xi, eta, j: int) -> float:
 # ---------------------------------------------------------------------------
 # Collar extension (tubular coordinates)
 # ---------------------------------------------------------------------------
+
+class CollarFrame(NamedTuple):
+    """Tubular coordinates of query points and the boundary frame at their feet."""
+
+    theta: np.ndarray      # parameter of the foot
+    offset: np.ndarray     # signed distance along the normal
+    tangent: np.ndarray
+    normal: np.ndarray
+    speed: np.ndarray      # |x'(theta)|
+    curvature: np.ndarray
+
 
 @dataclass
 class CollarExtension:
@@ -327,12 +357,22 @@ class CollarExtension:
                 f"collar half-width {self.half_width} too wide for max curvature {kmax}")
 
     # -- projection -------------------------------------------------------
-    def project(self, points: np.ndarray):
-        """Nearest-point parameters and signed normal offsets for query points."""
+    def locate(self, points: np.ndarray):
+        """(inside, frame): which points lie in the collar, and the frame of those.
+
+        One scan finds each point's nearest node.  Only points within one
+        node spacing of the collar are projected: Newton's method on
+        (p - x(theta)).x'(theta) = 0 starts at the nearest node, and the
+        feet's frame comes from ``pushed_frame`` and ``curvature``.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         curve = self.grid.curve
         d2 = ((points[:, None, :] - self.grid.nodes[None, :, :]) ** 2).sum(axis=2)
-        theta = self.grid.thetas[np.argmin(d2, axis=1)].copy()
+        nearest = np.argmin(d2, axis=1)
+        reach = self.half_width + np.max(self.grid.weights)
+        near = np.flatnonzero(d2[np.arange(len(points)), nearest] < reach ** 2)
+        points = points[near]
+        theta = self.grid.thetas[nearest[near]]
         for _ in range(40):
             x = curve.point(theta)
             dx = curve.velocity(theta)
@@ -342,41 +382,34 @@ class CollarExtension:
             fp = np.einsum("ij,ij->i", diff, ddx) - np.einsum("ij,ij->i", dx, dx)
             step = f / fp
             theta -= step
-            if np.max(np.abs(step)) < 1e-14:
+            if np.max(np.abs(step), initial=0.0) < 1e-14:
                 break
-        x = curve.point(theta)
-        dx = curve.velocity(theta)
-        speed = np.hypot(dx[:, 0], dx[:, 1])
-        nu = _rotate_quarter(dx / speed[:, None])
+        x, tau, nu, speed = pushed_frame(curve, theta)
         offset = np.einsum("ij,ij->i", points - x, nu)
-        if np.any(np.abs(offset) > self.half_width * (1 + 1e-9)):
-            raise GeometryError("query point outside the collar")
-        return theta, offset
+        keep = np.abs(offset) <= self.half_width * (1 + 1e-9)
+        inside = np.zeros(len(d2), dtype=bool)
+        inside[near[keep]] = True
+        feet = CollarFrame(theta, offset, tau, nu, speed, curve.curvature(theta))
+        return inside, CollarFrame(*(a[keep] for a in feet))
 
-    def frame(self, points: np.ndarray):
-        """(theta*, offset, tangent, normal, curvature) at the projected feet."""
-        theta, offset = self.project(points)
-        dx = self.grid.curve.velocity(theta)
-        ddx = self.grid.curve.acceleration(theta)
-        speed = np.hypot(dx[:, 0], dx[:, 1])
-        tau = dx / speed[:, None]
-        nu = _rotate_quarter(tau)
-        kappa = _cross2(dx, ddx) / speed ** 3
-        return theta, offset, tau, nu, kappa
+    def frame(self, points: np.ndarray) -> CollarFrame:
+        """The frame at the feet of query points that must all lie in the collar."""
+        inside, feet = self.locate(points)
+        if not inside.all():
+            raise GeometryError("query point outside the collar")
+        return feet
 
     # -- evaluators -------------------------------------------------------
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        theta, _ = self.project(points)
-        return fourier_interpolate(self.values, theta)
+        return fourier_interpolate(self.values, self.frame(points).theta)
 
     def extended_normal(self, points: np.ndarray) -> np.ndarray:
-        _, _, _, nu, _ = self.frame(points)
-        return nu
+        return self.frame(points).normal
 
     def normal_divergence(self, points: np.ndarray) -> np.ndarray:
         """div of the extended unit normal: kappa/(1 + n*kappa) in tubular coordinates."""
-        _, offset, _, _, kappa = self.frame(points)
-        return kappa / (1.0 + offset * kappa)
+        feet = self.frame(points)
+        return feet.curvature / (1.0 + feet.offset * feet.curvature)
 
 
 def collar_extend(grid: BoundaryGrid, values: np.ndarray,

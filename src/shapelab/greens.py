@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate
-from .perturbation import pushed_frame
+from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate, pushed_frame
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
@@ -149,8 +148,6 @@ class ComponentDiscretization:
     tangent: np.ndarray
     normal: np.ndarray
     weights: np.ndarray
-    speed: np.ndarray
-    thetas: np.ndarray
     colloc_nodes: np.ndarray
     colloc_normal: np.ndarray
     colloc_thetas: np.ndarray
@@ -194,8 +191,8 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
             charges = family.map(charges, t)
         comps.append(ComponentDiscretization(
             dirichlet=mixed.is_dirichlet(i), nodes=nodes, tangent=tangent,
-            normal=normal, weights=(TWO_PI / grid.size) * speed, speed=speed,
-            thetas=grid.thetas, colloc_nodes=col_n, colloc_normal=col_nu,
+            normal=normal, weights=(TWO_PI / grid.size) * speed,
+            colloc_nodes=col_n, colloc_normal=col_nu,
             colloc_thetas=th_col, check_nodes=chk_n, check_normal=chk_nu,
             charges=charges))
     return comps
@@ -456,10 +453,10 @@ def perturbed_greens(domain: Domain, mixed: MixedBoundary, family, t: float, y,
 # Analytic disk oracle and representation check
 # ---------------------------------------------------------------------------
 
-def disk_greens(x: np.ndarray, y: np.ndarray, radius: float = 1.0) -> float:
-    """Dirichlet Green's function of a centered disk (image-charge form)."""
-    x = np.asarray(x, float) / radius
-    y = np.asarray(y, float) / radius
+def disk_greens(x: np.ndarray, y: np.ndarray) -> float:
+    """Dirichlet Green's function of the unit disk (image-charge form)."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
     ay = np.hypot(y[0], y[1])
     if ay == 0.0:
         return float(-INV_2PI * np.log(np.hypot(*x)))

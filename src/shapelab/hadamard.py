@@ -205,7 +205,7 @@ def delta_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
 
 def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
                     ev_y: GreensEval, udot_y: HarmonicField,
-                    coeffs: HadamardCoefficients | None = None):
+                    coeffs: HadamardCoefficients):
     """Nodal boundary data (g on Dirichlet, h on Neumann) for the second BVP.
 
     g = -chi dN/dnu(.,y) - 2 rho d(udot)/dnu;
@@ -214,7 +214,6 @@ def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
     deformation (chain rule on the moving boundary); each piece is pinned by
     kernel-level oracles in the tests.
     """
-    coeffs = coeffs if coeffs is not None else chi_sigma(solver.domain, family)
     nodal = []
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
         rho = boundary_data(family, grid).normal_velocity
@@ -233,7 +232,7 @@ def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
 
 def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
                  ev_y: GreensEval, udot_y: HarmonicField,
-                 coeffs: HadamardCoefficients | None = None):
+                 coeffs: HadamardCoefficients):
     """Second variation as the harmonic field with the second-order data."""
     nodal = second_bvp_data(solver, family, ev_y, udot_y, coeffs)
     return solver.harmonic_bvp(nodal)
@@ -241,7 +240,7 @@ def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
 
 def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
                      ev: GreensEval, udot: HarmonicField,
-                     coeffs: HadamardCoefficients | None = None) -> float:
+                     coeffs: HadamardCoefficients) -> float:
     """Second variation by the variational formula.
 
     ``ev`` is the block of the poles (x, y) and ``udot`` the block of their
@@ -255,7 +254,6 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     to the two-term Dirichlet form.  The interior gradients come from the
     first-variation charge fields, both from one kernel matrix.
     """
-    coeffs = coeffs if coeffs is not None else chi_sigma(solver.domain, family)
     interior = solver.domain.interior()
     gx, gy = udot.gradient(interior.nodes)
     total = -2.0 * float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))

@@ -78,10 +78,9 @@ class IntegrandSpec:
     gradient: Callable | None = None   # (pts, t) -> (N, 2)
     hessian: Callable | None = None    # (pts, t) -> (N, 2, 2)
     dt_gradient: Callable | None = None  # (pts, t) -> (N, 2), grad of c_t
-    label: str = ""
 
     @classmethod
-    def from_expression(cls, expr, label: str | None = None) -> "IntegrandSpec":
+    def from_expression(cls, expr) -> "IntegrandSpec":
         sp, (x1, x2, t) = _sympy()
         expr = sp.sympify(expr)
         grad = [sp.diff(expr, x1), sp.diff(expr, x2)]
@@ -93,11 +92,10 @@ class IntegrandSpec:
             gradient=_vectorized(sp.Matrix(grad), (2,)),
             hessian=_vectorized(sp.Matrix(hess), (2, 2)),
             dt_gradient=_vectorized(sp.Matrix([sp.diff(g, t) for g in grad]), (2,)),
-            label=label if label is not None else str(expr),
         )
 
     @classmethod
-    def from_coefficients(cls, coeffs, label: str = "") -> "IntegrandSpec":
+    def from_coefficients(cls, coeffs) -> "IntegrandSpec":
         """The polynomial sum coeffs[px, py, pt] x1**px x2**py t**pt."""
         c = np.asarray(coeffs, dtype=float)
         cx, cy, ct = (_shifted(c, axis) for axis in range(3))
@@ -109,12 +107,11 @@ class IntegrandSpec:
             gradient=_polynomial([cx, cy], (2,)),
             hessian=_polynomial([_shifted(cx, 0), cxy, cxy, _shifted(cy, 1)], (2, 2)),
             dt_gradient=_polynomial([_shifted(cx, 2), _shifted(cy, 2)], (2,)),
-            label=label,
         )
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "IntegrandSpec":
-        return cls.from_coefficients(np.full((1, 1, 1), value), label=f"const {value}")
+        return cls.from_coefficients(np.full((1, 1, 1), value))
 
     def spot_check(self, rng: np.random.Generator) -> float:
         """Max relative error of declared derivatives against finite differences."""
@@ -153,10 +150,9 @@ class VectorIntegrandSpec:
     divergence: Callable | None = None        # (N,)
     divergence_dt: Callable | None = None     # (N,)
     divergence_gradient: Callable | None = None  # (N, 2)
-    label: str = ""
 
     @classmethod
-    def from_expressions(cls, expr1, expr2, label: str | None = None) -> "VectorIntegrandSpec":
+    def from_expressions(cls, expr1, expr2) -> "VectorIntegrandSpec":
         sp, (x1, x2, t) = _sympy()
         e1, e2 = sp.sympify(expr1), sp.sympify(expr2)
         vec = sp.Matrix([e1, e2])
@@ -168,7 +164,6 @@ class VectorIntegrandSpec:
             divergence=_vectorized(div),
             divergence_dt=_vectorized(sp.diff(div, t)),
             divergence_gradient=_vectorized(sp.Matrix([sp.diff(div, x1), sp.diff(div, x2)]), (2,)),
-            label=label if label is not None else f"({e1}, {e2})",
         )
 
     @classmethod
@@ -211,8 +206,7 @@ def normal_scaled_integrand(c: IntegrandSpec, collar) -> VectorIntegrandSpec:
 
     return VectorIntegrandSpec(value=value, dt=dt, dtt=None,
                                divergence=divergence, divergence_dt=None,
-                               divergence_gradient=None,
-                               label=f"normal*({c.label})")
+                               divergence_gradient=None)
 
 
 def random_polynomial_integrand(rng: np.random.Generator, degree: int = 2,
@@ -223,4 +217,4 @@ def random_polynomial_integrand(rng: np.random.Generator, degree: int = 2,
         for py in range(degree + 1 - px):
             for pt in range(time_degree + 1):
                 coeffs[px, py, pt] = scale * rng.uniform(-1, 1)
-    return IntegrandSpec.from_coefficients(coeffs, label=f"random poly deg {degree}")
+    return IntegrandSpec.from_coefficients(coeffs)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._fd import FDResult, derivative_ladder
-from .geometry import TWO_PI, Domain, tangential_grad
+from .geometry import TWO_PI, Domain, pushed_frame, tangential_grad
 from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .perturbation import (PerturbationError, PerturbationFamily,
-                           advective_normal_component, boundary_data,
-                           pushed_frame)
+                           advective_normal_component, boundary_data)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ def nu_dot(domain: Domain, family: PerturbationFamily):
     return out
 
 
-def nu_dot_fd(domain: Domain, family: PerturbationFamily, h: float = 1e-4):
+def nu_dot_fd(domain: Domain, family: PerturbationFamily):
     """FD-in-t of the deformed boundary's normal field at the fixed nodes.
 
     nu_dot is the rate of the moving normal field seen at a fixed spatial
@@ -255,6 +254,7 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily, h: float = 1e-4):
     integration per iteration: theta += (p - y).y' / |y'|^2.  The nodes sit
     O(h) from the deformed curve, so each iteration gains about four digits.
     """
+    h = 1e-4  # t-step of the central difference
     out = []
     for grid in domain.grids:
         def normal_at(grid, t):

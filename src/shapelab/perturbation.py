@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (MIN_SPEED, BoundaryGrid, CollarExtension, _rotate_quarter,
-                       fourier_derivative)
+from .geometry import BoundaryGrid, collar_extend, fourier_derivative, fourier_interpolate
 
 
 # largest |t| a flow integration accepts
@@ -275,64 +274,40 @@ class FlowFamily(PerturbationFamily):
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
-    """C^2 cutoff with value 1 and zero slope at u=0, vanishing for |u|>=1."""
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = (1.0 - u[inside] ** 2) ** 3
-    return out
+    """C^2 cutoff (1 - u^2)^3 with value 1 and zero slope at u=0, vanishing for |u|>=1."""
+    return np.maximum(1.0 - u ** 2, 0.0) ** 3
 
 
 def _bump_prime(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = -6.0 * u[inside] * (1.0 - u[inside] ** 2) ** 2
-    return out
+    return -6.0 * u * np.maximum(1.0 - u ** 2, 0.0) ** 2
 
 
 class NormalFamily(PerturbationFamily):
     """Boundary motion x -> x + t rho(x) nu(x) along the collar-extended normal.
 
-    By construction S = rho nu~ inside the collar (tapered to zero at the
-    collar edge by an even cutoff, so d(rho~)/dnu = 0 on the boundary) and
-    R = 0.  Points outside the collar do not move.
+    S = taper(n/h) rho~ nu~ in the collar |n| <= h of ``collar_extend(grid,
+    rho)`` and R = 0.  The even cutoff has value 1 and zero slope on the
+    boundary, so S = rho nu and d(rho~)/dnu = 0 there, and it vanishes to
+    second order at |n| = h, where the collar ends: S is C^2 across the
+    edge.  Points outside the collar do not move.
     """
 
-    def __init__(self, grid: BoundaryGrid, rho_nodal: np.ndarray,
-                 half_width: float | None = None):
-        rho_nodal = np.asarray(rho_nodal, dtype=float)
-        self.collar = CollarExtension(grid, rho_nodal,
-                                      half_width if half_width is not None
-                                      else 0.4 / max(float(np.max(np.abs(grid.curvature))), 1e-12))
-        self.grid = grid
-        self.rho_nodal = rho_nodal
-        self._drho_dtheta = fourier_derivative(rho_nodal)
-
-    def _in_collar(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = ((points[:, None, :] - self.grid.nodes[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.sqrt(d2.min(axis=1))
-        return points, nearest < 0.9 * self.collar.half_width
+    def __init__(self, grid: BoundaryGrid, rho_nodal: np.ndarray):
+        self.collar = collar_extend(grid, rho_nodal)
+        self._drho_dtheta = fourier_derivative(self.collar.values)
 
     def velocity(self, points):
-        points, mask = self._in_collar(points)
-        out = np.zeros_like(points)
-        if mask.any():
-            from .geometry import fourier_interpolate
-            theta, offset, _, nu, _ = self.collar.frame(points[mask])
-            rho = fourier_interpolate(self.rho_nodal, theta)
-            taper = _bump(offset / self.collar.half_width)
-            out[mask] = (rho * taper)[:, None] * nu
+        inside, feet = self.collar.locate(points)
+        out = np.zeros((inside.size, 2))
+        rho = fourier_interpolate(self.collar.values, feet.theta)
+        taper = _bump(feet.offset / self.collar.half_width)
+        out[inside] = (rho * taper)[:, None] * feet.normal
         return out
 
     def velocity_jacobian(self, points):
-        points, mask = self._in_collar(points)
-        out = np.zeros((points.shape[0], 2, 2))
-        if not mask.any():
-            return out
-        from .geometry import fourier_interpolate
-        theta, offset, tau, nu, kappa = self.collar.frame(points[mask])
-        speed = np.hypot(*self.collar.grid.curve.velocity(theta).T)
-        rho = fourier_interpolate(self.rho_nodal, theta)
+        inside, (theta, offset, tau, nu, speed, kappa) = self.collar.locate(points)
+        out = np.zeros((inside.size, 2, 2))
+        rho = fourier_interpolate(self.collar.values, theta)
         drho_ds = fourier_interpolate(self._drho_dtheta, theta) / speed
         h = self.collar.half_width
         taper = _bump(offset / h)
@@ -343,7 +318,7 @@ class NormalFamily(PerturbationFamily):
             + (rho * taper_p)[:, None] * nu
         dnu = (taper * rho * kappa / stretch)[:, None, None] \
             * np.einsum("ni,nj->nij", tau, tau)
-        out[mask] = np.einsum("ni,nj->nij", nu, grad_scalar) + dnu
+        out[inside] = np.einsum("ni,nj->nij", nu, grad_scalar) + dnu
         return out
 
     def acceleration(self, points):
@@ -504,23 +479,3 @@ def advective_normal_component(data: BoundaryData, grid: BoundaryGrid) -> np.nda
     """Nodal [(S.grad)S].nu computed from the velocity Jacobian."""
     adv = np.einsum("nij,nj->ni", data.velocity_jacobian, data.velocity)
     return np.einsum("ni,ni->n", adv, grid.normal)
-
-
-def pushed_frame(curve, thetas: np.ndarray, family: PerturbationFamily | None,
-                 t: float):
-    """Nodes, unit tangent, unit normal and speed of T_t(curve) at ``thetas``.
-
-    The tangent is the pushforward dT_t x'(theta) of the curve's velocity;
-    ``family=None`` is the identity, so the undeformed curve takes the same
-    path.  Rejects deformations whose pushed speed collapses.
-    """
-    nodes = curve.point(thetas)
-    dx = curve.velocity(thetas)
-    if family is not None:
-        nodes, jac = family.map_and_jacobian(nodes, t)
-        dx = np.einsum("nij,nj->ni", jac, dx)
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    if np.any(speed < MIN_SPEED):
-        raise PerturbationError("pushed boundary degenerates: |dT_t x'| ~ 0")
-    tangent = dx / speed[:, None]
-    return nodes, tangent, _rotate_quarter(tangent), speed

@@ -120,6 +120,22 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         assert "m must be an integer, not 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("overrides", ["m"], "overrides must be an object, not ['m']"),
+        ("overrides", 5, "overrides must be an object, not 5"),
+        ("cases", "jacobian-dilation-det",
+         "cases must be a list, not 'jacobian-dilation-det'"),
+        ("custom_liouville", {"id": "x"}, "custom_liouville must be a list, not {'id': 'x'}"),
+    ])
+    def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, key,
+                                                        value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cases": ["jacobian-dilation-det"], key: value}))
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_writes_reports(self, tmp_path, capsys):
         code = cli.main(["run", "--case", "jacobian-dilation-det",
                          "--case", "jacobian-rotation-det-zero",

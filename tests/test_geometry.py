@@ -3,6 +3,7 @@ import pytest
 
 from shapelab import geometry as geo
 from shapelab.integrands import IntegrandSpec, normal_scaled_integrand
+from shapelab.perturbation import PolynomialField, TaylorFamily
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,6 +60,24 @@ class TestGrid:
         # r(theta) = 1 + cos(theta) pinches to a cusp at theta = pi
         with pytest.raises(geo.GeometryError, match="node"):
             geo.build_grid(geo.star(1.0, 1.0, 1), 64)
+
+    def test_pushed_speed_collapse_names_the_node(self):
+        # T_1 = diag(0, 1) sends x'(theta) = (-sin, cos) to (0, cos): zero at theta = pi/2
+        squash = TaylorFamily(PolynomialField({(0, 1, 0): -1.0}))
+        thetas = TWO_PI * np.arange(16) / 16
+        with pytest.raises(geo.GeometryError, match="at node 4$"):
+            geo.pushed_frame(geo.circle(1.0), thetas, squash, 1.0)
+
+    @pytest.mark.parametrize("curve", [geo.ellipse(2.0, 1.0), geo.star(1.0, 0.2, 3),
+                                       geo.circle(0.5).reversed()])
+    def test_grid_is_the_unpushed_frame(self, curve):
+        grid = geo.build_grid(curve, 128)
+        nodes, tangent, normal, speed = geo.pushed_frame(curve, grid.thetas)
+        for got, want in ((grid.nodes, nodes), (grid.tangent, tangent),
+                          (grid.normal, normal), (grid.speed, speed),
+                          (grid.curvature, curve.curvature(grid.thetas)),
+                          (grid.weights, (TWO_PI / 128) * speed)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTangentialCalculus:

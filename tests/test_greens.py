@@ -276,6 +276,12 @@ class TestRepresentation:
 
 
 class TestPerturbedGreens:
+    def test_base_components_are_the_domain_grids(self, annulus_solver, annulus):
+        # the undeformed boundary takes the grids' frame path, bit for bit
+        for comp, grid in zip(annulus_solver.components, annulus.grids):
+            for name in ("nodes", "tangent", "normal", "weights"):
+                np.testing.assert_array_equal(getattr(comp, name), getattr(grid, name))
+
     def test_zero_deformation_matches_base(self, disk):
         mixedb = geo.all_dirichlet(1)
         fam = pert.TaylorFamily(pert.dilation())

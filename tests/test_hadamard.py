@@ -218,7 +218,8 @@ class TestSecondVariationData:
         fam = translation()
         ev_y = solver.solve(ANNULUS_PROBES[1])
         udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        nodal = hd.second_bvp_data(solver, fam, ev_y, udot_y)
+        nodal = hd.second_bvp_data(solver, fam, ev_y, udot_y,
+                                   hd.chi_sigma(annulus, fam))
 
         grid = annulus.grids[0]
         s = fam.velocity(grid.nodes)
@@ -233,7 +234,8 @@ class TestSecondVariationData:
         fam = generic_flow()
         ev_y = solver.solve(ANNULUS_PROBES[1])
         udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        nodal = hd.second_bvp_data(solver, fam, ev_y, udot_y)
+        nodal = hd.second_bvp_data(solver, fam, ev_y, udot_y,
+                                   hd.chi_sigma(annulus, fam))
 
         grid = annulus.grids[1]
         vel = grid.curve.velocity(grid.thetas)
@@ -340,7 +342,8 @@ class TestSecondVariationRoutes:
         solver = GreensSolver(annulus, annulus_mixed)
         ev = solver.solve(np.stack([x, y]))
         udot, udot_diags = hd.delta_n_bvp(solver, fam, ev)
-        _, uddot_diag = hd.delta2_n_bvp(solver, fam, ev[1], udot[1])
+        _, uddot_diag = hd.delta2_n_bvp(solver, fam, ev[1], udot[1],
+                                        hd.chi_sigma(annulus, fam))
         diags = [*ev.diagnostics, *udot_diags, uddot_diag]
         assert tri.residual == max(d.residual for d in diags) > 0.0
         assert tri.rank == min(d.rank for d in diags)

@@ -289,7 +289,7 @@ class TestFlowIntegrationCount:
         lv.fd_reference("volume", disk, fam, IntegrandSpec.constant(1.0), order=1)
         lv.pushed_area_integral(disk, fam, IntegrandSpec.constant(1.0), 0.03)
         lv.nu_dot_fd(geo.Domain(geo.disk(1.0), m=16), fam)
-        pert.pushed_frame(disk.grids[0].curve, disk.grids[0].thetas, fam, 0.03)
+        geo.pushed_frame(disk.grids[0].curve, disk.grids[0].thetas, fam, 0.03)
         assert outside == []
 
 

@@ -202,6 +202,21 @@ class TestNormalFamily:
         far = np.array([[0.1, 0.0], [0.0, -0.2]])
         np.testing.assert_allclose(self.family.map(far, 0.1), far)
 
+    def test_velocity_is_continuous_across_the_collar_edge(self):
+        # the taper reaches zero where the support ends, on both sides of the curve
+        grid = geo.build_grid(geo.circle(1.0), 128)
+        family = pert.NormalFamily(grid, np.full(128, 0.3))
+        h = family.collar.half_width
+        u = np.linspace(0.8, 1.2, 401)  # offsets in units of h, across the edge
+        for side in (1.0, -1.0):
+            pts = (1.0 + side * h * u)[:, None] * grid.nodes[5]
+            s = np.linalg.norm(family.velocity(pts), axis=1)
+            ds = np.abs(family.velocity_jacobian(pts)).max(axis=(1, 2))
+            assert np.max(np.abs(np.diff(s))) < 5e-4
+            assert np.max(np.abs(np.diff(ds))) < 1e-2
+            assert s[199] < 1e-6 and ds[199] < 1e-3  # u = 0.999
+            assert not s[201:].any() and not ds[201:].any()  # u >= 1.001
+
 
 class TestFieldLibrary:
     def test_make_field_names(self):
