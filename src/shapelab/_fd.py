@@ -66,7 +66,8 @@ def derivative_ladder(g, order: int = 1, ladder=None) -> FDResult:
 
     Richardson-extrapolates the finest pair using the stencil's truncation
     order, reports the observed convergence order from successive estimate
-    differences, and flags non-monotone ladders (cancellation).
+    differences, and flags non-monotone ladders (cancellation).  Both
+    diagnostics ignore differences below 1e-11 * max(1, |value|).
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -84,16 +85,17 @@ def derivative_ladder(g, order: int = 1, ladder=None) -> FDResult:
 
     observed = None
     warnings = []
+    # differences at or below this absolute floor are rounding, not signal
+    floor = 1e-11 * max(1.0, _max_abs(richardson))
     if len(estimates) >= 3:
         d1 = _max_abs(estimates[-3] - estimates[-2])
         d2 = _max_abs(estimates[-2] - estimates[-1])
-        floor = 1e-11 * max(1.0, _max_abs(richardson))
         if d1 <= floor and d2 <= floor:
             observed = np.inf  # stencil exact for this integrand; only rounding left
         elif d1 > 0 and d2 > 0:
             observed = float(np.log(d1 / d2) / np.log(ladder[-3] / ladder[-2]))
     gaps = [_max_abs(e - richardson) for e in estimates]
-    monotone = all(a >= b * (1 - 1e-12) for a, b in zip(gaps, gaps[1:]))
+    monotone = all(max(a, floor) >= b * (1 - 1e-12) for a, b in zip(gaps, gaps[1:]))
     if not monotone:
         warnings.append("non-monotone ladder (cancellation suspected)")
     if richardson.ndim == 0:

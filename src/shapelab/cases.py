@@ -114,14 +114,28 @@ def variation_result(kind: str, domain, family, integrand, ladder=None, analytic
     return value, oracles, err, fd.observed_order, details
 
 
+def _fd_order_details(observed) -> dict:
+    """The FD observed order as details: a number, or null and the reason."""
+    if observed is None:
+        return {"fd_observed_order": None,
+                "fd_observed_order_reason": "too few steps or a zero ladder difference"}
+    if np.isinf(observed):
+        return {"fd_observed_order": None,
+                "fd_observed_order_reason": "ladder differences at rounding level"}
+    return {"fd_observed_order": observed}
+
+
 def route_result(tri: hd.RouteTriangle, err=None, **oracles):
     """(value, oracles, err, observed_order, details) of a Hadamard route run.
 
     By default the oracles are the BVP and FD routes and err is the worst
-    pairwise gap of the three routes.  The solves' summary goes to details.
+    pairwise gap of the three routes.  The solves' summary, the FD ladder's
+    observed order and its warnings go to details.
     """
+    details = {**tri.solve_details(), **_fd_order_details(tri.fd_observed_order),
+               "fd_warnings": list(tri.fd_warnings)}
     return (tri.formula, oracles or {"bvp": tri.bvp, "fd": tri.fd},
-            tri.max_pairwise if err is None else err, None, tri.solve_details())
+            tri.max_pairwise if err is None else err, None, details)
 
 
 # ---------------------------------------------------------------------------

@@ -523,12 +523,14 @@ def all_dirichlet(n_components: int) -> MixedBoundary:
 
 
 class Domain:
-    """A boundary curve with grids on every component and a cached interior rule."""
+    """A boundary curve with grids on every component, a cached interior rule
+    and cached charge rings."""
 
     def __init__(self, curve: BoundaryCurve, m: int = 128):
         self.curve = curve
         self.grids = tuple(build_grid(c, m) for c in curve.components)
         self._interior: InteriorQuadrature | None = None
+        self._rings: dict[tuple, tuple] = {}
 
     @property
     def n_components(self) -> int:
@@ -539,6 +541,25 @@ class Domain:
         if self._interior is None:
             self._interior = interior_quadrature(self.curve)
         return self._interior
+
+    def charge_rings(self, n_charges: int, outer_offset: float) -> tuple:
+        """Read-only (n_charges, 2) source rings of each component, built once per key.
+
+        Ring i is component i dilated about its area centroid, by
+        ``outer_offset`` for the outer curve and by 0.6 for a hole, sampled at
+        the angles 2 pi (j + 1/4) / n_charges.
+        """
+        key = (n_charges, outer_offset)
+        if key not in self._rings:
+            thetas = TWO_PI * (np.arange(n_charges) + 0.25) / n_charges
+            rings = []
+            for i, curve in enumerate(self.curve.components):
+                factor = outer_offset if i == 0 else 0.6
+                ring = curve.scaled_about(curve.centroid(), factor).point(thetas)
+                ring.flags.writeable = False
+                rings.append(ring)
+            self._rings[key] = tuple(rings)
+        return self._rings[key]
 
 
 def make_curve(name: str, **params) -> BoundaryCurve:

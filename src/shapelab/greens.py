@@ -4,22 +4,31 @@ The harmonic corrector is represented by the method of fundamental
 solutions: a sum of log-kernels with sources on dilated copies of each
 boundary component (outside the domain for the outer curve, inside each
 hole).  Coefficients are fit by least squares on oversampled collocation
-nodes with column-pivoted QR and relative truncation, the standard
-stabilization for these exponentially ill-conditioned systems.  The
-collocation matrix is assembled once per boundary and shared by every
-right-hand side (poles and variation data alike).  Its condition estimate
-is an SVD, computed only when read.
+nodes with column-pivoted QR and relative truncation (LAPACK gelsy), the
+standard stabilization for these exponentially ill-conditioned systems.
+The collocation matrix is assembled once per boundary and shared by every
+right-hand side.  Its condition estimate is an SVD, computed only when read.
+
+Kept columns: the first solve on a matrix names, through gelsy's pivots,
+the columns its truncation kept.  The re-solves of a finite-difference
+t-ladder take the T_t images of the kept charges only and factor that
+smaller matrix, so every t of the ladder has the same charge set.  On a
+full-rank matrix every column is kept, in its original order, and the
+re-solves are those of the whole ring.  Solves on the base matrix itself,
+poles and variation data alike, use every column: the variation data feed
+boundary derivatives, and on the mixed annulus a fit on the kept columns
+alone resolved those less well than gelsy's fit on every column.
 
 Blocks are the unit of work: one gelsy call per batch; per-column products
 keep bits.  A solve takes one data set or a block of k of them (several
-poles, several variation data sets) and fits them in one
-``lstsq(..., lapack_driver="gelsy")`` call, which factors the matrix once
-for the batch; gelsy's rank depends only on the matrix, so every column
-gets the same truncation.  The result is a field with a (K, k) coefficient
-block.  A block field builds each (N, K) kernel matrix once per call and
-takes one matrix-vector product per column, so column j of any block
-evaluation is bit-identical to evaluating field j alone (one gemm would
-reorder the sums).  Block results stack the k columns on a leading axis.
+poles, several variation data sets) and fits them in one gelsy call, which
+factors the matrix once for the batch; gelsy's rank depends only on the
+matrix, so every column gets the same truncation.  The result is a field
+with a (K, k) coefficient block.  A block field builds each (N, K) kernel
+matrix once per call and takes one matrix-vector product per column, so
+column j of any block evaluation is bit-identical to evaluating field j
+alone (one gemm would reorder the sums).  Block results stack the k columns
+on a leading axis.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
 gradients over the charges use the complex form
@@ -39,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate, pushed_frame
 
@@ -165,36 +175,36 @@ def _winding_number(nodes: np.ndarray, point: np.ndarray) -> float:
 
 
 def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
-                      config: GreensConfig) -> list[ComponentDiscretization]:
+                      config: GreensConfig, charges=None) -> list[ComponentDiscretization]:
     """Discretize the boundary of T_t(Omega) for collocation.
 
     One path for every t: each point set (grid, collocation and check
     nodes, charge rings) is the T_t image of its base-boundary set, with
     frames from the deformation Jacobian, and ``family=None`` is the
-    identity.  The base charge rings are dilations of each component about
-    its area centroid.  The discretization is therefore continuous in t,
-    and a family that does not move a point set leaves it bit-identical.
+    identity.  The base charges of each component are ``charges[i]``, by
+    default the domain's cached ring (a dilation of the component about its
+    area centroid).  The discretization is therefore continuous in t, and a
+    family that does not move a point set leaves it bit-identical.
     """
     if len(mixed.kinds) != domain.n_components:
         raise GreensError("boundary assignment does not match component count")
     n_col = int(round(2.0 * config.n_charges))  # two collocation nodes per charge
     th_col = TWO_PI * np.arange(n_col) / n_col
-    th_chg = TWO_PI * (np.arange(config.n_charges) + 0.25) / config.n_charges
+    if charges is None:
+        charges = domain.charge_rings(config.n_charges, config.charge_offset_outer)
     comps = []
-    for i, (curve, grid) in enumerate(zip(domain.curve.components, domain.grids)):
+    for i, (curve, grid, base) in enumerate(zip(domain.curve.components, domain.grids,
+                                                charges)):
         nodes, tangent, normal, speed = pushed_frame(curve, grid.thetas, family, t)
         col_n, _, col_nu, _ = pushed_frame(curve, th_col, family, t)
         chk_n, _, chk_nu, _ = pushed_frame(curve, CHECK_THETAS, family, t)
-        factor = config.charge_offset_outer if i == 0 else 0.6  # holes: shrunk ring
-        charges = curve.scaled_about(curve.centroid(), factor).point(th_chg)
-        if family is not None:
-            charges = family.map(charges, t)
+        charges_i = base if family is None else family.map(base, t)
         comps.append(ComponentDiscretization(
             dirichlet=mixed.is_dirichlet(i), nodes=nodes, tangent=tangent,
             normal=normal, weights=(TWO_PI / grid.size) * speed,
             colloc_nodes=col_n, colloc_normal=col_nu,
             colloc_thetas=th_col, check_nodes=chk_n, check_normal=chk_nu,
-            charges=charges))
+            charges=charges_i))
     return comps
 
 
@@ -247,6 +257,25 @@ class SolveDiagnostics:
     n_unknowns: int
 
 
+def _gelsy(matrix: np.ndarray, rhs: np.ndarray):
+    """(solution, rank, pivots) of the truncated least-squares fit, relative threshold 1e-13.
+
+    The LAPACK call ``scipy.linalg.lstsq(..., lapack_driver="gelsy")`` makes,
+    with its workspace, so the solution keeps lstsq's bits; ``pivots`` are
+    gelsy's 1-based column pivots, whose first ``rank`` entries are the
+    columns the truncation kept.
+    """
+    matrix, rhs = np.asarray_chkfinite(matrix), np.asarray_chkfinite(rhs)
+    m, n = matrix.shape
+    n_rhs = 1 if rhs.ndim == 1 else rhs.shape[1]
+    work, _ = scipy.linalg.lapack.dgelsy_lwork(m, n, n_rhs, 1e-13)
+    _, x, pivots, rank, info = scipy.linalg.lapack.dgelsy(
+        matrix, rhs, np.zeros(n, dtype=np.int32), 1e-13, int(work), False, False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gelsy")
+    return x[:n], rank, pivots
+
+
 class MixedSolver:
     """Shared collocation matrix for one (possibly deformed) boundary.
 
@@ -254,8 +283,10 @@ class MixedSolver:
     matrix is assembled once and shared by every right-hand side: one gelsy
     call per batch; per-column products keep bits.  Each ``solve`` is one
     pivoted-QR least-squares solve (LAPACK gelsy) of a data set or a block
-    of them, truncated at the relative threshold 1e-13.  The condition
-    estimate is an SVD of the matrix, computed on first read.
+    of them, truncated at the relative threshold 1e-13.  The first solve
+    stores the columns gelsy kept, sorted, as ``kept``; the re-solves of a
+    t-ladder are assembled on the images of those columns' charges only.
+    The condition estimate is an SVD of the matrix, computed on first read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
@@ -277,6 +308,7 @@ class MixedSolver:
                 gx += gy
                 rows.append(gx)
         self.matrix = np.vstack(rows)
+        self.kept: np.ndarray | None = None  # set by the first solve
 
     @functools.cached_property
     def condition_estimate(self) -> float:
@@ -295,8 +327,9 @@ class MixedSolver:
         ones they agree to rounding.
         """
         rhs = np.concatenate(rhs_per_component, axis=-1)
-        coeff, _, rank, _ = scipy.linalg.lstsq(
-            self.matrix, rhs.T, cond=1e-13, lapack_driver="gelsy")
+        coeff, rank, pivots = _gelsy(self.matrix, rhs.T)
+        if self.kept is None:
+            self.kept = np.sort(pivots[:rank] - 1)
         fld = HarmonicField(self.charges, coeff)
         residuals = []
         if check_data is not None:
@@ -401,14 +434,20 @@ def contains(components: list[ComponentDiscretization], point: np.ndarray) -> bo
 
 
 class GreensSolver:
-    """Green's-function factory for one domain and boundary assignment."""
+    """Green's-function factory for one domain and boundary assignment.
+
+    ``charges`` are the base charges of each component before T_t, by
+    default the domain's charge rings; re-solves pass another solver's
+    ``kept_charges()``.
+    """
 
     def __init__(self, domain: Domain, mixed: MixedBoundary,
-                 config: GreensConfig | None = None, family=None, t: float = 0.0):
+                 config: GreensConfig | None = None, family=None, t: float = 0.0,
+                 charges=None):
         self.domain = domain
         self.mixed = mixed
         self.config = config or GreensConfig()
-        self.components = discretize_pushed(domain, mixed, family, t, self.config)
+        self.components = discretize_pushed(domain, mixed, family, t, self.config, charges)
         self.solver = MixedSolver(self.components, self.config)
 
     def corrector_data(self, y: np.ndarray):
@@ -441,6 +480,14 @@ class GreensSolver:
         Per component one data set (M,) or k of them (k, M), in one gelsy call.
         """
         return self.solver.solve_nodal(nodal_data)
+
+    def kept_charges(self) -> list[np.ndarray]:
+        """Per component, the charges of the columns the first solve kept, in
+        their original order (every charge before the first solve)."""
+        keep = np.zeros(len(self.solver.charges), dtype=bool)
+        keep[slice(None) if self.solver.kept is None else self.solver.kept] = True
+        splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
+        return [c.charges[k] for c, k in zip(self.components, np.split(keep, splits))]
 
 
 def perturbed_greens(domain: Domain, mixed: MixedBoundary, family, t: float, y,

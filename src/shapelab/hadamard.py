@@ -173,18 +173,21 @@ def _probe_messages(solver: GreensSolver, points) -> list[str]:
 
 def _resolved_ladder(order: int, domain: Domain, mixed: MixedBoundary,
                      family: PerturbationFamily, x, y, ladder,
-                     config: GreensConfig | None) -> FDResult:
+                     config: GreensConfig | None, charges) -> FDResult:
     """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega).
 
-    The result's ``warnings`` gain the probe warnings of every re-solve,
-    judged against that re-solve's own boundary, each distinct one once.
+    Every re-solve takes the T_t images of the same base ``charges`` (by
+    default the domain's charge rings), so the charge set never changes
+    between abscissae.  The result's ``warnings`` gain the probe warnings of
+    every re-solve, judged against that re-solve's own boundary, each
+    distinct one once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     messages = []
 
     def value(t):
-        solver = GreensSolver(domain, mixed, config, family=family, t=t)
+        solver = GreensSolver(domain, mixed, config, family=family, t=t, charges=charges)
         messages.extend(_probe_messages(solver, (x, y)))
         return solver.solve(y).value(x[None, :])[0]
 
@@ -194,9 +197,13 @@ def _resolved_ladder(order: int, domain: Domain, mixed: MixedBoundary,
 
 def delta_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                x: np.ndarray, y: np.ndarray, ladder=DELTA_N_LADDER,
-               config: GreensConfig | None = None) -> FDResult:
-    """First variation by re-solving on the deformed domain along a t-ladder."""
-    return _resolved_ladder(1, domain, mixed, family, x, y, ladder, config)
+               config: GreensConfig | None = None, charges=None) -> FDResult:
+    """First variation by re-solving on the deformed domain along a t-ladder.
+
+    ``charges`` are the base charges of every re-solve, per component; the
+    routes pass their base solver's ``kept_charges()``.
+    """
+    return _resolved_ladder(1, domain, mixed, family, x, y, ladder, config, charges)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +279,10 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
 
 def delta2_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                 x: np.ndarray, y: np.ndarray, ladder=DELTA2_N_LADDER,
-                config: GreensConfig | None = None) -> FDResult:
-    """Second variation by 5-point differencing of full re-solves."""
-    return _resolved_ladder(2, domain, mixed, family, x, y, ladder, config)
+                config: GreensConfig | None = None, charges=None) -> FDResult:
+    """Second variation by 5-point differencing of full re-solves (``charges``
+    as in ``delta_n_fd``)."""
+    return _resolved_ladder(2, domain, mixed, family, x, y, ladder, config, charges)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +344,8 @@ class RouteTriangle:
 
     ``residual``, ``rank`` and ``n_unknowns`` summarize the base and BVP
     solves: the worst check-node residual, the smallest rank, and the
-    number of charges.
+    number of charges.  ``fd_observed_order`` and ``fd_warnings`` are those
+    of the FD ladder.
     """
 
     formula: float
@@ -346,6 +355,8 @@ class RouteTriangle:
     residual: float
     rank: int
     n_unknowns: int
+    fd_observed_order: float | None
+    fd_warnings: tuple
 
     @property
     def max_pairwise(self) -> float:
@@ -376,7 +387,7 @@ def _triangle(formula: float, bvp: float, fd: FDResult,
     return RouteTriangle(formula, bvp, fd.value, pairwise,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),
-                         diagnostics[0].n_unknowns)
+                         diagnostics[0].n_unknowns, fd.observed_order, fd.warnings)
 
 
 def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):
@@ -401,7 +412,8 @@ def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFam
     formula = delta_n_formula(solver, family, ev)
     udot_y, bvp_diag = delta_n_bvp(solver, family, ev[1])
     bvp = float(udot_y.value(x[None, :])[0])
-    fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config)
+    fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config,
+                    charges=solver.kept_charges())
     return _triangle(formula, bvp, fd, [*ev.diagnostics, bvp_diag], messages)
 
 
@@ -419,6 +431,7 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     formula = delta2_n_formula(solver, family, ev, udot, coeffs)
     uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
-    fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config)
+    fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config,
+                     charges=solver.kept_charges())
     return _triangle(formula, bvp, fd, [*ev.diagnostics, *udot_diags, uddot_diag],
                      messages)

@@ -35,3 +35,22 @@ def test_vector_order_and_monotone_use_the_max_norm():
     sca = derivative_ladder(np.sin, 1, ladder)
     assert vec.observed_order == sca.observed_order
     assert vec.monotone == sca.monotone
+
+
+def _bumped_line(bump):
+    # 2t plus +-bump at t = +-5e-3: on the ladder below the middle estimate
+    # moves by 266.7 bump and the finest by -66.7 bump, so the gaps to the
+    # Richardson value (88.9, 355.6, 22.2) x bump are not monotone
+    return lambda t: 2.0 * t + (bump * np.sign(t) if abs(t) == 5e-3 else 0.0)
+
+
+def test_rounding_level_ladder_is_not_flagged_non_monotone():
+    res = derivative_ladder(_bumped_line(1e-15), 1, (1e-2, 5e-3, 2.5e-3))
+    assert res.monotone
+    assert res.warnings == ()
+
+
+def test_non_monotone_ladder_above_the_floor_still_warns():
+    res = derivative_ladder(_bumped_line(1e-10), 1, (1e-2, 5e-3, 2.5e-3))
+    assert not res.monotone
+    assert res.warnings == ("non-monotone ladder (cancellation suspected)",)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -449,18 +450,102 @@ class TestBlockLayer:
             assert rep.max_error < 1e-6
 
 
+class TestKeptColumns:
+    """The first solve names the kept columns; ladder re-solves use only those."""
+
+    @pytest.mark.parametrize("kind,m,n_charges", [("annulus", 256, 192), ("disk", 256, 192),
+                                                  ("annulus", 128, 96)])
+    def test_gelsy_entry_point_matches_lstsq_bit_for_bit(self, kind, m, n_charges):
+        _, solver = _block_solver(kind, m, n_charges)
+        matrix = solver.solver.matrix
+        rhs = np.concatenate(solver.corrector_data(BLOCK_POLES[kind])[0], axis=-1).T
+        _, qr_pivots = scipy.linalg.qr(matrix, mode="r", pivoting=True)
+        for data in (rhs, rhs[:, 0]):
+            x, rank, pivots = gr._gelsy(matrix, data)
+            ref, _, ref_rank, _ = scipy.linalg.lstsq(matrix, data, cond=1e-13,
+                                                     lapack_driver="gelsy")
+            np.testing.assert_array_equal(x, ref)
+            assert rank == ref_rank
+            # gelsy pivots as the column-pivoted QR (LAPACK geqp3) it runs
+            np.testing.assert_array_equal(pivots[:rank] - 1, qr_pivots[:rank])
+
+    def test_route_re_solves_factor_exactly_the_base_rank_of_columns(self, monkeypatch):
+        shapes, solve = [], gr.MixedSolver.solve
+
+        def recorded(self, *args, **kwargs):
+            shapes.append(self.matrix.shape)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(gr.MixedSolver, "solve", recorded)
+        domain = geo.Domain(geo.annulus(0.5, 1.0), m=256)
+        tri = hd.delta2_n_routes(domain, MIXED["annulus"],
+                                 pert.TaylorFamily(pert.translation(1.0, 0.0)),
+                                 *BLOCK_POLES["annulus"][:2], gr.GreensConfig(n_charges=192))
+        assert tri.rank < tri.n_unknowns == 384
+        # poles, first and second variations on the whole base matrix, then
+        # the nine abscissae of the ladder on the kept columns only
+        assert shapes == [(768, 384)] * 3 + [(768, tri.rank)] * 9
+
+    def test_zero_velocity_ladder_values_are_bit_identical_at_every_t(self, annulus,
+                                                                      monkeypatch):
+        solver = gr.GreensSolver(annulus, MIXED["annulus"])
+        x, y = BLOCK_POLES["annulus"][:2]
+        solver.solve(np.stack([x, y]))
+        charges = solver.kept_charges()
+        assert sum(map(len, charges)) < solver.solver.matrix.shape[1]
+        values, ladder = {}, hd.derivative_ladder
+
+        def recording(g, *args, **kwargs):
+            return ladder(lambda t: values.setdefault(t, g(t)), *args, **kwargs)
+
+        monkeypatch.setattr(hd, "derivative_ladder", recording)
+        hd.delta2_n_fd(annulus, MIXED["annulus"], pert.TaylorFamily(pert.zero_field()),
+                       x, y, charges=charges)
+        assert len(values) == 9 and len(set(values.values())) == 1
+
+    def test_a_full_rank_boundary_keeps_every_column_in_order(self, annulus):
+        cfg = gr.GreensConfig(n_charges=96)  # 384x192 at full rank
+        solver = gr.GreensSolver(annulus, MIXED["annulus"], cfg)
+        x, y = BLOCK_POLES["annulus"][:2]
+        solver.solve(np.stack([x, y]))
+        np.testing.assert_array_equal(solver.solver.kept, np.arange(192))
+        for kept, ring in zip(solver.kept_charges(), annulus.charge_rings(96, 1.6)):
+            np.testing.assert_array_equal(kept, ring)
+        fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
+        for t in (0.02, -0.01):
+            whole = gr.perturbed_greens(annulus, MIXED["annulus"], fam, t, y, cfg)
+            kept = gr.GreensSolver(annulus, MIXED["annulus"], cfg, family=fam, t=t,
+                                   charges=solver.kept_charges()).solve(y)
+            np.testing.assert_array_equal(kept.value(x[None, :]), whole.value(x[None, :]))
+
+    @pytest.mark.parametrize("routes", [hd.delta_n_routes, hd.delta2_n_routes])
+    def test_a_route_computes_each_components_centroid_once(self, monkeypatch, routes):
+        calls, centroid = [], geo.FourierCurve.centroid
+
+        def counted(curve):
+            calls.append(id(curve))
+            return centroid(curve)
+
+        monkeypatch.setattr(geo.FourierCurve, "centroid", counted)
+        domain = geo.Domain(geo.annulus(0.5, 1.0), m=128)
+        routes(domain, MIXED["annulus"], pert.TaylorFamily(pert.translation(1.0, 0.0)),
+               *BLOCK_POLES["annulus"][:2])
+        assert sorted(calls) == sorted(id(c) for c in domain.curve.components)
+
+
 class TestGelsyBudget:
     def test_registry_solves_in_at_most_77_gelsy_calls_inside_mixed_solver(self, monkeypatch):
-        # perfbench times the solve layer as MixedSolver.solve; every lstsq
-        # must run inside it, and batching keeps the registry at <= 77 calls
+        # perfbench times the solve layer as MixedSolver.solve; every call of
+        # the one gelsy entry point must run inside it, and batching keeps
+        # the registry at <= 77 calls
         calls, open_solves, outside = [0], [0], []
-        lstsq, solve = scipy.linalg.lstsq, gr.MixedSolver.solve
+        gelsy, solve = scipy.linalg.lapack.dgelsy, gr.MixedSolver.solve
 
         def counted(*args, **kwargs):
             calls[0] += 1
             if not open_solves[0]:
                 outside.append(calls[0])
-            return lstsq(*args, **kwargs)
+            return gelsy(*args, **kwargs)
 
         def entered(*args, **kwargs):
             open_solves[0] += 1
@@ -469,7 +554,7 @@ class TestGelsyBudget:
             finally:
                 open_solves[0] -= 1
 
-        monkeypatch.setattr(scipy.linalg, "lstsq", counted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgelsy", counted)
         monkeypatch.setattr(gr.MixedSolver, "solve", entered)
         case_settings = CaseSettings(seed=7)
         rows = [case.run(case_settings) for case in build_registry()]

@@ -4,6 +4,7 @@ import pytest
 from shapelab import geometry as geo
 from shapelab import hadamard as hd
 from shapelab import perturbation as pert
+from shapelab.cases import route_result
 from shapelab._fd import derivative_ladder
 from shapelab.geometry import _rotate_quarter, tangential_grad
 from shapelab.greens import GreensSolver, disk_greens
@@ -361,6 +362,24 @@ class TestSecondVariationRoutes:
         forward = hd.delta2_n_formula(solver, fam, ev, udot, co)
         backward = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co)
         assert abs(forward - backward) < 1e-10
+
+
+class TestRouteDetails:
+    def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
+        tri = hd.delta_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
+                                *DISK_PROBES)
+        details = route_result(tri)[4]
+        assert 3.5 < details["fd_observed_order"] == tri.fd_observed_order < 4.5
+        assert "fd_observed_order_reason" not in details
+        assert details["fd_warnings"] == []
+
+    def test_a_degenerate_fd_order_is_null_with_a_reason(self, disk):
+        tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), pert.FlowFamily(pert.rotation()),
+                                 *DISK_PROBES)
+        details = route_result(tri)[4]
+        assert tri.fd_observed_order == np.inf
+        assert details["fd_observed_order"] is None
+        assert details["fd_observed_order_reason"] == "ladder differences at rounding level"
 
 
 class TestGradientPairing:
