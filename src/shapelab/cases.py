@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,9 +33,21 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass
 class CaseSettings:
+    """A run's settings, and its memo of Domains: every case of a run that
+    names one curve gets one Domain, with one interior rule, one set of
+    charge rings and one base Green's solver per boundary assignment."""
+
     seed: int = 0
     m: int = 128
     n_charges: int = 96
+    _domains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def domain(self, key, curve: geo.BoundaryCurve) -> geo.Domain:
+        """The run's Domain at ``m`` of the curve that the hashable ``key`` names;
+        ``curve`` is read on the first request only."""
+        if key not in self._domains:
+            self._domains[key] = geo.Domain(curve, m=self.m)
+        return self._domains[key]
 
     def rng(self, case_id: str) -> np.random.Generator:
         return np.random.default_rng(int(self.seed) * 2654435761 % 2 ** 31
@@ -235,16 +247,12 @@ def _jacobian_flow_acceleration(st, case):
 # liouville suite
 # ---------------------------------------------------------------------------
 
+REGISTRY_CURVES = {"disk": geo.disk(1.0), "ellipse": geo.elliptical_domain(2.0, 1.0),
+                   "star": geo.star_domain(1.0, 0.2, 3), "annulus": geo.annulus(0.5, 1.0)}
+
+
 def _domain(st, kind: str) -> geo.Domain:
-    if kind == "disk":
-        return geo.Domain(geo.disk(1.0), m=st.m)
-    if kind == "ellipse":
-        return geo.Domain(geo.elliptical_domain(2.0, 1.0), m=st.m)
-    if kind == "star":
-        return geo.Domain(geo.star_domain(1.0, 0.2, 3), m=st.m)
-    if kind == "annulus":
-        return geo.Domain(geo.annulus(0.5, 1.0), m=st.m)
-    raise ValueError(kind)
+    return st.domain(kind, REGISTRY_CURVES[kind])
 
 
 def _poly(terms: dict) -> np.ndarray:
@@ -326,7 +334,7 @@ def _liouville_nu_dot(st, case):
 
 def _greens_disk_analytic(st, case):
     dom = _domain(st, "disk")
-    solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
     y = np.array([0.3, 0.0])
     ev = solver.solve(y)
     rng = st.rng(case.case_id)
@@ -344,7 +352,7 @@ def _greens_disk_analytic(st, case):
 
 def _greens_poisson_kernel(st, case):
     dom = _domain(st, "disk")
-    solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
     y = np.array([0.3, 0.0])
     ev = solver.solve(y)
     kernel = gr.disk_poisson_kernel(dom.grids[0].thetas, y)
@@ -364,7 +372,7 @@ def _greens_symmetry(st, case):
     for kind, mixedb in (("disk", geo.all_dirichlet(1)),
                          ("annulus", geo.MixedBoundary(("dirichlet", "neumann")))):
         dom = _domain(st, kind)
-        solver = gr.GreensSolver(dom, mixedb, st.greens_config())
+        solver = gr.base_solver(dom, mixedb, st.greens_config())
         rng = st.rng(case.case_id + kind)
         pairs = []
         while len(pairs) < 10:
@@ -380,7 +388,7 @@ def _greens_symmetry(st, case):
 
 def _greens_annulus_flux(st, case):
     dom = _domain(st, "annulus")
-    solver = gr.GreensSolver(dom, geo.MixedBoundary(("dirichlet", "neumann")),
+    solver = gr.base_solver(dom, geo.MixedBoundary(("dirichlet", "neumann")),
                              st.greens_config())
     ev = solver.solve(np.array([0.0, 0.72]))
     flux = float(np.dot(solver.components[0].weights, ev.normal_trace(0)))
@@ -409,7 +417,7 @@ def _greens_representation(st, case):
 
 def _greens_harmonicity(st, case):
     dom = _domain(st, "disk")
-    solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
     ev = solver.solve(np.array([0.3, 0.0]))
     rng = st.rng(case.case_id)
     worst = 0.0
@@ -430,7 +438,7 @@ def _greens_charge_convergence(st, case):
     res = {}
     for n in (32, 64):
         cfg = gr.GreensConfig(n_charges=n, fail_threshold=1.0)
-        ev = gr.GreensSolver(dom, mixedb, cfg).solve(y)
+        ev = gr.base_solver(dom, mixedb, cfg).solve(y)
         res[n] = ev.diagnostics.residual
     ratio = res[64] / max(res[32], 1e-300)
     err = 0.0 if (ratio <= 0.1 or res[64] <= 1e-9) else ratio
@@ -495,7 +503,7 @@ def _probe_pair(kind: str):
 def _delta_n_dilation(st, case):
     dom = _domain(st, "disk")
     x, y = _probe_pair("disk")
-    solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
     val = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
                              solver.solve(np.stack([x, y])))
     oracle = hd.disk_dilation_delta_n(x, y, order=1)
@@ -505,7 +513,7 @@ def _delta_n_dilation(st, case):
 def _delta_n_rotation(st, case):
     dom = _domain(st, "disk")
     x, y = _probe_pair("disk")
-    solver = gr.GreensSolver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
     val = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
                              solver.solve(np.stack([x, y])))
     return val, {"symmetry": 0.0}, abs(val)
@@ -550,7 +558,7 @@ def _gradient_pairing(kind: str):
         dom = _domain(st, kind)
         mixedb, fam = _setup(kind)
         x, y = _probe_pair(kind)
-        solver = gr.GreensSolver(dom, mixedb, st.greens_config())
+        solver = gr.base_solver(dom, mixedb, st.greens_config())
         ev = solver.solve(np.stack([x, y]))
         udot, _ = hd.delta_n_bvp(solver, fam, ev)
         lhs, rhs, res = hd.gradient_pairing_residual(solver, fam, ev, udot)
@@ -563,7 +571,7 @@ def _pole_symmetry(st, case):
     dom = _domain(st, "annulus")
     mixedb, fam = _setup("annulus")
     x, y = _probe_pair("annulus")
-    solver = gr.GreensSolver(dom, mixedb, st.greens_config())
+    solver = gr.base_solver(dom, mixedb, st.greens_config())
     ev = solver.solve(np.stack([x, y]))
     d1 = hd.delta_n_formula(solver, fam, ev)
     d1s = hd.delta_n_formula(solver, fam, ev[::-1])

@@ -79,18 +79,29 @@ def _family_from_config(fam_spec):
     raise ConfigError(f"unknown family kind {kind!r}; choose from ['flow', 'taylor']")
 
 
+def _curve(spec):
+    """The curve of a custom case, and the key under which the run shares its
+    Domain with every case that declares the same domain."""
+    return (geo.make_curve(**spec["domain"]),
+            ("config", json.dumps(spec["domain"], sort_keys=True)))
+
+
 def _liouville_case(spec) -> Case:
     case_id, kind = spec["id"], spec["kind"]
     kinds = sorted(variation_ops())
     if kind not in kinds:
         raise ConfigError(f"unknown kind {kind!r}; choose from {kinds}")
-    curve = geo.make_curve(**spec["domain"])
+    curve, domain_key = _curve(spec)
     family = _family_from_config(spec["family"])
     expr = spec["integrand"]
     flux = kind.startswith("flux")
     if flux and (isinstance(expr, str) or len(expr) != 2):
         raise ConfigError(f"a {kind} integrand is a list of 2 expressions, not {expr!r}")
-    import sympy as sp  # only user-written integrands need it
+    try:
+        import sympy as sp  # only user-written integrands need it
+    except ImportError as exc:
+        raise ConfigError(f"integrand {expr!r} needs sympy, which the optional "
+                          "extra shapelab[expressions] installs") from exc
     try:
         for item in (expr if flux else [expr]):
             sp.sympify(item)
@@ -105,7 +116,7 @@ def _liouville_case(spec) -> Case:
             integrand = VectorIntegrandSpec.from_expressions(*expr)
         else:
             integrand = IntegrandSpec.from_expression(expr)
-        return variation_result(kind, geo.Domain(curve, m=st.m), family, integrand,
+        return variation_result(kind, st.domain(domain_key, curve), family, integrand,
                                 ladder=ladder)
 
     return Case(case_id, "liouville", "config-declared derivative case",
@@ -115,7 +126,7 @@ def _liouville_case(spec) -> Case:
 def _hadamard_case(spec) -> Case:
     routes = {"first": hd.delta_n_routes, "second": hd.delta2_n_routes}
     case_id = spec["id"]
-    curve = geo.make_curve(**spec["domain"])
+    curve, domain_key = _curve(spec)
     mixed = geo.MixedBoundary(tuple(spec["mixed"]))
     if len(mixed.kinds) != curve.n_components:
         raise ConfigError(f"mixed needs {curve.n_components} entries, one per "
@@ -131,7 +142,7 @@ def _hadamard_case(spec) -> Case:
     kwargs = {"ladder": tuple(spec["ladder"])} if spec.get("ladder") else {}
 
     def runner(st, case):
-        return route_result(routes[variation](geo.Domain(curve, m=st.m), mixed, family,
+        return route_result(routes[variation](st.domain(domain_key, curve), mixed, family,
                                               probes[0], probes[1], st.greens_config(),
                                               **kwargs))
 

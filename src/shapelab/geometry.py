@@ -523,24 +523,28 @@ def all_dirichlet(n_components: int) -> MixedBoundary:
 
 
 class Domain:
-    """A boundary curve with grids on every component, a cached interior rule
-    and cached charge rings."""
+    """A boundary curve with grids on every component, and one memo of what is
+    built from them once: the interior rule, the charge rings and the base
+    Green's solvers (``greens.base_solver``)."""
 
     def __init__(self, curve: BoundaryCurve, m: int = 128):
         self.curve = curve
         self.grids = tuple(build_grid(c, m) for c in curve.components)
-        self._interior: InteriorQuadrature | None = None
-        self._rings: dict[tuple, tuple] = {}
+        self._memo: dict = {}
 
     @property
     def n_components(self) -> int:
         return self.curve.n_components
 
+    def memo(self, key, build):
+        """``build()``, called on the first request for the hashable ``key`` only."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def interior(self) -> InteriorQuadrature:
         """The interior rule of the domain (48 x 192 nodes), built once."""
-        if self._interior is None:
-            self._interior = interior_quadrature(self.curve)
-        return self._interior
+        return self.memo("interior", lambda: interior_quadrature(self.curve))
 
     def charge_rings(self, n_charges: int, outer_offset: float) -> tuple:
         """Read-only (n_charges, 2) source rings of each component, built once per key.
@@ -549,8 +553,7 @@ class Domain:
         ``outer_offset`` for the outer curve and by 0.6 for a hole, sampled at
         the angles 2 pi (j + 1/4) / n_charges.
         """
-        key = (n_charges, outer_offset)
-        if key not in self._rings:
+        def build():
             thetas = TWO_PI * (np.arange(n_charges) + 0.25) / n_charges
             rings = []
             for i, curve in enumerate(self.curve.components):
@@ -558,8 +561,9 @@ class Domain:
                 ring = curve.scaled_about(curve.centroid(), factor).point(thetas)
                 ring.flags.writeable = False
                 rings.append(ring)
-            self._rings[key] = tuple(rings)
-        return self._rings[key]
+            return tuple(rings)
+
+        return self.memo(("charge_rings", n_charges, outer_offset), build)
 
 
 def make_curve(name: str, **params) -> BoundaryCurve:

@@ -9,6 +9,23 @@ standard stabilization for these exponentially ill-conditioned systems.
 The collocation matrix is assembled once per boundary and shared by every
 right-hand side.  Its condition estimate is an SVD, computed only when read.
 
+One factorization per boundary: the first solve on a matrix is a gelsy
+call, which also yields the rank and the columns its truncation kept.
+Every later solve on that matrix applies gelsy's factors, built once at
+that rank by gelsy's own LAPACK steps (dgeqp3, then dtzrzf below full
+rank) and applied as gelsy applies them (dormqr, dtrsm, dormrz, then the
+pivots), so it returns gelsy's solution bit for bit.  The first solve stays
+on gelsy because gelsy's rank comes from LAPACK's incremental condition
+estimator dlaic1, which scipy does not expose.  A Python port of it matched
+gelsy's rank on 102 of 102 matrices but cost 1.5-4 ms per matrix, and 102
+of the 114 matrices of the green-variations benchmark are one-shot FD
+re-solves: factoring every matrix that way saved 0.2 s there, factoring
+only for a second solve 0.42 s.  Each run shares its base solvers:
+``base_solver`` keeps one solver per (boundary assignment, config) in the
+domain's memo, and a run keeps one Domain per curve, so every case on a
+boundary solves on one matrix and one set of factors.  FD re-solves stay
+per t and unshared.
+
 Kept columns: the first solve on a matrix names, through gelsy's pivots,
 the columns its truncation kept.  The re-solves of a finite-difference
 t-ladder take the T_t images of the kept charges only and factor that
@@ -19,16 +36,18 @@ poles and variation data alike, use every column: the variation data feed
 boundary derivatives, and on the mixed annulus a fit on the kept columns
 alone resolved those less well than gelsy's fit on every column.
 
-Blocks are the unit of work: one gelsy call per batch; per-column products
+Blocks are the unit of work: one solve per batch; per-column products
 keep bits.  A solve takes one data set or a block of k of them (several
-poles, several variation data sets) and fits them in one gelsy call, which
-factors the matrix once for the batch; gelsy's rank depends only on the
-matrix, so every column gets the same truncation.  The result is a field
-with a (K, k) coefficient block.  A block field builds each (N, K) kernel
-matrix once per call and takes one matrix-vector product per column, so
-column j of any block evaluation is bit-identical to evaluating field j
-alone (one gemm would reorder the sums).  Block results stack the k columns
-on a leading axis.
+poles, several variation data sets) and fits them at once; gelsy's rank
+depends only on the matrix, so every column gets the same truncation.  The
+result is a field with a (K, k) coefficient block.  A block field builds
+its (N, K) kernel matrix once per call and takes one matrix-vector product
+per column, so column j of any block evaluation is bit-identical to
+evaluating field j alone (one gemm would reorder the sums).  Block results
+stack the k columns on a leading axis.  Fields evaluate their kernel in
+row blocks of at most BLOCK_ENTRIES entries, each row with the BLAS kernel
+it meets in one whole evaluation, so rows keep their bits while the kernel
+of the interior rule stays a few MB.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
 gradients over the charges use the complex form
@@ -48,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate, pushed_frame
@@ -55,6 +75,10 @@ from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate, pushed
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
+# kernel entries in one row block of a field evaluation: 4 MB of complex
+# gradient kernel, where the 9216-node interior rule against 384 charges
+# made one 57 MB array
+BLOCK_ENTRIES = 2 ** 18
 
 
 class GreensError(ValueError):
@@ -227,13 +251,33 @@ class HarmonicField:
         """Field j of a block, or the sub-block a slice selects."""
         return HarmonicField(self.charges, self.coefficients[:, j])
 
+    def _by_row_blocks(self, evaluate, points: np.ndarray) -> np.ndarray:
+        """``evaluate`` on row blocks of at most BLOCK_ENTRIES kernel entries,
+        joined on the point axis.
+
+        Blocks hold a multiple of 64 rows and a last block of one row joins
+        the one before it, so each row meets the same BLAS kernel as in one
+        evaluation of every point and keeps its bits.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        step = max(64, BLOCK_ENTRIES // len(self.charges) // 64 * 64)
+        bounds = [0, *range(step, len(points) - 1, step), len(points)]
+        if len(bounds) == 2:
+            return evaluate(points)
+        return np.concatenate([evaluate(points[a:b]) for a, b in zip(bounds, bounds[1:])],
+                              axis=self.coefficients.ndim - 1)
+
     def value(self, points: np.ndarray) -> np.ndarray:
-        return _per_column(fundamental_solution(points, self.charges), self.coefficients)
+        return self._by_row_blocks(
+            lambda pts: _per_column(fundamental_solution(pts, self.charges),
+                                    self.coefficients), points)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
+        return self._by_row_blocks(self._gradient, points)
+
+    def _gradient(self, points: np.ndarray) -> np.ndarray:
         # grad Gamma(p - s) = -conj(1/(z - s)) / (2 pi) with z = p1 + i p2,
         # so the sum over charges is one complex matrix-vector product.
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         w = np.subtract.outer(points[:, 0] + 1j * points[:, 1],
                               self.charges[:, 0] + 1j * self.charges[:, 1])
         if np.any(w == 0.0):
@@ -243,6 +287,9 @@ class HarmonicField:
         return np.stack([-INV_2PI * total.real, INV_2PI * total.imag], axis=-1)
 
     def hessian(self, points: np.ndarray) -> np.ndarray:
+        return self._by_row_blocks(self._hessian, points)
+
+    def _hessian(self, points: np.ndarray) -> np.ndarray:
         kernel = fundamental_hessian(points, self.charges)
         if self.coefficients.ndim == 1:
             return np.einsum("nkij,k->nij", kernel, self.coefficients)
@@ -257,6 +304,12 @@ class SolveDiagnostics:
     n_unknowns: int
 
 
+def _gelsy_lwork(m: int, n: int, n_rhs: int) -> int:
+    """The workspace gelsy takes for an (m, n) matrix and n_rhs data columns."""
+    work, _ = scipy.linalg.lapack.dgelsy_lwork(m, n, n_rhs, 1e-13)
+    return int(work)
+
+
 def _gelsy(matrix: np.ndarray, rhs: np.ndarray):
     """(solution, rank, pivots) of the truncated least-squares fit, relative threshold 1e-13.
 
@@ -268,25 +321,70 @@ def _gelsy(matrix: np.ndarray, rhs: np.ndarray):
     matrix, rhs = np.asarray_chkfinite(matrix), np.asarray_chkfinite(rhs)
     m, n = matrix.shape
     n_rhs = 1 if rhs.ndim == 1 else rhs.shape[1]
-    work, _ = scipy.linalg.lapack.dgelsy_lwork(m, n, n_rhs, 1e-13)
     _, x, pivots, rank, info = scipy.linalg.lapack.dgelsy(
-        matrix, rhs, np.zeros(n, dtype=np.int32), 1e-13, int(work), False, False)
+        matrix, rhs, np.zeros(n, dtype=np.int32), 1e-13, _gelsy_lwork(m, n, n_rhs),
+        False, False)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gelsy")
     return x[:n], rank, pivots
+
+
+class _GelsyFactors:
+    """gelsy's factors of one matrix at its rank, stored for the solves after the first.
+
+    They come from gelsy's own LAPACK steps with its workspace: the
+    column-pivoted QR  A P = Q [R11 R12; 0 R22]  (dgeqp3) and, below full
+    rank, the RZ factorization  [R11 R12] = [T11 0] Z  (dtzrzf).  A solve
+    applies Q^T (dormqr), T11^-1 (dtrsm), Z^T (dormrz) and the pivots, the
+    steps gelsy takes after its rank estimate, so it returns gelsy's solution
+    bit for bit whenever gelsy does not rescale: while the largest entry of
+    the matrix, and of a nonzero data block, lies in [1e-292, 1e292].
+    """
+
+    def __init__(self, matrix: np.ndarray, rank: int):
+        m, n = matrix.shape
+        self.shape, self.rank, self.mn = matrix.shape, rank, min(m, n)
+        lwork = _gelsy_lwork(m, n, 1)
+        self.qr, self.pivots, self.tau, _, _ = scipy.linalg.lapack.dgeqp3(
+            matrix, lwork=lwork - self.mn)
+        self.rz, self.tau_z = self.qr[:rank], None
+        if rank < n:
+            self.rz, self.tau_z, _ = scipy.linalg.lapack.dtzrzf(
+                self.rz, lwork=lwork - 2 * self.mn)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """gelsy's solution for data (rows,) or a (rows, k) block."""
+        m, n = self.shape
+        block = np.asarray_chkfinite(rhs).reshape(m, -1)
+        # each step gets what gelsy leaves it of its workspace: an undersized
+        # dormqr workspace runs unblocked and moves the bits
+        lwork = _gelsy_lwork(m, n, block.shape[1]) - 2 * self.mn
+        qtb, _, _ = scipy.linalg.lapack.dormqr("L", "T", self.qr[:, :self.mn], self.tau,
+                                               block, lwork)
+        y = np.zeros((n, block.shape[1]), order="F")
+        # BLAS dtrsm as gelsy calls it; LAPACK's dtrtrs differs for one column
+        y[:self.rank] = scipy.linalg.blas.dtrsm(1.0, self.rz[:, :self.rank],
+                                                qtb[:self.rank])
+        if self.rank < n:
+            y, _ = scipy.linalg.lapack.dormrz(self.rz, self.tau_z, y, side="L",
+                                              trans="T", lwork=lwork)
+        x = np.empty_like(y)
+        x[self.pivots - 1] = y
+        return x if rhs.ndim == 2 else x[:, 0]
 
 
 class MixedSolver:
     """Shared collocation matrix for one (possibly deformed) boundary.
 
     Dirichlet rows match values, Neumann rows match normal derivatives.  The
-    matrix is assembled once and shared by every right-hand side: one gelsy
-    call per batch; per-column products keep bits.  Each ``solve`` is one
-    pivoted-QR least-squares solve (LAPACK gelsy) of a data set or a block
-    of them, truncated at the relative threshold 1e-13.  The first solve
-    stores the columns gelsy kept, sorted, as ``kept``; the re-solves of a
-    t-ladder are assembled on the images of those columns' charges only.
-    The condition estimate is an SVD of the matrix, computed on first read.
+    matrix is assembled once and shared by every right-hand side.  Each
+    ``solve`` is gelsy's pivoted-QR least-squares fit of a data set or a
+    block of them, truncated at the relative threshold 1e-13.  The first
+    solve is a gelsy call; it stores gelsy's ``rank`` and the columns gelsy
+    kept, sorted, as ``kept``, and the re-solves of a t-ladder are assembled
+    on the images of those columns' charges only.  The solves after it apply
+    gelsy's factors, built once at that rank, with gelsy's bits.  The
+    condition estimate is an SVD of the matrix, computed on first read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
@@ -308,7 +406,9 @@ class MixedSolver:
                 gx += gy
                 rows.append(gx)
         self.matrix = np.vstack(rows)
-        self.kept: np.ndarray | None = None  # set by the first solve
+        self.rank: int | None = None  # set by the first solve, with kept
+        self.kept: np.ndarray | None = None
+        self._factors: _GelsyFactors | None = None  # built by the second solve
 
     @functools.cached_property
     def condition_estimate(self) -> float:
@@ -316,7 +416,7 @@ class MixedSolver:
         return float(sv[0] / max(sv[-1], 1e-300))
 
     def solve(self, rhs_per_component: list[np.ndarray], check_data=None):
-        """Fit one data set, or a block of k, in one gelsy call.
+        """Fit one data set, or a block of k, in one solve.
 
         Each component's data is (rows_i,) for one set or (k, rows_i) for k
         sets; together they form the (rows, k) right-hand-side block.  The
@@ -327,9 +427,13 @@ class MixedSolver:
         ones they agree to rounding.
         """
         rhs = np.concatenate(rhs_per_component, axis=-1)
-        coeff, rank, pivots = _gelsy(self.matrix, rhs.T)
         if self.kept is None:
-            self.kept = np.sort(pivots[:rank] - 1)
+            coeff, self.rank, pivots = _gelsy(self.matrix, rhs.T)
+            self.kept = np.sort(pivots[:self.rank] - 1)
+        else:
+            if self._factors is None:
+                self._factors = _GelsyFactors(self.matrix, self.rank)
+            coeff = self._factors.solve(rhs.T)
         fld = HarmonicField(self.charges, coeff)
         residuals = []
         if check_data is not None:
@@ -343,7 +447,7 @@ class MixedSolver:
         n_sets = 1 if rhs.ndim == 1 else rhs.shape[0]
         per_set = np.reshape(np.transpose(residuals), (n_sets, len(residuals)))
         diags = tuple(SolveDiagnostics(float(row.max()) if row.size else float("nan"),
-                                       tuple(map(float, row)), int(rank),
+                                       tuple(map(float, row)), int(self.rank),
                                        self.matrix.shape[1]) for row in per_set)
         total = max(d.residual for d in diags)
         if residuals and total > self.config.fail_threshold:
@@ -434,7 +538,8 @@ def contains(components: list[ComponentDiscretization], point: np.ndarray) -> bo
 
 
 class GreensSolver:
-    """Green's-function factory for one domain and boundary assignment.
+    """Green's-function factory for one domain and boundary assignment
+    (``base_solver`` shares the one of the undeformed boundary).
 
     ``charges`` are the base charges of each component before T_t, by
     default the domain's charge rings; re-solves pass another solver's
@@ -465,7 +570,7 @@ class GreensSolver:
         return col, chk
 
     def solve(self, y) -> GreensEval:
-        """N(., y) for one pole (2,), or a block for poles (k, 2) in one gelsy call."""
+        """N(., y) for one pole (2,), or a block for poles (k, 2) in one solve."""
         y = np.asarray(y, dtype=float)
         for pole in np.atleast_2d(y):
             if not contains(self.components, pole):
@@ -477,7 +582,7 @@ class GreensSolver:
     def harmonic_bvp(self, nodal_data: list[np.ndarray]):
         """Solve the mixed BVP with grid-nodal Dirichlet/Neumann data.
 
-        Per component one data set (M,) or k of them (k, M), in one gelsy call.
+        Per component one data set (M,) or k of them (k, M), in one solve.
         """
         return self.solver.solve_nodal(nodal_data)
 
@@ -488,6 +593,19 @@ class GreensSolver:
         keep[slice(None) if self.solver.kept is None else self.solver.kept] = True
         splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
         return [c.charges[k] for c, k in zip(self.components, np.split(keep, splits))]
+
+
+def base_solver(domain: Domain, mixed: MixedBoundary,
+                config: GreensConfig | None = None) -> GreensSolver:
+    """The domain's one solver of its undeformed boundary under (mixed, config).
+
+    Built on the first request and kept in the domain's memo, so every route
+    and case on that boundary shares its matrix, its first gelsy solve and
+    the factors of the solves after it.
+    """
+    config = config or GreensConfig()
+    return domain.memo(("greens", mixed, config),
+                       lambda: GreensSolver(domain, mixed, config))
 
 
 def perturbed_greens(domain: Domain, mixed: MixedBoundary, family, t: float, y,
@@ -556,12 +674,12 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     a boundary integral, and the remaining integrand vanishes at the pole.
 
     ``z_spec`` is one manufactured solution, or a list of them (then a list
-    of reports comes back).  The probes are solved in one gelsy call, and
+    of reports comes back).  The probes are solved at once, and
     their correctors and traces are evaluated once for every solution.
     """
     specs = list(z_spec) if isinstance(z_spec, (list, tuple)) else [z_spec]
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    solver = GreensSolver(domain, mixed, config)
+    solver = base_solver(domain, mixed, config)
     interior = domain.interior()
     ev = solver.solve(probes)
     corrector = ev.corrector_value(interior.nodes)

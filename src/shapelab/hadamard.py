@@ -28,7 +28,7 @@ from ._fd import FDResult, derivative_ladder
 from .geometry import (Domain, MixedBoundary, fourier_derivative,
                        second_fundamental_form, tangential_grad)
 from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField,
-                     SolveDiagnostics, rowwise_dot)
+                     SolveDiagnostics, base_solver, rowwise_dot)
 from .perturbation import PerturbationFamily, boundary_data
 
 DELTA_N_LADDER = (1e-2, 5e-3, 2.5e-3)
@@ -391,13 +391,13 @@ def _triangle(formula: float, bvp: float, fd: FDResult,
 
 
 def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):
-    """Probes, solver, pole block (x, y) and probe warnings of a route run.
+    """Probes, the domain's base solver, pole block (x, y) and probe warnings of a route run.
 
     The probe warnings on the base boundary are issued for the caller of the
     route before any solve, and returned.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    solver = GreensSolver(domain, mixed, config)
+    solver = base_solver(domain, mixed, config)
     messages = _probe_messages(solver, (x, y))
     for message in messages:
         warnings.warn(message, stacklevel=3)

@@ -19,8 +19,15 @@ from numpy.polynomial.polynomial import polyvander2d
 
 
 def _sympy():
-    """sympy and its symbols x1, x2, t, imported only when an expression is compiled."""
-    import sympy as sp
+    """sympy and its symbols x1, x2, t, imported only when an expression is compiled.
+
+    sympy comes with the optional extra ``shapelab[expressions]``.
+    """
+    try:
+        import sympy as sp
+    except ImportError as exc:
+        raise ImportError("expression integrands need sympy, which the optional "
+                          "extra shapelab[expressions] installs") from exc
     return sp, sp.symbols("x1 x2 t")
 
 

@@ -1,7 +1,8 @@
 """Report rows and deterministic artifact writers.
 
 report.json is the determinism artifact: identical (config, seed) runs must
-produce byte-identical files, so wall times live only in report.csv.  All
+produce byte-identical files, so wall times live only in report.csv, which
+also gives each row's headroom in decades between err and its tolerance.  All
 files are written atomically (temp file + rename) and fully overwritten.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -59,6 +61,15 @@ class ReportRow:
         })
 
 
+def headroom_decades(err: float, tolerance: float, mode: str) -> float | None:
+    """Decades between err and its tolerance, positive when the row passes:
+    log10(tol/err) for an ``le`` row, log10(err/tol) for a ``ge`` row; None
+    when err is 0, negative or not finite."""
+    if not (math.isfinite(err) and err > 0.0):
+        return None
+    return math.log10(err / tolerance) if mode == "ge" else math.log10(tolerance / err)
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -91,13 +102,14 @@ def write_reports(rows: list[ReportRow], out_dir: str, seed: int,
     writer = csv.writer(buf)
     writer.writerow(["case_id", "suite", "quantity", "formula_value",
                      "primary_oracle", "err", "tolerance", "mode", "passed",
-                     "observed_order", "wall_time_s", "error"])
+                     "headroom_decades", "observed_order", "wall_time_s", "error"])
     for r in rows:
         primary = next(iter(r.oracles.values())) if r.oracles else ""
+        headroom = headroom_decades(r.err, r.tolerance, r.mode)
         writer.writerow([r.case_id, r.suite, r.quantity, repr(r.formula_value),
                          primary, repr(r.err), repr(r.tolerance), r.mode,
-                         r.passed, r.observed_order, f"{r.wall_time_s:.4f}",
-                         r.error or ""])
+                         r.passed, "" if headroom is None else repr(headroom),
+                         r.observed_order, f"{r.wall_time_s:.4f}", r.error or ""])
     _atomic_write(csv_path, buf.getvalue())
 
     for r in rows:

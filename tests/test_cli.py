@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from shapelab import cli
+from shapelab import greens as gr
 from shapelab import perturbation as pert
 from shapelab.cases import Case, CaseSettings, build_registry
+from shapelab.integrands import IntegrandSpec
+from shapelab.report import ReportRow, write_reports
 
 STAR_SHEAR = {
     "id": "custom-star-shear",
@@ -322,3 +327,70 @@ class TestCli:
         cli.main(["run", "--case", "jacobian-dilation-det",
                   "--out-dir", str(tmp_path)])
         assert "wall_time" not in (tmp_path / "report.json").read_text()
+
+
+class TestReportCsv:
+    def test_headroom_column_in_decades(self, tmp_path):
+        rows = [ReportRow("a-le", "s", "q", 1.0, {}, 1e-9, 1e-6, "le", True),
+                ReportRow("b-ge", "s", "q", 1.0, {}, 3.0, 2.5, "ge", True),
+                ReportRow("c-zero", "s", "q", 1.0, {}, 0.0, 1e-6, "le", True),
+                ReportRow("d-nan", "s", "q", 1.0, {}, float("nan"), 1e-6, "le", False),
+                ReportRow("e-fail", "s", "q", 1.0, {}, 1e-3, 1e-6, "le", False)]
+        write_reports(rows, str(tmp_path), seed=0)
+        with open(tmp_path / "report.csv") as handle:
+            table = {row["case_id"]: row["headroom_decades"] for row in csv.DictReader(handle)}
+        assert math.isclose(float(table["a-le"]), 3.0)
+        assert math.isclose(float(table["b-ge"]), math.log10(3.0 / 2.5))
+        assert table["c-zero"] == "" and table["d-nan"] == ""
+        assert math.isclose(float(table["e-fail"]), -3.0)
+        assert "headroom" not in (tmp_path / "report.json").read_text()
+
+
+class TestOptionalSympy:
+    def test_expression_without_sympy_is_a_config_error_naming_the_extra(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy now fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_liouville": [STAR_SHEAR]}))
+        code = cli.main(["run", "--case", STAR_SHEAR["id"], "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "shapelab[expressions]" in capsys.readouterr().err
+        with pytest.raises(ImportError, match=r"shapelab\[expressions\]"):
+            IntegrandSpec.from_expression("x1 * x2")
+
+
+# two first-variation cases on one mixed annulus, declared separately
+SHARED_ANNULUS = [
+    {"id": f"shared-annulus-{name}", "domain": {"name": "annulus", "r_in": 0.5, "r_out": 1.0},
+     "mixed": ["dirichlet", "neumann"], "family": {"kind": "taylor", "field": field},
+     "probes": [[0.0, 0.75], [-0.74, -0.1]], "variation": "first"}
+    for name, field in (("dilation", {"name": "dilation"}),
+                        ("translation", {"name": "translation", "dx": 0.6, "dy": 0.8}))]
+
+
+class TestSharedBaseSolver:
+    def test_cases_on_one_boundary_share_its_solver_and_keep_their_rows(
+            self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_hadamard": SHARED_ANNULUS}))
+        built, init = [], gr.GreensSolver.__init__
+
+        def counted(self, domain, mixed, config=None, family=None, *args, **kwargs):
+            built.append(family)
+            init(self, domain, mixed, config, family, *args, **kwargs)
+
+        monkeypatch.setattr(gr.GreensSolver, "__init__", counted)
+        ids = [spec["id"] for spec in SHARED_ANNULUS]
+        rows = {}
+        for name, order in (("both", ids), ("reversed", ids[::-1]),
+                            ("first", ids[:1]), ("second", ids[1:])):
+            args = [arg for cid in order for arg in ("--case", cid)]
+            built.clear()
+            assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / name),
+                             *args]) == cli.EXIT_OK
+            assert built.count(None) == 1  # one base solver per run
+            payload = json.loads((tmp_path / name / "report.json").read_text())
+            rows[name] = {case["case_id"]: case for case in payload["cases"]}
+        for cid, alone in zip(ids, ("first", "second")):
+            assert rows["both"][cid] == rows["reversed"][cid] == rows[alone][cid]

@@ -533,19 +533,90 @@ class TestKeptColumns:
         assert sorted(calls) == sorted(id(c) for c in domain.curve.components)
 
 
-class TestGelsyBudget:
-    def test_registry_solves_in_at_most_77_gelsy_calls_inside_mixed_solver(self, monkeypatch):
-        # perfbench times the solve layer as MixedSolver.solve; every call of
-        # the one gelsy entry point must run inside it, and batching keeps
-        # the registry at <= 77 calls
-        calls, open_solves, outside = [0], [0], []
-        gelsy, solve = scipy.linalg.lapack.dgelsy, gr.MixedSolver.solve
+def _dgelsy(matrix, rhs):
+    """scipy's dgelsy as ``_gelsy`` calls it, workspace and threshold alike."""
+    m, n = matrix.shape
+    work, _ = scipy.linalg.lapack.dgelsy_lwork(m, n, 1 if rhs.ndim == 1 else rhs.shape[1],
+                                               1e-13)
+    _, x, _, rank, _ = scipy.linalg.lapack.dgelsy(matrix, rhs, np.zeros(n, dtype=np.int32),
+                                                  1e-13, int(work), False, False)
+    return x[:n], rank
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            if not open_solves[0]:
-                outside.append(calls[0])
-            return gelsy(*args, **kwargs)
+
+# (kind, m, n_charges, rank): a truncated 384x192 disk and a full-rank 384x192 annulus
+FACTOR_MATRICES = [("disk", 128, 192, 112), ("annulus", 128, 96, 192)]
+
+
+class TestStoredFactors:
+    """Solves after the first apply gelsy's stored factors with gelsy's bits."""
+
+    @pytest.mark.parametrize("kind,m,n_charges,rank", FACTOR_MATRICES)
+    def test_stored_factor_solves_equal_dgelsy_bit_for_bit(self, kind, m, n_charges, rank):
+        _, solver = _block_solver(kind, m, n_charges)
+        matrix = solver.solver.matrix
+        assert matrix.shape == (384, 192)
+        rhs = np.concatenate(solver.corrector_data(BLOCK_POLES[kind])[0], axis=-1).T
+        assert _dgelsy(matrix, rhs[:, 0])[1] == rank
+        factors = gr._GelsyFactors(matrix, rank)
+        for data in (rhs[:, 0], rhs[:, 1], rhs[:, :2], rhs[:, 2:]):
+            np.testing.assert_array_equal(factors.solve(data), _dgelsy(matrix, data)[0])
+
+    @pytest.mark.parametrize("kind,m,n_charges,rank", FACTOR_MATRICES)
+    def test_solver_factors_once_and_keeps_gelsy_bits(self, kind, m, n_charges, rank,
+                                                      monkeypatch):
+        calls = []
+        for name in ("dgelsy", "dgeqp3"):
+            lapack = getattr(scipy.linalg.lapack, name)
+            monkeypatch.setattr(scipy.linalg.lapack, name,
+                                lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        _, solver = _block_solver(kind, m, n_charges)
+        poles = BLOCK_POLES[kind]
+        evals = [solver.solve(poles[:2]), solver.solve(poles[2]), solver.solve(poles[2:])]
+        assert calls == ["dgelsy", "dgeqp3"]
+        assert solver.solver.rank == rank
+        for ev, data in zip(evals, (poles[:2], poles[2], poles[2:])):
+            col = np.concatenate(solver.corrector_data(data)[0], axis=-1).T
+            np.testing.assert_array_equal(ev.corrector.coefficients,
+                                          _dgelsy(solver.solver.matrix, col)[0])
+            assert all(d.rank == rank for d in np.atleast_1d(ev.diagnostics))
+
+    @pytest.mark.parametrize("n_points", [9216, 193, 64, 1])
+    def test_row_blocked_evaluations_equal_one_block_bit_for_bit(self, annulus_solver,
+                                                                 annulus, monkeypatch,
+                                                                 n_points):
+        # 193 points leave a last block of one row, which joins the one before
+        nodes = annulus.interior().nodes[:n_points]
+        block = annulus_solver.solve(BLOCK_POLES["annulus"][:2]).corrector
+        fields = (block, block[1])
+        monkeypatch.setattr(gr, "BLOCK_ENTRIES", 2 ** 40)
+        whole = [(f.value(nodes), f.gradient(nodes), f.hessian(nodes)) for f in fields]
+        monkeypatch.setattr(gr, "BLOCK_ENTRIES", 1)  # 64-row blocks
+        for f, ref in zip(fields, whole):
+            for got, want in zip((f.value(nodes), f.gradient(nodes), f.hessian(nodes)), ref):
+                np.testing.assert_array_equal(got, want)
+
+
+class TestGelsyBudget:
+    def test_registry_solves_in_at_most_50_factorizations_inside_mixed_solver(self,
+                                                                             monkeypatch):
+        # perfbench times the solve layer as MixedSolver.solve; every gelsy
+        # call and every factorization for stored-factor solves (dgeqp3) must
+        # run inside it, and batching, shared base solvers and stored factors
+        # keep the registry at <= 50 of them (48 gelsy calls and 2 dgeqp3)
+        calls, open_solves, outside = [], [0], []
+
+        def counted(name):
+            lapack = getattr(scipy.linalg.lapack, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                if not open_solves[0]:
+                    outside.append(len(calls))
+                return lapack(*args, **kwargs)
+
+            return call
+
+        solve = gr.MixedSolver.solve
 
         def entered(*args, **kwargs):
             open_solves[0] += 1
@@ -554,12 +625,14 @@ class TestGelsyBudget:
             finally:
                 open_solves[0] -= 1
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgelsy", counted)
+        for name in ("dgelsy", "dgeqp3"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, counted(name))
         monkeypatch.setattr(gr.MixedSolver, "solve", entered)
         case_settings = CaseSettings(seed=7)
         rows = [case.run(case_settings) for case in build_registry()]
         assert all(row.passed for row in rows), [r.case_id for r in rows if not r.passed]
-        assert 0 < calls[0] <= 77
+        assert "dgeqp3" in calls
+        assert 0 < len(calls) <= 50
         assert outside == []
 
 
