@@ -27,7 +27,7 @@ from .liouville import (boundary_flux_first, boundary_flux_second,
 from .perturbation import (FlowFamily, NormalFamily, PerturbationError,
                            PolynomialField, TaylorFamily, boundary_data,
                            det_derivatives, dilation, inverse_jacobian_derivatives,
-                           make_field, minor_expansion_check, rotation, shear,
+                           make_field, minor_polynomial, rotation, shear,
                            translation)
 
 __version__ = "0.1.0"

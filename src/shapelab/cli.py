@@ -232,8 +232,7 @@ def cmd_run(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         extra = f"  [{r.error}]" if r.error else ""
         print(f"{status}  {r.case_id:<{width}}  err={r.err:.3e}  "
-              f"tol{'>=' if r.mode == 'ge' else '<='}{r.tolerance:g}  "
-              f"({r.wall_time_s:.2f}s){extra}")
+              f"tol<={r.tolerance:g}  ({r.wall_time_s:.2f}s){extra}")
     n_fail = sum(not r.passed for r in rows)
     print(f"{len(rows) - n_fail}/{len(rows)} cases passed; reports in {out_dir}/")
     if any(r.solver_failed for r in rows):
@@ -245,7 +244,7 @@ def cmd_list(args) -> int:
     registry = build_registry()
     width = max(len(c.case_id) for c in registry)
     for c in registry:
-        bound = f"slope >= {c.tolerance:g}" if c.mode == "ge" else f"err <= {c.tolerance:g}"
+        bound = f"err <= {c.tolerance:g}"
         print(f"{c.case_id:<{width}}  [{c.suite:9s}]  {bound:<16s}  {c.formula}")
     print(f"{len(registry)} cases")
     return EXIT_OK
@@ -260,8 +259,7 @@ def cmd_describe(args) -> int:
     print(f"id:         {case.case_id}")
     print(f"suite:      {case.suite}")
     print(f"formula:    {case.formula}")
-    bound = ">=" if case.mode == "ge" else "<="
-    print(f"tolerance:  err {bound} {case.tolerance:g}")
+    print(f"tolerance:  err <= {case.tolerance:g}")
     print(f"about:      {case.description}")
     return EXIT_OK
 

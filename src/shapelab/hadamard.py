@@ -31,9 +31,6 @@ from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField,
                      SolveDiagnostics, base_solver, rowwise_dot)
 from .perturbation import PerturbationFamily, boundary_data
 
-DELTA_N_LADDER = (1e-2, 5e-3, 2.5e-3)
-DELTA2_N_LADDER = (5e-2, 2.5e-2, 1.25e-2)
-
 
 # ---------------------------------------------------------------------------
 # chi / sigma coefficients
@@ -171,39 +168,36 @@ def _probe_messages(solver: GreensSolver, points) -> list[str]:
     return [m for m in (probe_warning(solver, p) for p in points) if m is not None]
 
 
-def _resolved_ladder(order: int, domain: Domain, mixed: MixedBoundary,
-                     family: PerturbationFamily, x, y, ladder,
-                     config: GreensConfig | None, charges) -> FDResult:
+def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamily,
+                     x, y, ladder) -> FDResult:
     """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega).
 
-    Every re-solve takes the T_t images of the same base ``charges`` (by
-    default the domain's charge rings), so the charge set never changes
-    between abscissae.  The result's ``warnings`` gain the probe warnings of
-    every re-solve, judged against that re-solve's own boundary, each
-    distinct one once.
+    Every re-solve has the base ``solver``'s boundary assignment and config
+    and takes the T_t images of the charges its first solve kept (every
+    charge before it), so the charge set never changes between abscissae.
+    The result's ``warnings`` gain the probe warnings of every re-solve,
+    judged against that re-solve's own boundary, each distinct one once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    charges = solver.kept_charges()
     messages = []
 
     def value(t):
-        solver = GreensSolver(domain, mixed, config, family=family, t=t, charges=charges)
-        messages.extend(_probe_messages(solver, (x, y)))
-        return solver.solve(y).value(x[None, :])[0]
+        moved = GreensSolver(solver.domain, solver.mixed, solver.config, family=family,
+                             t=t, charges=charges)
+        messages.extend(_probe_messages(moved, (x, y)))
+        return moved.solve(y).value(x[None, :])[0]
 
     fd = derivative_ladder(value, order=order, ladder=ladder)
     return replace(fd, warnings=tuple(dict.fromkeys(fd.warnings + tuple(messages))))
 
 
-def delta_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
-               x: np.ndarray, y: np.ndarray, ladder=DELTA_N_LADDER,
-               config: GreensConfig | None = None, charges=None) -> FDResult:
-    """First variation by re-solving on the deformed domain along a t-ladder.
-
-    ``charges`` are the base charges of every re-solve, per component; the
-    routes pass their base solver's ``kept_charges()``.
-    """
-    return _resolved_ladder(1, domain, mixed, family, x, y, ladder, config, charges)
+def delta_n_fd(solver: GreensSolver, family: PerturbationFamily,
+               x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
+    """First variation by re-solving on the deformed domain of the base
+    ``solver`` along a t-ladder."""
+    return _resolved_ladder(1, solver, family, x, y, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +271,11 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     return total
 
 
-def delta2_n_fd(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
-                x: np.ndarray, y: np.ndarray, ladder=DELTA2_N_LADDER,
-                config: GreensConfig | None = None, charges=None) -> FDResult:
-    """Second variation by 5-point differencing of full re-solves (``charges``
-    as in ``delta_n_fd``)."""
-    return _resolved_ladder(2, domain, mixed, family, x, y, ladder, config, charges)
+def delta2_n_fd(solver: GreensSolver, family: PerturbationFamily,
+                x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
+    """Second variation by 5-point differencing of full re-solves, as in
+    ``delta_n_fd``."""
+    return _resolved_ladder(2, solver, family, x, y, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +399,19 @@ def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfi
 
 def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                    x, y, config: GreensConfig | None = None,
-                   ladder=DELTA_N_LADDER) -> RouteTriangle:
+                   ladder=None) -> RouteTriangle:
     """Run all three first-variation routes for one probe pair."""
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     formula = delta_n_formula(solver, family, ev)
     udot_y, bvp_diag = delta_n_bvp(solver, family, ev[1])
     bvp = float(udot_y.value(x[None, :])[0])
-    fd = delta_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config,
-                    charges=solver.kept_charges())
+    fd = delta_n_fd(solver, family, x, y, ladder=ladder)
     return _triangle(formula, bvp, fd, [*ev.diagnostics, bvp_diag], messages)
 
 
 def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
                     x, y, config: GreensConfig | None = None,
-                    ladder=DELTA2_N_LADDER) -> RouteTriangle:
+                    ladder=None) -> RouteTriangle:
     """Run all three second-variation routes for one probe pair.
 
     Three solves: the poles (x, y), their first variations, then the second
@@ -431,7 +423,6 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     formula = delta2_n_formula(solver, family, ev, udot, coeffs)
     uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
-    fd = delta2_n_fd(domain, mixed, family, x, y, ladder=ladder, config=config,
-                     charges=solver.kept_charges())
+    fd = delta2_n_fd(solver, family, x, y, ladder=ladder)
     return _triangle(formula, bvp, fd, [*ev.diagnostics, *udot_diags, uddot_diag],
                      messages)

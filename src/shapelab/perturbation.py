@@ -11,9 +11,12 @@ moving-domain integral formulas.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .geometry import BoundaryGrid, collar_extend, fourier_derivative, fourier_interpolate
 
@@ -366,25 +369,37 @@ def inverse_jacobian_derivatives(family: PerturbationFamily, points: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# Minor-determinant expansion check
+# Minor-determinant expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinorExpansionReport:
-    i: int
-    j: int
-    ladder: tuple
-    remainders: tuple
-    slope: float
-    passed: bool
+def minor_polynomial(ds: np.ndarray, dr: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Exact t-coefficients, ascending, of the (i,j) minor of I + t DS + (t^2/2) DR.
 
-
-def _predicted_minor(ds: np.ndarray, dr: np.ndarray, i: int, j: int, t: float) -> float:
-    """Quadratic-in-t model of the (i,j) minor of DT_t = I + t DS + (t^2/2) DR.
-
-    Entry conventions: DS[a, b] = d S^a / d x_b, and the minor deletes row i
-    (component) and column j (derivative) of the Jacobian.
+    The minor is the determinant of the Jacobian with row i (component) and
+    column j (derivative) deleted, DS[a, b] = d S^a / d x_b; it is summed
+    over permutations (Leibniz), each term a product of quadratics in t, so
+    the result has degree 2(d-1) with no truncation.
     """
+    ds = np.asarray(ds, dtype=float)
+    dr = np.asarray(dr, dtype=float)
+    d = ds.shape[0]
+    if ds.shape != (d, d) or dr.shape != (d, d):
+        raise PerturbationError("DS and DR must be square matrices of equal size")
+    # entry (a, b) of the submatrix as the coefficients (t^0, t^1, t^2)
+    entries = np.delete(np.delete(np.stack([np.eye(d), ds, 0.5 * dr], axis=-1),
+                                  i, axis=0), j, axis=1)
+    out = np.zeros(2 * (d - 1) + 1)
+    for perm in itertools.permutations(range(d - 1)):
+        inversions = sum(p > q for a, p in enumerate(perm) for q in perm[a + 1:])
+        term = functools.reduce(P.polymul, (entries[a, b] for a, b in enumerate(perm)),
+                                np.ones(1))
+        out[:term.size] += (-1.0) ** inversions * term
+    return out
+
+
+def _predicted_minor(ds: np.ndarray, dr: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The (t^0, t^1, t^2) coefficients of the quadratic model of the (i,j)
+    minor of I + t DS + (t^2/2) DR, conventions as in ``minor_polynomial``."""
     d = ds.shape[0]
     others = [k for k in range(d) if k != i]
     if i == j:
@@ -392,61 +407,13 @@ def _predicted_minor(ds: np.ndarray, dr: np.ndarray, i: int, j: int, t: float) -
         quad = 0.5 * sum(dr[k, k] for k in others)
         quad += sum(ds[p, p] * ds[q, q] - ds[q, p] * ds[p, q]
                     for a, p in enumerate(others) for q in others[a + 1:])
-        return 1.0 + t * lin + t * t * quad
+        return np.array([1.0, lin, quad])
     sign = (-1.0) ** (j - i + 1)
     lin = ds[j, i]
     quad = 0.5 * dr[j, i]
     quad += sum(ds[j, i] * ds[p, p] - ds[p, i] * ds[j, p]
                 for p in range(d) if p not in (i, j))
-    return sign * (t * lin + t * t * quad)
-
-
-def minor_expansion_check(ds: np.ndarray, dr: np.ndarray, i: int, j: int) -> MinorExpansionReport:
-    """Verify that the (i,j) minor of DT_t matches its quadratic model to o(t^2).
-
-    The exact minor comes from a determinant of the synthetic Jacobian
-    I + t DS + (t^2/2) DR; the remainder against the quadratic model must
-    decay with log-log slope >= 2.5 along a geometric t-ladder (generically
-    the remainder is O(t^3); it vanishes identically for d <= 2).
-
-    When the cubic and quartic remainder coefficients nearly cancel inside
-    the window, the fitted slope dips even though the remainder is o(t^2);
-    the ladder is then halved (a few times at most) to measure the decay in
-    the asymptotic regime.  A genuinely wrong quadratic model leaves an
-    O(t^2) remainder whose slope stays near 2 at every scale, so refinement
-    cannot mask it.
-    """
-    ds = np.asarray(ds, dtype=float)
-    dr = np.asarray(dr, dtype=float)
-    d = ds.shape[0]
-    if ds.shape != (d, d) or dr.shape != (d, d):
-        raise PerturbationError("DS and DR must be square matrices of equal size")
-    scale = max(1.0, np.abs(ds).max(), np.abs(dr).max()) ** d
-
-    def measure(steps):
-        rem = []
-        for t in steps:
-            full = np.eye(d) + t * ds + 0.5 * t * t * dr
-            sub = np.delete(np.delete(full, i, axis=0), j, axis=1)
-            exact = np.linalg.det(sub) if d > 1 else 1.0
-            rem.append(abs(exact - _predicted_minor(ds, dr, i, j, t)))
-        rem = np.asarray(rem)
-        if np.all(rem < 1e-13 * scale):
-            return rem, np.inf
-        logs_t = np.log(np.asarray(steps))
-        logs_r = np.log(np.maximum(rem, 1e-300))
-        return rem, float(np.polyfit(logs_t, logs_r, 1)[0])
-
-    threshold = 2.5
-    steps = (0.1, 0.05, 0.025, 0.0125)
-    remainders, slope = measure(steps)
-    for _ in range(4):
-        if slope >= threshold:
-            break
-        steps = tuple(0.5 * t for t in steps)
-        remainders, slope = measure(steps)
-    passed = bool(slope >= threshold)
-    return MinorExpansionReport(i, j, steps, tuple(remainders), slope, passed)
+    return sign * np.array([0.0, lin, quad])
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ class ReportRow:
     oracles: dict
     err: float
     tolerance: float
-    mode: str              # "le": err <= tol passes; "ge": err >= tol passes
-    passed: bool
-    observed_order: float | None = None
+    passed: bool           # err <= tolerance
     details: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
     error: str | None = None
@@ -53,21 +51,21 @@ class ReportRow:
             "oracles": self.oracles,
             "err": self.err,
             "tolerance": self.tolerance,
-            "mode": self.mode,
+            # every row is judged err <= tolerance; the key stays for readers
+            # of report.json that branch on it
+            "mode": "le",
             "passed": self.passed,
-            "observed_order": self.observed_order,
             "details": self.details,
             "error": self.error,
         })
 
 
-def headroom_decades(err: float, tolerance: float, mode: str) -> float | None:
-    """Decades between err and its tolerance, positive when the row passes:
-    log10(tol/err) for an ``le`` row, log10(err/tol) for a ``ge`` row; None
-    when err is 0, negative or not finite."""
+def headroom_decades(err: float, tolerance: float) -> float | None:
+    """Decades log10(tol/err) between err and its tolerance, positive when
+    the row passes; None when err is 0, negative or not finite."""
     if not (math.isfinite(err) and err > 0.0):
         return None
-    return math.log10(err / tolerance) if mode == "ge" else math.log10(tolerance / err)
+    return math.log10(tolerance / err)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -101,15 +99,15 @@ def write_reports(rows: list[ReportRow], out_dir: str, seed: int,
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["case_id", "suite", "quantity", "formula_value",
-                     "primary_oracle", "err", "tolerance", "mode", "passed",
-                     "headroom_decades", "observed_order", "wall_time_s", "error"])
+                     "primary_oracle", "err", "tolerance", "passed",
+                     "headroom_decades", "wall_time_s", "error"])
     for r in rows:
         primary = next(iter(r.oracles.values())) if r.oracles else ""
-        headroom = headroom_decades(r.err, r.tolerance, r.mode)
+        headroom = headroom_decades(r.err, r.tolerance)
         writer.writerow([r.case_id, r.suite, r.quantity, repr(r.formula_value),
-                         primary, repr(r.err), repr(r.tolerance), r.mode,
-                         r.passed, "" if headroom is None else repr(headroom),
-                         r.observed_order, f"{r.wall_time_s:.4f}", r.error or ""])
+                         primary, repr(r.err), repr(r.tolerance), r.passed,
+                         "" if headroom is None else repr(headroom),
+                         f"{r.wall_time_s:.4f}", r.error or ""])
     _atomic_write(csv_path, buf.getvalue())
 
     for r in rows:

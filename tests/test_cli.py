@@ -331,16 +331,14 @@ class TestCli:
 
 class TestReportCsv:
     def test_headroom_column_in_decades(self, tmp_path):
-        rows = [ReportRow("a-le", "s", "q", 1.0, {}, 1e-9, 1e-6, "le", True),
-                ReportRow("b-ge", "s", "q", 1.0, {}, 3.0, 2.5, "ge", True),
-                ReportRow("c-zero", "s", "q", 1.0, {}, 0.0, 1e-6, "le", True),
-                ReportRow("d-nan", "s", "q", 1.0, {}, float("nan"), 1e-6, "le", False),
-                ReportRow("e-fail", "s", "q", 1.0, {}, 1e-3, 1e-6, "le", False)]
+        rows = [ReportRow("a-pass", "s", "q", 1.0, {}, 1e-9, 1e-6, True),
+                ReportRow("c-zero", "s", "q", 1.0, {}, 0.0, 1e-6, True),
+                ReportRow("d-nan", "s", "q", 1.0, {}, float("nan"), 1e-6, False),
+                ReportRow("e-fail", "s", "q", 1.0, {}, 1e-3, 1e-6, False)]
         write_reports(rows, str(tmp_path), seed=0)
         with open(tmp_path / "report.csv") as handle:
             table = {row["case_id"]: row["headroom_decades"] for row in csv.DictReader(handle)}
-        assert math.isclose(float(table["a-le"]), 3.0)
-        assert math.isclose(float(table["b-ge"]), math.log10(3.0 / 2.5))
+        assert math.isclose(float(table["a-pass"]), 3.0)
         assert table["c-zero"] == "" and table["d-nan"] == ""
         assert math.isclose(float(table["e-fail"]), -3.0)
         assert "headroom" not in (tmp_path / "report.json").read_text()

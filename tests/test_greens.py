@@ -337,7 +337,7 @@ class TestDiagnostics:
 
         monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
         fam = pert.TaylorFamily(pert.dilation())
-        result = hd.delta_n_fd(disk, geo.all_dirichlet(1), fam,
+        result = hd.delta_n_fd(gr.GreensSolver(disk, geo.all_dirichlet(1)), fam,
                                np.array([0.3, 0.0]), np.array([0.0, 0.4]))
         assert np.isfinite(result.value)
 
@@ -499,8 +499,7 @@ class TestKeptColumns:
             return ladder(lambda t: values.setdefault(t, g(t)), *args, **kwargs)
 
         monkeypatch.setattr(hd, "derivative_ladder", recording)
-        hd.delta2_n_fd(annulus, MIXED["annulus"], pert.TaylorFamily(pert.zero_field()),
-                       x, y, charges=charges)
+        hd.delta2_n_fd(solver, pert.TaylorFamily(pert.zero_field()), x, y)
         assert len(values) == 9 and len(set(values.values())) == 1
 
     def test_a_full_rank_boundary_keeps_every_column_in_order(self, annulus):

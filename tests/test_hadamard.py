@@ -370,7 +370,7 @@ class TestRouteDetails:
     def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
         tri = hd.delta_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
                                 *DISK_PROBES)
-        details = route_result(tri)[4]
+        details = route_result(tri)[3]
         assert 3.5 < details["fd_observed_order"] == tri.fd_observed_order < 4.5
         assert "fd_observed_order_reason" not in details
         assert details["fd_warnings"] == []
@@ -378,7 +378,7 @@ class TestRouteDetails:
     def test_a_degenerate_fd_order_is_null_with_a_reason(self, disk):
         tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), pert.FlowFamily(pert.rotation()),
                                  *DISK_PROBES)
-        details = route_result(tri)[4]
+        details = route_result(tri)[3]
         assert tri.fd_observed_order == np.inf
         assert details["fd_observed_order"] is None
         assert details["fd_observed_order_reason"] == "ladder differences at rounding level"

@@ -317,7 +317,7 @@ class TestRandomizedProperty:
 class TestVariationResult:
     def test_err_is_judged_against_the_analytic_value(self, disk):
         one = IntegrandSpec.constant(1.0)
-        value, oracles, err, observed, details = variation_result(
+        value, oracles, err, details = variation_result(
             "first_volume", disk, dilation(), one, analytic=TWO_PI + 1e-3)
         reference = lv.fd_reference("volume", disk, dilation(), one, order=1)
         assert value == lv.first_volume(disk, dilation(), one)
@@ -325,15 +325,19 @@ class TestVariationResult:
         assert oracles["analytic"] == TWO_PI + 1e-3
         assert oracles["fd_richardson"] == reference.value
         assert oracles["fd_estimates"] == list(reference.estimates)
-        assert observed == reference.observed_order
+        # the dilated disk's area is quadratic in t, so the ladder differences
+        # are rounding: the observed order is null, with its reason
         assert details == {"ladder": list(reference.ladder),
-                           "estimates": list(reference.estimates)}
+                           "estimates": list(reference.estimates),
+                           "fd_observed_order": None,
+                           "fd_observed_order_reason": "ladder differences at rounding level",
+                           "fd_warnings": []}
 
     def test_err_is_judged_against_fd_without_an_analytic_value(self, ellipse):
         fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
         a = VectorIntegrandSpec.from_expressions("x1*x2", "x2**2 + t*x1")
         ladder = (4e-2, 2e-2, 1e-2)
-        value, oracles, err, _, details = variation_result(
+        value, oracles, err, details = variation_result(
             "flux_second", ellipse, fam, a, ladder=ladder)
         reference = lv.fd_reference("flux", ellipse, fam, a, order=2, ladder=ladder)
         assert value == lv.boundary_flux_second(ellipse, fam, a)
@@ -341,3 +345,17 @@ class TestVariationResult:
         assert oracles["fd_richardson"] == reference.value
         assert err == rel_gap(value, reference.value) < 1e-3
         assert details["ladder"] == list(ladder)
+
+    def test_a_non_monotone_ladder_keeps_its_warning(self, disk):
+        # c = t^5 - 2000 t^7 on a translated disk: the first-derivative
+        # stencil's error -4h^4 (1 - 2000 * 5h^2) vanishes at the coarsest
+        # step h = 1e-2, so that estimate lands nearest the extrapolation
+        c = np.zeros((1, 1, 8))
+        c[0, 0, 5], c[0, 0, 7] = 1.0, -2000.0
+        integrand = IntegrandSpec.from_coefficients(c)
+        *_, details = variation_result("first_volume", disk, translation(), integrand)
+        reference = lv.fd_reference("volume", disk, translation(), integrand, order=1)
+        assert not reference.monotone
+        assert details["fd_warnings"] == list(reference.warnings) == [
+            "non-monotone ladder (cancellation suspected)"]
+        assert details["fd_observed_order"] == reference.observed_order

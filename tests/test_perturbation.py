@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from shapelab import geometry as geo
 from shapelab import perturbation as pert
 from shapelab._fd import derivative_ladder
+from shapelab.cases import CaseSettings, build_registry
 
 PTS = np.array([[0.3, -0.2], [0.7, 0.5], [-0.4, 0.1]])
 
@@ -112,34 +114,66 @@ class TestInverseJacobianDerivatives:
                 assert abs(a2[0, i, j] - f2) < 1e-8
 
 
+def integer_draw(rng, d):
+    """Integer DS and DR in [-3, 3]: every minor coefficient is a dyadic rational."""
+    return (rng.integers(-3, 4, size=(d, d)).astype(float),
+            rng.integers(-3, 4, size=(d, d)).astype(float))
+
+
 class TestMinorExpansion:
     def test_zero_matrices_give_zero_remainder(self):
-        rep = pert.minor_expansion_check(np.zeros((3, 3)), np.zeros((3, 3)), 1, 1)
-        assert rep.slope == np.inf and rep.passed
-        assert max(rep.remainders) == 0.0
+        zero = np.zeros((3, 3))
+        np.testing.assert_array_equal(pert.minor_polynomial(zero, zero, 1, 1), [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(pert._predicted_minor(zero, zero, 1, 1), [1, 0, 0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exact_polynomial_is_the_submatrix_determinant(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(5):
+            ds, dr = integer_draw(rng, d)
+            i, j = (int(k) for k in rng.integers(0, d, size=2))
+            coeffs = pert.minor_polynomial(ds, dr, i, j)
+            assert coeffs.shape == (2 * d - 1,)
+            for t in (-0.7, -0.05, 0.01, 0.3, 1.5):
+                full = np.eye(d) + t * ds + 0.5 * t * t * dr
+                det = np.linalg.det(np.delete(np.delete(full, i, axis=0), j, axis=1))
+                assert abs(P.polyval(t, coeffs) - det) <= 1e-12 * max(1.0, abs(det))
 
     @pytest.mark.parametrize("d,i,j", [(3, 1, 1), (3, 0, 2), (4, 2, 0), (2, 0, 1)])
     def test_random_matrices_cubic_remainder(self, d, i, j):
-        rng = np.random.default_rng(d * 10 + i + j)
-        ds = rng.integers(-3, 4, size=(d, d)).astype(float)
-        dr = rng.integers(-3, 4, size=(d, d)).astype(float)
-        rep = pert.minor_expansion_check(ds, dr, i, j)
-        assert rep.passed, f"slope {rep.slope}"
+        # the model is the exact polynomial up to t^2, so the remainder is O(t^3)
+        ds, dr = integer_draw(np.random.default_rng(d * 10 + i + j), d)
+        np.testing.assert_array_equal(pert._predicted_minor(ds, dr, i, j),
+                                      pert.minor_polynomial(ds, dr, i, j)[:3])
+
+    def test_registry_row_fails_when_the_model_drops_the_half_on_dr(self, monkeypatch):
+        # the row's 20 seeded draws match exactly, and fail under the mutation
+        case = next(c for c in build_registry() if c.case_id == "jacobian-minor-expansion")
+        row = case.run(CaseSettings(seed=7))
+        assert row.passed and row.err == 0.0
+        model = pert._predicted_minor
+        # DR enters the model only as DR/2, so doubling DR drops the half
+        monkeypatch.setattr(pert, "_predicted_minor",
+                            lambda ds, dr, i, j: model(ds, 2.0 * dr, i, j))
+        row = case.run(CaseSettings(seed=7))
+        assert not row.passed and row.err >= 0.5
 
     def test_off_diagonal_linear_coefficient(self):
         # the t-coefficient of the (i,j) minor is (+/-) dS^j/dx_i
         rng = np.random.default_rng(8)
         d, i, j = 3, 0, 2
-        ds = rng.integers(-3, 4, size=(d, d)).astype(float)
+        ds, _ = integer_draw(rng, d)
         t = 1e-7
         full = np.eye(d) + t * ds
         sub = np.delete(np.delete(full, i, axis=0), j, axis=1)
         linear = np.linalg.det(sub) / t
-        assert abs(linear - (-1.0) ** (j - i + 1) * ds[j, i]) < 1e-5
+        expected = (-1.0) ** (j - i + 1) * ds[j, i]
+        assert abs(linear - expected) < 1e-5
+        assert pert.minor_polynomial(ds, np.zeros((d, d)), i, j)[1] == expected
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(pert.PerturbationError):
-            pert.minor_expansion_check(np.zeros((3, 3)), np.zeros((2, 2)), 0, 0)
+            pert.minor_polynomial(np.zeros((3, 3)), np.zeros((2, 2)), 0, 0)
 
 
 class TestBoundaryData:
