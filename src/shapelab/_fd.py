@@ -4,12 +4,14 @@ Central 4th-order stencils for first derivatives and 5-point stencils for
 second derivatives, evaluated along a geometric step ladder.  Function
 values are memoized so shared abscissae (e.g. t=0) are computed once.
 Values may be scalars or arrays; arrays are differentiated componentwise
-and judged in the max-norm.
+and judged in the max-norm.  ``ladder_steps`` is the one rule for a given
+ladder, shared by the engine and the config loader.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -36,17 +38,6 @@ DEFAULT_SECOND_LADDER = (5e-2, 2.5e-2, 1.25e-2)
 STENCIL_ORDER = 4  # truncation order of both stencils below
 
 
-class _Memo:
-    def __init__(self, g):
-        self.g = g
-        self.cache: dict[float, np.ndarray] = {}
-
-    def __call__(self, t: float) -> np.ndarray:
-        if t not in self.cache:
-            self.cache[t] = np.asarray(self.g(t), dtype=float)
-        return self.cache[t]
-
-
 def central_first(g, h: float):
     """4th-order central first derivative at 0."""
     return (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
@@ -61,8 +52,24 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
+def ladder_steps(ladder) -> tuple | None:
+    """None (the default ladder) for a ladder that is None or empty, else its
+    steps: a strictly decreasing sequence of at least 2 finite positive steps,
+    or a ValueError that names ``ladder``."""
+    try:
+        steps = () if ladder is None else tuple(float(h) for h in ladder)
+    except (TypeError, ValueError):
+        steps = (np.nan,)
+    if steps and not (len(steps) >= 2 and np.all(np.isfinite(steps)) and steps[-1] > 0.0
+                      and all(h1 > h2 for h1, h2 in zip(steps, steps[1:]))):
+        raise ValueError("ladder must be a decreasing sequence of at least 2 "
+                         f"finite positive steps, not {ladder!r}")
+    return steps or None
+
+
 def derivative_ladder(g, order: int = 1, ladder=None) -> FDResult:
-    """Estimate the first or second derivative of g at 0 along a step ladder.
+    """Estimate the first or second derivative of g at 0 along a step ladder
+    (the default ladder of ``order`` when ``ladder`` is None or empty).
 
     Richardson-extrapolates the finest pair using the stencil's truncation
     order, reports the observed convergence order from successive estimate
@@ -71,14 +78,11 @@ def derivative_ladder(g, order: int = 1, ladder=None) -> FDResult:
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if ladder is None:
-        ladder = DEFAULT_FIRST_LADDER if order == 1 else DEFAULT_SECOND_LADDER
-    ladder = tuple(float(h) for h in ladder)
-    if len(ladder) < 2 or any(h2 >= h1 for h1, h2 in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be a decreasing sequence of at least 2 steps")
-    g = _Memo(g)
+    ladder = ladder_steps(ladder) or (DEFAULT_FIRST_LADDER if order == 1
+                                      else DEFAULT_SECOND_LADDER)
+    memo = cache(lambda t: np.asarray(g(t), dtype=float))  # each abscissa once
     stencil = central_first if order == 1 else five_point_second
-    estimates = tuple(stencil(g, h) for h in ladder)
+    estimates = tuple(stencil(memo, h) for h in ladder)
 
     r = ladder[-2] / ladder[-1]
     richardson = estimates[-1] + (estimates[-1] - estimates[-2]) / (r ** STENCIL_ORDER - 1.0)

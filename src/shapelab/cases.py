@@ -1,8 +1,8 @@
 """Built-in verification case registry.
 
 Every case evaluates one formula against declared oracles and reports a
-single scalar ``err``, judged by ``err <= tolerance``; FD diagnostics (the
-ladder's observed order and its warnings) go to the row's ``details``.
+single scalar ``err``, judged by ``err <= tolerance``; a row with an FD
+oracle puts the FD record of ``fd_details`` in its ``details``.
 Randomized cases derive their generator deterministically from the global
 seed and the case id, so reports are reproducible regardless of case order.
 Every integrand is a polynomial built from coefficient arrays, so the
@@ -23,7 +23,7 @@ from . import greens as gr
 from . import hadamard as hd
 from . import liouville as lv
 from . import perturbation as pert
-from ._fd import _Memo, derivative_ladder
+from ._fd import FDResult, derivative_ladder
 from .integrands import (IntegrandSpec, VectorIntegrandSpec,
                          normal_scaled_integrand, random_polynomial_integrand)
 from .report import ReportRow
@@ -108,42 +108,44 @@ def variation_result(kind: str, domain, family, integrand, ladder=None, analytic
     The formula of ``kind`` is checked against the FD derivative of its
     pulled-back integral and, when given, a closed-form ``analytic`` value.
     err is measured against the closed form when there is one, else against
-    FD, and normalized by 1 + |formula|.  The FD ladder, its estimates, its
-    observed order and its warnings go to details.
+    FD, and normalized by 1 + |formula|.  The FD record goes to details.
     """
     formula, integral, order = variation_ops()[kind]
     value = formula(domain, family, integrand)
     fd = lv.fd_reference(integral, domain, family, integrand, order=order, ladder=ladder)
-    oracles = {"fd_richardson": fd.value, "fd_estimates": list(fd.estimates)}
+    oracles = {"fd_richardson": fd.value}
     reference = fd.value
     if analytic is not None:
         oracles["analytic"] = reference = analytic
     err = abs(value - reference) / (1.0 + abs(value))
-    details = {"ladder": list(fd.ladder), "estimates": list(fd.estimates),
-               **_fd_order_details(fd.observed_order), "fd_warnings": list(fd.warnings)}
-    return value, oracles, err, details
+    return value, oracles, err, fd_details(fd)
 
 
-def _fd_order_details(observed) -> dict:
-    """The FD observed order as details: a number, or null and the reason."""
-    if observed is None:
-        return {"fd_observed_order": None,
-                "fd_observed_order_reason": "too few steps or a zero ladder difference"}
-    if np.isinf(observed):
-        return {"fd_observed_order": None,
-                "fd_observed_order_reason": "ladder differences at rounding level"}
-    return {"fd_observed_order": observed}
+def fd_details(fd: FDResult) -> dict:
+    """The FD record of a report row: the ladder, its estimates when they are
+    scalars (the row's convergence table), the observed order (a number, or
+    null and the reason) and the ladder's warnings."""
+    observed = fd.observed_order
+    details = {"ladder": list(fd.ladder), "fd_observed_order": observed,
+               "fd_warnings": list(fd.warnings)}
+    if np.ndim(fd.value) == 0:
+        details["estimates"] = list(fd.estimates)
+    if observed is None or np.isinf(observed):
+        details["fd_observed_order"] = None
+        details["fd_observed_order_reason"] = (
+            "too few steps or a zero ladder difference" if observed is None
+            else "ladder differences at rounding level")
+    return details
 
 
 def route_result(tri: hd.RouteTriangle, err=None, **oracles):
     """(value, oracles, err, details) of a Hadamard route run.
 
     By default the oracles are the BVP and FD routes and err is the worst
-    pairwise gap of the three routes.  The solves' summary, the FD ladder's
-    observed order and its warnings go to details.
+    pairwise gap of the three routes.  The solves' summary and the FD record
+    of the FD route go to details.
     """
-    details = {**tri.solve_details(), **_fd_order_details(tri.fd_observed_order),
-               "fd_warnings": list(tri.fd_warnings)}
+    details = {**tri.solve_details(), **fd_details(tri.fd_ladder)}
     return (tri.formula, oracles or {"bvp": tri.bvp, "fd": tri.fd},
             tri.max_pairwise if err is None else err, details)
 
@@ -168,27 +170,35 @@ def _jacobian_rotation_det(st, case):
     return 0.0, {"analytic": 0.0}, err
 
 
-def _fd_pair(g, h=0.02):
-    """First and second FD derivatives of g at 0; both ladders share one memo."""
-    g = _Memo(g)
-    return tuple(derivative_ladder(g, order=k, ladder=(h, h / 2)).value for k in (1, 2))
+def _jacobian_poly_fd(formula, quantity):
+    """Both t-derivatives of a Jacobian quantity at a random point of three
+    random polynomial flows, against the FD engine at its default ladders.
 
+    ``formula(family, points)`` gives the first and second derivatives, and
+    ``quantity(DT_t)`` is the value that FD differentiates.  The row reports
+    the draw, the order and (for a matrix) the entry with the largest gap.
+    """
+    def runner(st, case):
+        rng = st.rng(case.case_id)
+        worst = None
+        for draw in range(3):
+            fam = pert.FlowFamily(pert.random_polynomial_field(rng, degree=2))
+            x0 = rng.uniform(-0.5, 0.5, size=(1, 2))
+            for order, analytic in enumerate(formula(fam, x0), start=1):
+                fd = derivative_ladder(lambda t: quantity(fam.map_jacobian(x0, t)[0]),
+                                       order=order)
+                gaps = np.abs(analytic[0] - fd.value)
+                entry = np.unravel_index(np.argmax(gaps), gaps.shape)
+                if worst is None or gaps[entry] > worst[0]:
+                    worst = (gaps[entry], analytic[0][entry], fd, entry, draw, order)
+        gap, value, fd, entry, draw, order = worst
+        where = {"draw": draw, "order": order}
+        if entry:
+            where["entry"] = [int(i) for i in entry]
+        return (float(value), {"fd": float(np.asarray(fd.value)[entry])}, float(gap),
+                {**where, **fd_details(fd)})
 
-def _jacobian_poly_det_fd(st, case):
-    rng = st.rng(case.case_id)
-    worst = 0.0
-    for _ in range(3):
-        fam = pert.FlowFamily(pert.random_polynomial_field(rng, degree=2), step=2e-3)
-        x0 = rng.uniform(-0.5, 0.5, size=(1, 2))
-        a1, a2 = pert.det_derivatives(fam, x0)
-
-        def det(t):
-            j = fam.map_jacobian(x0, t)[0]
-            return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-
-        f1, f2 = _fd_pair(det)
-        worst = max(worst, abs(a1[0] - f1), abs(a2[0] - f2))
-    return a1[0], {"fd_first": f1, "fd_second": f2}, worst
+    return runner
 
 
 def _jacobian_dilation_inverse(st, case):
@@ -197,18 +207,6 @@ def _jacobian_dilation_inverse(st, case):
     j1, j2 = pert.inverse_jacobian_derivatives(fam, pts)
     err = max(np.max(np.abs(j1[0] + np.eye(2))), np.max(np.abs(j2[0] - 2 * np.eye(2))))
     return -1.0, {"analytic": -1.0}, err
-
-
-def _jacobian_poly_inverse_fd(st, case):
-    rng = st.rng(case.case_id)
-    worst = 0.0
-    for _ in range(3):
-        fam = pert.FlowFamily(pert.random_polynomial_field(rng, degree=2), step=2e-3)
-        x0 = rng.uniform(-0.5, 0.5, size=(1, 2))
-        a1, a2 = pert.inverse_jacobian_derivatives(fam, x0)
-        f1, f2 = _fd_pair(lambda t: np.linalg.inv(fam.map_jacobian(x0, t)[0]))
-        worst = max(worst, np.max(np.abs(a1[0] - f1)), np.max(np.abs(a2[0] - f2)))
-    return 0.0, {"fd": 0.0}, worst
 
 
 def _jacobian_minor(st, case):
@@ -235,18 +233,14 @@ def _jacobian_minor(st, case):
 
 def _jacobian_flow_acceleration(st, case):
     dom = geo.Domain(geo.elliptical_domain(2.0, 1.0), m=64)
-    fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}),
-                          step=1e-3)
+    fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
     grid = dom.grids[0]
     analytic = pert.advective_normal_component(pert.boundary_data(fam, grid), grid)
-
-    def velocity_along(t):
-        return fam.field(fam.map(grid.nodes, t))
-
-    rich = derivative_ladder(velocity_along, order=1, ladder=(1e-2, 5e-3)).value
-    rho2_kinematic = np.einsum("ni,ni->n", rich, grid.normal)
+    fd = derivative_ladder(lambda t: fam.field(fam.map(grid.nodes, t)), order=1)
+    rho2_kinematic = np.einsum("ni,ni->n", fd.value, grid.normal)
     err = float(np.max(np.abs(rho2_kinematic - analytic)))
-    return float(np.max(np.abs(analytic))), {"kinematic_fd": float(np.max(np.abs(rho2_kinematic)))}, err
+    return (float(np.max(np.abs(analytic))),
+            {"kinematic_fd": float(np.max(np.abs(rho2_kinematic)))}, err, fd_details(fd))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +325,8 @@ def _liouville_nu_dot(st, case):
     fd = lv.nu_dot_fd(dom, fam)[0]
     fd_err = float(np.max(np.abs(nd - fd)))
     ortho = float(np.max(np.abs(np.einsum("ni,ni->n", nd, grid.normal))))
-    return float(np.max(np.abs(nd))), {"fd_max_gap": fd_err, "normal_component": ortho}, max(err, ortho)
+    return (float(np.max(np.abs(nd))), {"fd_max_gap": fd_err, "normal_component": ortho},
+            max(err, ortho, fd_err))
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +529,15 @@ def _setup(kind: str):
 
 
 def _route_triangle(order: int, kind: str):
-    """The three routes of one variation; the second on the disk adds the scaling oracle."""
+    """The three routes of one variation; the disk adds the scaling oracle."""
     def runner(st, case):
         routes = hd.delta_n_routes if order == 1 else hd.delta2_n_routes
         mixedb, fam = _setup(kind)
         x, y = _probe_pair(kind)
         tri = routes(_domain(st, kind), mixedb, fam, x, y, st.greens_config())
-        if order == 1 or kind != "disk":
+        if kind != "disk":
             return route_result(tri)
-        oracle = hd.disk_dilation_delta_n(x, y, order=2)
+        oracle = hd.disk_dilation_delta_n(x, y, order=order)
         err = max(tri.max_pairwise, abs(tri.formula - oracle) / (1 + abs(oracle)))
         return route_result(tri, err, bvp=tri.bvp, fd=tri.fd, scaling_oracle=oracle)
 
@@ -605,13 +600,16 @@ def build_registry() -> list[Case]:
              "volume-element derivative formulas", 1e-10, _jacobian_rotation_det,
              description="Volume-preserving rotation flow: both det derivatives vanish; pins the trace sign."),
         Case("jacobian-poly-det-fd", "jacobian",
-             "volume-element derivative formulas", 1e-7, _jacobian_poly_det_fd,
+             "volume-element derivative formulas", 1e-7,
+             _jacobian_poly_fd(pert.det_derivatives,
+                               lambda j: j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]),
              description="Random polynomial flows: det derivatives vs 5-point differences of the integrated Jacobian."),
         Case("jacobian-dilation-inverse", "jacobian",
              "inverse-Jacobian derivative formulas", 1e-12, _jacobian_dilation_inverse,
              description="(DT_t)^-1 derivatives of the dilation family against (-I, 2I)."),
         Case("jacobian-poly-inverse-fd", "jacobian",
-             "inverse-Jacobian derivative formulas", 1e-7, _jacobian_poly_inverse_fd,
+             "inverse-Jacobian derivative formulas", 1e-7,
+             _jacobian_poly_fd(pert.inverse_jacobian_derivatives, np.linalg.inv),
              description="Random polynomial flows: inverse-Jacobian derivatives vs componentwise finite differences."),
         Case("jacobian-minor-expansion", "jacobian",
              "minor-determinant quadratic expansion", 1e-12, _jacobian_minor,

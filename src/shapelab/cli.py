@@ -21,6 +21,7 @@ import numpy as np
 from . import geometry as geo
 from . import hadamard as hd
 from . import perturbation as pert
+from ._fd import ladder_steps
 from .cases import (Case, CaseSettings, build_registry, route_result, suites,
                     variation_ops, variation_result)
 from .integrands import IntegrandSpec, VectorIntegrandSpec
@@ -68,6 +69,23 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _finite(value, shape=()) -> np.ndarray | None:
+    """``value`` as a finite float array of ``shape``, or None."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return array if array.shape == shape and np.all(np.isfinite(array)) else None
+
+
+def _tolerance(spec, default: float) -> float:
+    tolerance = _finite(spec.get("tolerance", default))
+    if tolerance is None or tolerance <= 0.0:
+        raise ConfigError("tolerance must be a finite positive number, "
+                          f"not {spec['tolerance']!r}")
+    return float(tolerance)
+
+
 def _family_from_config(fam_spec):
     field = pert.make_field(**fam_spec["field"])
     kind = fam_spec.get("kind", "flow")
@@ -107,8 +125,8 @@ def _liouville_case(spec) -> Case:
             sp.sympify(item)
     except sp.SympifyError as exc:
         raise ConfigError(f"integrand {expr!r} does not parse: {exc}") from exc
-    tolerance = float(spec.get("tolerance", 1e-4))
-    ladder = tuple(spec["ladder"]) if "ladder" in spec else None
+    tolerance = _tolerance(spec, 1e-4)
+    ladder = ladder_steps(spec.get("ladder"))
 
     def runner(st, case):
         # sympy compilation runs with the case, not during config resolution
@@ -132,19 +150,20 @@ def _hadamard_case(spec) -> Case:
         raise ConfigError(f"mixed needs {curve.n_components} entries, one per "
                           f"boundary component, not {len(mixed.kinds)}")
     family = _family_from_config(spec["family"])
-    probes = [np.asarray(p, dtype=float) for p in spec["probes"]]
-    if len(probes) != 2:
-        raise ConfigError("exactly two probes required")
+    probes = [_finite(p, (2,)) for p in spec["probes"]]
+    if len(probes) != 2 or any(p is None for p in probes):
+        raise ConfigError("probes must be two points of two finite coordinates each, "
+                          f"not {spec['probes']!r}")
     variation = spec.get("variation", "first")
     if variation not in routes:
         raise ConfigError(f"unknown variation {variation!r}; choose from {sorted(routes)}")
-    tolerance = float(spec.get("tolerance", 1e-3 if variation == "first" else 1e-2))
-    kwargs = {"ladder": tuple(spec["ladder"])} if spec.get("ladder") else {}
+    tolerance = _tolerance(spec, 1e-3 if variation == "first" else 1e-2)
+    ladder = ladder_steps(spec.get("ladder"))
 
     def runner(st, case):
         return route_result(routes[variation](st.domain(domain_key, curve), mixed, family,
                                               probes[0], probes[1], st.greens_config(),
-                                              **kwargs))
+                                              ladder=ladder))
 
     return Case(case_id, "hadamard", "config-declared variation case",
                 tolerance, runner,

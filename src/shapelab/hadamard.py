@@ -29,7 +29,7 @@ from .geometry import (Domain, MixedBoundary, fourier_derivative,
                        second_fundamental_form, tangential_grad)
 from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField,
                      SolveDiagnostics, base_solver, rowwise_dot)
-from .perturbation import PerturbationFamily, boundary_data
+from .perturbation import PerturbationFamily, advective_normal_component, boundary_data
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +60,7 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
     form.  Analytic data must make them agree to near rounding; the
     discrepancy is reported, not reconciled.
     """
-    chi_r, chi_t, chi_c = [], [], []
-    sig_r, sig_t, sig_c = [], [], []
-    residual = []
+    forms = []  # per component, in HadamardCoefficients' field order
     worst = 0.0
     for grid in domain.grids:
         data = boundary_data(family, grid)
@@ -76,9 +74,7 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
         # full derivative of the normal speed along S (analytic route)
         full_grad = np.einsum("ni,nij,nj->n", grid.normal, ds_mat,
                               data.velocity) + kappa * s_tan ** 2
-        adv_nu = np.einsum("ni,ni->n",
-                           np.einsum("nij,nj->ni", ds_mat, data.velocity),
-                           grid.normal)
+        adv_nu = advective_normal_component(data, grid)
         grad_nu_ss = kappa * s_tan ** 2
 
         raw_core = rho2 - adv_nu
@@ -94,19 +90,13 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
         sigma_cv = rho2 - 2.0 * s_tan * ds_rho + b_form
         chi_cv = sigma_cv - rho ** 2 * kappa
 
-        chi_r.append(chi_raw)
-        chi_t.append(chi_tr)
-        chi_c.append(chi_cv)
-        sig_r.append(sigma_raw)
-        sig_t.append(sigma_tr)
-        sig_c.append(sigma_cv)
-        residual.append(chi_lit - chi_raw)
+        forms.append((chi_raw, chi_tr, chi_cv, sigma_raw, sigma_tr, sigma_cv,
+                      chi_lit - chi_raw))
         for a, b in ((chi_raw, chi_tr), (chi_raw, chi_cv), (chi_tr, chi_cv),
                      (sigma_raw, sigma_tr), (sigma_raw, sigma_cv),
                      (sigma_tr, sigma_cv)):
             worst = max(worst, float(np.max(np.abs(a - b))))
-    return HadamardCoefficients(chi_r, chi_t, chi_c, sig_r, sig_t, sig_c,
-                                residual, worst)
+    return HadamardCoefficients(*(list(per_form) for per_form in zip(*forms)), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +317,9 @@ def disk_dilation_delta_n(x, y, order: int = 1) -> float:
     def g(t):
         return disk_greens(x / (1.0 + t), y / (1.0 + t))
 
+    # g is a closed form, free of solver noise, so finer steps than the
+    # default ladders pay off: the default second ladder moves this value
+    # by 6.1e-11
     ladder = (1e-3, 5e-4) if order == 1 else (2e-2, 1e-2, 5e-3)
     return derivative_ladder(g, order=order, ladder=ladder).value
 
@@ -337,8 +330,8 @@ class RouteTriangle:
 
     ``residual``, ``rank`` and ``n_unknowns`` summarize the base and BVP
     solves: the worst check-node residual, the smallest rank, and the
-    number of charges.  ``fd_observed_order`` and ``fd_warnings`` are those
-    of the FD ladder.
+    number of charges.  ``fd_ladder`` is the FD route's ladder, whose value
+    is ``fd``.
     """
 
     formula: float
@@ -348,8 +341,7 @@ class RouteTriangle:
     residual: float
     rank: int
     n_unknowns: int
-    fd_observed_order: float | None
-    fd_warnings: tuple
+    fd_ladder: FDResult
 
     @property
     def max_pairwise(self) -> float:
@@ -380,7 +372,7 @@ def _triangle(formula: float, bvp: float, fd: FDResult,
     return RouteTriangle(formula, bvp, fd.value, pairwise,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),
-                         diagnostics[0].n_unknowns, fd.observed_order, fd.warnings)
+                         diagnostics[0].n_unknowns, fd)
 
 
 def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):

@@ -61,18 +61,12 @@ def pushed_flux_integral(domain: Domain, family: PerturbationFamily,
 def fd_reference(kind: str, domain: Domain, family: PerturbationFamily,
                  integrand, order: int = 1, ladder=None) -> FDResult:
     """FD derivative of the pulled-back integral of the given kind at t=0."""
-    if kind == "volume":
-        def g(t):
-            return pullback_volume_integral(domain, family, integrand, t)
-    elif kind == "area":
-        def g(t):
-            return pushed_area_integral(domain, family, integrand, t)
-    elif kind == "flux":
-        def g(t):
-            return pushed_flux_integral(domain, family, integrand, t)
-    else:
+    integrals = {"volume": pullback_volume_integral, "area": pushed_area_integral,
+                 "flux": pushed_flux_integral}
+    if kind not in integrals:
         raise ValueError(f"unknown integral kind {kind!r}")
-    return derivative_ladder(g, order=order, ladder=ladder)
+    return derivative_ladder(lambda t: integrals[kind](domain, family, integrand, t),
+                             order=order, ladder=ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +239,27 @@ def nu_dot(domain: Domain, family: PerturbationFamily):
 
 
 def nu_dot_fd(domain: Domain, family: PerturbationFamily):
-    """FD-in-t of the deformed boundary's normal field at the fixed nodes.
+    """Nodal d nu/dt at t=0 per component, by the FD engine at its default
+    first-derivative ladder: the independent oracle of ``nu_dot``.
 
     nu_dot is the rate of the moving normal field seen at a fixed spatial
     point, so each base node is projected onto the deformed curve and the
     normal there is differenced in t.  The projection is Gauss-Newton on
     |p - y(theta)|^2 with y = T_t(x(theta)) and y' = DT_t x'(theta), one flow
     integration per iteration: theta += (p - y).y' / |y'|^2.  The nodes sit
-    O(h) from the deformed curve, so each iteration gains about four digits.
+    O(t) from the deformed curve, so each iteration gains about four digits.
     """
-    h = 1e-4  # t-step of the central difference
-    out = []
-    for grid in domain.grids:
-        def normal_at(grid, t):
-            theta = grid.thetas.copy()
-            for _ in range(30):
-                y, jac = family.map_and_jacobian(grid.curve.point(theta), t)
-                dy = np.einsum("nij,nj->ni", jac, grid.curve.velocity(theta))
-                step = (np.einsum("ni,ni->n", grid.nodes - y, dy)
-                        / np.einsum("ni,ni->n", dy, dy))
-                theta += step
-                if np.max(np.abs(step)) < 1e-13:
-                    break
-            return pushed_frame(grid.curve, theta, family, t)[2]
+    def normal_at(grid, t):
+        theta = grid.thetas.copy()
+        for _ in range(30):
+            y, jac = family.map_and_jacobian(grid.curve.point(theta), t)
+            dy = np.einsum("nij,nj->ni", jac, grid.curve.velocity(theta))
+            step = (np.einsum("ni,ni->n", grid.nodes - y, dy)
+                    / np.einsum("ni,ni->n", dy, dy))
+            theta += step
+            if np.max(np.abs(step)) < 1e-13:
+                break
+        return pushed_frame(grid.curve, theta, family, t)[2]
 
-        out.append((normal_at(grid, h) - normal_at(grid, -h)) / (2.0 * h))
-    return out
+    return [derivative_ladder(lambda t: normal_at(grid, t), order=1).value
+            for grid in domain.grids]

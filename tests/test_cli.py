@@ -11,6 +11,7 @@ import pytest
 from shapelab import cli
 from shapelab import greens as gr
 from shapelab import perturbation as pert
+from shapelab._fd import DEFAULT_SECOND_LADDER
 from shapelab.cases import Case, CaseSettings, build_registry
 from shapelab.integrands import IntegrandSpec
 from shapelab.report import ReportRow, write_reports
@@ -22,6 +23,14 @@ STAR_SHEAR = {
     "family": {"kind": "flow", "field": {"name": "shear", "a": 0.5}},
     "integrand": "x1*x2 + t*x2",
     "tolerance": 1e-4,
+}
+
+DISK_DILATION = {
+    "id": "custom-disk-dilation",
+    "domain": {"name": "circle", "r": 1.0},
+    "mixed": ["dirichlet"],
+    "family": {"kind": "taylor", "field": {"name": "dilation"}},
+    "probes": [[0.3, 0.0], [0.0, 0.4]],
 }
 
 
@@ -43,28 +52,30 @@ class TestRegistry:
         integrate = pert.FlowFamily._integrate
 
         def counted(self, points, t):
-            calls.append(t)
+            calls.append((t, points.tobytes()))
             return integrate(self, points, t)
 
         monkeypatch.setattr(pert.FlowFamily, "_integrate", counted)
         registry = {c.case_id: c for c in build_registry()}
         assert registry["jacobian-poly-inverse-fd"].run(CaseSettings(seed=7)).passed
-        # 3 families, 7 distinct abscissae (0, +-h/2, +-h, +-2h) shared by both ladders
-        assert len(calls) == 21
+        # 3 families x 17 distinct abscissae: +-h and +-2h over the default first
+        # ladder (8) and 0, +-h and +-2h over the default second ladder (9)
+        assert len(calls) == len(set(calls)) == 51
 
     def test_poly_det_fd_integrates_each_abscissa_once(self, monkeypatch):
         calls = []
         integrate = pert.FlowFamily._integrate
 
         def counted(self, points, t):
-            calls.append(t)
+            calls.append((t, points.tobytes()))
             return integrate(self, points, t)
 
         monkeypatch.setattr(pert.FlowFamily, "_integrate", counted)
         registry = {c.case_id: c for c in build_registry()}
         assert registry["jacobian-poly-det-fd"].run(CaseSettings(seed=7)).passed
-        # 3 families, 7 distinct abscissae (0, +-h/2, +-h, +-2h) shared by both ladders
-        assert len(calls) == 21
+        # 3 families x 17 distinct abscissae: +-h and +-2h over the default first
+        # ladder (8) and 0, +-h and +-2h over the default second ladder (9)
+        assert len(calls) == len(set(calls)) == 51
 
     def test_single_case_runs(self):
         registry = {c.case_id: c for c in build_registry()}
@@ -216,6 +227,33 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("custom_liouville", "ladder", [0.01], "ladder must be a decreasing sequence"),
+        ("custom_hadamard", "ladder", [0.01, 0.02], "ladder must be a decreasing sequence"),
+        ("custom_hadamard", "probes", [[0.3, 0.0, 1.0], [0.0, 0.4]],
+         "probes must be two points of two finite coordinates"),
+        ("custom_liouville", "tolerance", "nan", "tolerance must be a finite positive number"),
+    ])
+    def test_bad_value_is_a_config_error_at_load(self, tmp_path, capsys, section, key,
+                                                  value, message):
+        spec = dict(STAR_SHEAR if section == "custom_liouville" else DISK_DILATION,
+                    **{key: value})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: [spec]}))
+        code = cli.main(["run", "--case", spec["id"], "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any case ran
+
+    def test_an_empty_ladder_is_the_default_ladder(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"custom_liouville": [dict(STAR_SHEAR, ladder=[])]}))
+        assert cli.main(["run", "--case", STAR_SHEAR["id"], "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+        row = json.loads((tmp_path / "out" / "report.json").read_text())["cases"][0]
+        assert row["details"]["ladder"] == list(DEFAULT_SECOND_LADDER)
+
     def test_python_dash_m_runs_the_cli(self):
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -242,14 +280,8 @@ class TestCli:
 
     def test_route_rows_report_their_solve_diagnostics(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"custom_hadamard": [{
-            "id": "custom-disk-dilation",
-            "domain": {"name": "circle", "r": 1.0},
-            "mixed": ["dirichlet"],
-            "family": {"kind": "taylor", "field": {"name": "dilation"}},
-            "probes": [[0.3, 0.0], [0.0, 0.4]],
-            "variation": "second",
-        }]}))
+        cfg.write_text(json.dumps({"custom_hadamard": [dict(DISK_DILATION,
+                                                            variation="second")]}))
         ids = ["custom-disk-dilation", "hadamard-delta-n-triangle-annulus",
                "hadamard-delta2-n-triangle-disk", "hadamard-delta2-rotation-zero"]
         code = cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),

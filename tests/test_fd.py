@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapelab._fd import derivative_ladder
+from shapelab._fd import DEFAULT_FIRST_LADDER, derivative_ladder, ladder_steps
 
 
 def _vector(t):
@@ -54,3 +54,19 @@ def test_non_monotone_ladder_above_the_floor_still_warns():
     res = derivative_ladder(_bumped_line(1e-10), 1, (1e-2, 5e-3, 2.5e-3))
     assert not res.monotone
     assert res.warnings == ("non-monotone ladder (cancellation suspected)",)
+
+
+@pytest.mark.parametrize("ladder", [None, [], ()])
+def test_an_absent_or_empty_ladder_is_the_default(ladder):
+    assert ladder_steps(ladder) is None
+    assert derivative_ladder(np.sin, 1, ladder).ladder == DEFAULT_FIRST_LADDER
+
+
+@pytest.mark.parametrize("ladder", [[0.01], [0.01, 0.02], [0.01, 0.01], [0.01, 0.0],
+                                    [0.01, -0.005], [float("nan"), 0.01],
+                                    [float("inf"), 0.01], ["a", 0.01], 0.01])
+def test_a_bad_ladder_is_a_value_error_that_names_the_key(ladder):
+    with pytest.raises(ValueError, match="^ladder must be"):
+        ladder_steps(ladder)
+    with pytest.raises(ValueError, match="^ladder must be"):
+        derivative_ladder(np.sin, 1, ladder)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shapelab import geometry as geo
 from shapelab import hadamard as hd
@@ -366,20 +368,69 @@ class TestSecondVariationRoutes:
         assert abs(forward - backward) < 1e-10
 
 
+# Poles drawn where the route rows put theirs: r <= 0.7 on the disk and the
+# band 0.7 <= r <= 0.8 of the mixed annulus, where the solver resolves N.
+EXCHANGE_DOMAINS = {"disk": (geo.disk(1.0), geo.all_dirichlet(1), (0.0, 0.7)),
+                    "annulus": (geo.annulus(0.5, 1.0),
+                                geo.MixedBoundary(("dirichlet", "neumann")), (0.7, 0.8))}
+EXCHANGE_FAMILIES = {"dilation": lambda: pert.TaylorFamily(pert.dilation()),
+                     "translation": translation, "generic flow": generic_flow}
+
+
+@pytest.fixture(scope="module")
+def exchange_setups():
+    """Per (domain, family): the base solver and the chi/sigma coefficients."""
+    setups = {}
+    for kind, (curve, mixed, _) in EXCHANGE_DOMAINS.items():
+        solver = GreensSolver(geo.Domain(curve, m=128), mixed)
+        for name, family in EXCHANGE_FAMILIES.items():
+            fam = family()
+            setups[kind, name] = (solver, fam, hd.chi_sigma(solver.domain, fam))
+    return setups
+
+
+class TestPoleExchangeProperty:
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(sorted(EXCHANGE_DOMAINS)),
+           family=st.sampled_from(sorted(EXCHANGE_FAMILIES)),
+           draws=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, TWO_PI),
+                           st.floats(0.0, 1.0), st.floats(0.0, TWO_PI)))
+    def test_first_and_second_variations_are_symmetric_in_the_poles(
+            self, exchange_setups, kind, family, draws):
+        solver, fam, coeffs = exchange_setups[kind, family]
+        r_min, r_max = EXCHANGE_DOMAINS[kind][2]
+        u = np.array(draws[::2])
+        radius = np.sqrt(r_min ** 2 + u * (r_max ** 2 - r_min ** 2))
+        angle = np.array(draws[1::2])
+        x, y = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        assume(np.linalg.norm(x - y) >= 0.1)
+        ev = solver.solve(np.stack([x, y]))
+        udot, _ = hd.delta_n_bvp(solver, fam, ev)
+        first = hd.delta_n_formula(solver, fam, ev)
+        assert abs(first - hd.delta_n_formula(solver, fam, ev[::-1])) <= 1e-12 * (1 + abs(first))
+        second = hd.delta2_n_formula(solver, fam, ev, udot, coeffs)
+        swapped = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], coeffs)
+        assert abs(second - swapped) <= 1e-10 * (1 + abs(second))
+
+
 class TestRouteDetails:
     def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
         tri = hd.delta_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
                                 *DISK_PROBES)
         details = route_result(tri)[3]
-        assert 3.5 < details["fd_observed_order"] == tri.fd_observed_order < 4.5
+        assert 3.5 < details["fd_observed_order"] == tri.fd_ladder.observed_order < 4.5
         assert "fd_observed_order_reason" not in details
         assert details["fd_warnings"] == []
+        # the route row's convergence table: the ladder and its estimates
+        assert details["ladder"] == list(tri.fd_ladder.ladder)
+        assert details["estimates"] == list(tri.fd_ladder.estimates)
+        assert tri.fd == tri.fd_ladder.value
 
     def test_a_degenerate_fd_order_is_null_with_a_reason(self, disk):
         tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), pert.FlowFamily(pert.rotation()),
                                  *DISK_PROBES)
         details = route_result(tri)[3]
-        assert tri.fd_observed_order == np.inf
+        assert tri.fd_ladder.observed_order == np.inf
         assert details["fd_observed_order"] is None
         assert details["fd_observed_order_reason"] == "ladder differences at rounding level"
 

@@ -249,13 +249,14 @@ class TestFlowIntegrationCount:
         lv.nu_dot_fd(geo.Domain(geo.disk(1.0), m=16), fam)
         assert len(calls) == len(set(calls))
 
-    @pytest.mark.parametrize("curve,count", [(geo.disk(1.0), 8),
-                                             (geo.star_domain(1.0, 0.2, 3), 10),
-                                             (geo.annulus(0.5, 1.0), 14)])
+    @pytest.mark.parametrize("curve,count", [(geo.disk(1.0), 52),
+                                             (geo.star_domain(1.0, 0.2, 3), 70),
+                                             (geo.annulus(0.5, 1.0), 98)])
     def test_nu_dot_fd_takes_one_integration_per_projection_step(self, monkeypatch,
                                                                  curve, count):
-        # Gauss-Newton: three steps and the final frame per t and component
-        # (the 1e-6 difference quotient in theta took 10, 14 and 20)
+        # Gauss-Newton: its steps and the final frame per t and component, over
+        # the 8 abscissae of the default first ladder; the disk takes 4 to 7
+        # steps, more at larger |t|
         calls = _count_integrations(monkeypatch)
         fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}),
                               step=1e-3)
@@ -323,8 +324,7 @@ class TestVariationResult:
         assert value == lv.first_volume(disk, dilation(), one)
         assert err == abs(value - (TWO_PI + 1e-3)) / (1.0 + abs(value)) > 1e-4
         assert oracles["analytic"] == TWO_PI + 1e-3
-        assert oracles["fd_richardson"] == reference.value
-        assert oracles["fd_estimates"] == list(reference.estimates)
+        assert oracles == {"analytic": TWO_PI + 1e-3, "fd_richardson": reference.value}
         # the dilated disk's area is quadratic in t, so the ladder differences
         # are rounding: the observed order is null, with its reason
         assert details == {"ladder": list(reference.ladder),

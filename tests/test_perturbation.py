@@ -203,6 +203,21 @@ class TestBoundaryData:
             data.normal_acceleration,
             pert.advective_normal_component(data, self.grid), atol=1e-14)
 
+    def test_flow_acceleration_row_fails_when_the_advection_uses_dv_transposed(
+            self, monkeypatch):
+        case = next(c for c in build_registry()
+                    if c.case_id == "jacobian-flow-acceleration-identity")
+        row = case.run(CaseSettings(seed=7))
+        assert row.passed and row.err <= 1e-10
+
+        def transposed(data, grid):  # [(Dv)^T v].nu in place of [(Dv) v].nu
+            adv = np.einsum("nji,nj->ni", data.velocity_jacobian, data.velocity)
+            return np.einsum("ni,ni->n", adv, grid.normal)
+
+        monkeypatch.setattr(pert, "advective_normal_component", transposed)
+        row = case.run(CaseSettings(seed=7))
+        assert not row.passed and row.err >= 0.5
+
 
 class TestNormalFamily:
     def setup_method(self):
