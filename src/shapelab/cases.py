@@ -142,10 +142,12 @@ def route_result(tri: hd.RouteTriangle, err=None, **oracles):
     """(value, oracles, err, details) of a Hadamard route run.
 
     By default the oracles are the BVP and FD routes and err is the worst
-    pairwise gap of the three routes.  The solves' summary and the FD record
-    of the FD route go to details.
+    pairwise gap of the three routes.  The solves' summary, the probe
+    warnings on the base boundary (a list, empty without any) and the FD
+    record of the FD route go to details.
     """
-    details = {**tri.solve_details(), **fd_details(tri.fd_ladder)}
+    details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings),
+               **fd_details(tri.fd_ladder)}
     return (tri.formula, oracles or {"bvp": tri.bvp, "fd": tri.fd},
             tri.max_pairwise if err is None else err, details)
 
@@ -323,10 +325,10 @@ def _liouville_nu_dot(st, case):
     exact = np.sin(grid.thetas)[:, None] * grid.tangent
     err = float(np.max(np.abs(nd - exact)))
     fd = lv.nu_dot_fd(dom, fam)[0]
-    fd_err = float(np.max(np.abs(nd - fd)))
+    fd_err = float(np.max(np.abs(nd - fd.value)))
     ortho = float(np.max(np.abs(np.einsum("ni,ni->n", nd, grid.normal))))
     return (float(np.max(np.abs(nd))), {"fd_max_gap": fd_err, "normal_component": ortho},
-            max(err, ortho, fd_err))
+            max(err, ortho, fd_err), fd_details(fd))
 
 
 # ---------------------------------------------------------------------------

@@ -55,18 +55,43 @@ def fourier_interpolate(values: np.ndarray, theta: np.ndarray) -> np.ndarray:
     ``values`` are samples at theta_j = 2*pi*j/M.  Spectrally accurate for
     analytic periodic data; exact for band-limited data of degree < M/2.
     """
-    values = np.asarray(values, dtype=float)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    m = values.shape[-1]
-    coeff = np.fft.rfft(values) / m
-    k = np.arange(1, coeff.shape[-1] - (1 if m % 2 == 0 else 0))
-    kt = np.outer(theta, k)
-    out = np.full(theta.shape, coeff[0].real)
-    out += 2.0 * (np.cos(kt) @ coeff[1:len(k) + 1].real
-                  - np.sin(kt) @ coeff[1:len(k) + 1].imag)
-    if m % 2 == 0:
-        out += coeff[-1].real * np.cos((m // 2) * theta)
-    return out
+    return FourierBasis.at(np.shape(values)[-1], theta)(values)
+
+
+@dataclass(frozen=True)
+class FourierBasis:
+    """``fourier_interpolate`` from M samples to fixed angles theta, with its
+    cos(k theta) and sin(k theta) matrices (0 < k < M/2) built once.
+
+    ``nyquist`` is cos((M/2) theta) for even M, else None.  A caller that
+    interpolates many sample sets to the same angles keeps one basis; each
+    call takes the same products as ``fourier_interpolate`` and keeps its bits.
+    """
+
+    m: int
+    cos: np.ndarray
+    sin: np.ndarray
+    nyquist: np.ndarray | None
+
+    @classmethod
+    def at(cls, m: int, theta: np.ndarray) -> "FourierBasis":
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        kt = np.outer(theta, np.arange(1, (m + 1) // 2))
+        return cls(m, np.cos(kt), np.sin(kt),
+                   np.cos((m // 2) * theta) if m % 2 == 0 else None)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The interpolant of the M samples ``values`` at the basis angles."""
+        values = np.asarray(values, dtype=float)
+        if values.shape[-1] != self.m:
+            raise ValueError(f"{values.shape[-1]} samples for a basis of {self.m}")
+        coeff = np.fft.rfft(values) / self.m
+        n = self.cos.shape[1]
+        out = np.full(len(self.cos), coeff[0].real)
+        out += 2.0 * (self.cos @ coeff[1:n + 1].real - self.sin @ coeff[1:n + 1].imag)
+        if self.nyquist is not None:
+            out += coeff[-1].real * self.nyquist
+        return out
 
 
 # ---------------------------------------------------------------------------

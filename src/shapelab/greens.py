@@ -58,19 +58,31 @@ The deformed boundary of T_t(Omega) takes the base boundary's path: its
 nodes, frames and charge rings are the T_t images of the base point sets,
 so re-solves along a finite-difference t-ladder differ only through the
 deformation, never through a change of discretization at t=0.
+
+LAPACK and BLAS come from scipy's compiled modules scipy.linalg._flapack
+(dgelsy, dgeqp3, dtzrzf, dormqr, dormrz, dgesdd and their workspace
+queries) and scipy.linalg._fblas (dtrsm), loaded from their files after
+``import scipy``.  Importing the scipy.linalg package instead runs its
+__init__, whose array-API copy of the numpy namespace imports numpy.f2py,
+numpy.testing and unittest: 0.3 s of CPU in every fresh process, half of
+what ``import shapelab.cli`` cost.  The routines are the objects that
+scipy.linalg.lapack and .blas re-export, so every solve keeps its bits.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.linalg.lapack
+import scipy
 
-from .geometry import TWO_PI, Domain, MixedBoundary, fourier_interpolate, pushed_frame
+from .geometry import TWO_PI, Domain, FourierBasis, MixedBoundary, pushed_frame
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
@@ -79,6 +91,32 @@ CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
 # gradient kernel, where the 9216-node interior rule against 384 charges
 # made one 57 MB array
 BLOCK_ENTRIES = 2 ** 18
+
+
+def _linalg_extension(name: str):
+    """scipy.linalg's compiled module ``name``, loaded from its file without
+    running scipy/linalg/__init__.py.
+
+    Once scipy.linalg is imported, or when the file does not load, this is
+    the ordinary import, which returns the same module.
+    """
+    full = f"scipy.linalg.{name}"
+    if "scipy.linalg" not in sys.modules and full not in sys.modules:
+        path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                            name + EXTENSION_SUFFIXES[0])
+        loader = ExtensionFileLoader(full, path)
+        try:
+            module = module_from_spec(spec_from_loader(full, loader))
+            loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[full] = module
+    return importlib.import_module(full)
+
+
+_lapack = _linalg_extension("_flapack")
+_blas = _linalg_extension("_fblas")
 
 
 class GreensError(ValueError):
@@ -306,7 +344,7 @@ class SolveDiagnostics:
 
 def _gelsy_lwork(m: int, n: int, n_rhs: int) -> int:
     """The workspace gelsy takes for an (m, n) matrix and n_rhs data columns."""
-    work, _ = scipy.linalg.lapack.dgelsy_lwork(m, n, n_rhs, 1e-13)
+    work, _ = _lapack.dgelsy_lwork(m, n, n_rhs, 1e-13)
     return int(work)
 
 
@@ -321,7 +359,7 @@ def _gelsy(matrix: np.ndarray, rhs: np.ndarray):
     matrix, rhs = np.asarray_chkfinite(matrix), np.asarray_chkfinite(rhs)
     m, n = matrix.shape
     n_rhs = 1 if rhs.ndim == 1 else rhs.shape[1]
-    _, x, pivots, rank, info = scipy.linalg.lapack.dgelsy(
+    _, x, pivots, rank, info = _lapack.dgelsy(
         matrix, rhs, np.zeros(n, dtype=np.int32), 1e-13, _gelsy_lwork(m, n, n_rhs),
         False, False)
     if info < 0:
@@ -345,12 +383,11 @@ class _GelsyFactors:
         m, n = matrix.shape
         self.shape, self.rank, self.mn = matrix.shape, rank, min(m, n)
         lwork = _gelsy_lwork(m, n, 1)
-        self.qr, self.pivots, self.tau, _, _ = scipy.linalg.lapack.dgeqp3(
+        self.qr, self.pivots, self.tau, _, _ = _lapack.dgeqp3(
             matrix, lwork=lwork - self.mn)
         self.rz, self.tau_z = self.qr[:rank], None
         if rank < n:
-            self.rz, self.tau_z, _ = scipy.linalg.lapack.dtzrzf(
-                self.rz, lwork=lwork - 2 * self.mn)
+            self.rz, self.tau_z, _ = _lapack.dtzrzf(self.rz, lwork=lwork - 2 * self.mn)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """gelsy's solution for data (rows,) or a (rows, k) block."""
@@ -359,15 +396,13 @@ class _GelsyFactors:
         # each step gets what gelsy leaves it of its workspace: an undersized
         # dormqr workspace runs unblocked and moves the bits
         lwork = _gelsy_lwork(m, n, block.shape[1]) - 2 * self.mn
-        qtb, _, _ = scipy.linalg.lapack.dormqr("L", "T", self.qr[:, :self.mn], self.tau,
-                                               block, lwork)
+        qtb, _, _ = _lapack.dormqr("L", "T", self.qr[:, :self.mn], self.tau, block, lwork)
         y = np.zeros((n, block.shape[1]), order="F")
         # BLAS dtrsm as gelsy calls it; LAPACK's dtrtrs differs for one column
-        y[:self.rank] = scipy.linalg.blas.dtrsm(1.0, self.rz[:, :self.rank],
-                                                qtb[:self.rank])
+        y[:self.rank] = _blas.dtrsm(1.0, self.rz[:, :self.rank], qtb[:self.rank])
         if self.rank < n:
-            y, _ = scipy.linalg.lapack.dormrz(self.rz, self.tau_z, y, side="L",
-                                              trans="T", lwork=lwork)
+            y, _ = _lapack.dormrz(self.rz, self.tau_z, y, side="L", trans="T",
+                                  lwork=lwork)
         x = np.empty_like(y)
         x[self.pivots - 1] = y
         return x if rhs.ndim == 2 else x[:, 0]
@@ -412,7 +447,13 @@ class MixedSolver:
 
     @functools.cached_property
     def condition_estimate(self) -> float:
-        sv = scipy.linalg.svdvals(self.matrix)
+        # the dgesdd call of scipy.linalg.svdvals, with its workspace
+        m, n = self.matrix.shape
+        work, _ = _lapack.dgesdd_lwork(m, n, compute_uv=0, full_matrices=0)
+        _, sv, _, info = _lapack.dgesdd(np.asarray_chkfinite(self.matrix), compute_uv=0,
+                                        full_matrices=0, lwork=int(work))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgesdd failed with info {info}")
         return float(sv[0] / max(sv[-1], 1e-300))
 
     def solve(self, rhs_per_component: list[np.ndarray], check_data=None):
@@ -457,17 +498,24 @@ class MixedSolver:
                 f"(condition estimate {self.condition_estimate:.2e})")
         return fld, diags[0] if rhs.ndim == 1 else diags
 
+    @functools.cached_property
+    def _fourier_bases(self) -> list[tuple[FourierBasis, FourierBasis]]:
+        """Per component, the interpolation from its grid nodes to its
+        collocation and to its check angles."""
+        return [(FourierBasis.at(len(c.nodes), c.colloc_thetas),
+                 FourierBasis.at(len(c.nodes), CHECK_THETAS)) for c in self.components]
+
     def solve_nodal(self, nodal_per_component: list[np.ndarray]):
         """Fit grid-nodal data, (M,) or (k, M) per component, Fourier-interpolated
-        to the collocation and check nodes."""
-        def interpolate(nodal, theta):
+        to the collocation and check nodes by the solver's bases."""
+        def interpolate(nodal, basis):
             if np.ndim(nodal) == 1:
-                return fourier_interpolate(nodal, theta)
-            return np.stack([fourier_interpolate(row, theta) for row in nodal])
+                return basis(nodal)
+            return np.stack([basis(row) for row in nodal])
 
-        col = [interpolate(nodal, comp.colloc_thetas)
-               for comp, nodal in zip(self.components, nodal_per_component)]
-        chk = [interpolate(nodal, CHECK_THETAS) for nodal in nodal_per_component]
+        bases = self._fourier_bases
+        col = [interpolate(nodal, b[0]) for nodal, b in zip(nodal_per_component, bases)]
+        chk = [interpolate(nodal, b[1]) for nodal, b in zip(nodal_per_component, bases)]
         return self.solve(col, check_data=chk)
 
 

@@ -330,8 +330,9 @@ class RouteTriangle:
 
     ``residual``, ``rank`` and ``n_unknowns`` summarize the base and BVP
     solves: the worst check-node residual, the smallest rank, and the
-    number of charges.  ``fd_ladder`` is the FD route's ladder, whose value
-    is ``fd``.
+    number of charges.  ``probe_warnings`` are the probe warnings on the
+    base boundary; those of the re-solves are in the FD route's ladder
+    ``fd_ladder``, whose value is ``fd``.
     """
 
     formula: float
@@ -342,6 +343,7 @@ class RouteTriangle:
     rank: int
     n_unknowns: int
     fd_ladder: FDResult
+    probe_warnings: list[str]
 
     @property
     def max_pairwise(self) -> float:
@@ -372,7 +374,7 @@ def _triangle(formula: float, bvp: float, fd: FDResult,
     return RouteTriangle(formula, bvp, fd.value, pairwise,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),
-                         diagnostics[0].n_unknowns, fd)
+                         diagnostics[0].n_unknowns, fd, issued)
 
 
 def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):

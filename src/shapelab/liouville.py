@@ -239,8 +239,9 @@ def nu_dot(domain: Domain, family: PerturbationFamily):
 
 
 def nu_dot_fd(domain: Domain, family: PerturbationFamily):
-    """Nodal d nu/dt at t=0 per component, by the FD engine at its default
-    first-derivative ladder: the independent oracle of ``nu_dot``.
+    """Nodal d nu/dt at t=0 per component, as the FD engine's result at its
+    default first-derivative ladder (value (M, 2)): the independent oracle of
+    ``nu_dot``.
 
     nu_dot is the rate of the moving normal field seen at a fixed spatial
     point, so each base node is projected onto the deformed curve and the
@@ -261,5 +262,4 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily):
                 break
         return pushed_frame(grid.curve, theta, family, t)[2]
 
-    return [derivative_ladder(lambda t: normal_at(grid, t), order=1).value
-            for grid in domain.grids]
+    return [derivative_ladder(lambda t: normal_at(grid, t), order=1) for grid in domain.grids]

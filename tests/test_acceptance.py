@@ -283,14 +283,15 @@ def test_criterion_8_determinism(registry_run, tmp_path):
 
 
 def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
-    """Every row with an FD value among its oracles (a key fd, fd_* or *_fd;
-    an *_gap key is a gap, not a value) carries the ladder and its observed
-    order, or null and the reason, in details."""
+    """Every row with an FD oracle (a key fd, fd_* or *_fd: an FD value, or
+    the gap to one as nu-dot's fd_max_gap) carries the ladder and its
+    observed order, or null and the reason, in details."""
     rows = json.loads(registry_run[0].read_text())["cases"]
     fd_rows = [row for row in rows
-               if any((key == "fd" or key.startswith("fd_") or key.endswith("_fd"))
-                      and not key.endswith("_gap") for key in row["oracles"])]
-    assert len(fd_rows) >= 26  # 26 at --seed 7: the selector is not empty
+               if any(key == "fd" or key.startswith("fd_") or key.endswith("_fd")
+                      for key in row["oracles"])]
+    assert len(fd_rows) >= 27  # 27 at --seed 7: the selector is not empty
+    assert "liouville-nu-dot-translation" in [row["case_id"] for row in fd_rows]
     for row in fd_rows:
         details = row["details"]
         assert details["ladder"] and "fd_observed_order" in details, row["case_id"]

@@ -277,6 +277,25 @@ class TestCurveLibrary:
         with pytest.raises(geo.GeometryError):
             geo.BoundaryCurve((geo.circle(1.0), geo.circle(0.5)))
 
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_fourier_basis_keeps_the_bits_of_one_call(self, m):
+        # the interpolant as one expression, matrices built per call
+        values = np.random.default_rng(m).normal(size=m)
+        theta = TWO_PI * (np.arange(96) + 0.3) / 96
+        coeff = np.fft.rfft(values) / m
+        kt = np.outer(theta, np.arange(1, (m + 1) // 2))
+        n = kt.shape[1]
+        want = np.full(theta.shape, coeff[0].real)
+        want += 2.0 * (np.cos(kt) @ coeff[1:n + 1].real - np.sin(kt) @ coeff[1:n + 1].imag)
+        if m % 2 == 0:
+            want += coeff[-1].real * np.cos((m // 2) * theta)
+        basis = geo.FourierBasis.at(m, theta)
+        np.testing.assert_array_equal(basis(values), want)
+        np.testing.assert_array_equal(basis(2.0 * values),
+                                      geo.fourier_interpolate(2.0 * values, theta))
+        with pytest.raises(ValueError, match="samples"):
+            basis(values[:-1])
+
     def test_fourier_interpolation_band_limited_exact(self):
         values = np.cos(geo.build_grid(geo.circle(1.0), 64).thetas * 3)
         theta = np.array([0.1, 1.7, 4.2])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -333,18 +338,62 @@ class TestDiagnostics:
 
     def test_fd_route_computes_no_svd(self, disk, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("svdvals called")
+            raise AssertionError("dgesdd called")
 
-        monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
+        monkeypatch.setattr(gr._lapack, "dgesdd", refuse)
         fam = pert.TaylorFamily(pert.dilation())
-        result = hd.delta_n_fd(gr.GreensSolver(disk, geo.all_dirichlet(1)), fam,
-                               np.array([0.3, 0.0]), np.array([0.0, 0.4]))
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1))
+        result = hd.delta_n_fd(solver, fam, np.array([0.3, 0.0]), np.array([0.0, 0.4]))
         assert np.isfinite(result.value)
+        with pytest.raises(AssertionError, match="dgesdd"):  # the patch is the one read
+            solver.solver.condition_estimate
 
     def test_hard_failure_raises_with_condition(self, disk):
         cfg = gr.GreensConfig(n_charges=8, fail_threshold=1e-10)
         with pytest.raises(gr.GreensAccuracyError, match="condition"):
             gr.GreensSolver(disk, geo.all_dirichlet(1), cfg).solve(np.array([0.3, 0.0]))
+
+
+def _fresh_python(code: str) -> str:
+    """The standard output of ``code`` in a fresh interpreter that finds shapelab."""
+    src = Path(gr.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestLinalgHandles:
+    """greens takes its LAPACK and BLAS routines from scipy.linalg's compiled
+    modules without running scipy/linalg/__init__.py."""
+
+    LAPACK = ("dgelsy", "dgelsy_lwork", "dgeqp3", "dtzrzf", "dormqr", "dormrz",
+              "dgesdd", "dgesdd_lwork")
+
+    def test_cli_import_leaves_scipy_linalg_and_numpy_testing_unloaded(self):
+        out = _fresh_python(
+            "import sys, shapelab.cli; from shapelab import greens as gr; "
+            "print(gr._lapack.__name__, gr._blas.__name__, "
+            "[m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') if m in sys.modules])")
+        assert out == "scipy.linalg._flapack scipy.linalg._fblas []"
+
+    def test_routines_are_the_scipy_linalg_lapack_and_blas_objects(self):
+        # loaded from their files first, then scipy.linalg imported
+        out = _fresh_python(
+            "import sys; from shapelab import greens as gr; "
+            "loaded = 'scipy.linalg' in sys.modules; "
+            "import scipy.linalg.lapack as la, scipy.linalg.blas as bl; "
+            f"print(loaded, [n for n in {self.LAPACK!r} if getattr(gr._lapack, n) "
+            "is not getattr(la, n)], gr._blas.dtrsm is bl.dtrsm)")
+        assert out == "False [] True"
+
+    def test_an_unloadable_file_falls_back_to_the_ordinary_import(self):
+        # a suffix no file has makes the file load fail
+        out = _fresh_python(
+            "import sys, importlib.machinery as im; im.EXTENSION_SUFFIXES.insert(0, '.none'); "
+            "from shapelab import greens as gr; loaded = 'scipy.linalg' in sys.modules; "
+            "import scipy.linalg.lapack as la; print(loaded, gr._lapack.dgelsy is la.dgelsy)")
+        assert out == "True True"
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +614,8 @@ class TestStoredFactors:
                                                       monkeypatch):
         calls = []
         for name in ("dgelsy", "dgeqp3"):
-            lapack = getattr(scipy.linalg.lapack, name)
-            monkeypatch.setattr(scipy.linalg.lapack, name,
+            lapack = getattr(gr._lapack, name)
+            monkeypatch.setattr(gr._lapack, name,
                                 lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k))
         _, solver = _block_solver(kind, m, n_charges)
         poles = BLOCK_POLES[kind]
@@ -605,7 +654,7 @@ class TestGelsyBudget:
         calls, open_solves, outside = [], [0], []
 
         def counted(name):
-            lapack = getattr(scipy.linalg.lapack, name)
+            lapack = getattr(gr._lapack, name)
 
             def call(*args, **kwargs):
                 calls.append(name)
@@ -625,7 +674,7 @@ class TestGelsyBudget:
                 open_solves[0] -= 1
 
         for name in ("dgelsy", "dgeqp3"):
-            monkeypatch.setattr(scipy.linalg.lapack, name, counted(name))
+            monkeypatch.setattr(gr._lapack, name, counted(name))
         monkeypatch.setattr(gr.MixedSolver, "solve", entered)
         case_settings = CaseSettings(seed=7)
         rows = [case.run(case_settings) for case in build_registry()]

@@ -159,10 +159,14 @@ class TestFirstVariation:
         # 0.14 from the circle, inside 3 node spacings (0.147) at m=128; the
         # translation along the circle keeps every re-solve under the gate
         near = np.array([0.86, 0.0])
-        with pytest.warns(UserWarning, match="node spacings"):
+        with pytest.warns(UserWarning, match="node spacings") as record:
             tri = routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.translation(0.0, 1.0)),
                          near, DISK_PROBES[1])
         assert np.isfinite(tri.max_pairwise)
+        # the row keeps the base-boundary warning the route issued
+        message = hd.probe_warning(GreensSolver(disk, geo.all_dirichlet(1)), near)
+        assert route_result(tri)[3]["probe_warnings"] == [message]
+        assert message in [str(w.message) for w in record]
 
     def test_routes_warn_for_a_probe_near_a_re_solved_boundary(self, disk):
         # (0.80, 0) is 0.20 from the unit circle, outside 3 node spacings
@@ -420,7 +424,7 @@ class TestRouteDetails:
         details = route_result(tri)[3]
         assert 3.5 < details["fd_observed_order"] == tri.fd_ladder.observed_order < 4.5
         assert "fd_observed_order_reason" not in details
-        assert details["fd_warnings"] == []
+        assert details["fd_warnings"] == [] and details["probe_warnings"] == []
         # the route row's convergence table: the ladder and its estimates
         assert details["ladder"] == list(tri.fd_ladder.ladder)
         assert details["estimates"] == list(tri.fd_ladder.estimates)

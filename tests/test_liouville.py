@@ -174,7 +174,7 @@ class TestNuDot:
         grid = disk.grids[0]
         expected = np.sin(grid.thetas)[:, None] * grid.tangent
         np.testing.assert_allclose(values, expected, atol=1e-12)
-        fd = lv.nu_dot_fd(disk, fam)[0]
+        fd = lv.nu_dot_fd(disk, fam)[0].value
         assert np.max(np.abs(values - fd)) < 1e-5
 
     def test_orthogonal_to_normal(self, ellipse):
@@ -182,7 +182,7 @@ class TestNuDot:
         values = lv.nu_dot(ellipse, fam)[0]
         inner = np.einsum("ni,ni->n", values, ellipse.grids[0].normal)
         np.testing.assert_allclose(inner, 0.0, atol=1e-13)
-        fd = lv.nu_dot_fd(ellipse, fam)[0]
+        fd = lv.nu_dot_fd(ellipse, fam)[0].value
         assert np.max(np.abs(values - fd)) < 1e-5
 
 
