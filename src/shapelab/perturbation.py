@@ -19,10 +19,15 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .geometry import BoundaryGrid, collar_extend, fourier_derivative, fourier_interpolate
+from .integrands import _shifted
 
 
 # largest |t| a flow integration accepts
 FLOW_T_MAX = 0.25
+
+# rows of a PolynomialField table (also the rows of a packed flow state)
+VALUE, JACOBIAN, HESSIAN = slice(0, 2), slice(2, 6), slice(6, 14)
+VALUE_AND_JACOBIAN = slice(0, 6)
 
 
 class PerturbationError(ValueError):
@@ -37,63 +42,81 @@ class PolynomialField:
     """Vector field with polynomial components of total degree <= 3.
 
     ``terms`` maps (component, px, py) -> coefficient for the monomial
-    x1**px * x2**py in that component.
+    x1**px * x2**py in that component.  The field is stored as one table
+    over the monomials x1**a * x2**b with a + b up to its degree: row r
+    holds the coefficients of v_i (rows 0-1), dv_i/dx_j (rows 2-5, ``i``
+    major) or d^2 v_i/dx_j dx_k (rows 6-13), the derivative rows built by
+    index shifts of the coefficients.  An evaluation builds the monomials
+    once and contracts only the rows it needs.
     """
 
     MAX_DEGREE = 3
 
     def __init__(self, terms: dict):
-        self.terms = {}
+        coeffs = {}
         for (comp, px, py), coeff in terms.items():
             if comp not in (0, 1) or px < 0 or py < 0 or px + py > self.MAX_DEGREE:
                 raise PerturbationError(f"bad monomial {(comp, px, py)}")
+            coeff = float(coeff)
+            if not np.isfinite(coeff):
+                raise PerturbationError(f"non-finite coefficient {coeff} of monomial "
+                                        f"{(comp, px, py)}")
             if coeff != 0.0:
-                self.terms[(comp, px, py)] = float(coeff)
-        self._degree = max((max(px, py) for _, px, py in self.terms), default=1)
+                coeffs[(comp, px, py)] = coeff
+        degree = max((px + py for _, px, py in coeffs), default=0)
+        c = np.zeros((degree + 1, degree + 1, 2))  # c[px, py, comp]
+        for (comp, px, py), coeff in coeffs.items():
+            c[px, py, comp] = coeff
+        cx, cy = _shifted(c, 0), _shifted(c, 1)
+        # derivative 0: value, 1-2: d/dx_j, 3-5: d^2/dx_j dx_k with 3 + j + k
+        derivs = np.stack([c, cx, cy, _shifted(cx, 0), _shifted(cx, 1), _shifted(cy, 1)],
+                          axis=-1)
+        # (component, derivative) of each table row
+        comps, orders = np.array(
+            [(i, 0) for i in range(2)]
+            + [(i, 1 + j) for i in range(2) for j in range(2)]
+            + [(i, 3 + j + k) for i in range(2) for j in range(2) for k in range(2)]).T
+        # monomials by total degree; each after the first is an earlier one times x or y
+        self._powers = [(d - b, b) for d in range(degree + 1) for b in range(d + 1)]
+        self._recurrence = [(self._powers.index((a - 1, b)), 0) if a
+                            else (self._powers.index((a, b - 1)), 1)
+                            for a, b in self._powers[1:]]
+        px, py = np.array(self._powers).T
+        self.table = np.ascontiguousarray(derivs[px, py][:, comps, orders].T)
 
-    def _powers(self, points: np.ndarray):
-        """Tables [1, x, x^2, ...] and [1, y, y^2, ...] of (N, 2) points."""
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients, keyed (component, px, py)."""
+        return {(comp, px, py): float(c) for comp in (0, 1)
+                for (px, py), c in zip(self._powers, self.table[comp]) if c != 0.0}
+
+    def _contract(self, xy: np.ndarray, rows: slice, out=None, basis=None) -> np.ndarray:
+        """Table ``rows`` at component-major points (2, N), one monomial basis.
+
+        ``basis`` is scratch space for the monomials whose row 0 holds ones;
+        ``out`` receives the rows.
+        """
+        if basis is None:
+            basis = np.ones((len(self._powers), xy.shape[1]))
+        for k, (earlier, axis) in enumerate(self._recurrence, start=1):
+            np.multiply(basis[earlier], xy[axis], out=basis[k])
+        return np.einsum("rk,kn->rn", self.table[rows], basis, out=out)
+
+    def _at(self, points: np.ndarray, rows: slice, tail: tuple) -> np.ndarray:
+        """Table ``rows`` at (N, 2) points, point-major with trailing shape ``tail``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return tuple([np.ones_like(u), u] + [u ** k for k in range(2, self._degree + 1)]
-                     for u in points.T)
-
-    def _values(self, xs, ys) -> np.ndarray:
-        """Field values from power tables, component-major (2, N)."""
-        out = np.zeros((2,) + xs[0].shape)
-        for (comp, px, py), c in self.terms.items():
-            out[comp] += c * xs[px] * ys[py]
-        return out
-
-    def _jacobians(self, xs, ys) -> np.ndarray:
-        """Jacobians dv_i/dx_j from power tables, component-major (2, 2, N)."""
-        out = np.zeros((2, 2) + xs[0].shape)
-        for (comp, px, py), c in self.terms.items():
-            if px:
-                out[comp, 0] += c * px * xs[px - 1] * ys[py]
-            if py:
-                out[comp, 1] += c * py * xs[px] * ys[py - 1]
-        return out
+        out = self._contract(points.T, rows).reshape(tail + (-1,))
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(self._values(*self._powers(points)).T)
+        return self._at(points, VALUE, (2,))
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(self._jacobians(*self._powers(points)).transpose(2, 0, 1))
+        return self._at(points, JACOBIAN, (2, 2))
 
     def second_derivative(self, points: np.ndarray) -> np.ndarray:
         """Tensor H[n, i, j, k] = d^2 v_i / dx_j dx_k at each point."""
-        xs, ys = self._powers(points)
-        out = np.zeros((xs[0].shape[0], 2, 2, 2))
-        for (comp, px, py), c in self.terms.items():
-            if px >= 2:
-                out[:, comp, 0, 0] += c * px * (px - 1) * xs[px - 2] * ys[py]
-            if px >= 1 and py >= 1:
-                mixed = c * px * py * xs[px - 1] * ys[py - 1]
-                out[:, comp, 0, 1] += mixed
-                out[:, comp, 1, 0] += mixed
-            if py >= 2:
-                out[:, comp, 1, 1] += c * py * (py - 1) * xs[px] * ys[py - 2]
-        return out
+        return self._at(points, HESSIAN, (2, 2, 2))
 
 
 def dilation() -> PolynomialField:
@@ -177,6 +200,11 @@ class PerturbationFamily:
         raise NotImplementedError
 
 
+def _jacobian_rows(rows: np.ndarray) -> np.ndarray:
+    """Point-major (N, 2, 2) Jacobians from component-major rows (4, N)."""
+    return rows.reshape(2, 2, -1).transpose(2, 0, 1)
+
+
 class TaylorFamily(PerturbationFamily):
     """T_t = I + t S + (t^2/2) R with no higher-order remainder."""
 
@@ -184,15 +212,28 @@ class TaylorFamily(PerturbationFamily):
         self.s_field = s_field
         self.r_field = r_field if r_field is not None else zero_field()
 
-    def map(self, points, t):
+    @staticmethod
+    def _jacobian(ds, dr, t):
+        """I + t DS + (t^2/2) DR from component-major Jacobian rows."""
+        return np.eye(2) + t * _jacobian_rows(ds) + 0.5 * t * t * _jacobian_rows(dr)
+
+    def map(self, points, t, *, with_jacobian=False):
+        """T_t(points), or the pair (T_t, DT_t) from one basis per field with ``with_jacobian``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points + t * self.s_field(points) + 0.5 * t * t * self.r_field(points)
+        rows = VALUE_AND_JACOBIAN if with_jacobian else VALUE
+        s = self.s_field._contract(points.T, rows)
+        r = self.r_field._contract(points.T, rows)
+        image = points + t * s[VALUE].T + 0.5 * t * t * r[VALUE].T
+        return (image, self._jacobian(s[JACOBIAN], r[JACOBIAN], t)) if with_jacobian else image
 
     def map_jacobian(self, points, t):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        eye = np.broadcast_to(np.eye(2), (points.shape[0], 2, 2))
-        return (eye + t * self.s_field.jacobian(points)
-                + 0.5 * t * t * self.r_field.jacobian(points))
+        return self._jacobian(self.s_field._contract(points.T, JACOBIAN),
+                              self.r_field._contract(points.T, JACOBIAN), t)
+
+    def map_and_jacobian(self, points, t):
+        # Through map: perfbench times map and map_jacobian as the Taylor layer.
+        return self.map(points, t, with_jacobian=True)
 
     def velocity(self, points):
         return self.s_field(points)
@@ -213,36 +254,60 @@ class FlowFamily(PerturbationFamily):
     One classical RK4 integration yields both the map and its Jacobian (the
     Jacobian by the variational equation dJ/dt = Dv(X) J), keeping the
     O(h^4) accuracy of the integrator and avoiding spatial differencing.
-    Here S = v and R = (v.grad) v with analytic Jacobians.
+    X and J travel as one packed (6, N) state (x, y, J00, J01, J10, J11),
+    so each RK4 stage is one field evaluation of the value and Jacobian
+    rows plus whole-state updates; T_0 is the identity, returned without
+    integrating.  Here S = v and R = (v.grad) v with analytic Jacobians.
     """
 
     def __init__(self, field: PolynomialField, step: float = 1e-2):
+        if not (np.isfinite(step) and step > 0.0):
+            raise PerturbationError(f"flow step must be finite and positive, not {step!r}")
         self.field = field
         self.step = step
 
-    def _rhs(self, x, jac):
-        """(v(X), Dv(X) J) on component-major states (2, N) and (2, 2, N)."""
-        tables = self.field._powers(x.T)
-        dv = self.field._jacobians(*tables)
-        return self.field._values(*tables), dv[:, 0, None] * jac[0] + dv[:, 1, None] * jac[1]
-
     def _integrate(self, points, t):
+        if not np.isfinite(t):
+            raise PerturbationError(f"flow time must be finite, not {t!r}")
         if abs(t) > FLOW_T_MAX:
             raise PerturbationError(f"|t|={abs(t)} exceeds t_max={FLOW_T_MAX}")
-        n_steps = max(1, int(np.ceil(abs(t) / self.step)))
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = len(points)
+        if t == 0:
+            return points.copy(), np.tile(np.eye(2), (n, 1, 1))
+        n_steps = int(np.ceil(abs(t) / self.step))
         if n_steps > 10000:
             raise PerturbationError("step-count overflow in flow integration")
-        h = t / n_steps
-        x = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
-        jac = np.eye(2)[:, :, None].repeat(x.shape[1], axis=2)
+        state = self._rk4(points, t / n_steps, n_steps)
+        return (np.ascontiguousarray(state[VALUE].T),
+                np.ascontiguousarray(_jacobian_rows(state[JACOBIAN])))
+
+    def _rk4(self, points, h, n_steps):
+        """Packed state (x, y, J00, J01, J10, J11) after ``n_steps`` RK4 steps of ``h``."""
+        n = len(points)
+        state = np.empty((6, n))
+        state[VALUE] = points.T
+        state[JACOBIAN] = np.eye(2).reshape(4, 1)
+        rates, stage, total, scaled, fields = (np.empty_like(state) for _ in range(5))
+        basis = np.ones((len(self.field._powers), n))
+
+        def rhs(s):
+            """rates <- (v(X), Dv(X) J) of the packed state s."""
+            self.field._contract(s[VALUE], VALUE_AND_JACOBIAN, out=fields, basis=basis)
+            rates[VALUE] = fields[VALUE]
+            np.einsum("ijn,jkn->ikn", fields[JACOBIAN].reshape(2, 2, n),
+                      s[JACOBIAN].reshape(2, 2, n), out=rates[JACOBIAN].reshape(2, 2, n))
+
         for _ in range(n_steps):
-            k1 = self._rhs(x, jac)
-            k2 = self._rhs(x + 0.5 * h * k1[0], jac + 0.5 * h * k1[1])
-            k3 = self._rhs(x + 0.5 * h * k2[0], jac + 0.5 * h * k2[1])
-            k4 = self._rhs(x + h * k3[0], jac + h * k3[1])
-            x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            jac = jac + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        return np.ascontiguousarray(x.T), np.ascontiguousarray(jac.transpose(2, 0, 1))
+            # total sums k1 + 2 k2 + 2 k3 + k4 left to right
+            rhs(state)
+            total[:] = rates
+            for shift, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
+                np.add(state, np.multiply(rates, shift, out=scaled), out=stage)
+                rhs(stage)
+                total += np.multiply(rates, weight, out=scaled)
+            state += np.multiply(total, h / 6.0, out=scaled)
+        return state
 
     def map(self, points, t, *, with_jacobian=False):
         """T_t(points), or the pair (T_t, DT_t) of one integration with ``with_jacobian``."""
@@ -262,7 +327,8 @@ class FlowFamily(PerturbationFamily):
     def acceleration(self, points):
         # R = (v.grad)v = Dv v
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.einsum("nij,nj->ni", self.field.jacobian(points), self.field(points))
+        rows = self.field._contract(points.T, VALUE_AND_JACOBIAN)
+        return np.einsum("nij,nj->ni", _jacobian_rows(rows[JACOBIAN]), rows[VALUE].T)
 
     def velocity_jacobian(self, points):
         return self.field.jacobian(points)
@@ -270,9 +336,10 @@ class FlowFamily(PerturbationFamily):
     def acceleration_jacobian(self, points):
         # D[(v.grad)v] = (D^2 v)[v] + (Dv)(Dv)
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        dv = self.field.jacobian(points)
-        d2v = self.field.second_derivative(points)
-        return (np.einsum("nijk,nk->nij", d2v, self.field(points))
+        rows = self.field._contract(points.T, slice(None))
+        dv = _jacobian_rows(rows[JACOBIAN])
+        d2v = rows[HESSIAN].reshape(2, 2, 2, -1).transpose(3, 0, 1, 2)
+        return (np.einsum("nijk,nk->nij", d2v, rows[VALUE].T)
                 + np.einsum("nik,nkj->nij", dv, dv))
 
 

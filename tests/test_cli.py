@@ -197,6 +197,8 @@ class TestCli:
         (("family", "field", "name"), "sheer", "unknown velocity field 'sheer'"),
         (("domain", "name"), "starr", "unknown curve 'starr'"),
         (("kind",), "second_volumes", "unknown kind 'second_volumes'"),
+        (("family", "field"), {"name": "polynomial", "terms": {"0,1,0": math.nan}},
+         "non-finite coefficient nan of monomial (0, 1, 0)"),
     ])
     def test_bad_custom_spec_is_config_error(self, tmp_path, capsys, path, value, message):
         spec = json.loads(json.dumps(STAR_SHEAR))

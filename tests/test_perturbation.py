@@ -35,6 +35,19 @@ class TestFlowMap:
         with pytest.raises(pert.PerturbationError):
             fam.map(PTS, 0.3)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-2, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        # step=0 divided by zero, and a negative step took a single RK4 step
+        with pytest.raises(pert.PerturbationError, match="step"):
+            pert.FlowFamily(pert.rotation(), step=step)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_time_must_be_finite(self, t):
+        fam = pert.FlowFamily(pert.rotation())
+        for call in (fam.map, fam.map_jacobian, fam.map_and_jacobian):
+            with pytest.raises(pert.PerturbationError, match="finite"):
+                call(PTS, t)
+
     def test_step_count_overflow(self):
         fam = pert.FlowFamily(pert.dilation(), step=1e-9)
         with pytest.raises(pert.PerturbationError, match="overflow"):
@@ -275,6 +288,11 @@ class TestFieldLibrary:
         np.testing.assert_allclose(field(np.array([[2.0, 3.0]])),
                                    [[4.0, -3.0]])
 
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_names_its_monomial(self, coeff):
+        with pytest.raises(pert.PerturbationError, match=r"\(0, 1, 0\)"):
+            pert.PolynomialField({(1, 2, 0): 1.0, (0, 1, 0): coeff})
+
     def test_degree_cap(self):
         with pytest.raises(pert.PerturbationError):
             pert.PolynomialField({(0, 4, 0): 1.0})
@@ -293,7 +311,11 @@ class TestFieldLibrary:
 
 
 # Reference copies of the per-monomial field loop and the einsum RK4 that the
-# power-table and component-major code replaced; both must agree bit for bit.
+# coefficient table and the packed RK4 state replaced.  Their sums run in
+# another order, so they agree bit for bit where every sum is exact in any
+# order, and otherwise within the rounding bounds below.
+
+EPS = np.finfo(float).eps
 
 def _ref_pow(base, exponent):
     return np.ones_like(base) if exponent == 0 else base ** exponent
@@ -352,28 +374,130 @@ def _ref_flow(field, points, t, step):
     return x, jac
 
 
+def _ref_taylor(s_field, r_field, points, t):
+    eye = np.broadcast_to(np.eye(2), (points.shape[0], 2, 2))
+    return (points + t * _ref_value(s_field, points) + 0.5 * t * t * _ref_value(r_field, points),
+            eye + t * _ref_jacobian(s_field, points) + 0.5 * t * t * _ref_jacobian(r_field, points))
+
+
+def _rounding_bounds(field, points):
+    """(K+2) eps sum|c x^a y^b| per entry of the value, Jacobian and Hessian,
+    K the largest number of monomials in one component."""
+    k = max(sum(comp == i for comp, _, _ in field.terms) for i in (0, 1))
+    absolute = pert.PolynomialField({key: abs(c) for key, c in field.terms.items()})
+    points = np.abs(points)
+    return [(k + 2) * EPS * ref(absolute, points)
+            for ref in (_ref_value, _ref_jacobian, _ref_second_derivative)]
+
+
+def _exact_field(rng, degree):
+    """Integer coefficients in [-8, 8] on every monomial up to ``degree``."""
+    return pert.PolynomialField({(comp, px, py): float(rng.integers(-8, 9))
+                                 for comp in (0, 1) for px in range(degree + 1)
+                                 for py in range(degree + 1 - px)})
+
+
+# the named library fields and the field of the flow-acceleration row: one
+# monomial in each row of value and Jacobian
+ONE_TERM = {"dilation": pert.dilation(), "rotation": pert.rotation(),
+            "translation": pert.translation(0.6, -0.35), "shear": pert.shear(0.37),
+            "x1^2, x1 x2": pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0})}
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", range(8))
     def test_field_matches_per_monomial_loop(self, seed):
         rng = np.random.default_rng(seed)
         field = pert.random_polynomial_field(rng, degree=1 + seed % 3)
         pts = rng.uniform(-1.5, 1.5, size=(50, 2))
-        np.testing.assert_array_equal(field(pts), _ref_value(field, pts))
-        np.testing.assert_array_equal(field.jacobian(pts), _ref_jacobian(field, pts))
-        np.testing.assert_array_equal(field.second_derivative(pts),
-                                      _ref_second_derivative(field, pts))
+        refs = (_ref_value, _ref_jacobian, _ref_second_derivative)
+        evals = (field(pts), field.jacobian(pts), field.second_derivative(pts))
+        for ref, value, bound in zip(refs, evals, _rounding_bounds(field, pts)):
+            assert np.all(np.abs(value - ref(field, pts)) <= bound)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_field_equals_per_monomial_loop_where_sums_are_exact(self, degree):
+        # integer coefficients at points k/16: every product and sum is exact
+        rng = np.random.default_rng(20 + degree)
+        pts = rng.integers(-24, 25, size=(60, 2)) / 16.0
+        for _ in range(4):
+            field = _exact_field(rng, degree)
+            np.testing.assert_array_equal(field(pts), _ref_value(field, pts))
+            np.testing.assert_array_equal(field.jacobian(pts), _ref_jacobian(field, pts))
+            np.testing.assert_array_equal(field.second_derivative(pts),
+                                          _ref_second_derivative(field, pts))
 
     @pytest.mark.parametrize("step", [1e-2, 2e-3])
     @pytest.mark.parametrize("t", [0.05, -0.0125, 0.2, 0.02 / 3])
     def test_flow_matches_einsum_rk4(self, t, step):
+        # the gap to the reference RK4 sits 10^3 below its truncation error (the
+        # change under a half step), or, where that error is itself at rounding
+        # level, within one rounding of the state per step
         rng = np.random.default_rng(11)
+        n_steps = int(np.ceil(abs(t) / step))
         for _ in range(3):
             field = pert.random_polynomial_field(rng, degree=3)
             pts = rng.uniform(-1.0, 1.0, size=(40, 2))
-            fam = pert.FlowFamily(field, step=step)
-            x, jac = _ref_flow(field, pts, t, step)
-            np.testing.assert_array_equal(fam.map(pts, t), x)
-            np.testing.assert_array_equal(fam.map_jacobian(pts, t), jac)
+            got = pert.FlowFamily(field, step=step).map(pts, t, with_jacobian=True)
+            for new, ref, half in zip(got, _ref_flow(field, pts, t, step),
+                                      _ref_flow(field, pts, t, step / 2)):
+                truncation = np.abs(ref - half).max()
+                rounding = n_steps * EPS * np.abs(ref).max()
+                assert np.abs(new - ref).max() <= max(1e-3 * truncation, rounding)
+
+    @pytest.mark.parametrize("name", sorted(ONE_TERM))
+    def test_one_term_fields_equal_the_reference_flow_and_taylor_maps(self, name):
+        # the table contraction adds zeros to the one per-term product
+        rng = np.random.default_rng(9)
+        field, pts = ONE_TERM[name], rng.uniform(-1.0, 1.0, size=(40, 2))
+        taylor = pert.TaylorFamily(field, ONE_TERM["rotation"])
+        for t in (0.05, -0.0125, 0.2):
+            flow = pert.FlowFamily(field, step=2e-3).map(pts, t, with_jacobian=True)
+            for got, ref in zip(flow, _ref_flow(field, pts, t, 2e-3)):
+                np.testing.assert_array_equal(got, ref)
+            for got, ref in zip(taylor.map_and_jacobian(pts, t),
+                                _ref_taylor(field, ONE_TERM["rotation"], pts, t)):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_flow_at_t_zero_is_the_identity_without_evaluating_the_field(self, monkeypatch):
+        calls = []
+        contract = pert.PolynomialField._contract
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return contract(self, *args, **kwargs)
+
+        monkeypatch.setattr(pert.PolynomialField, "_contract", counted)
+        fam = pert.FlowFamily(pert.random_polynomial_field(np.random.default_rng(4), degree=3))
+        for t in (0.0, -0.0):
+            img, jac = fam.map(PTS, t, with_jacobian=True)
+            np.testing.assert_array_equal(img, PTS)
+            np.testing.assert_array_equal(jac, np.broadcast_to(np.eye(2), (3, 2, 2)))
+            np.testing.assert_array_equal(fam.map_jacobian(PTS, t), jac)
+            assert img is not PTS
+        assert calls == []
+        fam.map(PTS, 1e-3)
+        assert len(calls) == 4  # one evaluation per RK4 stage
+
+    def test_single_point_inputs(self):
+        rng = np.random.default_rng(6)
+        field = _exact_field(rng, 3)
+        pts = rng.integers(-24, 25, size=(5, 2)) / 16.0
+        families = [pert.FlowFamily(ONE_TERM["rotation"], step=2e-3),
+                    pert.TaylorFamily(field, _exact_field(rng, 2))]
+        for point in pts:
+            for x in (point, point[None]):
+                np.testing.assert_array_equal(field(x), _ref_value(field, point[None]))
+                np.testing.assert_array_equal(field.jacobian(x),
+                                              _ref_jacobian(field, point[None]))
+            for fam in families:
+                img, jac = fam.map_and_jacobian(point, 0.05)
+                assert img.shape == (1, 2) and jac.shape == (1, 2, 2)
+                np.testing.assert_array_equal(fam.map(point[None], 0.05), img)
+                np.testing.assert_array_equal(fam.map_jacobian(point, 0.05), jac)
+        for got, ref in zip(families[0].map_and_jacobian(pts[:1], 0.05),
+                            _ref_flow(ONE_TERM["rotation"], pts[:1], 0.05, 2e-3)):
+            np.testing.assert_array_equal(got, ref)
 
     def test_map_and_jacobian_equals_separate_calls(self):
         rng = np.random.default_rng(5)
