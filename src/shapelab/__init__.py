@@ -9,12 +9,12 @@ closed-form oracles.
 from .geometry import (BoundaryCurve, BoundaryGrid, CollarExtension, Domain,
                        GeometryError, InteriorQuadrature, MixedBoundary,
                        all_dirichlet, annulus, build_grid, collar_extend,
-                       disk, elliptical_domain, interior_quadrature, make_curve,
+                       disk, elliptical_domain, interior_quadrature,
                        second_fundamental_form, star_domain, tangential_grad)
 from .greens import (GreensAccuracyError, GreensConfig, GreensError,
                      GreensEval, GreensSolver, disk_greens,
                      fundamental_gradient, fundamental_solution,
-                     perturbed_greens, representation_check)
+                     representation_check)
 from .hadamard import (HadamardCoefficients, chi_sigma, delta2_n_bvp,
                        delta2_n_fd, delta2_n_formula, delta2_n_routes,
                        delta_n_bvp, delta_n_fd, delta_n_formula,
@@ -27,7 +27,6 @@ from .liouville import (boundary_flux_first, boundary_flux_second,
 from .perturbation import (FlowFamily, NormalFamily, PerturbationError,
                            PolynomialField, TaylorFamily, boundary_data,
                            det_derivatives, dilation, inverse_jacobian_derivatives,
-                           make_field, minor_polynomial, rotation, shear,
-                           translation)
+                           minor_polynomial, rotation, shear, translation)
 
 __version__ = "0.1.0"

@@ -350,7 +350,7 @@ def _greens_disk_analytic(st, case):
             continue
         worst = max(worst, abs(ev.value(x)[0] - gr.disk_greens(x, y)))
         count += 1
-    return float(ev.value(np.array([[0.0, 0.5]]))[0]), {"analytic_probes": 20}, worst
+    return float(ev.value(np.array([[0.0, 0.5]]))[0]), {}, worst, {"analytic_probes": 20}
 
 
 def _greens_poisson_kernel(st, case):
@@ -386,7 +386,7 @@ def _greens_symmetry(st, case):
         ev = solver.solve(np.reshape(pairs, (-1, 2)))  # poles x0, y0, x1, y1, ...
         for j, (x, y) in enumerate(pairs):
             worst = max(worst, abs(ev[2 * j].value(y)[0] - ev[2 * j + 1].value(x)[0]))
-    return 0.0, {"pairs": 20}, worst
+    return 0.0, {}, worst, {"pairs": 20}
 
 
 def _greens_annulus_flux(st, case):
@@ -415,7 +415,7 @@ def _greens_representation(st, case):
                                   np.array([[0.0, 0.7], [0.6, 0.3]]),
                                   st.greens_config())
     worst = max(worst, rep.max_error)
-    return 1.0, {"manufactured": 4}, worst
+    return 1.0, {}, worst, {"manufactured": 4}
 
 
 def _greens_harmonicity(st, case):
@@ -431,7 +431,7 @@ def _greens_harmonicity(st, case):
         circle = center + radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
         mean = float(ev.corrector_value(circle).mean())
         worst = max(worst, abs(mean - ev.corrector_value(center[None, :])[0]))
-    return 0.0, {"circles": 5}, worst
+    return 0.0, {}, worst, {"circles": 5}
 
 
 def _greens_charge_convergence(st, case):
@@ -454,7 +454,7 @@ def _greens_perturbed_scaling(st, case):
     fam = pert.TaylorFamily(pert.dilation())
     t = 0.05
     y = np.array([0.0, 0.4])
-    ev = gr.perturbed_greens(dom, mixedb, fam, t, y, st.greens_config())
+    ev = gr.GreensSolver(dom, mixedb, st.greens_config(), family=fam, t=t).solve(y)
     rng = st.rng(case.case_id)
     worst = 0.0
     for _ in range(10):
@@ -474,7 +474,7 @@ def _chi_sigma_three_form(st, case):
     dom = geo.Domain(geo.elliptical_domain(2.0, 1.0), m=max(st.m, 256))
     fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
     co = hd.chi_sigma(dom, fam)
-    return 0.0, {"forms": 3}, co.max_discrepancy
+    return 0.0, {}, co.max_discrepancy, {"forms": 3}
 
 
 def _chi_sigma_dilation(st, case):

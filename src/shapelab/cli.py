@@ -8,11 +8,14 @@ and report.json carries no timing data.
 Exit codes: 0 all cases passed; 1 at least one case failed its tolerance;
 2 configuration problem (bad file, unknown key, unresolved case); 3 a
 solver diagnostic failure (collocation residual above the hard threshold).
+The config schema is here: the keyword signatures of the builders that
+``read_object`` calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -24,7 +27,7 @@ from . import perturbation as pert
 from ._fd import ladder_steps
 from .cases import (Case, CaseSettings, build_registry, route_result, suites,
                     variation_ops, variation_result)
-from .integrands import IntegrandSpec, VectorIntegrandSpec
+from .integrands import IntegrandSpec, VectorIntegrandSpec, _sympy
 from .report import write_reports
 
 EXIT_OK = 0
@@ -32,41 +35,124 @@ EXIT_CASE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-CONFIG_KEYS = {"suite", "cases", "seed", "workers", "out_dir", "overrides",
-               "custom_liouville", "custom_hadamard"}
-OVERRIDE_KEYS = {"m", "n_charges"}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as handle:
-            cfg = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(cfg) - CONFIG_KEYS
+def read_object(what: str, spec, builder, noun: str = ""):
+    """``builder(**spec)`` for the config object ``spec`` (a dict of builders of
+    one ``noun`` is a table: ``spec["name"]`` picks one).  A key the builder does
+    not take, or a required key ``spec`` lacks, is a ConfigError naming it."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object, not {spec!r}")
+    kwargs = dict(spec)
+    if isinstance(builder, dict):
+        if "name" not in kwargs:
+            raise ConfigError(f"missing key 'name' in {what}")
+        name = kwargs.pop("name")
+        if name not in builder:
+            raise ConfigError(f"unknown {noun} {name!r}; choose from {sorted(builder)}")
+        builder = builder[name]
+    params = inspect.signature(builder).parameters
+    unknown = sorted(set(kwargs) - set(params))
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, kind, name in (("overrides", dict, "an object"), ("cases", list, "a list"),
-                            ("custom_liouville", list, "a list"),
-                            ("custom_hadamard", list, "a list")):
-        if not isinstance(cfg.get(key, kind()), kind):
-            raise ConfigError(f"{key} must be {name}, not {cfg[key]!r}")
-    overrides = cfg.get("overrides", {})
-    bad = set(overrides) - OVERRIDE_KEYS
-    if bad:
-        raise ConfigError(f"unknown override keys: {sorted(bad)}")
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = [key for key, p in params.items() if p.default is p.empty and key not in kwargs]
+    if missing:
+        raise ConfigError(f"missing key {missing[0]!r} in {what}")
+    return builder(**kwargs)
+
+
+def _integer(name: str, value) -> int:
+    """``value``, an integral number or a decimal string, as an int."""
+    try:
+        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
+def _overrides(m=None, n_charges=None) -> dict:
+    """Overrides of ``CaseSettings``' m=128 and n_charges=96, by the library's rules."""
+    given = {key: _integer(key, value) for key, value in (("m", m), ("n_charges", n_charges))
+             if value is not None}
+    if m is not None and (given["m"] < 16 or given["m"] & (given["m"] - 1)):
+        raise ConfigError(f"m must be a power of two >= 16, not {given['m']}")
+    if n_charges is not None and given["n_charges"] < 1:
+        raise ConfigError(f"n_charges must be at least 1, not {given['n_charges']}")
+    return given
+
+
+def _config(suite=None, cases=[], seed=0, workers=1, out_dir="reports", overrides={},
+            custom_liouville=[], custom_hadamard=[]) -> dict:
+    """The top level of a config, every absent key at its default."""
+    for key, value, kind, name in (("overrides", overrides, dict, "an object"),
+                                   ("cases", cases, list, "a list"),
+                                   ("custom_liouville", custom_liouville, list, "a list"),
+                                   ("custom_hadamard", custom_hadamard, list, "a list"),
+                                   ("out_dir", out_dir, str, "a string")):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {name}, not {value!r}")
     # cases run one after another in this process; "workers": 1 is still accepted
-    if cfg.get("workers", 1) != 1:
-        raise ConfigError(f"workers must be 1, not {cfg['workers']!r}")
-    return cfg
+    if workers != 1:
+        raise ConfigError(f"workers must be 1, not {workers!r}")
+    return {"suite": suite, "cases": list(cases), "seed": _integer("seed", seed),
+            "out_dir": out_dir, "overrides": read_object("override", overrides, _overrides),
+            "custom_liouville": list(custom_liouville),
+            "custom_hadamard": list(custom_hadamard)}
+
+
+def load_config(path: str | None) -> dict:
+    """The config file at ``path`` read by ``_config``; no path reads as {}."""
+    cfg = {}
+    if path is not None:
+        try:
+            with open(path) as handle:
+                cfg = json.load(handle)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("config root must be an object")
+    return read_object("config", cfg, _config)
+
+
+FIELDS = {"dilation": pert.dilation, "rotation": pert.rotation,
+          "translation": pert.translation, "shear": pert.shear,
+          # terms: a {"component,px,py": coefficient} table
+          "polynomial": lambda terms: pert.PolynomialField(
+              {tuple(int(v) for v in k.split(",")): float(c) for k, c in dict(terms).items()})}
+
+CURVES = {
+    "circle": lambda r=1.0, center=(0.0, 0.0): geo.disk(r, center),
+    "ellipse": geo.elliptical_domain,
+    "star": geo.star_domain,
+    "annulus": lambda r_in, r_out, center=(0.0, 0.0): geo.annulus(r_in, r_out, center),
+    # one closed curve per component, outer first, from its coefficient tables
+    "fourier": lambda components: geo.BoundaryCurve(tuple(
+        read_object("fourier component", comp, lambda cos, sin: geo.FourierCurve(cos, sin))
+        for comp in components)),
+}
+
+
+def _family(field, kind="flow", r_field=None):
+    """The flow of ``field``, or the Taylor family of S = ``field`` and R = ``r_field``."""
+    if kind not in ("flow", "taylor"):
+        raise ConfigError(f"unknown family kind {kind!r}; choose from ['flow', 'taylor']")
+    if kind == "flow" and r_field is not None:
+        raise ConfigError("a flow family takes no r_field")
+    s_field = read_object("field", field, FIELDS, "velocity field")
+    if r_field is not None:
+        r_field = read_object("r_field", r_field, FIELDS, "velocity field")
+    return pert.FlowFamily(s_field) if kind == "flow" else pert.TaylorFamily(s_field, r_field)
+
+
+def _tolerance(value) -> float:
+    tolerance = _finite(value)
+    if tolerance is None or tolerance <= 0.0:
+        raise ConfigError(f"tolerance must be a finite positive number, not {value!r}")
+    return float(tolerance)
 
 
 def _finite(value, shape=()) -> np.ndarray | None:
@@ -78,126 +164,102 @@ def _finite(value, shape=()) -> np.ndarray | None:
     return array if array.shape == shape and np.all(np.isfinite(array)) else None
 
 
-def _tolerance(spec, default: float) -> float:
-    tolerance = _finite(spec.get("tolerance", default))
-    if tolerance is None or tolerance <= 0.0:
-        raise ConfigError("tolerance must be a finite positive number, "
-                          f"not {spec['tolerance']!r}")
-    return float(tolerance)
+def _curve(domain):
+    """A custom case's curve, and the key that shares its Domain in a run."""
+    return (read_object("domain", domain, CURVES, "curve"),
+            ("config", json.dumps(domain, sort_keys=True)))
 
 
-def _family_from_config(fam_spec):
-    field = pert.make_field(**fam_spec["field"])
-    kind = fam_spec.get("kind", "flow")
-    if kind == "flow":
-        return pert.FlowFamily(field)
-    if kind == "taylor":
-        r_field = pert.make_field(**fam_spec["r_field"]) if "r_field" in fam_spec else None
-        return pert.TaylorFamily(field, r_field)
-    raise ConfigError(f"unknown family kind {kind!r}; choose from ['flow', 'taylor']")
-
-
-def _curve(spec):
-    """The curve of a custom case, and the key under which the run shares its
-    Domain with every case that declares the same domain."""
-    return (geo.make_curve(**spec["domain"]),
-            ("config", json.dumps(spec["domain"], sort_keys=True)))
-
-
-def _liouville_case(spec) -> Case:
-    case_id, kind = spec["id"], spec["kind"]
+def _liouville_case(id, kind, domain, family, integrand, tolerance=1e-4, ladder=None) -> Case:
     kinds = sorted(variation_ops())
     if kind not in kinds:
         raise ConfigError(f"unknown kind {kind!r}; choose from {kinds}")
-    curve, domain_key = _curve(spec)
-    family = _family_from_config(spec["family"])
-    expr = spec["integrand"]
+    curve, domain_key = _curve(domain)
+    family = read_object("family", family, _family)
     flux = kind.startswith("flux")
-    if flux and (isinstance(expr, str) or len(expr) != 2):
-        raise ConfigError(f"a {kind} integrand is a list of 2 expressions, not {expr!r}")
+    if flux and (isinstance(integrand, str) or len(integrand) != 2):
+        raise ConfigError(f"a {kind} integrand is a list of 2 expressions, not {integrand!r}")
+    sp, _ = _sympy()  # only user-written integrands need it
     try:
-        import sympy as sp  # only user-written integrands need it
-    except ImportError as exc:
-        raise ConfigError(f"integrand {expr!r} needs sympy, which the optional "
-                          "extra shapelab[expressions] installs") from exc
-    try:
-        for item in (expr if flux else [expr]):
+        for item in (integrand if flux else [integrand]):
             sp.sympify(item)
     except sp.SympifyError as exc:
-        raise ConfigError(f"integrand {expr!r} does not parse: {exc}") from exc
-    tolerance = _tolerance(spec, 1e-4)
-    ladder = ladder_steps(spec.get("ladder"))
+        raise ConfigError(f"integrand {integrand!r} does not parse: {exc}") from exc
+    tolerance = _tolerance(tolerance)
+    ladder = ladder_steps(ladder)
 
     def runner(st, case):
         # sympy compilation runs with the case, not during config resolution
-        if flux:
-            integrand = VectorIntegrandSpec.from_expressions(*expr)
-        else:
-            integrand = IntegrandSpec.from_expression(expr)
-        return variation_result(kind, st.domain(domain_key, curve), family, integrand,
+        spec = (VectorIntegrandSpec.from_expressions(*integrand) if flux
+                else IntegrandSpec.from_expression(integrand))
+        return variation_result(kind, st.domain(domain_key, curve), family, spec,
                                 ladder=ladder)
 
-    return Case(case_id, "liouville", "config-declared derivative case",
-                tolerance, runner, description=f"user case {case_id} ({kind})")
+    return Case(id, "liouville", "config-declared derivative case",
+                tolerance, runner, description=f"user case {id} ({kind})")
 
 
-def _hadamard_case(spec) -> Case:
+def _hadamard_case(id, domain, mixed, family, probes, variation="first", tolerance=None,
+                   ladder=None) -> Case:
+    """A route-agreement case; ``tolerance`` is by default 1e-3 (first) or 1e-2 (second)."""
     routes = {"first": hd.delta_n_routes, "second": hd.delta2_n_routes}
-    case_id = spec["id"]
-    curve, domain_key = _curve(spec)
-    mixed = geo.MixedBoundary(tuple(spec["mixed"]))
+    curve, domain_key = _curve(domain)
+    mixed = geo.MixedBoundary(tuple(mixed))
     if len(mixed.kinds) != curve.n_components:
         raise ConfigError(f"mixed needs {curve.n_components} entries, one per "
                           f"boundary component, not {len(mixed.kinds)}")
-    family = _family_from_config(spec["family"])
-    probes = [_finite(p, (2,)) for p in spec["probes"]]
-    if len(probes) != 2 or any(p is None for p in probes):
+    family = read_object("family", family, _family)
+    points = [_finite(p, (2,)) for p in probes]
+    if len(points) != 2 or any(p is None for p in points):
         raise ConfigError("probes must be two points of two finite coordinates each, "
-                          f"not {spec['probes']!r}")
-    variation = spec.get("variation", "first")
+                          f"not {probes!r}")
     if variation not in routes:
         raise ConfigError(f"unknown variation {variation!r}; choose from {sorted(routes)}")
-    tolerance = _tolerance(spec, 1e-3 if variation == "first" else 1e-2)
-    ladder = ladder_steps(spec.get("ladder"))
+    tolerance = _tolerance((1e-3 if variation == "first" else 1e-2) if tolerance is None
+                           else tolerance)
+    ladder = ladder_steps(ladder)
 
     def runner(st, case):
         return route_result(routes[variation](st.domain(domain_key, curve), mixed, family,
-                                              probes[0], probes[1], st.greens_config(),
+                                              points[0], points[1], st.greens_config(),
                                               ladder=ladder))
 
-    return Case(case_id, "hadamard", "config-declared variation case",
-                tolerance, runner,
-                description=f"user case {case_id} ({variation} variation)")
+    return Case(id, "hadamard", "config-declared variation case", tolerance, runner,
+                description=f"user case {id} ({variation} variation)")
 
 
-def _assemble(specs, build) -> list[Case]:
+def _assemble(section: str, specs, build) -> list[Case]:
     """Build config-declared cases; every fault in a spec is a ConfigError."""
     out = []
     for spec in specs:
         if not isinstance(spec, dict):
             raise ConfigError(f"custom case must be an object, not {spec!r}")
         try:
-            out.append(build(spec))
-        except KeyError as exc:
-            raise ConfigError(f"custom case {spec.get('id')!r}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+            case = read_object(section, spec, build)
+        except (ImportError, TypeError, ValueError) as exc:  # ImportError: no sympy
             raise ConfigError(f"custom case {spec.get('id')!r}: {exc}") from exc
+        if not isinstance(case.case_id, str):
+            raise ConfigError(f"custom case id must be a string, not {case.case_id!r}")
+        out.append(case)
     return out
 
 
 def _custom_liouville_cases(specs) -> list[Case]:
     """Assemble user-declared derivative cases from config dictionaries."""
-    return _assemble(specs, _liouville_case)
+    return _assemble("custom_liouville", specs, _liouville_case)
 
 
 def _custom_hadamard_cases(specs) -> list[Case]:
     """Assemble user-declared variation route-agreement cases."""
-    return _assemble(specs, _hadamard_case)
+    return _assemble("custom_hadamard", specs, _hadamard_case)
 
 
 def resolve_cases(registry: list[Case], suite: str | None,
                   wanted: list[str]) -> list[Case]:
-    by_id = {c.case_id: c for c in registry}
+    by_id = {}
+    for case in registry:
+        if by_id.setdefault(case.case_id, case) is not case:
+            raise ConfigError(f"case id {case.case_id!r} is declared twice")
     if wanted:
         missing = [w for w in wanted if w not in by_id]
         if missing:
@@ -210,37 +272,27 @@ def resolve_cases(registry: list[Case], suite: str | None,
     return [c for c in registry if c.suite == suite]
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, not {value!r}") from exc
-
-
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        overrides = {key: _integer(key, value)
-                     for key, value in cfg.get("overrides", {}).items()}
+        given = dict(cfg["overrides"])
         for item in args.override or []:
-            if "=" not in item:
+            key, sep, value = item.partition("=")
+            if not sep:
                 raise ConfigError(f"override {item!r} is not key=value")
-            key, value = item.split("=", 1)
-            if key not in OVERRIDE_KEYS:
-                raise ConfigError(f"unknown override key {key!r}")
-            overrides[key] = _integer(key, value)
-        seed = args.seed if args.seed is not None else _integer("seed", cfg.get("seed", 0))
+            given[key] = value
+        overrides = read_object("override", given, _overrides)
+        seed = cfg["seed"] if args.seed is None else args.seed
         registry = build_registry()
-        registry += _custom_liouville_cases(cfg.get("custom_liouville", []))
-        registry += _custom_hadamard_cases(cfg.get("custom_hadamard", []))
-        suite = args.suite or cfg.get("suite")
-        wanted = list(args.case or []) or list(cfg.get("cases", []))
-        cases = resolve_cases(registry, suite, wanted)
+        registry += _custom_liouville_cases(cfg["custom_liouville"])
+        registry += _custom_hadamard_cases(cfg["custom_hadamard"])
+        cases = resolve_cases(registry, args.suite or cfg["suite"],
+                              list(args.case or cfg["cases"]))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = args.out_dir or cfg.get("out_dir", "reports")
+    out_dir = args.out_dir or cfg["out_dir"]
 
     settings = CaseSettings(seed=seed, **overrides)
     rows = sorted((c.run(settings) for c in cases), key=lambda r: r.case_id)

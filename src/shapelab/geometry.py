@@ -210,11 +210,6 @@ def star(r0: float = 1.0, eps: float = 0.2, k: int = 3) -> FourierCurve:
     return FourierCurve(cos_c, sin_c)
 
 
-def fourier_curve(cos_coeffs, sin_coeffs) -> FourierCurve:
-    """Custom curve from explicit Fourier coefficient tables."""
-    return FourierCurve(np.asarray(cos_coeffs, float), np.asarray(sin_coeffs, float))
-
-
 @dataclass(frozen=True)
 class BoundaryCurve:
     """Oriented multi-component boundary: one outer curve plus optional holes."""
@@ -589,24 +584,3 @@ class Domain:
             return tuple(rings)
 
         return self.memo(("charge_rings", n_charges, outer_offset), build)
-
-
-def make_curve(name: str, **params) -> BoundaryCurve:
-    """Curve library lookup used by config files."""
-    if name == "circle":
-        return disk(params.get("r", 1.0), tuple(params.get("center", (0.0, 0.0))))
-    if name == "ellipse":
-        return elliptical_domain(params["a"], params["b"],
-                                 tuple(params.get("center", (0.0, 0.0))))
-    if name == "star":
-        return star_domain(params.get("r0", 1.0), params.get("eps", 0.2),
-                           int(params.get("k", 3)))
-    if name == "annulus":
-        return annulus(params["r_in"], params["r_out"],
-                       tuple(params.get("center", (0.0, 0.0))))
-    if name == "fourier":
-        comps = []
-        for comp in params["components"]:
-            comps.append(fourier_curve(comp["cos"], comp["sin"]))
-        return BoundaryCurve(tuple(comps))
-    raise GeometryError(f"unknown curve {name!r}")

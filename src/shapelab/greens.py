@@ -456,7 +456,7 @@ class MixedSolver:
             raise np.linalg.LinAlgError(f"dgesdd failed with info {info}")
         return float(sv[0] / max(sv[-1], 1e-300))
 
-    def solve(self, rhs_per_component: list[np.ndarray], check_data=None):
+    def solve(self, rhs_per_component: list[np.ndarray], check_data: list[np.ndarray]):
         """Fit one data set, or a block of k, in one solve.
 
         Each component's data is (rows_i,) for one set or (k, rows_i) for k
@@ -477,21 +477,20 @@ class MixedSolver:
             coeff = self._factors.solve(rhs.T)
         fld = HarmonicField(self.charges, coeff)
         residuals = []
-        if check_data is not None:
-            for comp, data in zip(self.components, check_data):
-                if comp.dirichlet:
-                    pred = fld.value(comp.check_nodes)
-                else:
-                    pred = rowwise_dot(fld.gradient(comp.check_nodes), comp.check_normal)
-                residuals.append(np.max(np.abs(pred - data), axis=-1))
+        for comp, data in zip(self.components, check_data):
+            if comp.dirichlet:
+                pred = fld.value(comp.check_nodes)
+            else:
+                pred = rowwise_dot(fld.gradient(comp.check_nodes), comp.check_normal)
+            residuals.append(np.max(np.abs(pred - data), axis=-1))
         # one row of per-component residuals per data set
         n_sets = 1 if rhs.ndim == 1 else rhs.shape[0]
         per_set = np.reshape(np.transpose(residuals), (n_sets, len(residuals)))
-        diags = tuple(SolveDiagnostics(float(row.max()) if row.size else float("nan"),
-                                       tuple(map(float, row)), int(self.rank),
-                                       self.matrix.shape[1]) for row in per_set)
+        diags = tuple(SolveDiagnostics(float(row.max()), tuple(map(float, row)),
+                                       int(self.rank), self.matrix.shape[1])
+                      for row in per_set)
         total = max(d.residual for d in diags)
-        if residuals and total > self.config.fail_threshold:
+        if total > self.config.fail_threshold:
             raise GreensAccuracyError(
                 f"check-node residual {total:.3e} exceeds "
                 f"{self.config.fail_threshold:.1e} "
@@ -654,12 +653,6 @@ def base_solver(domain: Domain, mixed: MixedBoundary,
     config = config or GreensConfig()
     return domain.memo(("greens", mixed, config),
                        lambda: GreensSolver(domain, mixed, config))
-
-
-def perturbed_greens(domain: Domain, mixed: MixedBoundary, family, t: float, y,
-                     config: GreensConfig | None = None) -> GreensEval:
-    """Green's function of the deformed domain T_t(Omega); used by FD oracles."""
-    return GreensSolver(domain, mixed, config, family=family, t=t).solve(y)
 
 
 # ---------------------------------------------------------------------------

@@ -149,25 +149,6 @@ def random_polynomial_field(rng: np.random.Generator, degree: int = 2,
     return PolynomialField(terms)
 
 
-def make_field(name: str, **params) -> PolynomialField:
-    """Velocity-field library lookup used by config files."""
-    if name == "dilation":
-        return dilation()
-    if name == "rotation":
-        return rotation()
-    if name == "translation":
-        return translation(params.get("dx", 1.0), params.get("dy", 0.0))
-    if name == "shear":
-        return shear(params.get("a", 1.0))
-    if name == "polynomial":
-        terms = {}
-        for key, coeff in params["terms"].items():
-            comp, px, py = (int(v) for v in key.split(","))
-            terms[(comp, px, py)] = float(coeff)
-        return PolynomialField(terms)
-    raise PerturbationError(f"unknown velocity field {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Deformation families
 # ---------------------------------------------------------------------------

@@ -199,6 +199,8 @@ class TestCli:
         (("kind",), "second_volumes", "unknown kind 'second_volumes'"),
         (("family", "field"), {"name": "polynomial", "terms": {"0,1,0": math.nan}},
          "non-finite coefficient nan of monomial (0, 1, 0)"),
+        (("family", "field"), {"name": "polynomial", "terms": [1]},
+         "cannot convert dictionary update sequence"),
     ])
     def test_bad_custom_spec_is_config_error(self, tmp_path, capsys, path, value, message):
         spec = json.loads(json.dumps(STAR_SHEAR))
@@ -268,7 +270,6 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"custom_hadamard": [{
             "id": "custom-annulus-shear",
-            "kind": "first",
             "domain": {"name": "annulus", "r_in": 0.5, "r_out": 1.0},
             "mixed": ["dirichlet", "neumann"],
             "family": {"kind": "taylor", "field": {"name": "shear", "a": 0.5}},
@@ -426,3 +427,128 @@ class TestSharedBaseSolver:
             rows[name] = {case["case_id"]: case for case in payload["cases"]}
         for cid, alone in zip(ids, ("first", "second")):
             assert rows["both"][cid] == rows["reversed"][cid] == rows[alone][cid]
+
+
+# one object of each config kind: a fourier domain and a Taylor family with
+# r_field in the Liouville spec; a circle and a Taylor family in the Hadamard one
+FOURIER_TAYLOR = dict(
+    STAR_SHEAR, id="custom-fourier-taylor",
+    domain={"name": "fourier",
+            "components": [{"cos": [[0, 0], [1, 0]], "sin": [[0, 0], [0, 1]]}]},
+    family={"kind": "taylor", "field": {"name": "shear", "a": 0.5},
+            "r_field": {"name": "dilation"}})
+EVERY_OBJECT = {"cases": [FOURIER_TAYLOR["id"], DISK_DILATION["id"]],
+                "overrides": {"m": 128}, "custom_liouville": [FOURIER_TAYLOR],
+                "custom_hadamard": [DISK_DILATION]}
+
+
+def _write(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestConfigReader:
+    def test_every_config_object_resolves(self, tmp_path):
+        cfg = cli.load_config(_write(tmp_path, EVERY_OBJECT))
+        cases = (cli._custom_liouville_cases(cfg["custom_liouville"])
+                 + cli._custom_hadamard_cases(cfg["custom_hadamard"]))
+        assert [c.case_id for c in cli.resolve_cases(build_registry() + cases, None,
+                                                     cfg["cases"])] == cfg["cases"]
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "sede"),
+        (("overrides",), "nn"),
+        (("custom_liouville", 0), "tolerence"),
+        (("custom_hadamard", 0), "varation"),
+        (("custom_hadamard", 0, "family"), "knd"),
+        (("custom_liouville", 0, "family", "field"), "aa"),
+        (("custom_liouville", 0, "family", "r_field"), "scale"),
+        (("custom_hadamard", 0, "domain"), "radius"),
+        (("custom_liouville", 0, "domain", "components", 0), "tan"),
+    ], ids=["top-level", "overrides", "custom_liouville", "custom_hadamard", "family",
+            "field", "r_field", "domain", "fourier-component"])
+    def test_a_misspelled_key_fails_at_load_and_is_named(self, tmp_path, capsys, path, key):
+        cfg = json.loads(json.dumps(EVERY_OBJECT))
+        node = cfg
+        for step in path:
+            node = node[step]
+        node[key] = 1.0
+        code = cli.main(["run", "--config", _write(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any case ran
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = cli.load_config(_write(tmp_path, json.loads(example)))
+        cases = (cli._custom_liouville_cases(cfg["custom_liouville"])
+                 + cli._custom_hadamard_cases(cfg["custom_hadamard"]))
+        assert len(cases) == len(cfg["custom_liouville"]) + len(cfg["custom_hadamard"]) > 0
+        cli.resolve_cases(build_registry() + cases, cfg["suite"], cfg["cases"])
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"overrides": {"n_charges": 96.9}}, "n_charges must be an integer, not 96.9"),
+        ({"seed": True}, "seed must be an integer, not True"),
+    ])
+    def test_an_integer_key_takes_integers_only(self, tmp_path, capsys, cfg, message):
+        code = cli.main(["run", "--case", "jacobian-dilation-det",
+                         "--config", _write(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_an_integral_number_is_an_integer(self, tmp_path):
+        cfg = {"seed": 3.0, "overrides": {"n_charges": 64.0}}
+        assert cli.main(["run", "--case", "jacobian-dilation-det",
+                         "--config", _write(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (payload["seed"], payload["overrides"]) == (3, {"n_charges": 64})
+
+    @pytest.mark.parametrize("override, message", [
+        ("m=100", "m must be a power of two >= 16, not 100"),
+        ("n_charges=0", "n_charges must be at least 1, not 0"),
+        ("seed=3", "unknown override keys: ['seed']"),
+    ])
+    def test_a_bad_override_fails_at_load(self, tmp_path, capsys, override, message):
+        code = cli.main(["run", "--case", "greens-disk-analytic", "--override", override,
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"custom_liouville": [dict(STAR_SHEAR, id=5)]},
+         "custom case id must be a string, not 5"),
+        ({"custom_hadamard": [dict(DISK_DILATION, id="jacobian-dilation-det")]},
+         "case id 'jacobian-dilation-det' is declared twice"),
+        ({"custom_liouville": [STAR_SHEAR, STAR_SHEAR]},
+         "case id 'custom-star-shear' is declared twice"),
+        ({"out_dir": 5}, "out_dir must be a string, not 5"),
+    ])
+    def test_case_ids_and_out_dir_are_checked_at_load(self, tmp_path, capsys, cfg,
+                                                       message):
+        code = cli.main(["run", "--case", "jacobian-dilation-det",
+                         "--config", _write(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_a_flow_family_takes_no_r_field(self, tmp_path, capsys):
+        family = dict(STAR_SHEAR["family"], r_field={"name": "dilation"})
+        cfg = {"custom_liouville": [dict(STAR_SHEAR, family=family)]}
+        assert cli.main(["run", "--config", _write(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "a flow family takes no r_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case_id, count", [
+    ("greens-disk-analytic", "analytic_probes"), ("greens-symmetry", "pairs"),
+    ("greens-harmonicity", "circles"), ("greens-representation", "manufactured"),
+    ("hadamard-chi-sigma-three-form", "forms")])
+def test_a_count_is_a_detail_not_an_oracle(case_id, count):
+    registry = {c.case_id: c for c in build_registry()}
+    row = registry[case_id].run(CaseSettings(seed=7))
+    assert row.passed and row.oracles == {} and row.details[count] > 0

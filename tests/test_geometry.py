@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shapelab import cli
 from shapelab import geometry as geo
 from shapelab.integrands import IntegrandSpec, normal_scaled_integrand
 from shapelab.perturbation import PolynomialField, TaylorFamily
@@ -267,8 +268,9 @@ class TestCurveLibrary:
         np.testing.assert_allclose(curve.point(theta), expected, atol=1e-14)
 
     def test_make_curve_fourier(self):
-        curve = geo.make_curve("fourier", components=[
-            {"cos": [[0, 0], [1.5, 0]], "sin": [[0, 0], [0, 1.5]]}])
+        # a config domain is built by the CLI's curve table
+        curve = cli.read_object("domain", {"name": "fourier", "components": [
+            {"cos": [[0, 0], [1.5, 0]], "sin": [[0, 0], [0, 1.5]]}]}, cli.CURVES)
         assert abs(curve.area() - np.pi * 1.5 ** 2) < 1e-12
 
     def test_orientation_validation(self):

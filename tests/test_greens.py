@@ -293,14 +293,14 @@ class TestPerturbedGreens:
         fam = pert.TaylorFamily(pert.dilation())
         y = np.array([0.0, 0.4])
         base = gr.GreensSolver(disk, mixedb).solve(y)
-        moved = gr.perturbed_greens(disk, mixedb, fam, 0.0, y)
+        moved = gr.GreensSolver(disk, mixedb, family=fam, t=0.0).solve(y)
         x = np.array([[0.3, -0.1]])
         assert base.value(x)[0] == pytest.approx(moved.value(x)[0], abs=1e-12)
 
     def test_dilated_disk_scaling_identity(self, disk):
         fam = pert.TaylorFamily(pert.dilation())
         t, y = 0.05, np.array([0.0, 0.4])
-        ev = gr.perturbed_greens(disk, geo.all_dirichlet(1), fam, t, y)
+        ev = gr.GreensSolver(disk, geo.all_dirichlet(1), family=fam, t=t).solve(y)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-0.6, 0.6, size=2)
@@ -317,13 +317,14 @@ class TestPerturbedGreens:
         y, x = np.array([0.0, 0.4]), np.array([[0.3, 0.0]])
         base = gr.GreensSolver(star, mixedb, cfg).solve(y).value(x)[0]
         for t in (0.0, 1e-3, -1e-3):
-            assert gr.perturbed_greens(star, mixedb, fam, t, y, cfg).value(x)[0] == base
+            moved = gr.GreensSolver(star, mixedb, cfg, family=fam, t=t).solve(y)
+            assert moved.value(x)[0] == base
 
     def test_rotation_invariance_center_pole(self, disk):
         fam = pert.FlowFamily(pert.rotation())
         y = np.array([0.0, 0.0])
         base = gr.GreensSolver(disk, geo.all_dirichlet(1)).solve(y)
-        moved = gr.perturbed_greens(disk, geo.all_dirichlet(1), fam, 0.1, y)
+        moved = gr.GreensSolver(disk, geo.all_dirichlet(1), family=fam, t=0.1).solve(y)
         x = np.array([[0.35, 0.2]])
         assert abs(base.value(x)[0] - moved.value(x)[0]) < 1e-9
 
@@ -352,6 +353,15 @@ class TestDiagnostics:
         cfg = gr.GreensConfig(n_charges=8, fail_threshold=1e-10)
         with pytest.raises(gr.GreensAccuracyError, match="condition"):
             gr.GreensSolver(disk, geo.all_dirichlet(1), cfg).solve(np.array([0.3, 0.0]))
+
+    def test_every_collocation_solve_is_gated_by_its_check_data(self, disk):
+        cfg = gr.GreensConfig(n_charges=8, fail_threshold=1e-10)
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), cfg)
+        col, chk = solver.corrector_data(np.array([0.3, 0.0]))
+        with pytest.raises(TypeError, match="check_data"):
+            solver.solver.solve(col)  # no solve skips the residual gate
+        with pytest.raises(gr.GreensAccuracyError):
+            solver.solver.solve(col, check_data=chk)
 
 
 def _fresh_python(code: str) -> str:
@@ -561,7 +571,7 @@ class TestKeptColumns:
             np.testing.assert_array_equal(kept, ring)
         fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
         for t in (0.02, -0.01):
-            whole = gr.perturbed_greens(annulus, MIXED["annulus"], fam, t, y, cfg)
+            whole = gr.GreensSolver(annulus, MIXED["annulus"], cfg, family=fam, t=t).solve(y)
             kept = gr.GreensSolver(annulus, MIXED["annulus"], cfg, family=fam, t=t,
                                    charges=solver.kept_charges()).solve(y)
             np.testing.assert_array_equal(kept.value(x[None, :]), whole.value(x[None, :]))

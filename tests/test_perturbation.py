@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from shapelab import cli
 from shapelab import geometry as geo
 from shapelab import perturbation as pert
 from shapelab._fd import derivative_ladder
@@ -282,9 +283,11 @@ class TestNormalFamily:
 
 class TestFieldLibrary:
     def test_make_field_names(self):
+        # a config velocity field is built by the CLI's field table
         for name in ("dilation", "rotation", "translation", "shear"):
-            assert pert.make_field(name) is not None
-        field = pert.make_field("polynomial", terms={"0,2,0": 1.0, "1,1,1": -0.5})
+            assert cli.read_object("field", {"name": name}, cli.FIELDS) is not None
+        field = cli.read_object("field", {"name": "polynomial",
+                                          "terms": {"0,2,0": 1.0, "1,1,1": -0.5}}, cli.FIELDS)
         np.testing.assert_allclose(field(np.array([[2.0, 3.0]])),
                                    [[4.0, -3.0]])
 
