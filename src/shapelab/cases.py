@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,12 +142,12 @@ def route_result(tri: hd.RouteTriangle, err=None, **oracles):
     """(value, oracles, err, details) of a Hadamard route run.
 
     By default the oracles are the BVP and FD routes and err is the worst
-    pairwise gap of the three routes.  The solves' summary, the probe
-    warnings on the base boundary (a list, empty without any) and the FD
-    record of the FD route go to details.
+    pairwise gap of the three routes.  The solves' summary, the rank of each
+    FD re-solve in ascending t, the probe warnings on the base boundary (a
+    list, empty without any) and the FD record of the FD route go to details.
     """
-    details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings),
-               **fd_details(tri.fd_ladder)}
+    details = {**tri.solve_details(), "re_solve_ranks": list(tri.fd_ladder.re_solve_ranks),
+               "probe_warnings": list(tri.probe_warnings), **fd_details(tri.fd_ladder)}
     return (tri.formula, oracles or {"bvp": tri.bvp, "fd": tri.fd},
             tri.max_pairwise if err is None else err, details)
 
@@ -257,6 +257,33 @@ def _domain(st, kind: str) -> geo.Domain:
     return st.domain(kind, REGISTRY_CURVES[kind])
 
 
+class GreensBoundary(NamedTuple):
+    """A registry boundary of the Green's-function cases: the boundary
+    assignment, the probe pair (x, y) and the family of its route cases."""
+
+    mixed: geo.MixedBoundary
+    probes: tuple
+    family: pert.PerturbationFamily
+
+
+# Probes are >= 0.15 from every boundary for every ladder t (deformations
+# move the boundary by at most 0.1 in the shipped cases), and >= 0.2 apart.
+GREENS_BOUNDARIES = {
+    "disk": GreensBoundary(geo.all_dirichlet(1), (np.array([0.3, 0.0]), np.array([0.0, 0.4])),
+                           pert.TaylorFamily(pert.dilation())),
+    "annulus": GreensBoundary(geo.MixedBoundary(("dirichlet", "neumann")),
+                              (np.array([0.0, 0.75]), np.array([-0.74, -0.1])),
+                              pert.TaylorFamily(pert.translation(1.0, 0.0))),
+}
+
+
+def _base_solver(st, kind: str, config: gr.GreensConfig | None = None) -> gr.GreensSolver:
+    """The run's base Green's solver on the registry boundary ``kind``, by
+    default at the run's config."""
+    return gr.base_solver(_domain(st, kind), GREENS_BOUNDARIES[kind].mixed,
+                          config or st.greens_config())
+
+
 def _poly(terms: dict) -> np.ndarray:
     """Coefficient array of the sum of c x1**px x2**py t**pt over {(px, py, pt): c}."""
     c = np.zeros(np.max(list(terms), axis=0) + 1)
@@ -336,8 +363,7 @@ def _liouville_nu_dot(st, case):
 # ---------------------------------------------------------------------------
 
 def _greens_disk_analytic(st, case):
-    dom = _domain(st, "disk")
-    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = _base_solver(st, "disk")
     y = np.array([0.3, 0.0])
     ev = solver.solve(y)
     rng = st.rng(case.case_id)
@@ -354,11 +380,10 @@ def _greens_disk_analytic(st, case):
 
 
 def _greens_poisson_kernel(st, case):
-    dom = _domain(st, "disk")
-    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = _base_solver(st, "disk")
     y = np.array([0.3, 0.0])
     ev = solver.solve(y)
-    kernel = gr.disk_poisson_kernel(dom.grids[0].thetas, y)
+    kernel = gr.disk_poisson_kernel(solver.domain.grids[0].thetas, y)
     err = float(np.max(np.abs(-ev.normal_trace(0) - kernel) / kernel))
     return float(kernel.max()), {"classical_kernel": float(kernel.max())}, err
 
@@ -372,10 +397,8 @@ def _interior_probe(rng, kind: str) -> np.ndarray:
 
 def _greens_symmetry(st, case):
     worst = 0.0
-    for kind, mixedb in (("disk", geo.all_dirichlet(1)),
-                         ("annulus", geo.MixedBoundary(("dirichlet", "neumann")))):
-        dom = _domain(st, kind)
-        solver = gr.base_solver(dom, mixedb, st.greens_config())
+    for kind in GREENS_BOUNDARIES:
+        solver = _base_solver(st, kind)
         rng = st.rng(case.case_id + kind)
         pairs = []
         while len(pairs) < 10:
@@ -390,9 +413,7 @@ def _greens_symmetry(st, case):
 
 
 def _greens_annulus_flux(st, case):
-    dom = _domain(st, "annulus")
-    solver = gr.base_solver(dom, geo.MixedBoundary(("dirichlet", "neumann")),
-                             st.greens_config())
+    solver = _base_solver(st, "annulus")
     ev = solver.solve(np.array([0.0, 0.72]))
     flux = float(np.dot(solver.components[0].weights, ev.normal_trace(0)))
     return flux, {"analytic": -1.0}, abs(flux + 1.0)
@@ -400,17 +421,15 @@ def _greens_annulus_flux(st, case):
 
 def _greens_representation(st, case):
     worst = 0.0
-    disk = _domain(st, "disk")
     probes = np.array([[0.3, 0.2], [-0.4, 0.1]])
     # 1, x1**2 - x2**2 and (x1**2 + x2**2)/4
     solutions = [IntegrandSpec.from_coefficients(_poly(terms))
                  for terms in ({(0, 0, 0): 1.0}, {(2, 0, 0): 1.0, (0, 2, 0): -1.0},
                                {(2, 0, 0): 0.25, (0, 2, 0): 0.25})]
-    for rep in gr.representation_check(disk, geo.all_dirichlet(1), solutions, probes,
-                                       st.greens_config()):
+    for rep in gr.representation_check(_domain(st, "disk"), GREENS_BOUNDARIES["disk"].mixed,
+                                       solutions, probes, st.greens_config()):
         worst = max(worst, rep.max_error)
-    ann = _domain(st, "annulus")
-    rep = gr.representation_check(ann, geo.MixedBoundary(("dirichlet", "neumann")),
+    rep = gr.representation_check(_domain(st, "annulus"), GREENS_BOUNDARIES["annulus"].mixed,
                                   IntegrandSpec.constant(1.0),
                                   np.array([[0.0, 0.7], [0.6, 0.3]]),
                                   st.greens_config())
@@ -419,8 +438,7 @@ def _greens_representation(st, case):
 
 
 def _greens_harmonicity(st, case):
-    dom = _domain(st, "disk")
-    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
+    solver = _base_solver(st, "disk")
     ev = solver.solve(np.array([0.3, 0.0]))
     rng = st.rng(case.case_id)
     worst = 0.0
@@ -435,13 +453,11 @@ def _greens_harmonicity(st, case):
 
 
 def _greens_charge_convergence(st, case):
-    dom = _domain(st, "annulus")
-    mixedb = geo.MixedBoundary(("dirichlet", "neumann"))
     y = np.array([0.0, 0.72])
     res = {}
     for n in (32, 64):
         cfg = gr.GreensConfig(n_charges=n, fail_threshold=1.0)
-        ev = gr.base_solver(dom, mixedb, cfg).solve(y)
+        ev = _base_solver(st, "annulus", cfg).solve(y)
         res[n] = ev.diagnostics.residual
     ratio = res[64] / max(res[32], 1e-300)
     err = 0.0 if (ratio <= 0.1 or res[64] <= 1e-9) else ratio
@@ -449,12 +465,14 @@ def _greens_charge_convergence(st, case):
 
 
 def _greens_perturbed_scaling(st, case):
-    dom = _domain(st, "disk")
-    mixedb = geo.all_dirichlet(1)
+    base = _base_solver(st, "disk")
     fam = pert.TaylorFamily(pert.dilation())
     t = 0.05
     y = np.array([0.0, 0.4])
-    ev = gr.GreensSolver(dom, mixedb, st.greens_config(), family=fam, t=t).solve(y)
+    # the kept charges come from a solve on the base boundary, so the row does
+    # not depend on which cases ran before it
+    base.solve(y)
+    ev = base.moved(fam, t).solve(y)
     rng = st.rng(case.case_id)
     worst = 0.0
     for _ in range(10):
@@ -495,18 +513,9 @@ def _chi_sigma_normal(st, case):
     return -rho_bar ** 2, {"analytic_chi": -rho_bar ** 2, "analytic_sigma": 0.0}, err
 
 
-def _probe_pair(kind: str):
-    # >= 0.15 from every boundary for every ladder t (deformations move the
-    # boundary by at most 0.1 in the shipped cases), and >= 0.2 apart
-    if kind == "disk":
-        return np.array([0.3, 0.0]), np.array([0.0, 0.4])
-    return np.array([0.0, 0.75]), np.array([-0.74, -0.1])
-
-
 def _delta_n_dilation(st, case):
-    dom = _domain(st, "disk")
-    x, y = _probe_pair("disk")
-    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
+    x, y = GREENS_BOUNDARIES["disk"].probes
+    solver = _base_solver(st, "disk")
     val = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
                              solver.solve(np.stack([x, y])))
     oracle = hd.disk_dilation_delta_n(x, y, order=1)
@@ -514,29 +523,19 @@ def _delta_n_dilation(st, case):
 
 
 def _delta_n_rotation(st, case):
-    dom = _domain(st, "disk")
-    x, y = _probe_pair("disk")
-    solver = gr.base_solver(dom, geo.all_dirichlet(1), st.greens_config())
+    x, y = GREENS_BOUNDARIES["disk"].probes
+    solver = _base_solver(st, "disk")
     val = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
                              solver.solve(np.stack([x, y])))
     return val, {"symmetry": 0.0}, abs(val)
-
-
-def _setup(kind: str):
-    """(boundary assignment, family) of the disk and mixed-annulus route cases."""
-    if kind == "disk":
-        return geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation())
-    return (geo.MixedBoundary(("dirichlet", "neumann")),
-            pert.TaylorFamily(pert.translation(1.0, 0.0)))
 
 
 def _route_triangle(order: int, kind: str):
     """The three routes of one variation; the disk adds the scaling oracle."""
     def runner(st, case):
         routes = hd.delta_n_routes if order == 1 else hd.delta2_n_routes
-        mixedb, fam = _setup(kind)
-        x, y = _probe_pair(kind)
-        tri = routes(_domain(st, kind), mixedb, fam, x, y, st.greens_config())
+        mixed, (x, y), fam = GREENS_BOUNDARIES[kind]
+        tri = routes(_domain(st, kind), mixed, fam, x, y, st.greens_config())
         if kind != "disk":
             return route_result(tri)
         oracle = hd.disk_dilation_delta_n(x, y, order=order)
@@ -547,21 +546,17 @@ def _route_triangle(order: int, kind: str):
 
 
 def _delta2_rotation(st, case):
-    dom = _domain(st, "disk")
-    x, y = _probe_pair("disk")
-    tri = hd.delta2_n_routes(dom, geo.all_dirichlet(1),
-                             pert.FlowFamily(pert.rotation()), x, y,
-                             st.greens_config())
+    x, y = GREENS_BOUNDARIES["disk"].probes
+    tri = hd.delta2_n_routes(_domain(st, "disk"), GREENS_BOUNDARIES["disk"].mixed,
+                             pert.FlowFamily(pert.rotation()), x, y, st.greens_config())
     return route_result(tri, max(abs(tri.formula), abs(tri.bvp), abs(tri.fd)),
                         symmetry=0.0)
 
 
 def _gradient_pairing(kind: str):
     def runner(st, case):
-        dom = _domain(st, kind)
-        mixedb, fam = _setup(kind)
-        x, y = _probe_pair(kind)
-        solver = gr.base_solver(dom, mixedb, st.greens_config())
+        _, (x, y), fam = GREENS_BOUNDARIES[kind]
+        solver = _base_solver(st, kind)
         ev = solver.solve(np.stack([x, y]))
         udot, _ = hd.delta_n_bvp(solver, fam, ev)
         lhs, rhs, res = hd.gradient_pairing_residual(solver, fam, ev, udot)
@@ -571,15 +566,13 @@ def _gradient_pairing(kind: str):
 
 
 def _pole_symmetry(st, case):
-    dom = _domain(st, "annulus")
-    mixedb, fam = _setup("annulus")
-    x, y = _probe_pair("annulus")
-    solver = gr.base_solver(dom, mixedb, st.greens_config())
+    _, (x, y), fam = GREENS_BOUNDARIES["annulus"]
+    solver = _base_solver(st, "annulus")
     ev = solver.solve(np.stack([x, y]))
     d1 = hd.delta_n_formula(solver, fam, ev)
     d1s = hd.delta_n_formula(solver, fam, ev[::-1])
     udot, _ = hd.delta_n_bvp(solver, fam, ev)
-    co = hd.chi_sigma(dom, fam)
+    co = hd.chi_sigma(solver.domain, fam)
     d2 = hd.delta2_n_formula(solver, fam, ev, udot, co)
     d2s = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co)
     return d2, {"swapped": d2s}, max(abs(d1 - d1s), abs(d2 - d2s))

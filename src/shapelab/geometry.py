@@ -176,13 +176,43 @@ class FourierCurve:
         return mx / self.signed_area()
 
 
+def _center(center) -> np.ndarray:
+    """``center``, two finite numbers other than booleans, as floats, or a
+    GeometryError naming it."""
+    try:
+        point = np.asarray(center, dtype=float)
+    except (TypeError, ValueError):
+        point = np.full(1, np.nan)
+    if (point.shape != (2,) or not np.all(np.isfinite(point))
+            or any(isinstance(c, bool) for c in center)):
+        raise GeometryError(f"center must be two finite numbers, not {center!r}")
+    return point
+
+
+def _number(name: str, value, holds=lambda v: 0.0 < v < np.inf,
+            rule: str = "a finite positive number") -> float:
+    """``value``, a number other than a boolean, as a float for which ``holds``
+    is true (NaN never is), or a GeometryError naming ``name``, the ``rule``
+    and the value."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if isinstance(value, bool) or not holds(number):
+        raise GeometryError(f"{name} must be {rule}, not {value!r}")
+    return number
+
+
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> FourierCurve:
+    radius, center = _number("circle radius", radius), _center(center)
     cos_c = np.array([[center[0], center[1]], [radius, 0.0]])
     sin_c = np.array([[0.0, 0.0], [0.0, radius]])
     return FourierCurve(cos_c, sin_c)
 
 
 def ellipse(a: float, b: float, center=(0.0, 0.0)) -> FourierCurve:
+    a, b = _number("ellipse semi-axis a", a), _number("ellipse semi-axis b", b)
+    center = _center(center)
     cos_c = np.array([[center[0], center[1]], [a, 0.0]])
     sin_c = np.array([[0.0, 0.0], [0.0, b]])
     return FourierCurve(cos_c, sin_c)
@@ -192,10 +222,19 @@ def star(r0: float = 1.0, eps: float = 0.2, k: int = 3) -> FourierCurve:
     """r(theta) = r0 (1 + eps cos(k theta)), a smooth star-shaped curve.
 
     The radial modulation folds into a finite trigonometric polynomial via
-    product-to-sum identities, so derivatives remain exact.
+    product-to-sum identities, so derivatives remain exact.  |eps| < 1 keeps
+    r(theta) > 0, and the frequency k is an integer >= 1 (an integral float
+    such as 3.0 reads as 3).
     """
-    if k < 1:
-        raise GeometryError("star frequency k must be >= 1")
+    r0 = _number("star r0", r0)
+    eps = _number("star eps", eps, lambda v: abs(v) < 1.0, "a number with |eps| < 1")
+    try:
+        integral = not isinstance(k, bool) and int(k) == k and k >= 1
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise GeometryError(f"star frequency k must be an integer >= 1, not {k!r}")
+    k = int(k)
     n = k + 1
     cos_c = np.zeros((n + 1, 2))
     sin_c = np.zeros((n + 1, 2))
@@ -250,7 +289,8 @@ def star_domain(r0: float = 1.0, eps: float = 0.2, k: int = 3) -> BoundaryCurve:
 
 def annulus(r_inner: float, r_outer: float, center=(0.0, 0.0)) -> BoundaryCurve:
     if not 0 < r_inner < r_outer:
-        raise GeometryError("annulus needs 0 < r_inner < r_outer")
+        raise GeometryError(f"annulus needs 0 < r_inner < r_outer, not r_inner={r_inner!r}, "
+                            f"r_outer={r_outer!r}")
     return BoundaryCurve((circle(r_outer, center), circle(r_inner, center).reversed()))
 
 

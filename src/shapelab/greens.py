@@ -27,14 +27,17 @@ boundary solves on one matrix and one set of factors.  FD re-solves stay
 per t and unshared.
 
 Kept columns: the first solve on a matrix names, through gelsy's pivots,
-the columns its truncation kept.  The re-solves of a finite-difference
-t-ladder take the T_t images of the kept charges only and factor that
-smaller matrix, so every t of the ladder has the same charge set.  On a
-full-rank matrix every column is kept, in its original order, and the
-re-solves are those of the whole ring.  Solves on the base matrix itself,
-poles and variation data alike, use every column: the variation data feed
-boundary derivatives, and on the mixed annulus a fit on the kept columns
-alone resolved those less well than gelsy's fit on every column.
+the columns its truncation kept.  ``GreensSolver.moved(family, t)`` is the
+one owner of that rule: the solver of T_t(Omega) it returns takes the T_t
+images of the kept charges only and factors that smaller matrix, so every t
+of a finite-difference ladder has the same charge set.  On a full-rank
+matrix every column is kept, in its original order, and the re-solves are
+those of the whole ring; every matrix of the built-in registry is full
+rank, so truncation and kept columns serve rank-deficient boundaries such
+as rings of 192 charges.  Solves on the base matrix itself, poles and
+variation data alike, use every column: the variation data feed boundary
+derivatives, and on the mixed annulus a fit on the kept columns alone
+resolved those less well than gelsy's fit on every column.
 
 Blocks are the unit of work: one solve per batch; per-column products
 keep bits.  A solve takes one data set or a block of k of them (several
@@ -227,6 +230,15 @@ class ComponentDiscretization:
     check_normal: np.ndarray
     charges: np.ndarray
 
+    def datum(self, value, gradient, at: str = "") -> np.ndarray:
+        """A function's value on a Dirichlet piece, its normal derivative on a
+        Neumann piece, at the point set ``at`` names ("" grid, "colloc_" or
+        "check_" nodes), from its ``value`` or ``gradient`` at (N, 2) points."""
+        points = getattr(self, at + "nodes")
+        if self.dirichlet:
+            return value(points)
+        return rowwise_dot(gradient(points), getattr(self, at + "normal"))
+
 
 def _winding_number(nodes: np.ndarray, point: np.ndarray) -> float:
     diff = nodes - point[None, :]
@@ -337,7 +349,6 @@ class HarmonicField:
 @dataclass
 class SolveDiagnostics:
     residual: float
-    per_component: tuple
     rank: int
     n_unknowns: int
 
@@ -426,9 +437,6 @@ class MixedSolver:
                  config: GreensConfig | None = None):
         self.config = config or GreensConfig()
         self.components = components
-        if not any(c.dirichlet for c in components):
-            raise GreensError("pure-Neumann boundary rejected: the unit point "
-                              "source needs a Dirichlet component to absorb flux")
         self.charges = np.vstack([c.charges for c in components])
         rows = []
         for comp in components:
@@ -476,19 +484,12 @@ class MixedSolver:
                 self._factors = _GelsyFactors(self.matrix, self.rank)
             coeff = self._factors.solve(rhs.T)
         fld = HarmonicField(self.charges, coeff)
-        residuals = []
-        for comp, data in zip(self.components, check_data):
-            if comp.dirichlet:
-                pred = fld.value(comp.check_nodes)
-            else:
-                pred = rowwise_dot(fld.gradient(comp.check_nodes), comp.check_normal)
-            residuals.append(np.max(np.abs(pred - data), axis=-1))
-        # one row of per-component residuals per data set
-        n_sets = 1 if rhs.ndim == 1 else rhs.shape[0]
-        per_set = np.reshape(np.transpose(residuals), (n_sets, len(residuals)))
-        diags = tuple(SolveDiagnostics(float(row.max()), tuple(map(float, row)),
-                                       int(self.rank), self.matrix.shape[1])
-                      for row in per_set)
+        # per data set, the worst check-node residual over the components
+        residual = np.max([np.max(np.abs(comp.datum(fld.value, fld.gradient, "check_")
+                                         - data), axis=-1)
+                           for comp, data in zip(self.components, check_data)], axis=0)
+        diags = tuple(SolveDiagnostics(float(r), int(self.rank), self.matrix.shape[1])
+                      for r in np.atleast_1d(residual))
         total = max(d.residual for d in diags)
         if total > self.config.fail_threshold:
             raise GreensAccuracyError(
@@ -589,8 +590,8 @@ class GreensSolver:
     (``base_solver`` shares the one of the undeformed boundary).
 
     ``charges`` are the base charges of each component before T_t, by
-    default the domain's charge rings; re-solves pass another solver's
-    ``kept_charges()``.
+    default the domain's charge rings; ``moved`` passes the charges its
+    solver kept.
     """
 
     def __init__(self, domain: Domain, mixed: MixedBoundary,
@@ -603,18 +604,12 @@ class GreensSolver:
         self.solver = MixedSolver(self.components, self.config)
 
     def corrector_data(self, y: np.ndarray):
-        """Corrector data at collocation and check nodes for a pole or (k, 2) poles."""
-        col, chk = [], []
-        for comp in self.components:
-            if comp.dirichlet:
-                col.append(-_per_pole(fundamental_solution, comp.colloc_nodes, y))
-                chk.append(-_per_pole(fundamental_solution, comp.check_nodes, y))
-            else:
-                gc = _per_pole(fundamental_gradient, comp.colloc_nodes, y)
-                gk = _per_pole(fundamental_gradient, comp.check_nodes, y)
-                col.append(-rowwise_dot(gc, comp.colloc_normal))
-                chk.append(-rowwise_dot(gk, comp.check_normal))
-        return col, chk
+        """Corrector data at collocation and check nodes for a pole or (k, 2)
+        poles: minus the boundary datum of Gamma(. - y)."""
+        value = functools.partial(_per_pole, fundamental_solution, y=y)
+        gradient = functools.partial(_per_pole, fundamental_gradient, y=y)
+        return tuple([-comp.datum(value, gradient, at) for comp in self.components]
+                     for at in ("colloc_", "check_"))
 
     def solve(self, y) -> GreensEval:
         """N(., y) for one pole (2,), or a block for poles (k, 2) in one solve."""
@@ -633,13 +628,15 @@ class GreensSolver:
         """
         return self.solver.solve_nodal(nodal_data)
 
-    def kept_charges(self) -> list[np.ndarray]:
-        """Per component, the charges of the columns the first solve kept, in
-        their original order (every charge before the first solve)."""
+    def moved(self, family, t: float) -> "GreensSolver":
+        """The solver of T_t(Omega) for this undeformed one, on the T_t images of
+        the charges its first solve kept (every charge before it), in order, so
+        the re-solves of an FD ladder share one charge set."""
         keep = np.zeros(len(self.solver.charges), dtype=bool)
         keep[slice(None) if self.solver.kept is None else self.solver.kept] = True
         splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
-        return [c.charges[k] for c, k in zip(self.components, np.split(keep, splits))]
+        charges = [c.charges[k] for c, k in zip(self.components, np.split(keep, splits))]
+        return GreensSolver(self.domain, self.mixed, self.config, family, t, charges)
 
 
 def base_solver(domain: Domain, mixed: MixedBoundary,
@@ -732,8 +729,7 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     for spec in specs:
         hess = spec.hessian(interior.nodes, 0.0)
         f = -(hess[:, 0, 0] + hess[:, 1, 1])
-        data = [spec.value(comp.nodes, 0.0) if comp.dirichlet
-                else np.einsum("ni,ni->n", spec.gradient(comp.nodes, 0.0), comp.normal)
+        data = [comp.datum(lambda p: spec.value(p, 0.0), lambda p: spec.gradient(p, 0.0))
                 for comp in solver.components]
         exact, recon = [], []
         for j, y in enumerate(probes):

@@ -20,7 +20,7 @@ one is kept as a reported diagnostic (``chi_display_residual``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,33 +158,40 @@ def _probe_messages(solver: GreensSolver, points) -> list[str]:
     return [m for m in (probe_warning(solver, p) for p in points) if m is not None]
 
 
-def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamily,
-                     x, y, ladder) -> FDResult:
-    """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega).
+@dataclass
+class ResolvedLadder(FDResult):
+    """An FD ladder of full re-solves, with the rank of each re-solve, one per
+    abscissa in ascending t."""
 
-    Every re-solve has the base ``solver``'s boundary assignment and config
-    and takes the T_t images of the charges its first solve kept (every
-    charge before it), so the charge set never changes between abscissae.
+    re_solve_ranks: tuple = ()
+
+
+def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamily,
+                     x, y, ladder) -> ResolvedLadder:
+    """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega)
+    by ``solver.moved``.
+
     The result's ``warnings`` gain the probe warnings of every re-solve,
     judged against that re-solve's own boundary, each distinct one once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    charges = solver.kept_charges()
-    messages = []
+    messages, ranks = [], {}
 
     def value(t):
-        moved = GreensSolver(solver.domain, solver.mixed, solver.config, family=family,
-                             t=t, charges=charges)
+        moved = solver.moved(family, t)
         messages.extend(_probe_messages(moved, (x, y)))
-        return moved.solve(y).value(x[None, :])[0]
+        ev = moved.solve(y)
+        ranks[t] = ev.diagnostics.rank
+        return ev.value(x[None, :])[0]
 
     fd = derivative_ladder(value, order=order, ladder=ladder)
-    return replace(fd, warnings=tuple(dict.fromkeys(fd.warnings + tuple(messages))))
+    fd.warnings = tuple(dict.fromkeys(fd.warnings + tuple(messages)))
+    return ResolvedLadder(**vars(fd), re_solve_ranks=tuple(ranks[t] for t in sorted(ranks)))
 
 
 def delta_n_fd(solver: GreensSolver, family: PerturbationFamily,
-               x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
+               x: np.ndarray, y: np.ndarray, ladder=None) -> ResolvedLadder:
     """First variation by re-solving on the deformed domain of the base
     ``solver`` along a t-ladder."""
     return _resolved_ladder(1, solver, family, x, y, ladder)
@@ -262,7 +269,7 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
 
 
 def delta2_n_fd(solver: GreensSolver, family: PerturbationFamily,
-                x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
+                x: np.ndarray, y: np.ndarray, ladder=None) -> ResolvedLadder:
     """Second variation by 5-point differencing of full re-solves, as in
     ``delta_n_fd``."""
     return _resolved_ladder(2, solver, family, x, y, ladder)
@@ -332,7 +339,8 @@ class RouteTriangle:
     solves: the worst check-node residual, the smallest rank, and the
     number of charges.  ``probe_warnings`` are the probe warnings on the
     base boundary; those of the re-solves are in the FD route's ladder
-    ``fd_ladder``, whose value is ``fd``.
+    ``fd_ladder``, whose value is ``fd`` and which holds the rank of each
+    re-solve.
     """
 
     formula: float
@@ -342,7 +350,7 @@ class RouteTriangle:
     residual: float
     rank: int
     n_unknowns: int
-    fd_ladder: FDResult
+    fd_ladder: ResolvedLadder
     probe_warnings: list[str]
 
     @property
@@ -359,7 +367,7 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def _triangle(formula: float, bvp: float, fd: FDResult,
+def _triangle(formula: float, bvp: float, fd: ResolvedLadder,
               diagnostics: list[SolveDiagnostics], issued: list[str]) -> RouteTriangle:
     """The route comparison; re-solve probe warnings not ``issued`` yet go to the caller.
 

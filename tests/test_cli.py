@@ -536,6 +536,29 @@ class TestConfigReader:
         assert code == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain, message", [
+        ({"name": "circle", "r": -1}, "circle radius must be a finite positive number, not -1"),
+        ({"name": "circle", "r": 0}, "circle radius must be a finite positive number, not 0"),
+        ({"name": "circle", "center": [0.5, 0, 7]},
+         "center must be two finite numbers, not [0.5, 0, 7]"),
+        ({"name": "annulus", "r_in": 0.5, "r_out": 1.0, "center": [0, 0, 1]},
+         "center must be two finite numbers, not [0, 0, 1]"),
+        ({"name": "star", "k": True}, "star frequency k must be an integer >= 1, not True"),
+        ({"name": "star", "eps": 1.5}, "star eps must be a number with |eps| < 1, not 1.5"),
+        ({"name": "ellipse", "a": 2.0, "b": 1.0, "center": [0.5]},
+         "center must be two finite numbers, not [0.5]"),
+    ], ids=["circle-r-negative", "circle-r-zero", "circle-center", "annulus-center",
+            "star-k-boolean", "star-eps", "ellipse-center"])
+    def test_a_geometry_precondition_fails_at_load_and_is_named(self, tmp_path, capsys,
+                                                                 domain, message):
+        mixed = ["dirichlet", "neumann"] if domain["name"] == "annulus" else ["dirichlet"]
+        cfg = {"custom_hadamard": [dict(DISK_DILATION, domain=domain, mixed=mixed)]}
+        code = cli.main(["run", "--config", _write(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any case ran
+
     def test_a_flow_family_takes_no_r_field(self, tmp_path, capsys):
         family = dict(STAR_SHEAR["family"], r_field={"name": "dilation"})
         cfg = {"custom_liouville": [dict(STAR_SHEAR, family=family)]}
@@ -552,3 +575,11 @@ def test_a_count_is_a_detail_not_an_oracle(case_id, count):
     registry = {c.case_id: c for c in build_registry()}
     row = registry[case_id].run(CaseSettings(seed=7))
     assert row.passed and row.oracles == {} and row.details[count] > 0
+
+
+@pytest.mark.parametrize("case_id, n_abscissae", [
+    ("hadamard-delta-n-triangle-annulus", 8), ("hadamard-delta2-n-triangle-disk", 9)])
+def test_a_registry_route_row_re_solves_at_full_rank(case_id, n_abscissae):
+    registry = {c.case_id: c for c in build_registry()}
+    details = registry[case_id].run(CaseSettings(seed=7)).details
+    assert details["re_solve_ranks"] == [details["n_unknowns"]] * n_abscissae

@@ -58,9 +58,12 @@ class TestGrid:
             geo.build_grid(geo.circle(1.0), m)
 
     def test_degenerate_parameterization_rejected(self):
-        # r(theta) = 1 + cos(theta) pinches to a cusp at theta = pi
+        # r(theta) = 1 + cos(theta) pinches to a cusp at theta = pi (the star
+        # with eps = 1, which geo.star rejects)
+        cusp = geo.FourierCurve([[0.5, 0.0], [1.0, 0.0], [0.5, 0.0]],
+                                [[0.0, 0.0], [0.0, 1.0], [0.0, 0.5]])
         with pytest.raises(geo.GeometryError, match="node"):
-            geo.build_grid(geo.star(1.0, 1.0, 1), 64)
+            geo.build_grid(cusp, 64)
 
     def test_pushed_speed_collapse_names_the_node(self):
         # T_1 = diag(0, 1) sends x'(theta) = (-sin, cos) to (0, cos): zero at theta = pi/2
@@ -257,6 +260,39 @@ class TestMixedBoundary:
     def test_assignment(self):
         mixed = geo.MixedBoundary(("dirichlet", "neumann"))
         assert mixed.is_dirichlet(0) and not mixed.is_dirichlet(1)
+
+
+class TestCurvePreconditions:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: geo.circle(-1.0), "circle radius must be a finite positive number, not -1.0"),
+        (lambda: geo.circle(np.inf), "circle radius must be a finite positive number, not inf"),
+        (lambda: geo.circle(True), "circle radius must be a finite positive number, not True"),
+        (lambda: geo.circle(1.0, (True, 0.0)), "center must be two finite numbers"),
+        (lambda: geo.disk(1.0, (0.5, 0.0, 7.0)), "center must be two finite numbers"),
+        (lambda: geo.ellipse(np.nan, 1.0), "ellipse semi-axis a must be a finite positive"),
+        (lambda: geo.ellipse(2.0, 0.0), "ellipse semi-axis b must be a finite positive"),
+        (lambda: geo.elliptical_domain(2.0, 1.0, (0.5,)), "center must be two finite numbers"),
+        (lambda: geo.annulus(0.5, 1.0, (0.0, np.nan)), "center must be two finite numbers"),
+        (lambda: geo.annulus(-0.5, 1.0), "annulus needs 0 < r_inner < r_outer, not r_inner=-0.5"),
+        (lambda: geo.star(0.0, 0.2, 3), "star r0 must be a finite positive number, not 0.0"),
+        (lambda: geo.star(1.0, -1.0, 3), "star eps must be a number with |eps| < 1, not -1.0"),
+        (lambda: geo.star(1.0, np.nan, 3), "star eps must be a number with |eps| < 1"),
+        (lambda: geo.star(1.0, 0.2, True), "star frequency k must be an integer >= 1, not True"),
+        (lambda: geo.star(1.0, 0.2, 2.5), "star frequency k must be an integer >= 1, not 2.5"),
+        (lambda: geo.star_domain(1.0, 0.2, 0), "star frequency k must be an integer >= 1, not 0"),
+    ], ids=["circle-radius", "circle-radius-inf", "circle-radius-boolean",
+            "circle-center-boolean", "disk-center", "ellipse-a", "ellipse-b",
+            "ellipse-center", "annulus-center", "annulus-radii", "star-r0", "star-eps",
+            "star-eps-nan", "star-k-boolean", "star-k-fraction", "star-k-zero"])
+    def test_a_bad_parameter_is_a_geometry_error_naming_it(self, build, message):
+        with pytest.raises(geo.GeometryError) as info:
+            build()
+        assert message in str(info.value)
+
+    def test_an_integral_frequency_reads_as_an_integer(self):
+        curve, want = geo.star(1.0, 0.2, 3.0), geo.star(1.0, 0.2, 3)
+        np.testing.assert_array_equal(curve.cos_coeffs, want.cos_coeffs)
+        np.testing.assert_array_equal(curve.sin_coeffs, want.sin_coeffs)
 
 
 class TestCurveLibrary:

@@ -550,7 +550,7 @@ class TestKeptColumns:
         solver = gr.GreensSolver(annulus, MIXED["annulus"])
         x, y = BLOCK_POLES["annulus"][:2]
         solver.solve(np.stack([x, y]))
-        charges = solver.kept_charges()
+        charges = [c.charges for c in solver.moved(None, 0.0).components]
         assert sum(map(len, charges)) < solver.solver.matrix.shape[1]
         values, ladder = {}, hd.derivative_ladder
 
@@ -567,13 +567,13 @@ class TestKeptColumns:
         x, y = BLOCK_POLES["annulus"][:2]
         solver.solve(np.stack([x, y]))
         np.testing.assert_array_equal(solver.solver.kept, np.arange(192))
-        for kept, ring in zip(solver.kept_charges(), annulus.charge_rings(96, 1.6)):
+        for kept, ring in zip([c.charges for c in solver.moved(None, 0.0).components],
+                              annulus.charge_rings(96, 1.6)):
             np.testing.assert_array_equal(kept, ring)
         fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
         for t in (0.02, -0.01):
             whole = gr.GreensSolver(annulus, MIXED["annulus"], cfg, family=fam, t=t).solve(y)
-            kept = gr.GreensSolver(annulus, MIXED["annulus"], cfg, family=fam, t=t,
-                                   charges=solver.kept_charges()).solve(y)
+            kept = solver.moved(fam, t).solve(y)
             np.testing.assert_array_equal(kept.value(x[None, :]), whole.value(x[None, :]))
 
     @pytest.mark.parametrize("routes", [hd.delta_n_routes, hd.delta2_n_routes])
@@ -660,8 +660,10 @@ class TestGelsyBudget:
         # perfbench times the solve layer as MixedSolver.solve; every gelsy
         # call and every factorization for stored-factor solves (dgeqp3) must
         # run inside it, and batching, shared base solvers and stored factors
-        # keep the registry at <= 50 of them (48 gelsy calls and 2 dgeqp3)
-        calls, open_solves, outside = [], [0], []
+        # keep the registry at <= 50 of them (48 gelsy calls and 2 dgeqp3);
+        # every gelsy call is full rank, so the registry never takes the
+        # kept-column or below-full-rank factor paths
+        calls, open_solves, outside, gelsy_ranks = [], [0], [], []
 
         def counted(name):
             lapack = getattr(gr._lapack, name)
@@ -670,7 +672,10 @@ class TestGelsyBudget:
                 calls.append(name)
                 if not open_solves[0]:
                     outside.append(len(calls))
-                return lapack(*args, **kwargs)
+                result = lapack(*args, **kwargs)
+                if name == "dgelsy":
+                    gelsy_ranks.append((result[3], args[0].shape[1]))
+                return result
 
             return call
 
@@ -692,6 +697,7 @@ class TestGelsyBudget:
         assert "dgeqp3" in calls
         assert 0 < len(calls) <= 50
         assert outside == []
+        assert gelsy_ranks and all(rank == n for rank, n in gelsy_ranks), gelsy_ranks
 
 
 # Poles kept well inside each domain, where the solver resolves N to about
