@@ -9,33 +9,32 @@ standard stabilization for these exponentially ill-conditioned systems.
 The collocation matrix is assembled once per boundary and shared by every
 right-hand side.  Its condition estimate is an SVD, computed only when read.
 
-One factorization per boundary: the first solve on a matrix is a gelsy
-call, which also yields the rank and the columns its truncation kept.
+One factorization per matrix, and the rank decided once per boundary.  The
+first solve on a base matrix is a gelsy call, which yields the rank and
+the columns its truncation kept.  gelsy decides the rank with LAPACK's
+incremental condition estimator dlaic1, which scipy does not expose.
 Every later solve on that matrix applies gelsy's factors, built once at
 that rank by gelsy's own LAPACK steps (dgeqp3, then dtzrzf below full
 rank) and applied as gelsy applies them (dormqr, dtrsm, dormrz, then the
-pivots), so it returns gelsy's solution bit for bit.  The first solve stays
-on gelsy because gelsy's rank comes from LAPACK's incremental condition
-estimator dlaic1, which scipy does not expose.  A Python port of it matched
-gelsy's rank on 102 of 102 matrices but cost 1.5-4 ms per matrix, and 102
-of the 114 matrices of the green-variations benchmark are one-shot FD
-re-solves: factoring every matrix that way saved 0.2 s there, factoring
-only for a second solve 0.42 s.  Each run shares its base solvers:
-``base_solver`` keeps one solver per (boundary assignment, config) in the
-domain's memo, and a run keeps one Domain per curve, so every case on a
-boundary solves on one matrix and one set of factors.  FD re-solves stay
-per t and unshared.
+pivots), so it returns gelsy's solution bit for bit.  Each run shares its
+base solvers: ``base_solver`` keeps one solver per (boundary assignment,
+config) in the domain's memo, and a run keeps one Domain per curve, so
+every case on a boundary solves on one matrix and one set of factors.
 
-Kept columns: the first solve on a matrix names, through gelsy's pivots,
-the columns its truncation kept.  ``GreensSolver.moved(family, t)`` is the
-one owner of that rule: the solver of T_t(Omega) it returns takes the T_t
-images of the kept charges only and factors that smaller matrix, so every t
-of a finite-difference ladder has the same charge set.  On a full-rank
-matrix every column is kept, in its original order, and the re-solves are
-those of the whole ring; every matrix of the built-in registry is full
-rank, so truncation and kept columns serve rank-deficient boundaries such
-as rings of 192 charges.  Solves on the base matrix itself, poles and
-variation data alike, use every column: the variation data feed boundary
+Kept columns: ``GreensSolver.moved(family, t)`` is the one owner of the
+re-solve rule, and it needs a solved base.  The solver of T_t(Omega) it
+returns takes the T_t images of the kept charges only, in ring order, and
+the base's rank, which is its column count.  Its first solve factors that
+matrix once, in place, by unpivoted blocked QR (dgeqrt, then dgemqrt and
+dtrsm): no re-pivoting and no re-truncation, so every t of a
+finite-difference ladder has the same charge set and the same rank.  On
+the green-variations benchmark 102 of 105 first solves are such one-shot
+re-solves of 768x226 or 384x112 matrices, where dgeqrt takes about a
+third of gelsy's time.  On a full-rank matrix every column is kept, in its
+original order; every matrix of the built-in registry is full rank, so
+truncation and kept columns serve rank-deficient boundaries such as rings
+of 192 charges.  Solves on the base matrix itself, poles and variation
+data alike, use every column: the variation data feed boundary
 derivatives, and on the mixed annulus a fit on the kept columns alone
 resolved those less well than gelsy's fit on every column.
 
@@ -63,9 +62,9 @@ so re-solves along a finite-difference t-ladder differ only through the
 deformation, never through a change of discretization at t=0.
 
 LAPACK and BLAS come from scipy's compiled modules scipy.linalg._flapack
-(dgelsy, dgeqp3, dtzrzf, dormqr, dormrz, dgesdd and their workspace
-queries) and scipy.linalg._fblas (dtrsm), loaded from their files after
-``import scipy``.  Importing the scipy.linalg package instead runs its
+(dgelsy, dgeqp3, dtzrzf, dormqr, dormrz, dgeqrt, dgemqrt, dgesdd and their
+workspace queries) and scipy.linalg._fblas (dtrsm), loaded from their files
+after ``import scipy``.  Importing the scipy.linalg package instead runs its
 __init__, whose array-API copy of the numpy namespace imports numpy.f2py,
 numpy.testing and unittest: 0.3 s of CPU in every fresh process, half of
 what ``import shapelab.cli`` cost.  The routines are the objects that
@@ -419,18 +418,53 @@ class _GelsyFactors:
         return x if rhs.ndim == 2 else x[:, 0]
 
 
+# panel width of the blocked QR (dgeqrt) that factors a re-solve's matrix
+QR_BLOCK = 32
+
+
+class _QRFactors:
+    """Unpivoted blocked QR  A = Q R  of a re-solve's matrix, built at its first solve.
+
+    The matrix holds only the T_t images of the charges its base solve kept,
+    so it is factored at the base rank: no pivoting and no truncation.
+    dgeqrt factors it in place (Elmroth-Gustavson recursive QR, BLAS-3 on
+    panels of QR_BLOCK columns), since a Fortran-ordered matrix passed with
+    overwrite_a is not copied.  A solve applies Q^T (dgemqrt) and R^-1
+    (dtrsm).
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.qr, self.t, info = _lapack.dgeqrt(min(QR_BLOCK, matrix.shape[1]),
+                                               np.asarray_chkfinite(matrix), overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqrt")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The least-squares solution for data (rows,) or a (rows, k) block."""
+        n = self.qr.shape[1]
+        block = np.asarray_chkfinite(rhs).reshape(len(self.qr), -1)
+        qtb, _ = _lapack.dgemqrt(self.qr, self.t, block, side="L", trans="T")
+        x = _blas.dtrsm(1.0, self.qr[:n], qtb[:n])
+        return x if rhs.ndim == 2 else x[:, 0]
+
+
 class MixedSolver:
     """Shared collocation matrix for one (possibly deformed) boundary.
 
     Dirichlet rows match values, Neumann rows match normal derivatives.  The
-    matrix is assembled once and shared by every right-hand side.  Each
-    ``solve`` is gelsy's pivoted-QR least-squares fit of a data set or a
-    block of them, truncated at the relative threshold 1e-13.  The first
-    solve is a gelsy call; it stores gelsy's ``rank`` and the columns gelsy
-    kept, sorted, as ``kept``, and the re-solves of a t-ladder are assembled
-    on the images of those columns' charges only.  The solves after it apply
-    gelsy's factors, built once at that rank, with gelsy's bits.  The
-    condition estimate is an SVD of the matrix, computed on first read.
+    matrix is assembled once, in Fortran order, and shared by every
+    right-hand side.  Each ``solve`` is a least-squares fit of a data set or
+    a block of them, and the rank is decided once per boundary.  On a base
+    matrix the first solve is gelsy's pivoted-QR fit, truncated at the
+    relative threshold 1e-13; it stores gelsy's ``rank`` and the columns
+    gelsy kept, sorted, as ``kept``, and the solves after it apply gelsy's
+    factors, built once at that rank, with gelsy's bits.  A re-solve's
+    matrix (``GreensSolver.moved``) holds the images of those kept columns'
+    charges only and comes with its base's ``rank``: its first solve factors
+    it by unpivoted blocked QR at that rank, in place, so from then on
+    ``matrix`` holds the QR factors.  The condition estimate is an SVD of the
+    matrix, or of the re-solve's R factor once factored, computed on first
+    read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
@@ -448,17 +482,24 @@ class MixedSolver:
                 gy *= comp.colloc_normal[:, 1:]
                 gx += gy
                 rows.append(gx)
-        self.matrix = np.vstack(rows)
-        self.rank: int | None = None  # set by the first solve, with kept
+        # Fortran order, so a re-solve's QR factors it without a copy
+        self.matrix = np.concatenate(rows, out=np.empty(
+            (sum(map(len, rows)), len(self.charges)), order="F"))
+        self.rank: int | None = None  # set by the first base solve, with kept
         self.kept: np.ndarray | None = None
-        self._factors: _GelsyFactors | None = None  # built by the second solve
+        # built by a base's second solve or a re-solve's first
+        self._factors: _GelsyFactors | _QRFactors | None = None
 
     @functools.cached_property
     def condition_estimate(self) -> float:
-        # the dgesdd call of scipy.linalg.svdvals, with its workspace
-        m, n = self.matrix.shape
+        # the dgesdd call of scipy.linalg.svdvals, with its workspace; R has
+        # the singular values of the matrix its QR overwrote
+        matrix = self.matrix
+        if isinstance(self._factors, _QRFactors):
+            matrix = np.triu(matrix[:matrix.shape[1]])
+        m, n = matrix.shape
         work, _ = _lapack.dgesdd_lwork(m, n, compute_uv=0, full_matrices=0)
-        _, sv, _, info = _lapack.dgesdd(np.asarray_chkfinite(self.matrix), compute_uv=0,
+        _, sv, _, info = _lapack.dgesdd(np.asarray_chkfinite(matrix), compute_uv=0,
                                         full_matrices=0, lwork=int(work))
         if info != 0:
             raise np.linalg.LinAlgError(f"dgesdd failed with info {info}")
@@ -476,12 +517,15 @@ class MixedSolver:
         ones they agree to rounding.
         """
         rhs = np.concatenate(rhs_per_component, axis=-1)
-        if self.kept is None:
+        if self.rank is None:
             coeff, self.rank, pivots = _gelsy(self.matrix, rhs.T)
             self.kept = np.sort(pivots[:self.rank] - 1)
         else:
             if self._factors is None:
-                self._factors = _GelsyFactors(self.matrix, self.rank)
+                # a re-solve keeps no columns of its own: QR at its base's
+                # rank, overwriting the matrix
+                self._factors = (_GelsyFactors(self.matrix, self.rank)
+                                 if self.kept is not None else _QRFactors(self.matrix))
             coeff = self._factors.solve(rhs.T)
         fld = HarmonicField(self.charges, coeff)
         # per data set, the worst check-node residual over the components
@@ -490,8 +534,8 @@ class MixedSolver:
                            for comp, data in zip(self.components, check_data)], axis=0)
         diags = tuple(SolveDiagnostics(float(r), int(self.rank), self.matrix.shape[1])
                       for r in np.atleast_1d(residual))
-        total = max(d.residual for d in diags)
-        if total > self.config.fail_threshold:
+        total = float(np.max(residual))
+        if not total <= self.config.fail_threshold:  # a NaN residual fails too
             raise GreensAccuracyError(
                 f"check-node residual {total:.3e} exceeds "
                 f"{self.config.fail_threshold:.1e} "
@@ -629,14 +673,19 @@ class GreensSolver:
         return self.solver.solve_nodal(nodal_data)
 
     def moved(self, family, t: float) -> "GreensSolver":
-        """The solver of T_t(Omega) for this undeformed one, on the T_t images of
-        the charges its first solve kept (every charge before it), in order, so
-        the re-solves of an FD ladder share one charge set."""
+        """The solver of T_t(Omega) for this solved, undeformed one, on the T_t
+        images of the charges its first solve kept, in order, and at its rank,
+        so the re-solves of an FD ladder share one charge set and one rank."""
+        if self.solver.kept is None:
+            raise GreensError("a re-solve on T_t(Omega) needs a solved base: "
+                              "solve on the undeformed boundary first")
         keep = np.zeros(len(self.solver.charges), dtype=bool)
-        keep[slice(None) if self.solver.kept is None else self.solver.kept] = True
+        keep[self.solver.kept] = True
         splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
         charges = [c.charges[k] for c, k in zip(self.components, np.split(keep, splits))]
-        return GreensSolver(self.domain, self.mixed, self.config, family, t, charges)
+        moved = GreensSolver(self.domain, self.mixed, self.config, family, t, charges)
+        moved.solver.rank = self.solver.rank
+        return moved
 
 
 def base_solver(domain: Domain, mixed: MixedBoundary,

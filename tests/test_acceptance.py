@@ -5,6 +5,7 @@ assertions; a failure surfaces through pytest as usual.  Tolerances are
 fixed here, not configurable.
 """
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -324,3 +325,47 @@ def test_registry_err_drift(registry_run):
     drifted = {case_id: (err, baseline[case_id]) for case_id, err in errs.items()
                if not err <= 100.0 * max(baseline[case_id], 1e-15)}
     assert drifted == {}, f"err grew more than 100x over its baseline: {drifted}"
+
+
+def _route_rows(report: Path) -> list[dict]:
+    """The rows of ``report`` that re-solve along an FD ladder."""
+    return [row for row in json.loads(report.read_text())["cases"]
+            if "re_solve_ranks" in row["details"]]
+
+
+def test_registry_re_solves_keep_the_base_rank_at_every_t(registry_run):
+    """The discretization is continuous in t: every re-solve of every route
+    row's FD ladder has the rank its base solve decided at t = 0."""
+    rows = _route_rows(registry_run[0])
+    assert len(rows) == 5
+    for row in rows:
+        details = row["details"]
+        assert details["re_solve_ranks"] == [details["solve_rank"]] * len(
+            details["re_solve_ranks"]), row["case_id"]
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_a_truncated_annulus_re_solves_at_its_base_rank(tmp_path):
+    """The green-variations benchmark's seed-3 mixed annulus (m=256,
+    n_charges=192) keeps 226 of 384 columns at t = 0; its re-solves, which
+    gelsy truncated to 223-225 columns at some t, keep all 226."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = workloads.generate("green-variations", 3)
+    cfg["custom_hadamard"] = [case for case in cfg["custom_hadamard"]
+                              if "-annulus-dn-" in case["id"]]
+    cfg["cases"] = [case["id"] for case in cfg["custom_hadamard"]]
+    assert len(cfg["cases"]) == 4
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    rows = _route_rows(tmp_path / "report.json")
+    assert len(rows) == 4
+    for row in rows:
+        details = row["details"]
+        assert details["solve_rank"] < details["n_unknowns"] == 384, row["case_id"]
+        assert details["re_solve_ranks"] == [details["solve_rank"]] * len(
+            details["re_solve_ranks"]), row["case_id"]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -344,6 +345,7 @@ class TestDiagnostics:
         monkeypatch.setattr(gr._lapack, "dgesdd", refuse)
         fam = pert.TaylorFamily(pert.dilation())
         solver = gr.GreensSolver(disk, geo.all_dirichlet(1))
+        solver.solve(np.array([0.0, 0.4]))  # re-solves need a solved base
         result = hd.delta_n_fd(solver, fam, np.array([0.3, 0.0]), np.array([0.0, 0.4]))
         assert np.isfinite(result.value)
         with pytest.raises(AssertionError, match="dgesdd"):  # the patch is the one read
@@ -573,8 +575,14 @@ class TestKeptColumns:
         fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
         for t in (0.02, -0.01):
             whole = gr.GreensSolver(annulus, MIXED["annulus"], cfg, family=fam, t=t).solve(y)
-            kept = solver.moved(fam, t).solve(y)
-            np.testing.assert_array_equal(kept.value(x[None, :]), whole.value(x[None, :]))
+            moved = solver.moved(fam, t)
+            matrix = moved.solver.matrix.copy()
+            kept = moved.solve(y)
+            # the blocked QR's solution, within rounding of gelsy's on the whole ring
+            col = np.concatenate(moved.corrector_data(y)[0])
+            np.testing.assert_array_equal(kept.corrector.coefficients,
+                                          _blocked_qr(matrix, col))
+            assert abs(kept.value(x[None, :])[0] - whole.value(x[None, :])[0]) <= 1e-12
 
     @pytest.mark.parametrize("routes", [hd.delta_n_routes, hd.delta2_n_routes])
     def test_a_route_computes_each_components_centroid_once(self, monkeypatch, routes):
@@ -589,6 +597,82 @@ class TestKeptColumns:
         routes(domain, MIXED["annulus"], pert.TaylorFamily(pert.translation(1.0, 0.0)),
                *BLOCK_POLES["annulus"][:2])
         assert sorted(calls) == sorted(id(c) for c in domain.curve.components)
+
+
+def _blocked_qr(matrix, rhs):
+    """The least-squares solution by scipy's dgeqrt, dgemqrt and dtrsm, at
+    ``_QRFactors``' block size."""
+    n = matrix.shape[1]
+    qr, t, _ = scipy.linalg.lapack.dgeqrt(min(gr.QR_BLOCK, n), matrix)
+    qtb, _ = scipy.linalg.lapack.dgemqrt(qr, t, rhs.reshape(len(matrix), -1), trans="T")
+    x = scipy.linalg.blas.dtrsm(1.0, qr[:n], qtb[:n])
+    return x if rhs.ndim == 2 else x[:, 0]
+
+
+class TestReSolves:
+    """A re-solve on T_t(Omega) takes its base's kept charges and rank and
+    factors once by blocked QR, in place."""
+
+    @pytest.mark.parametrize("kind,m,n_charges", [("annulus", 256, 192), ("disk", 128, 192)])
+    def test_qr_factor_solves_equal_a_direct_lapack_reference_bit_for_bit(self, kind, m,
+                                                                          n_charges):
+        _, solver = _block_solver(kind, m, n_charges)
+        poles = BLOCK_POLES[kind]
+        solver.solve(poles)
+        moved = solver.moved(pert.TaylorFamily(pert.dilation()), 0.01)
+        assert moved.solver.matrix.shape[1] == solver.solver.rank < n_charges * 2
+        rhs = np.concatenate(moved.corrector_data(poles)[0], axis=-1).T
+        matrix = moved.solver.matrix
+        assert matrix.flags.f_contiguous
+        reference = [_blocked_qr(matrix, data) for data in (rhs[:, 0], rhs[:, 1:3])]
+        factors = gr._QRFactors(matrix)
+        assert np.shares_memory(factors.qr, matrix)  # factored in place, no copy
+        for data, want in zip((rhs[:, 0], rhs[:, 1:3]), reference):
+            np.testing.assert_array_equal(factors.solve(data), want)
+
+    def test_a_re_solve_factors_once_in_place_and_reports_the_base_rank(self, disk,
+                                                                         monkeypatch):
+        calls = []
+        for name in ("dgelsy", "dgeqp3", "dgeqrt"):
+            lapack = getattr(gr._lapack, name)
+            monkeypatch.setattr(gr._lapack, name,
+                                lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), gr.GreensConfig(n_charges=192))
+        y = np.array([0.0, 0.4])
+        solver.solve(y)
+        moved = solver.moved(pert.TaylorFamily(pert.dilation()), 0.05)
+        sv = scipy.linalg.svdvals(moved.solver.matrix)
+        first, second = moved.solve(y), moved.solve(np.array([0.3, 0.0]))
+        assert calls == ["dgelsy", "dgeqrt"]
+        assert moved.solver.matrix is moved.solver._factors.qr  # factored in place
+        assert first.diagnostics.rank == second.diagnostics.rank == solver.solver.rank == 112
+        assert first.diagnostics.n_unknowns == 112
+        # once factored, the condition estimate comes from R, whose singular
+        # values are the matrix's
+        assert moved.solver.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-3)
+
+    def test_a_non_finite_re_solve_fails_the_residual_gate(self, disk, monkeypatch):
+        # an unpivoted QR does not truncate, so a singular R would give NaN
+        # coefficients; the gate must not read a NaN residual as a pass
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1))
+        y = np.array([0.0, 0.4])
+        solver.solve(y)
+        monkeypatch.setattr(gr._blas, "dtrsm", lambda alpha, a, b: np.full(b.shape, np.nan))
+        with pytest.raises(gr.GreensAccuracyError, match="residual nan"):
+            solver.moved(pert.TaylorFamily(pert.dilation()), 0.01).solve(np.stack([y, y]))
+
+    def test_a_re_solve_needs_a_solved_base(self, disk):
+        fam = pert.TaylorFamily(pert.dilation())
+        x, y = np.array([0.3, 0.0]), np.array([0.0, 0.4])
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), gr.GreensConfig(n_charges=192))
+        with pytest.raises(gr.GreensError, match="needs a solved base"):
+            solver.moved(fam, 0.01)
+        with pytest.raises(gr.GreensError, match="needs a solved base"):
+            hd.delta_n_fd(solver, fam, x, y)
+        solver.solve(y)
+        result = hd.delta_n_fd(solver, fam, x, y)
+        assert np.isfinite(result.value)
+        assert result.re_solve_ranks == (112,) * 8
 
 
 def _dgelsy(matrix, rhs):
@@ -658,20 +742,24 @@ class TestGelsyBudget:
     def test_registry_solves_in_at_most_50_factorizations_inside_mixed_solver(self,
                                                                              monkeypatch):
         # perfbench times the solve layer as MixedSolver.solve; every gelsy
-        # call and every factorization for stored-factor solves (dgeqp3) must
-        # run inside it, and batching, shared base solvers and stored factors
-        # keep the registry at <= 50 of them (48 gelsy calls and 2 dgeqp3);
-        # every gelsy call is full rank, so the registry never takes the
-        # kept-column or below-full-rank factor paths
-        calls, open_solves, outside, gelsy_ranks = [], [0], [], []
+        # call, every factorization for stored-factor solves (dgeqp3) and
+        # every re-solve's blocked QR (dgeqrt) must run inside it, and
+        # batching, shared base solvers and stored factors keep the registry
+        # at <= 50 of them; every gelsy call is full rank, so the registry
+        # never takes the kept-column or below-full-rank factor paths, and
+        # no re-solve of T_t(Omega) calls gelsy
+        calls, solving, outside, gelsy_ranks, re_solve_gelsy = [], [], [], [], []
+        re_solvers = []  # held, so that no id is reused
 
         def counted(name):
             lapack = getattr(gr._lapack, name)
 
             def call(*args, **kwargs):
                 calls.append(name)
-                if not open_solves[0]:
+                if not solving:
                     outside.append(len(calls))
+                elif name == "dgelsy" and any(s is solving[-1] for s in re_solvers):
+                    re_solve_gelsy.append(len(calls))
                 result = lapack(*args, **kwargs)
                 if name == "dgelsy":
                     gelsy_ranks.append((result[3], args[0].shape[1]))
@@ -679,24 +767,32 @@ class TestGelsyBudget:
 
             return call
 
-        solve = gr.MixedSolver.solve
+        solve, moved = gr.MixedSolver.solve, gr.GreensSolver.moved
 
-        def entered(*args, **kwargs):
-            open_solves[0] += 1
+        def entered(self, *args, **kwargs):
+            solving.append(self)
             try:
-                return solve(*args, **kwargs)
+                return solve(self, *args, **kwargs)
             finally:
-                open_solves[0] -= 1
+                solving.pop()
 
-        for name in ("dgelsy", "dgeqp3"):
+        def recorded(self, *args, **kwargs):
+            re_solver = moved(self, *args, **kwargs)
+            re_solvers.append(re_solver.solver)
+            return re_solver
+
+        for name in ("dgelsy", "dgeqp3", "dgeqrt"):
             monkeypatch.setattr(gr._lapack, name, counted(name))
         monkeypatch.setattr(gr.MixedSolver, "solve", entered)
+        monkeypatch.setattr(gr.GreensSolver, "moved", recorded)
         case_settings = CaseSettings(seed=7)
         rows = [case.run(case_settings) for case in build_registry()]
         assert all(row.passed for row in rows), [r.case_id for r in rows if not r.passed]
         assert "dgeqp3" in calls
+        assert 0 < calls.count("dgeqrt") == len(re_solvers)  # one QR per re-solve
         assert 0 < len(calls) <= 50
         assert outside == []
+        assert re_solve_gelsy == []
         assert gelsy_ranks and all(rank == n for rank, n in gelsy_ranks), gelsy_ranks
 
 
