@@ -2,8 +2,8 @@
 
 Implements and cross-verifies derivative formulas for volume, area, and flux
 integrals over deformed domains, and the first/second variations of the
-mixed Dirichlet/Neumann Green's function, against finite-difference and
-closed-form oracles.
+mixed Dirichlet/Neumann Green's function, against finite-difference,
+exact discrete-derivative and closed-form oracles.
 """
 
 from .geometry import (BoundaryCurve, BoundaryGrid, CollarExtension, Domain,
@@ -17,9 +17,10 @@ from .greens import (GreensAccuracyError, GreensConfig, GreensError,
                      representation_check)
 from .hadamard import (HadamardCoefficients, chi_sigma, delta2_n_bvp,
                        delta2_n_fd, delta2_n_formula, delta2_n_routes,
-                       delta_n_bvp, delta_n_fd, delta_n_formula,
-                       delta_n_routes, gradient_pairing_residual,
-                       probe_warning, second_bvp_data)
+                       delta2_n_tangent, delta_n_bvp, delta_n_fd,
+                       delta_n_formula, delta_n_routes, delta_n_tangent,
+                       gradient_pairing_residual, probe_warning,
+                       second_bvp_data)
 from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .liouville import (boundary_flux_first, boundary_flux_second,
                         fd_reference, first_area, first_volume, nu_dot,

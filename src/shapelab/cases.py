@@ -138,18 +138,23 @@ def fd_details(fd: FDResult) -> dict:
     return details
 
 
-def route_result(tri: hd.RouteTriangle, err=None, **oracles):
+def route_result(tri: hd.RouteTriangle, err=None, fd: hd.ResolvedLadder | None = None,
+                 **oracles):
     """(value, oracles, err, details) of a Hadamard route run.
 
-    By default the oracles are the BVP and FD routes and err is the worst
-    pairwise gap of the three routes.  The solves' summary, the rank of each
-    FD re-solve in ascending t, the probe warnings on the base boundary (a
-    list, empty without any) and the FD record of the FD route go to details.
+    By default the oracles are the BVP and tangent routes and err is the
+    worst pairwise gap of the three routes.  The solves' summary and the
+    probe warnings on the base boundary (a list, empty without any) go to
+    details.  A row that also re-solves along an FD ladder passes it as
+    ``fd``: its value joins the oracles, and the rank of each re-solve in
+    ascending t and the ladder's FD record join details.
     """
-    details = {**tri.solve_details(), "re_solve_ranks": list(tri.fd_ladder.re_solve_ranks),
-               "probe_warnings": list(tri.probe_warnings), **fd_details(tri.fd_ladder)}
-    return (tri.formula, oracles or {"bvp": tri.bvp, "fd": tri.fd},
-            tri.max_pairwise if err is None else err, details)
+    details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings)}
+    oracles = oracles or {"bvp": tri.bvp, "tangent": tri.tangent}
+    if fd is not None:
+        oracles["fd"] = fd.value
+        details.update(re_solve_ranks=list(fd.re_solve_ranks), **fd_details(fd))
+    return tri.formula, oracles, tri.max_pairwise if err is None else err, details
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +536,22 @@ def _delta_n_rotation(st, case):
 
 
 def _route_triangle(order: int, kind: str):
-    """The three routes of one variation; the disk adds the scaling oracle."""
+    """The three routes of one variation.  The disk adds the scaling oracle;
+    the annulus adds FD re-solves, the tangent's own oracle, and err is the
+    worst pairwise gap of the four values."""
     def runner(st, case):
         routes = hd.delta_n_routes if order == 1 else hd.delta2_n_routes
         mixed, (x, y), fam = GREENS_BOUNDARIES[kind]
         tri = routes(_domain(st, kind), mixed, fam, x, y, st.greens_config())
         if kind != "disk":
-            return route_result(tri)
+            fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(
+                _base_solver(st, kind), fam, x, y)
+            gaps = hd.route_gaps({"formula": tri.formula, "bvp": tri.bvp,
+                                  "tangent": tri.tangent, "fd": fd.value})
+            return route_result(tri, max(gaps.values()), fd=fd)
         oracle = hd.disk_dilation_delta_n(x, y, order=order)
         err = max(tri.max_pairwise, abs(tri.formula - oracle) / (1 + abs(oracle)))
-        return route_result(tri, err, bvp=tri.bvp, fd=tri.fd, scaling_oracle=oracle)
+        return route_result(tri, err, bvp=tri.bvp, tangent=tri.tangent, scaling_oracle=oracle)
 
     return runner
 
@@ -549,7 +560,7 @@ def _delta2_rotation(st, case):
     x, y = GREENS_BOUNDARIES["disk"].probes
     tri = hd.delta2_n_routes(_domain(st, "disk"), GREENS_BOUNDARIES["disk"].mixed,
                              pert.FlowFamily(pert.rotation()), x, y, st.greens_config())
-    return route_result(tri, max(abs(tri.formula), abs(tri.bvp), abs(tri.fd)),
+    return route_result(tri, max(abs(tri.formula), abs(tri.bvp), abs(tri.tangent)),
                         symmetry=0.0)
 
 
@@ -715,16 +726,16 @@ def build_registry() -> list[Case]:
              description="Rotation flow on the disk: first variation vanishes."),
         Case("hadamard-delta-n-triangle-disk", "hadamard",
              "first-variation route agreement", 1e-3, _route_triangle(1, "disk"),
-             description="Pairing formula vs variation BVP vs re-solve differences on the disk."),
+             description="Pairing formula vs variation BVP vs exact discrete derivative (tangent) on the disk, plus the scaling oracle."),
         Case("hadamard-delta-n-triangle-annulus", "hadamard",
              "first-variation route agreement", 1e-3, _route_triangle(1, "annulus"),
-             description="Same three routes on the mixed annulus under translation."),
+             description="Same three routes on the mixed annulus under translation, plus FD re-solves as the tangent's oracle."),
         Case("hadamard-delta2-n-triangle-disk", "hadamard",
              "second-variation route agreement", 1e-2, _route_triangle(2, "disk"),
-             description="Second variation: formula vs second-order BVP vs 5-point differences, plus the scaling oracle."),
+             description="Second variation: formula vs second-order BVP vs tangent, plus the scaling oracle."),
         Case("hadamard-delta2-n-triangle-annulus", "hadamard",
              "second-variation route agreement", 1e-2, _route_triangle(2, "annulus"),
-             description="Same three routes on the mixed annulus under translation."),
+             description="Same three routes on the mixed annulus under translation, plus 5-point FD re-solves as the tangent's oracle."),
         Case("hadamard-delta2-rotation-zero", "hadamard",
              "second-variation route agreement", 1e-6, _delta2_rotation,
              description="Rotation flow on the disk: second variation vanishes in all routes."),

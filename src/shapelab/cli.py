@@ -199,8 +199,8 @@ def _liouville_case(id, kind, domain, family, integrand, tolerance=1e-4, ladder=
                 tolerance, runner, description=f"user case {id} ({kind})")
 
 
-def _hadamard_case(id, domain, mixed, family, probes, variation="first", tolerance=None,
-                   ladder=None) -> Case:
+def _hadamard_case(id, domain, mixed, family, probes, variation="first",
+                   tolerance=None) -> Case:
     """A route-agreement case; ``tolerance`` is by default 1e-3 (first) or 1e-2 (second)."""
     routes = {"first": hd.delta_n_routes, "second": hd.delta2_n_routes}
     curve, domain_key = _curve(domain)
@@ -217,12 +217,10 @@ def _hadamard_case(id, domain, mixed, family, probes, variation="first", toleran
         raise ConfigError(f"unknown variation {variation!r}; choose from {sorted(routes)}")
     tolerance = _tolerance((1e-3 if variation == "first" else 1e-2) if tolerance is None
                            else tolerance)
-    ladder = ladder_steps(ladder)
 
     def runner(st, case):
         return route_result(routes[variation](st.domain(domain_key, curve), mixed, family,
-                                              points[0], points[1], st.greens_config(),
-                                              ladder=ladder))
+                                              points[0], points[1], st.greens_config()))
 
     return Case(id, "hadamard", "config-declared variation case", tolerance, runner,
                 description=f"user case {id} ({variation} variation)")

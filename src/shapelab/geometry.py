@@ -3,7 +3,8 @@
 Curves are closed trigonometric-polynomial maps theta in [0, 2pi) -> R^2,
 so all derivatives are analytic and equispaced trapezoid quadrature is
 spectrally accurate.  The module provides the one frame path
-(``pushed_frame``, for base and deformed point sets alike), boundary grids
+(``pushed_frame``, for base and deformed point sets alike) and its exact
+t-rates at t = 0 (``frame_rates``), boundary grids
 with frames and curvature, tangential differentiation, constant-along-normal
 collar extensions, and a blended radial quadrature for the enclosed region.
 
@@ -349,6 +350,25 @@ def pushed_frame(curve: FourierCurve, thetas: np.ndarray, family=None, t: float 
         raise GeometryError(f"degenerate boundary: |DT_t x'| ~ 0 at node {bad[0]}")
     tangent = dx / speed[:, None]
     return nodes, tangent, _rotate_quarter(tangent), speed
+
+
+def frame_rates(curve: FourierCurve, thetas: np.ndarray, family):
+    """The unit normal of T_t(curve) at ``thetas`` and its first two
+    t-derivatives at t = 0, each complex (nu1 + i nu2).
+
+    ``pushed_frame``'s rule in complex form: v(t) = DT_t x'(theta) turns at
+    the rate phi' = Im(v'/v) and phi'' = Im(v''/v - (v'/v)^2), with v' = DS x'
+    and v'' = DR x' (``family.velocity_jacobian``/``acceleration_jacobian``),
+    so nu = -i v/|v| gives nu' = i phi' nu and nu'' = (i phi'' - phi'^2) nu.
+    """
+    nodes, dx = curve.point(thetas), curve.velocity(thetas)
+    v, dv, ddv = (vector @ (1.0, 1j) for vector in (
+        dx, *(np.einsum("nij,nj->ni", jac(nodes), dx)
+              for jac in (family.velocity_jacobian, family.acceleration_jacobian))))
+    turn = dv / v
+    rate, acceleration = turn.imag, (ddv / v - turn * turn).imag
+    nu = -1j * v / np.abs(v)
+    return nu, 1j * rate * nu, (1j * acceleration - rate * rate) * nu
 
 
 def build_grid(curve: FourierCurve, m: int) -> BoundaryGrid:

@@ -27,10 +27,16 @@ returns takes the T_t images of the kept charges only, in ring order, and
 the base's rank, which is its column count.  Its first solve factors that
 matrix once, in place, by unpivoted blocked QR (dgeqrt, then dgemqrt and
 dtrsm): no re-pivoting and no re-truncation, so every t of a
-finite-difference ladder has the same charge set and the same rank.  On
-the green-variations benchmark 102 of 105 first solves are such one-shot
-re-solves of 768x226 or 384x112 matrices, where dgeqrt takes about a
-third of gelsy's time.  On a full-rank matrix every column is kept, in its
+finite-difference ladder has the same charge set and the same rank; on a
+768x226 matrix dgeqrt takes about a third of gelsy's time.  The Hadamard
+tangent route differentiates this problem at t = 0 instead of re-solving
+it: ``collocation_rates`` gives the exact t-rates of its matrix and data,
+and ``MixedSolver.fit`` applies A^+ and (A^T A)^-1 = R^-1 R^-T on the QR
+factors of ``moved(None, 0.0)``.  So the green-variations benchmark makes
+12 such t = 0 solves and no re-solve at t != 0, where it made 102 FD
+re-solves; the registry re-solves only for the FD ladders of its two
+mixed-annulus route rows and for its perturbed-scaling case.  On a
+full-rank matrix every column is kept, in its
 original order; every matrix of the built-in registry is full rank, so
 truncation and kept columns serve rank-deficient boundaries such as rings
 of 192 charges.  Solves on the base matrix itself, poles and variation
@@ -84,7 +90,7 @@ from importlib.util import module_from_spec, spec_from_loader
 import numpy as np
 import scipy
 
-from .geometry import TWO_PI, Domain, FourierBasis, MixedBoundary, pushed_frame
+from .geometry import TWO_PI, Domain, FourierBasis, MixedBoundary, frame_rates, pushed_frame
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
@@ -93,6 +99,11 @@ CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
 # gradient kernel, where the 9216-node interior rule against 384 charges
 # made one 57 MB array
 BLOCK_ENTRIES = 2 ** 18
+# kernel entries in one row block of a rate assembly: its few complex
+# temporaries stay at 64 KB each.  On the green-variations benchmark the
+# tangent then peaks 0.3 MB (tracemalloc) above the run's earlier peak, against
+# 1.4 MB with 2 ** 14 entries, and it runs no slower
+RATE_BLOCK_ENTRIES = 2 ** 12
 
 
 def _linalg_extension(name: str):
@@ -183,6 +194,72 @@ def fundamental_hessian(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
     outer = np.einsum("nki,nkj->nkij", diff, diff)
     return INV_2PI * (2.0 * outer / r2[..., None, None] ** 2
                       - np.eye(2) / r2[..., None, None])
+
+
+def _plane(points: np.ndarray) -> np.ndarray:
+    """(..., 2) points as complex numbers x1 + i x2."""
+    return points @ (1.0, 1j)
+
+
+def _motion(family, points: np.ndarray) -> list[np.ndarray]:
+    """The complex velocity S and acceleration R of (N, 2) points under ``family``."""
+    return [_plane(family.velocity(points)), _plane(family.acceleration(points))]
+
+
+def kernel_rates(points, sources, point_motion, source_motion, normals=None,
+                 order: int = 1, out=None) -> list[np.ndarray]:
+    """The t-derivatives of orders 1 to ``order`` at t = 0 of the (N, K) kernel
+    Gamma(p_i(t) - s_j(t)), or with ``normals`` of its normal derivative
+    grad Gamma(p_i(t) - s_j(t)) . nu_i(t), as real arrays (written to ``out``).
+
+    Points, sources and normals are complex (x1 + i x2).  Each motion is the
+    (velocity, acceleration) of its point set, arrays or 0 for a fixed set,
+    and ``normals`` is (nu, nu', nu'') per point.  Gamma = Re F with
+    F(w) = -log(w) / (2 pi) and w = p - s; with q = w'/w and a = w''/w:
+    - value rows: Re F' w' = -Re q / (2 pi) and
+      Re(F'' w'^2 + F' w'') = Re(q^2 - a) / (2 pi);
+    - normal-derivative rows: Re(F'' w' nu + F' nu') = Re((q nu - nu') / w) / (2 pi)
+      and Re(F''' w'^2 nu + F'' w'' nu + 2 F'' w' nu' + F' nu'')
+      = Re(((a - 2 q^2) nu + 2 q nu' - nu'') / w) / (2 pi).
+    The complex work runs in row blocks of at most RATE_BLOCK_ENTRIES entries.
+    """
+    points = np.atleast_1d(points)
+    velocity, acceleration = (np.broadcast_to(m, points.shape) for m in point_motion)
+    if out is None:
+        out = [np.empty((len(points), len(sources)), order="F") for _ in range(order)]
+    step = max(1, RATE_BLOCK_ENTRIES // len(sources))
+    for start in range(0, len(points), step):
+        rows = slice(start, start + step)
+        inv = np.reciprocal(np.subtract.outer(points[rows], sources))
+        q = np.subtract.outer(velocity[rows], source_motion[0])
+        q *= inv
+        if order == 2:
+            a = np.subtract.outer(acceleration[rows], source_motion[1])
+            a *= inv
+        if normals is None:
+            np.multiply(q.real, -INV_2PI, out=out[0][rows])
+            if order == 2:
+                q *= q
+                q -= a
+                np.multiply(q.real, INV_2PI, out=out[1][rows])
+            continue
+        nu, dnu, ddnu = (n[rows, None] for n in normals)
+        first = q * nu
+        first -= dnu
+        first *= inv
+        np.multiply(first.real, INV_2PI, out=out[0][rows])
+        if order == 2:
+            second = np.multiply(q, dnu, out=first)
+            second *= 2.0
+            second -= ddnu
+            q *= q
+            q *= -2.0
+            q += a
+            q *= nu
+            second += q
+            second *= inv
+            np.multiply(second.real, INV_2PI, out=out[1][rows])
+    return out
 
 
 def _per_column(kernel: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -447,6 +524,27 @@ class _QRFactors:
         x = _blas.dtrsm(1.0, self.qr[:n], qtb[:n])
         return x if rhs.ndim == 2 else x[:, 0]
 
+    def fit(self, data: np.ndarray, gram: np.ndarray | None = None):
+        """(x, data - A x) for x = A^+ data + (A^T A)^-1 gram, one data column.
+
+        (A^T A)^-1 = R^-1 R^-T, two dtrsm.  With Q^T data = (g1, g2),
+        x = R^-1 (g1 + R^-T gram) and data - A x = Q (-R^-T gram, g2), so the
+        residual needs no copy of A.  Without ``gram``, x is ``solve``'s
+        least-squares solution, bit for bit.
+        """
+        n = self.qr.shape[1]
+        qtb, _ = _lapack.dgemqrt(self.qr, self.t, np.reshape(data, (-1, 1)),
+                                 side="L", trans="T")
+        head = qtb[:n].copy()
+        if gram is None:
+            qtb[:n] = 0.0
+        else:
+            qtb[:n] = -_blas.dtrsm(1.0, self.qr[:n], np.reshape(gram, (-1, 1)), trans_a=1)
+            head -= qtb[:n]
+        x = _blas.dtrsm(1.0, self.qr[:n], head)
+        residual, _ = _lapack.dgemqrt(self.qr, self.t, qtb, side="L", trans="N")
+        return x[:, 0], residual[:, 0]
+
 
 class MixedSolver:
     """Shared collocation matrix for one (possibly deformed) boundary.
@@ -541,6 +639,13 @@ class MixedSolver:
                 f"{self.config.fail_threshold:.1e} "
                 f"(condition estimate {self.condition_estimate:.2e})")
         return fld, diags[0] if rhs.ndim == 1 else diags
+
+    def fit(self, data: np.ndarray, gram: np.ndarray | None = None):
+        """``_QRFactors.fit`` on a re-solve's matrix, which its first solve factored."""
+        if not isinstance(self._factors, _QRFactors):
+            raise GreensError("a fit needs the QR factors of a solved re-solve "
+                              "(GreensSolver.moved)")
+        return self._factors.fit(data, gram)
 
     @functools.cached_property
     def _fourier_bases(self) -> list[tuple[FourierBasis, FourierBasis]]:
@@ -671,6 +776,41 @@ class GreensSolver:
         Per component one data set (M,) or k of them (k, M), in one solve.
         """
         return self.solver.solve_nodal(nodal_data)
+
+    def collocation_rates(self, family, y: np.ndarray, order: int) -> list[tuple]:
+        """(A_k, b_k) for k = 1 to ``order``: the k-th t-derivatives at t = 0 of
+        the collocation matrix and of the corrector data for the pole y, as
+        this undeformed boundary and its charges move by ``family``.
+
+        On ``moved(None, 0.0)`` these are the rates of the problem that the
+        re-solves ``moved(family, t)`` fit.  Nodes and charges move with
+        ``family.velocity`` and ``acceleration``, the pole stays, and Neumann
+        rows turn with ``frame_rates``.  The pole is one more kernel column,
+        whose rate is -b_k.
+        """
+        sources = _plane(np.vstack([self.solver.charges, y]))
+        source_motion = [np.append(m, 0.0) for m in _motion(family, self.solver.charges)]
+        rates = [np.empty((len(self.solver.matrix), len(sources)), order="F")
+                 for _ in range(order)]
+        start = 0
+        for curve, comp in zip(self.domain.curve.components, self.components):
+            nodes = comp.colloc_nodes
+            stop = start + len(nodes)
+            normals = (None if comp.dirichlet
+                       else frame_rates(curve, comp.colloc_thetas, family))
+            kernel_rates(_plane(nodes), sources, _motion(family, nodes), source_motion,
+                         normals, order, out=[r[start:stop] for r in rates])
+            start = stop
+        return [(r[:, :-1], -r[:, -1]) for r in rates]
+
+    def kernel_row_rates(self, family, x: np.ndarray, order: int) -> list[np.ndarray]:
+        """Gamma(x - z_j(t)) over this undeformed solver's charges z_j at the
+        fixed point x, then its t-derivatives of orders 1 to ``order`` at
+        t = 0 as the charges move by ``family``: ``order`` + 1 rows (K,)."""
+        charges = self.solver.charges
+        rates = kernel_rates(_plane(x), _plane(charges), (0.0, 0.0),
+                             _motion(family, charges), order=order)
+        return [row[0] for row in (fundamental_solution(x, charges), *rates)]
 
     def moved(self, family, t: float) -> "GreensSolver":
         """The solver of T_t(Omega) for this solved, undeformed one, on the T_t

@@ -2,10 +2,17 @@
 
 Three independent routes are implemented for each variation: the boundary
 variational formula (trace pairings), an auxiliary harmonic BVP solved with
-the same collocation machinery, and finite differences of full re-solves on
-the deformed domain.  The second variation's boundary coefficients chi and
-sigma are assembled in three algebraic forms whose nodewise agreement is
-itself a shipped check.
+the same collocation machinery, and the tangent: the exact t-derivative at
+t = 0 of the discrete problem on the deformed domain T_t(Omega), the
+kept-column least-squares fit that ``GreensSolver.moved`` re-solves.  The
+tangent differentiates that fit by the Golub-Pereyra rule for the
+derivative of a least-squares solution, from the QR factors of its t = 0
+matrix and the exact rates of its entries, so it re-solves nothing.
+Finite differences of full re-solves along a t-ladder (``delta_n_fd``,
+``delta2_n_fd``) differentiate the same problem; the registry keeps them on
+the mixed annulus, as the tangent's own oracle.  The second variation's
+boundary coefficients chi and sigma are assembled in three algebraic forms
+whose nodewise agreement is itself a shipped check.
 
 Conventions for the coefficient forms (2-D, collar-extended normal with
 d(nu)/dn = 0, so (grad nu) restricted to the boundary is kappa tau tau):
@@ -19,6 +26,7 @@ one is kept as a reported diagnostic (``chi_display_residual``).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -197,6 +205,42 @@ def delta_n_fd(solver: GreensSolver, family: PerturbationFamily,
     return _resolved_ladder(1, solver, family, x, y, ladder)
 
 
+def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
+             x, y) -> list[float]:
+    """The t-derivatives of orders 1 to ``order`` at t = 0 of t -> N_t(x, y),
+    the value ``_resolved_ladder`` differences, for the solved base ``solver``.
+
+    At t = 0 the re-solve's fit A c = b is ``solver.moved(None, 0.0)``, which
+    one solve factors by QR.  With r = b - A c and (A^T A)^-1 = R^-1 R^-T
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
+    c' = A^+(b' - A'c) + (A^T A)^-1 A'^T r, r' = b' - A'c - A c', and
+    c'' = A^+(b'' - A''c - 2A'c') + (A^T A)^-1 (A''^T r + 2 A'^T r').
+    The value Gamma(x - y) + sum_j c_j Gamma(x - z_j(t)) at the fixed x then
+    takes the rates of c and of its charges' kernel row, by Leibniz's rule.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    at_zero = solver.moved(None, 0.0)
+    at_zero.solve(y)  # factors A, under the check-node gate
+    fit = at_zero.solver.fit
+    c, r = fit(np.concatenate(at_zero.corrector_data(y)[0]))
+    (a1, b1), *second = at_zero.collocation_rates(family, y, order)
+    kernel = at_zero.kernel_row_rates(family, x, order)
+    c1, r1 = fit(b1 - a1 @ c, a1.T @ r)
+    rates = [float(kernel[0] @ c1 + kernel[1] @ c)]
+    if second:
+        (a2, b2), = second
+        c2, _ = fit(b2 - a2 @ c - 2.0 * (a1 @ c1), a2.T @ r + 2.0 * (a1.T @ r1))
+        rates.append(float(kernel[0] @ c2 + 2.0 * (kernel[1] @ c1) + kernel[2] @ c))
+    return rates
+
+
+def delta_n_tangent(solver: GreensSolver, family: PerturbationFamily,
+                    x: np.ndarray, y: np.ndarray) -> float:
+    """First variation as the exact t-derivative at t = 0 of the problem that
+    ``delta_n_fd`` re-solves, from the base ``solver`` (see ``_tangent``)."""
+    return _tangent(1, solver, family, x, y)[0]
+
+
 # ---------------------------------------------------------------------------
 # Second variation
 # ---------------------------------------------------------------------------
@@ -275,6 +319,13 @@ def delta2_n_fd(solver: GreensSolver, family: PerturbationFamily,
     return _resolved_ladder(2, solver, family, x, y, ladder)
 
 
+def delta2_n_tangent(solver: GreensSolver, family: PerturbationFamily,
+                     x: np.ndarray, y: np.ndarray) -> float:
+    """Second variation as the exact second t-derivative at t = 0 of the
+    problem that ``delta2_n_fd`` re-solves (see ``_tangent``)."""
+    return _tangent(2, solver, family, x, y)[1]
+
+
 # ---------------------------------------------------------------------------
 # Gradient-pairing identity
 # ---------------------------------------------------------------------------
@@ -333,24 +384,21 @@ def disk_dilation_delta_n(x, y, order: int = 1) -> float:
 
 @dataclass
 class RouteTriangle:
-    """Pairwise comparison of the formula, BVP, and FD routes for one probe pair.
+    """Pairwise comparison of the formula, BVP and tangent routes for one probe pair.
 
     ``residual``, ``rank`` and ``n_unknowns`` summarize the base and BVP
     solves: the worst check-node residual, the smallest rank, and the
     number of charges.  ``probe_warnings`` are the probe warnings on the
-    base boundary; those of the re-solves are in the FD route's ladder
-    ``fd_ladder``, whose value is ``fd`` and which holds the rank of each
-    re-solve.
+    base boundary, the only boundary the routes solve on.
     """
 
     formula: float
     bvp: float
-    fd: float
+    tangent: float
     pairwise: dict
     residual: float
     rank: int
     n_unknowns: int
-    fd_ladder: ResolvedLadder
     probe_warnings: list[str]
 
     @property
@@ -367,22 +415,21 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def _triangle(formula: float, bvp: float, fd: ResolvedLadder,
-              diagnostics: list[SolveDiagnostics], issued: list[str]) -> RouteTriangle:
-    """The route comparison; re-solve probe warnings not ``issued`` yet go to the caller.
+def route_gaps(values: dict) -> dict:
+    """The relative gap |a - b| / (1 + max(|a|, |b|)) of every pair of route
+    values, keyed "a_vs_b" in the order of ``values``."""
+    return {f"{a}_vs_{b}": _rel(values[a], values[b])
+            for a, b in itertools.combinations(values, 2)}
 
-    The FD ladder's own warnings stay in the FD result.
-    """
-    for message in fd.warnings:
-        if message.startswith("probe ") and message not in issued:
-            warnings.warn(message, stacklevel=3)
-    pairwise = {"formula_vs_bvp": _rel(formula, bvp),
-                "formula_vs_fd": _rel(formula, fd.value),
-                "bvp_vs_fd": _rel(bvp, fd.value)}
-    return RouteTriangle(formula, bvp, fd.value, pairwise,
+
+def _triangle(formula: float, bvp: float, tangent: float,
+              diagnostics: list[SolveDiagnostics], issued: list[str]) -> RouteTriangle:
+    """The route comparison, with the probe warnings ``issued`` on the base boundary."""
+    pairwise = route_gaps({"formula": formula, "bvp": bvp, "tangent": tangent})
+    return RouteTriangle(formula, bvp, tangent, pairwise,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),
-                         diagnostics[0].n_unknowns, fd, issued)
+                         diagnostics[0].n_unknowns, issued)
 
 
 def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):
@@ -400,24 +447,23 @@ def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfi
 
 
 def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
-                   x, y, config: GreensConfig | None = None,
-                   ladder=None) -> RouteTriangle:
+                   x, y, config: GreensConfig | None = None) -> RouteTriangle:
     """Run all three first-variation routes for one probe pair."""
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     formula = delta_n_formula(solver, family, ev)
     udot_y, bvp_diag = delta_n_bvp(solver, family, ev[1])
     bvp = float(udot_y.value(x[None, :])[0])
-    fd = delta_n_fd(solver, family, x, y, ladder=ladder)
-    return _triangle(formula, bvp, fd, [*ev.diagnostics, bvp_diag], messages)
+    tangent = delta_n_tangent(solver, family, x, y)
+    return _triangle(formula, bvp, tangent, [*ev.diagnostics, bvp_diag], messages)
 
 
 def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
-                    x, y, config: GreensConfig | None = None,
-                    ladder=None) -> RouteTriangle:
+                    x, y, config: GreensConfig | None = None) -> RouteTriangle:
     """Run all three second-variation routes for one probe pair.
 
-    Three solves: the poles (x, y), their first variations, then the second
-    variation for y.
+    Three solves on the base matrix: the poles (x, y), their first
+    variations, then the second variation for y; the tangent adds one on
+    its t = 0 matrix.
     """
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)
@@ -425,6 +471,6 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     formula = delta2_n_formula(solver, family, ev, udot, coeffs)
     uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
-    fd = delta2_n_fd(solver, family, x, y, ladder=ladder)
-    return _triangle(formula, bvp, fd, [*ev.diagnostics, *udot_diags, uddot_diag],
+    tangent = delta2_n_tangent(solver, family, x, y)
+    return _triangle(formula, bvp, tangent, [*ev.diagnostics, *udot_diags, uddot_diag],
                      messages)

@@ -233,7 +233,8 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("custom_liouville", "ladder", [0.01], "ladder must be a decreasing sequence"),
-        ("custom_hadamard", "ladder", [0.01, 0.02], "ladder must be a decreasing sequence"),
+        # custom route rows re-solve nothing, so they take no ladder
+        ("custom_hadamard", "ladder", [0.01, 0.005], "unknown custom_hadamard keys: ['ladder']"),
         ("custom_hadamard", "probes", [[0.3, 0.0, 1.0], [0.0, 0.4]],
          "probes must be two points of two finite coordinates"),
         ("custom_liouville", "tolerance", "nan", "tolerance must be a finite positive number"),
@@ -409,9 +410,10 @@ class TestSharedBaseSolver:
         cfg.write_text(json.dumps({"custom_hadamard": SHARED_ANNULUS}))
         built, init = [], gr.GreensSolver.__init__
 
-        def counted(self, domain, mixed, config=None, family=None, *args, **kwargs):
-            built.append(family)
-            init(self, domain, mixed, config, family, *args, **kwargs)
+        def counted(self, domain, mixed, config=None, family=None, t=0.0, charges=None):
+            # a base solver takes the domain's charge rings; moved() passes charges
+            built.append((family, charges is None))
+            init(self, domain, mixed, config, family, t, charges)
 
         monkeypatch.setattr(gr.GreensSolver, "__init__", counted)
         ids = [spec["id"] for spec in SHARED_ANNULUS]
@@ -422,7 +424,7 @@ class TestSharedBaseSolver:
             built.clear()
             assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / name),
                              *args]) == cli.EXIT_OK
-            assert built.count(None) == 1  # one base solver per run
+            assert built.count((None, True)) == 1  # one base solver per run
             payload = json.loads((tmp_path / name / "report.json").read_text())
             rows[name] = {case["case_id"]: case for case in payload["cases"]}
         for cid, alone in zip(ids, ("first", "second")):
@@ -578,7 +580,7 @@ def test_a_count_is_a_detail_not_an_oracle(case_id, count):
 
 
 @pytest.mark.parametrize("case_id, n_abscissae", [
-    ("hadamard-delta-n-triangle-annulus", 8), ("hadamard-delta2-n-triangle-disk", 9)])
+    ("hadamard-delta-n-triangle-annulus", 8), ("hadamard-delta2-n-triangle-annulus", 9)])
 def test_a_registry_route_row_re_solves_at_full_rank(case_id, n_abscissae):
     registry = {c.case_id: c for c in build_registry()}
     details = registry[case_id].run(CaseSettings(seed=7)).details

@@ -4,7 +4,7 @@ import pytest
 from shapelab import cli
 from shapelab import geometry as geo
 from shapelab.integrands import IntegrandSpec, normal_scaled_integrand
-from shapelab.perturbation import PolynomialField, TaylorFamily
+from shapelab.perturbation import FlowFamily, PolynomialField, TaylorFamily, dilation, shear
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,6 +33,23 @@ class TestGrid:
                                    0.0, atol=1e-14)
         np.testing.assert_allclose(np.hypot(*grid.normal.T), 1.0, atol=1e-14)
         np.testing.assert_allclose(np.hypot(*grid.tangent.T), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("family", [
+        TaylorFamily(shear(0.5), PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25})),
+        FlowFamily(PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25, (1, 0, 0): -0.2})),
+        TaylorFamily(dilation())], ids=["shear-with-R", "quadratic-flow", "dilation"])
+    def test_frame_rates_are_the_t_derivatives_of_the_pushed_normal(self, family):
+        curve, thetas, h = geo.star(1.0, 0.2, 3), TWO_PI * np.arange(64) / 64, 1e-3
+        normal = {t: geo.pushed_frame(curve, thetas, family, t)[2] @ (1.0, 1j)
+                  for t in (-2 * h, -h, 0.0, h, 2 * h)}
+        nu, rate, acceleration = geo.frame_rates(curve, thetas, family)
+        np.testing.assert_allclose(nu, normal[0.0], rtol=0, atol=1e-15)
+        first = (-normal[2 * h] + 8 * normal[h] - 8 * normal[-h] + normal[-2 * h]) / (12 * h)
+        second = (-normal[2 * h] + 16 * normal[h] - 30 * normal[0.0] + 16 * normal[-h]
+                  - normal[-2 * h]) / (12 * h * h)
+        # 4th-order stencils at h = 1e-3: 2.1e-13 and 6.2e-10 at worst
+        np.testing.assert_allclose(rate, first, rtol=0, atol=2e-12)
+        np.testing.assert_allclose(acceleration, second, rtol=0, atol=6e-9)
 
     def test_annulus_total_turning_is_genus_weighted(self):
         curve = geo.annulus(0.5, 1.0)

@@ -544,8 +544,8 @@ class TestKeptColumns:
                                  *BLOCK_POLES["annulus"][:2], gr.GreensConfig(n_charges=192))
         assert tri.rank < tri.n_unknowns == 384
         # poles, first and second variations on the whole base matrix, then
-        # the nine abscissae of the ladder on the kept columns only
-        assert shapes == [(768, 384)] * 3 + [(768, tri.rank)] * 9
+        # the tangent's one solve at t = 0 on the kept columns only
+        assert shapes == [(768, 384)] * 3 + [(768, tri.rank)]
 
     def test_zero_velocity_ladder_values_are_bit_identical_at_every_t(self, annulus,
                                                                       monkeypatch):
@@ -673,6 +673,82 @@ class TestReSolves:
         result = hd.delta_n_fd(solver, fam, x, y)
         assert np.isfinite(result.value)
         assert result.re_solve_ranks == (112,) * 8
+
+
+# the deformation kinds of the rate tests: R = 0 with a turning frame, a
+# fixed frame, a Taylor shear with R != 0, and a quadratic flow
+RATE_FAMILIES = {
+    "dilation": pert.TaylorFamily(pert.dilation()),
+    "translation": pert.TaylorFamily(pert.translation(1.0, 0.0)),
+    "shear-with-R": pert.TaylorFamily(pert.shear(0.5),
+                                      pert.PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25})),
+    "quadratic-flow": pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25,
+                                                            (1, 0, 0): -0.2})),
+}
+
+
+class TestCollocationRates:
+    """A', A'', b' and b'' are the t-derivatives of the re-solve's matrix and
+    corrector data, and the tangent fit differentiates the least-squares fit."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, annulus):
+        # 256x128 with Dirichlet rows on the outer circle, Neumann on the hole
+        solver = gr.GreensSolver(annulus, MIXED["annulus"], gr.GreensConfig(n_charges=64))
+        y = BLOCK_POLES["annulus"][1]
+        solver.solve(y)
+        return solver, y
+
+    @pytest.mark.parametrize("name", sorted(RATE_FAMILIES))
+    def test_rates_match_central_differences_of_the_re_solve_problem(self, solved, name):
+        solver, y = solved
+        family, h = RATE_FAMILIES[name], 1e-3
+        problem = {}
+        for t in (-2 * h, -h, 0.0, h, 2 * h):
+            moved = solver.moved(family, t)
+            problem[t] = (moved.solver.matrix.copy(), np.concatenate(moved.corrector_data(y)[0]))
+        rates = solver.moved(None, 0.0).collocation_rates(family, y, 2)
+        n_dirichlet = len(solver.components[0].colloc_nodes)
+        for k in (0, 1):  # the matrix, then the data
+            g = {t: value[k] for t, value in problem.items()}
+            first = (-g[2 * h] + 8 * g[h] - 8 * g[-h] + g[-2 * h]) / (12 * h)
+            second = (-g[2 * h] + 16 * g[h] - 30 * g[0.0] + 16 * g[-h] - g[-2 * h]) / (12 * h * h)
+            for order, want in ((0, first), (1, second)):
+                got = rates[order][k]
+                assert got.shape == want.shape
+                # Dirichlet rows, then Neumann rows; the stencils' truncation
+                # and rounding read at most 1.2e-9 relative to max(1, |want|)
+                for rows in (slice(None, n_dirichlet), slice(n_dirichlet, None)):
+                    scale = max(1.0, float(np.max(np.abs(want[rows]))))
+                    assert np.max(np.abs(got[rows] - want[rows])) <= 1e-8 * scale, (k, order)
+
+    def test_a_plain_fit_is_the_re_solve_and_its_residual(self, solved):
+        solver, y = solved
+        at_zero = solver.moved(None, 0.0)
+        matrix = at_zero.solver.matrix.copy()  # the solve factors it in place
+        ev = at_zero.solve(y)
+        data = np.concatenate(at_zero.corrector_data(y)[0])
+        x, residual = at_zero.solver.fit(data)
+        np.testing.assert_array_equal(x, ev.corrector.coefficients)  # solve's bits
+        np.testing.assert_allclose(residual, data - matrix @ x, rtol=0, atol=1e-12)
+
+    def test_a_gram_fit_solves_the_normal_equations(self):
+        rng = np.random.default_rng(0)
+        matrix, data, gram = rng.standard_normal((40, 10)), rng.standard_normal(40), \
+            rng.standard_normal(10)
+        x, residual = gr._QRFactors(np.asfortranarray(matrix)).fit(data, gram)
+        # A^T A x = A^T data + gram, so x = A^+ data + (A^T A)^-1 gram
+        np.testing.assert_allclose(x, np.linalg.solve(matrix.T @ matrix,
+                                                      matrix.T @ data + gram),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(residual, data - matrix @ x, rtol=0, atol=1e-13)
+
+    def test_a_gram_fit_needs_a_factored_re_solve(self, solved):
+        solver, y = solved
+        with pytest.raises(gr.GreensError, match="QR factors"):
+            solver.solver.fit(np.concatenate(solver.corrector_data(y)[0]))
+        with pytest.raises(gr.GreensError, match="QR factors"):
+            solver.moved(None, 0.0).solver.fit(np.concatenate(solver.corrector_data(y)[0]))
 
 
 def _dgelsy(matrix, rhs):

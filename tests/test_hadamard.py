@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -168,17 +170,23 @@ class TestFirstVariation:
         assert route_result(tri)[3]["probe_warnings"] == [message]
         assert message in [str(w.message) for w in record]
 
-    def test_routes_warn_for_a_probe_near_a_re_solved_boundary(self, disk):
+    def test_fd_re_solves_record_a_probe_near_a_re_solved_boundary(self, disk):
         # (0.80, 0) is 0.20 from the unit circle, outside 3 node spacings
         # (0.147) at m=128, but the t = -0.1 re-solve of the dilation moves
-        # the circle to radius 0.9; that warning is issued once
-        with pytest.warns(UserWarning, match="node spacings") as record:
-            tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
-                                     np.array([0.80, 0.0]), DISK_PROBES[1])
-        messages = [str(w.message) for w in record if "node spacings" in str(w.message)]
-        assert len(messages) == 1 and "0.8" in messages[0]
+        # the circle to radius 0.9; the routes solve only at t = 0 and warn
+        # of nothing, while the FD ladder records that warning once
+        x, y = np.array([0.80, 0.0]), DISK_PROBES[1]
+        fam = pert.TaylorFamily(pert.dilation())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), fam, x, y)
         assert tri.max_pairwise < 1e-9
         assert tri.residual < 1e-5
+        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver.solve(y)
+        messages = [m for m in hd.delta2_n_fd(solver, fam, x, y).warnings
+                    if "node spacings" in m]
+        assert len(messages) == 1 and "0.8" in messages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +331,7 @@ class TestSecondVariationRoutes:
         x, y = DISK_PROBES
         tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1),
                                  pert.FlowFamily(pert.rotation()), x, y)
-        assert max(abs(tri.formula), abs(tri.bvp), abs(tri.fd)) < 1e-6
+        assert max(abs(tri.formula), abs(tri.bvp), abs(tri.tangent)) < 1e-6
 
     def test_route_triangle_annulus_translation(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
@@ -417,24 +425,92 @@ class TestPoleExchangeProperty:
         assert abs(second - swapped) <= 1e-10 * (1 + abs(second))
 
 
+TANGENT_FAMILIES = {
+    "dilation": pert.TaylorFamily(pert.dilation()),
+    "translation": translation(),
+    "shear-with-R": pert.TaylorFamily(pert.shear(0.5),
+                                      pert.PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25})),
+    "quadratic-flow": pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25,
+                                                            (1, 0, 0): -0.2})),
+}
+# |tangent - FD| / (1 + max) on the registry boundaries (m=128, 96 charges):
+# at most 4.4e-15 (first) and 5.3e-11 (second) on the disk, 3.4e-11 and
+# 9.9e-10 on the mixed annulus, where the FD ladder's noise sets the gap
+TANGENT_FD_BOUNDS = {("disk", 1): 1e-13, ("disk", 2): 3e-9,
+                     ("annulus", 1): 1e-9, ("annulus", 2): 3e-8}
+
+
+class TestTangentRoute:
+    """The tangent is the exact t-derivative of what the FD re-solves difference."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["disk", "annulus"])
+    @pytest.mark.parametrize("name", sorted(TANGENT_FAMILIES))
+    def test_the_tangent_matches_fd_re_solves_on_the_registry_boundaries(
+            self, disk, annulus, annulus_mixed, kind, name, order):
+        domain, mixed, (x, y) = ((disk, geo.all_dirichlet(1), DISK_PROBES) if kind == "disk"
+                                 else (annulus, annulus_mixed, ANNULUS_PROBES))
+        solver = GreensSolver(domain, mixed, GreensConfig(n_charges=96))
+        solver.solve(np.stack([x, y]))
+        family = TANGENT_FAMILIES[name]
+        tangent, fd = ((hd.delta_n_tangent, hd.delta_n_fd) if order == 1
+                       else (hd.delta2_n_tangent, hd.delta2_n_fd))
+        value = tangent(solver, family, x, y)
+        reference = fd(solver, family, x, y).value
+        gap = abs(value - reference) / (1.0 + max(abs(value), abs(reference)))
+        assert gap <= TANGENT_FD_BOUNDS[kind, order]
+
+    def test_the_tangent_re_solves_nothing(self, annulus, annulus_mixed, monkeypatch):
+        solver = GreensSolver(annulus, annulus_mixed)
+        x, y = ANNULUS_PROBES
+        solver.solve(np.stack([x, y]))
+        moved = []
+        original = GreensSolver.moved
+        monkeypatch.setattr(GreensSolver, "moved",
+                            lambda self, family, t: moved.append((family, t))
+                            or original(self, family, t))
+        monkeypatch.setattr(hd, "derivative_ladder", None)
+        hd.delta2_n_tangent(solver, translation(), x, y)
+        assert moved == [(None, 0.0)]  # only the t = 0 problem
+
+
+def _route_row_with_fd(domain, family, order):
+    """The route triangle on the disk probes and the report row of it with
+    the FD ladder of the same variation."""
+    routes, fd = ((hd.delta_n_routes, hd.delta_n_fd) if order == 1
+                  else (hd.delta2_n_routes, hd.delta2_n_fd))
+    tri = routes(domain, geo.all_dirichlet(1), family, *DISK_PROBES)
+    ladder = fd(hd.base_solver(domain, geo.all_dirichlet(1)), family, *DISK_PROBES)
+    return tri, ladder, route_result(tri, fd=ladder)
+
+
 class TestRouteDetails:
-    def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
+    def test_a_route_row_without_re_solves_carries_no_fd_record(self, disk):
         tri = hd.delta_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
                                 *DISK_PROBES)
-        details = route_result(tri)[3]
-        assert 3.5 < details["fd_observed_order"] == tri.fd_ladder.observed_order < 4.5
+        _, oracles, err, details = route_result(tri)
+        assert oracles == {"bvp": tri.bvp, "tangent": tri.tangent}
+        assert err == tri.max_pairwise == max(tri.pairwise.values())
+        assert sorted(tri.pairwise) == ["bvp_vs_tangent", "formula_vs_bvp",
+                                        "formula_vs_tangent"]
+        assert details == {**tri.solve_details(), "probe_warnings": []}
+
+    def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
+        tri, ladder, (_, oracles, _, details) = _route_row_with_fd(
+            disk, pert.TaylorFamily(pert.dilation()), 1)
+        assert 3.5 < details["fd_observed_order"] == ladder.observed_order < 4.5
         assert "fd_observed_order_reason" not in details
         assert details["fd_warnings"] == [] and details["probe_warnings"] == []
         # the route row's convergence table: the ladder and its estimates
-        assert details["ladder"] == list(tri.fd_ladder.ladder)
-        assert details["estimates"] == list(tri.fd_ladder.estimates)
-        assert tri.fd == tri.fd_ladder.value
+        assert details["ladder"] == list(ladder.ladder)
+        assert details["estimates"] == list(ladder.estimates)
+        assert details["re_solve_ranks"] == [tri.rank] * 8
+        assert oracles == {"bvp": tri.bvp, "tangent": tri.tangent, "fd": ladder.value}
 
     def test_a_degenerate_fd_order_is_null_with_a_reason(self, disk):
-        tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), pert.FlowFamily(pert.rotation()),
-                                 *DISK_PROBES)
-        details = route_result(tri)[3]
-        assert tri.fd_ladder.observed_order == np.inf
+        _, ladder, (_, _, _, details) = _route_row_with_fd(
+            disk, pert.FlowFamily(pert.rotation()), 2)
+        assert ladder.observed_order == np.inf
         assert details["fd_observed_order"] is None
         assert details["fd_observed_order_reason"] == "ladder differences at rounding level"
 
