@@ -146,15 +146,18 @@ def route_result(tri: hd.RouteTriangle, err=None, fd: hd.ResolvedLadder | None =
     worst pairwise gap of the three routes.  The solves' summary and the
     probe warnings on the base boundary (a list, empty without any) go to
     details.  A row that also re-solves along an FD ladder passes it as
-    ``fd``: its value joins the oracles, and the rank of each re-solve in
-    ascending t and the ladder's FD record join details.
+    ``fd``: its value joins the oracles and err, as the worst gap of the
+    four values, and the rank of each re-solve in ascending t and the
+    ladder's FD record join details.
     """
     details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings)}
     oracles = oracles or {"bvp": tri.bvp, "tangent": tri.tangent}
+    err = tri.max_pairwise if err is None else err
     if fd is not None:
         oracles["fd"] = fd.value
+        err = max(err, tri.max_gap_with(fd.value))
         details.update(re_solve_ranks=list(fd.re_solve_ranks), **fd_details(fd))
-    return tri.formula, oracles, tri.max_pairwise if err is None else err, details
+    return tri.formula, oracles, err, details
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +549,7 @@ def _route_triangle(order: int, kind: str):
         if kind != "disk":
             fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(
                 _base_solver(st, kind), fam, x, y)
-            gaps = hd.route_gaps({"formula": tri.formula, "bvp": tri.bvp,
-                                  "tangent": tri.tangent, "fd": fd.value})
-            return route_result(tri, max(gaps.values()), fd=fd)
+            return route_result(tri, fd=fd)
         oracle = hd.disk_dilation_delta_n(x, y, order=order)
         err = max(tri.max_pairwise, abs(tri.formula - oracle) / (1 + abs(oracle)))
         return route_result(tri, err, bvp=tri.bvp, tangent=tri.tangent, scaling_oracle=oracle)

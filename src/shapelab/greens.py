@@ -30,8 +30,9 @@ dtrsm): no re-pivoting and no re-truncation, so every t of a
 finite-difference ladder has the same charge set and the same rank; on a
 768x226 matrix dgeqrt takes about a third of gelsy's time.  The Hadamard
 tangent route differentiates this problem at t = 0 instead of re-solving
-it: ``collocation_rates`` gives the exact t-rates of its matrix and data,
-and ``MixedSolver.fit`` applies A^+ and (A^T A)^-1 = R^-1 R^-T on the QR
+it: ``collocation_rate_products`` applies the exact t-rates of its matrix
+and data, row block by row block, without assembling them, and
+``MixedSolver.fit`` applies A^+ and (A^T A)^-1 = R^-1 R^-T on the QR
 factors of ``moved(None, 0.0)``.  So the green-variations benchmark makes
 12 such t = 0 solves and no re-solve at t != 0, where it made 102 FD
 re-solves; the registry re-solves only for the FD ladders of its two
@@ -55,7 +56,8 @@ evaluating field j alone (one gemm would reorder the sums).  Block results
 stack the k columns on a leading axis.  Fields evaluate their kernel in
 row blocks of at most BLOCK_ENTRIES entries, each row with the BLAS kernel
 it meets in one whole evaluation, so rows keep their bits while the kernel
-of the interior rule stays a few MB.
+of the interior rule stays under 0.5 MB.  A collocation matrix is written
+in such row blocks too, straight into its Fortran-ordered array.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
 gradients over the charges use the complex form
@@ -95,14 +97,14 @@ from .geometry import TWO_PI, Domain, FourierBasis, MixedBoundary, frame_rates, 
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
-# kernel entries in one row block of a field evaluation: 4 MB of complex
-# gradient kernel, where the 9216-node interior rule against 384 charges
-# made one 57 MB array
-BLOCK_ENTRIES = 2 ** 18
-# kernel entries in one row block of a rate assembly: its few complex
-# temporaries stay at 64 KB each.  On the green-variations benchmark the
-# tangent then peaks 0.3 MB (tracemalloc) above the run's earlier peak, against
-# 1.4 MB with 2 ** 14 entries, and it runs no slower
+# kernel entries in one row block of a field evaluation or a collocation
+# matrix assembly: 64 rows of the 9216-node interior rule against 384
+# charges, whose whole kernel made one 57 MB array.  Against 2 ** 18, which
+# made 4 MB blocks, peak RSS falls by 2 MB on the green-variations benchmark
+# and by 5 MB on the registry, at the same CPU time
+BLOCK_ENTRIES = 2 ** 14
+# kernel entries in one row block of a rate product: its few complex
+# temporaries stay at 64 KB each
 RATE_BLOCK_ENTRIES = 2 ** 12
 
 
@@ -207,10 +209,10 @@ def _motion(family, points: np.ndarray) -> list[np.ndarray]:
 
 
 def kernel_rates(points, sources, point_motion, source_motion, normals=None,
-                 order: int = 1, out=None) -> list[np.ndarray]:
+                 order: int = 1):
     """The t-derivatives of orders 1 to ``order`` at t = 0 of the (N, K) kernel
     Gamma(p_i(t) - s_j(t)), or with ``normals`` of its normal derivative
-    grad Gamma(p_i(t) - s_j(t)) . nu_i(t), as real arrays (written to ``out``).
+    grad Gamma(p_i(t) - s_j(t)) . nu_i(t), one row block at a time.
 
     Points, sources and normals are complex (x1 + i x2).  Each motion is the
     (velocity, acceleration) of its point set, arrays or 0 for a fixed set,
@@ -221,12 +223,11 @@ def kernel_rates(points, sources, point_motion, source_motion, normals=None,
     - normal-derivative rows: Re(F'' w' nu + F' nu') = Re((q nu - nu') / w) / (2 pi)
       and Re(F''' w'^2 nu + F'' w'' nu + 2 F'' w' nu' + F' nu'')
       = Re(((a - 2 q^2) nu + 2 q nu' - nu'') / w) / (2 pi).
-    The complex work runs in row blocks of at most RATE_BLOCK_ENTRIES entries.
+    Yields (start, rates) per block of at most RATE_BLOCK_ENTRIES entries:
+    the real rates of orders 1 to ``order`` of the rows from ``start`` on.
     """
     points = np.atleast_1d(points)
     velocity, acceleration = (np.broadcast_to(m, points.shape) for m in point_motion)
-    if out is None:
-        out = [np.empty((len(points), len(sources)), order="F") for _ in range(order)]
     step = max(1, RATE_BLOCK_ENTRIES // len(sources))
     for start in range(0, len(points), step):
         rows = slice(start, start + step)
@@ -237,17 +238,18 @@ def kernel_rates(points, sources, point_motion, source_motion, normals=None,
             a = np.subtract.outer(acceleration[rows], source_motion[1])
             a *= inv
         if normals is None:
-            np.multiply(q.real, -INV_2PI, out=out[0][rows])
+            rates = [-INV_2PI * q.real]
             if order == 2:
                 q *= q
                 q -= a
-                np.multiply(q.real, INV_2PI, out=out[1][rows])
+                rates.append(INV_2PI * q.real)
+            yield start, rates
             continue
         nu, dnu, ddnu = (n[rows, None] for n in normals)
         first = q * nu
         first -= dnu
         first *= inv
-        np.multiply(first.real, INV_2PI, out=out[0][rows])
+        rates = [INV_2PI * first.real]
         if order == 2:
             second = np.multiply(q, dnu, out=first)
             second *= 2.0
@@ -258,8 +260,8 @@ def kernel_rates(points, sources, point_motion, source_motion, normals=None,
             q *= nu
             second += q
             second *= inv
-            np.multiply(second.real, INV_2PI, out=out[1][rows])
-    return out
+            rates.append(INV_2PI * second.real)
+        yield start, rates
 
 
 def _per_column(kernel: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -524,24 +526,19 @@ class _QRFactors:
         x = _blas.dtrsm(1.0, self.qr[:n], qtb[:n])
         return x if rhs.ndim == 2 else x[:, 0]
 
-    def fit(self, data: np.ndarray, gram: np.ndarray | None = None):
+    def fit(self, data: np.ndarray, gram: np.ndarray):
         """(x, data - A x) for x = A^+ data + (A^T A)^-1 gram, one data column.
 
         (A^T A)^-1 = R^-1 R^-T, two dtrsm.  With Q^T data = (g1, g2),
         x = R^-1 (g1 + R^-T gram) and data - A x = Q (-R^-T gram, g2), so the
-        residual needs no copy of A.  Without ``gram``, x is ``solve``'s
-        least-squares solution, bit for bit.
+        residual needs no copy of A.
         """
         n = self.qr.shape[1]
         qtb, _ = _lapack.dgemqrt(self.qr, self.t, np.reshape(data, (-1, 1)),
                                  side="L", trans="T")
-        head = qtb[:n].copy()
-        if gram is None:
-            qtb[:n] = 0.0
-        else:
-            qtb[:n] = -_blas.dtrsm(1.0, self.qr[:n], np.reshape(gram, (-1, 1)), trans_a=1)
-            head -= qtb[:n]
-        x = _blas.dtrsm(1.0, self.qr[:n], head)
+        top = -_blas.dtrsm(1.0, self.qr[:n], np.reshape(gram, (-1, 1)), trans_a=1)
+        x = _blas.dtrsm(1.0, self.qr[:n], qtb[:n] - top)
+        qtb[:n] = top
         residual, _ = _lapack.dgemqrt(self.qr, self.t, qtb, side="L", trans="N")
         return x[:, 0], residual[:, 0]
 
@@ -570,19 +567,26 @@ class MixedSolver:
         self.config = config or GreensConfig()
         self.components = components
         self.charges = np.vstack([c.charges for c in components])
-        rows = []
+        # Fortran order, so a re-solve's QR factors it without a copy.  It is
+        # written in row blocks of at most BLOCK_ENTRIES entries, so the
+        # kernel's temporaries stay one block each
+        self.matrix = np.empty((sum(len(c.colloc_nodes) for c in components),
+                                len(self.charges)), order="F")
+        step = max(1, BLOCK_ENTRIES // len(self.charges))
+        offset = 0
         for comp in components:
-            if comp.dirichlet:
-                rows.append(fundamental_solution(comp.colloc_nodes, self.charges))
-            else:
-                gx, gy = _gradient_components(comp.colloc_nodes, self.charges)
-                gx *= comp.colloc_normal[:, :1]
-                gy *= comp.colloc_normal[:, 1:]
-                gx += gy
-                rows.append(gx)
-        # Fortran order, so a re-solve's QR factors it without a copy
-        self.matrix = np.concatenate(rows, out=np.empty(
-            (sum(map(len, rows)), len(self.charges)), order="F"))
+            for start in range(0, len(comp.colloc_nodes), step):
+                block = slice(start, start + step)
+                nodes = comp.colloc_nodes[block]
+                rows = self.matrix[offset + start:offset + start + len(nodes)]
+                if comp.dirichlet:
+                    rows[...] = fundamental_solution(nodes, self.charges)
+                else:
+                    gx, gy = _gradient_components(nodes, self.charges)
+                    np.multiply(gx, comp.colloc_normal[block, :1], out=rows)
+                    gy *= comp.colloc_normal[block, 1:]
+                    rows += gy
+            offset += len(comp.colloc_nodes)
         self.rank: int | None = None  # set by the first base solve, with kept
         self.kept: np.ndarray | None = None
         # built by a base's second solve or a re-solve's first
@@ -640,7 +644,7 @@ class MixedSolver:
                 f"(condition estimate {self.condition_estimate:.2e})")
         return fld, diags[0] if rhs.ndim == 1 else diags
 
-    def fit(self, data: np.ndarray, gram: np.ndarray | None = None):
+    def fit(self, data: np.ndarray, gram: np.ndarray):
         """``_QRFactors.fit`` on a re-solve's matrix, which its first solve factored."""
         if not isinstance(self._factors, _QRFactors):
             raise GreensError("a fit needs the QR factors of a solved re-solve "
@@ -777,39 +781,46 @@ class GreensSolver:
         """
         return self.solver.solve_nodal(nodal_data)
 
-    def collocation_rates(self, family, y: np.ndarray, order: int) -> list[tuple]:
-        """(A_k, b_k) for k = 1 to ``order``: the k-th t-derivatives at t = 0 of
-        the collocation matrix and of the corrector data for the pole y, as
-        this undeformed boundary and its charges move by ``family``.
+    def collocation_rate_products(self, family, y: np.ndarray, order: int,
+                                  right: np.ndarray, left: np.ndarray) -> list[tuple]:
+        """(P_k right, P_k^T left) for k = 1 to ``order``, where P_k = [A_k | -b_k]
+        holds the k-th t-derivatives at t = 0 of the collocation matrix and of
+        the corrector data for the pole y, as this undeformed boundary and its
+        charges move by ``family``.
 
         On ``moved(None, 0.0)`` these are the rates of the problem that the
         re-solves ``moved(family, t)`` fit.  Nodes and charges move with
         ``family.velocity`` and ``acceleration``, the pole stays, and Neumann
-        rows turn with ``frame_rates``.  The pole is one more kernel column,
-        whose rate is -b_k.
+        rows turn with ``frame_rates``; the pole is one more kernel column.
+        ``right`` is (K + 1,) or (K + 1, p) and ``left`` (rows,) or (rows, p).
+        P_k is never whole: each row block of ``kernel_rates`` adds its share
+        to both products.
         """
         sources = _plane(np.vstack([self.solver.charges, y]))
         source_motion = [np.append(m, 0.0) for m in _motion(family, self.solver.charges)]
-        rates = [np.empty((len(self.solver.matrix), len(sources)), order="F")
-                 for _ in range(order)]
-        start = 0
+        products = [(np.empty((len(left), *np.shape(right)[1:])),
+                     np.zeros((len(sources), *np.shape(left)[1:]))) for _ in range(order)]
+        offset = 0
         for curve, comp in zip(self.domain.curve.components, self.components):
             nodes = comp.colloc_nodes
-            stop = start + len(nodes)
             normals = (None if comp.dirichlet
                        else frame_rates(curve, comp.colloc_thetas, family))
-            kernel_rates(_plane(nodes), sources, _motion(family, nodes), source_motion,
-                         normals, order, out=[r[start:stop] for r in rates])
-            start = stop
-        return [(r[:, :-1], -r[:, -1]) for r in rates]
+            for start, rates in kernel_rates(_plane(nodes), sources, _motion(family, nodes),
+                                             source_motion, normals, order):
+                rows = slice(offset + start, offset + start + len(rates[0]))
+                for (forward, back), rate in zip(products, rates):
+                    forward[rows] = rate @ right
+                    back += rate.T @ left[rows]
+            offset += len(nodes)
+        return products
 
     def kernel_row_rates(self, family, x: np.ndarray, order: int) -> list[np.ndarray]:
         """Gamma(x - z_j(t)) over this undeformed solver's charges z_j at the
         fixed point x, then its t-derivatives of orders 1 to ``order`` at
         t = 0 as the charges move by ``family``: ``order`` + 1 rows (K,)."""
         charges = self.solver.charges
-        rates = kernel_rates(_plane(x), _plane(charges), (0.0, 0.0),
-                             _motion(family, charges), order=order)
+        _, rates = next(kernel_rates(_plane(x), _plane(charges), (0.0, 0.0),
+                                     _motion(family, charges), order=order))
         return [row[0] for row in (fundamental_solution(x, charges), *rates)]
 
     def moved(self, family, t: float) -> "GreensSolver":

@@ -26,7 +26,7 @@ one is kept as a reported diagnostic (``chi_display_residual``).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -217,19 +217,24 @@ def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
     c'' = A^+(b'' - A''c - 2A'c') + (A^T A)^-1 (A''^T r + 2 A'^T r').
     The value Gamma(x - y) + sum_j c_j Gamma(x - z_j(t)) at the fixed x then
     takes the rates of c and of its charges' kernel row, by Leibniz's rule.
+    A' and A'' enter only through products: with P_k = [A_k | -b_k], one
+    pass gives P_k (c, 1) = A_k c - b_k and P_k^T r, and the second
+    variation's second pass gives A'c' and A'^T r'.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     at_zero = solver.moved(None, 0.0)
-    at_zero.solve(y)  # factors A, under the check-node gate
+    c = at_zero.solve(y).corrector.coefficients  # factors A, under the check-node gate
     fit = at_zero.solver.fit
-    c, r = fit(np.concatenate(at_zero.corrector_data(y)[0]))
-    (a1, b1), *second = at_zero.collocation_rates(family, y, order)
+    _, r = fit(np.concatenate(at_zero.corrector_data(y)[0]), np.zeros_like(c))
+    products = functools.partial(at_zero.collocation_rate_products, family, y)
+    (d1, g1), *second = products(order, np.append(c, 1.0), r)
     kernel = at_zero.kernel_row_rates(family, x, order)
-    c1, r1 = fit(b1 - a1 @ c, a1.T @ r)
+    c1, r1 = fit(-d1, g1[:-1])
     rates = [float(kernel[0] @ c1 + kernel[1] @ c)]
     if second:
-        (a2, b2), = second
-        c2, _ = fit(b2 - a2 @ c - 2.0 * (a1 @ c1), a2.T @ r + 2.0 * (a1.T @ r1))
+        (d2, g2), = second
+        (e1, h1), = products(1, np.append(c1, 0.0), r1)
+        c2, _ = fit(-d2 - 2.0 * e1, g2[:-1] + 2.0 * h1[:-1])
         rates.append(float(kernel[0] @ c2 + 2.0 * (kernel[1] @ c1) + kernel[2] @ c))
     return rates
 
@@ -405,6 +410,11 @@ class RouteTriangle:
     def max_pairwise(self) -> float:
         return max(self.pairwise.values())
 
+    def max_gap_with(self, value: float) -> float:
+        """The worst pairwise gap of the three routes and one more ``value``."""
+        return max(self.max_pairwise,
+                   *(_rel(route, value) for route in (self.formula, self.bvp, self.tangent)))
+
     def solve_details(self) -> dict:
         """The solve summary as report ``details``."""
         return {"solve_residual": self.residual, "solve_rank": self.rank,
@@ -415,17 +425,12 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / (1.0 + max(abs(a), abs(b)))
 
 
-def route_gaps(values: dict) -> dict:
-    """The relative gap |a - b| / (1 + max(|a|, |b|)) of every pair of route
-    values, keyed "a_vs_b" in the order of ``values``."""
-    return {f"{a}_vs_{b}": _rel(values[a], values[b])
-            for a, b in itertools.combinations(values, 2)}
-
-
 def _triangle(formula: float, bvp: float, tangent: float,
               diagnostics: list[SolveDiagnostics], issued: list[str]) -> RouteTriangle:
     """The route comparison, with the probe warnings ``issued`` on the base boundary."""
-    pairwise = route_gaps({"formula": formula, "bvp": bvp, "tangent": tangent})
+    pairwise = {"formula_vs_bvp": _rel(formula, bvp),
+                "formula_vs_tangent": _rel(formula, tangent),
+                "bvp_vs_tangent": _rel(bvp, tangent)}
     return RouteTriangle(formula, bvp, tangent, pairwise,
                          max(d.residual for d in diagnostics),
                          min(d.rank for d in diagnostics),

@@ -306,8 +306,13 @@ def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
 # the scipy-openblas 0.3.31 build the project was tested with.  Some annulus
 # rows move up to 33x between these settings.  A different BLAS library or
 # build may round further from these values than that; the baseline holds
-# only for the settings above.  Regenerate it only with a change that means
-# to move a row, and list the moved rows in CHANGES.md.
+# only for the settings above, with one exception:
+# hadamard-delta2-n-triangle-annulus, whose err is the worst gap of four
+# values (the FD ladder beside the three routes), reads up to 2.58e-9 with
+# Nehalem and two threads against its 2.36e-9.  Its baseline stays, since no
+# row is loosened, and the 100x gate covers it.  Regenerate the baseline
+# only with a change that means to move a row, and list the moved rows in
+# CHANGES.md.
 ERR_BASELINE = Path(__file__).with_name("registry_err_seed7.json")
 
 

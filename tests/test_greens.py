@@ -689,7 +689,8 @@ RATE_FAMILIES = {
 
 class TestCollocationRates:
     """A', A'', b' and b'' are the t-derivatives of the re-solve's matrix and
-    corrector data, and the tangent fit differentiates the least-squares fit."""
+    corrector data, their row-block products are the products with them, and
+    the tangent fit differentiates the least-squares fit."""
 
     @pytest.fixture(scope="class")
     def solved(self, annulus):
@@ -707,7 +708,16 @@ class TestCollocationRates:
         for t in (-2 * h, -h, 0.0, h, 2 * h):
             moved = solver.moved(family, t)
             problem[t] = (moved.solver.matrix.copy(), np.concatenate(moved.corrector_data(y)[0]))
-        rates = solver.moved(None, 0.0).collocation_rates(family, y, 2)
+        at_zero = solver.moved(None, 0.0)
+        n_rows, n_columns = at_zero.solver.matrix.shape
+        left = np.random.default_rng(1).standard_normal(n_rows)
+        # with the identity on the right, P_k = [A_k | -b_k] comes out whole
+        products = at_zero.collocation_rate_products(family, y, 2, np.eye(n_columns + 1), left)
+        rates = []
+        for whole, back in products:
+            np.testing.assert_allclose(back, whole.T @ left, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(back)))
+            rates.append((whole[:, :-1], -whole[:, -1]))
         n_dirichlet = len(solver.components[0].colloc_nodes)
         for k in (0, 1):  # the matrix, then the data
             g = {t: value[k] for t, value in problem.items()}
@@ -722,16 +732,6 @@ class TestCollocationRates:
                     scale = max(1.0, float(np.max(np.abs(want[rows]))))
                     assert np.max(np.abs(got[rows] - want[rows])) <= 1e-8 * scale, (k, order)
 
-    def test_a_plain_fit_is_the_re_solve_and_its_residual(self, solved):
-        solver, y = solved
-        at_zero = solver.moved(None, 0.0)
-        matrix = at_zero.solver.matrix.copy()  # the solve factors it in place
-        ev = at_zero.solve(y)
-        data = np.concatenate(at_zero.corrector_data(y)[0])
-        x, residual = at_zero.solver.fit(data)
-        np.testing.assert_array_equal(x, ev.corrector.coefficients)  # solve's bits
-        np.testing.assert_allclose(residual, data - matrix @ x, rtol=0, atol=1e-12)
-
     def test_a_gram_fit_solves_the_normal_equations(self):
         rng = np.random.default_rng(0)
         matrix, data, gram = rng.standard_normal((40, 10)), rng.standard_normal(40), \
@@ -745,10 +745,11 @@ class TestCollocationRates:
 
     def test_a_gram_fit_needs_a_factored_re_solve(self, solved):
         solver, y = solved
+        data, gram = np.concatenate(solver.corrector_data(y)[0]), np.zeros(len(solver.solver.kept))
         with pytest.raises(gr.GreensError, match="QR factors"):
-            solver.solver.fit(np.concatenate(solver.corrector_data(y)[0]))
+            solver.solver.fit(data, gram)
         with pytest.raises(gr.GreensError, match="QR factors"):
-            solver.moved(None, 0.0).solver.fit(np.concatenate(solver.corrector_data(y)[0]))
+            solver.moved(None, 0.0).solver.fit(data, gram)
 
 
 def _dgelsy(matrix, rhs):
@@ -812,6 +813,18 @@ class TestStoredFactors:
         for f, ref in zip(fields, whole):
             for got, want in zip((f.value(nodes), f.gradient(nodes), f.hessian(nodes)), ref):
                 np.testing.assert_array_equal(got, want)
+
+
+    def test_a_row_blocked_matrix_equals_one_block_bit_for_bit(self, annulus, monkeypatch):
+        # Dirichlet rows on the outer circle, Neumann rows on the hole
+        components = gr.discretize_pushed(annulus, MIXED["annulus"], None, 0.0,
+                                          gr.GreensConfig(n_charges=64))
+        monkeypatch.setattr(gr, "BLOCK_ENTRIES", 2 ** 40)
+        whole = gr.MixedSolver(components).matrix
+        monkeypatch.setattr(gr, "BLOCK_ENTRIES", 1000)  # 7-row blocks, a last one of 2
+        blocked = gr.MixedSolver(components).matrix
+        assert blocked.flags.f_contiguous
+        np.testing.assert_array_equal(blocked, whole)
 
 
 class TestGelsyBudget:

@@ -496,8 +496,12 @@ class TestRouteDetails:
         assert details == {**tri.solve_details(), "probe_warnings": []}
 
     def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
-        tri, ladder, (_, oracles, _, details) = _route_row_with_fd(
+        tri, ladder, (_, oracles, err, details) = _route_row_with_fd(
             disk, pert.TaylorFamily(pert.dilation()), 1)
+        # err is the worst gap of the three routes and the FD value
+        assert err == max(tri.max_pairwise, *(
+            abs(route - ladder.value) / (1 + max(abs(route), abs(ladder.value)))
+            for route in (tri.formula, tri.bvp, tri.tangent)))
         assert 3.5 < details["fd_observed_order"] == ladder.observed_order < 4.5
         assert "fd_observed_order_reason" not in details
         assert details["fd_warnings"] == [] and details["probe_warnings"] == []
