@@ -56,7 +56,7 @@ evaluating field j alone (one gemm would reorder the sums).  Block results
 stack the k columns on a leading axis.  Fields evaluate their kernel in
 row blocks of at most BLOCK_ENTRIES entries, each row with the BLAS kernel
 it meets in one whole evaluation, so rows keep their bits while the kernel
-of the interior rule stays under 0.5 MB.  A collocation matrix is written
+of the interior rule stays under 1 MB.  A collocation matrix is written
 in such row blocks too, straight into its Fortran-ordered array.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
@@ -97,11 +97,12 @@ from .geometry import TWO_PI, Domain, FourierBasis, MixedBoundary, frame_rates, 
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
-# kernel entries in one row block of a field evaluation or a collocation
-# matrix assembly: 64 rows of the 9216-node interior rule against 384
-# charges, whose whole kernel made one 57 MB array.  Against 2 ** 18, which
-# made 4 MB blocks, peak RSS falls by 2 MB on the green-variations benchmark
-# and by 5 MB on the registry, at the same CPU time
+# kernel entries in one row block of a field evaluation (at least 64 rows)
+# or of a collocation matrix assembly.  The 9216-node interior rule against
+# 384 charges made one 57 MB kernel whole, and 4 MB blocks at 2 ** 18
+# entries; at 2 ** 14, peak RSS falls by 2 MB on the green-variations
+# benchmark and by 5 MB on the registry (two-vCPU x86_64, one BLAS thread),
+# at the same CPU time
 BLOCK_ENTRIES = 2 ** 14
 # kernel entries in one row block of a rate product: its few complex
 # temporaries stay at 64 KB each
