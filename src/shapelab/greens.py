@@ -55,9 +55,9 @@ per column, so column j of any block evaluation is bit-identical to
 evaluating field j alone (one gemm would reorder the sums).  Block results
 stack the k columns on a leading axis.  Fields evaluate their kernel in
 row blocks of at most BLOCK_ENTRIES entries, each row with the BLAS kernel
-it meets in one whole evaluation, so rows keep their bits while the kernel
-of the interior rule stays under 1 MB.  A collocation matrix is written
-in such row blocks too, straight into its Fortran-ordered array.
+it meets in one whole evaluation, so rows keep their bits and no block
+passes 1 MB, even on the 9216-node interior rule.  A collocation matrix
+is written in such row blocks too, straight into its Fortran-ordered array.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
 gradients over the charges use the complex form
@@ -98,11 +98,11 @@ INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
 # kernel entries in one row block of a field evaluation (at least 64 rows)
-# or of a collocation matrix assembly.  The 9216-node interior rule against
-# 384 charges made one 57 MB kernel whole, and 4 MB blocks at 2 ** 18
-# entries; at 2 ** 14, peak RSS falls by 2 MB on the green-variations
-# benchmark and by 5 MB on the registry (two-vCPU x86_64, one BLAS thread),
-# at the same CPU time
+# or of a collocation matrix assembly.  A gradient on the 9216-node interior
+# rule (``gradient_pairing_residual``) against 384 charges makes one 57 MB
+# kernel whole, and 4 MB blocks at 2 ** 18 entries; at 2 ** 14, peak RSS
+# fell by 2 MB on the green-variations benchmark and by 5 MB on the registry
+# (two-vCPU x86_64, one BLAS thread), at the same CPU time
 BLOCK_ENTRIES = 2 ** 14
 # kernel entries in one row block of a rate product: its few complex
 # temporaries stay at 64 KB each
@@ -136,7 +136,7 @@ _blas = _linalg_extension("_fblas")
 
 
 class GreensError(ValueError):
-    """Invalid pole, boundary assignment, or topology."""
+    """Invalid pole, boundary assignment, topology or solver config."""
 
 
 class GreensAccuracyError(RuntimeError):
@@ -145,9 +145,27 @@ class GreensAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class GreensConfig:
+    """Charges per ring, the outer ring's dilation about the centroid, and
+    the largest check-node residual a solve may return.
+
+    The outer ring must enclose the curve, so its factor is a finite number
+    above 1: the fit, and the charge fields being harmonic in the domain,
+    rely on it.
+    """
+
     n_charges: int = 128
     charge_offset_outer: float = 1.6
     fail_threshold: float = 1e-4
+
+    def __post_init__(self):
+        if not self.n_charges >= 1:
+            raise GreensError(f"n_charges must be at least 1, not {self.n_charges!r}")
+        if not (np.isfinite(self.charge_offset_outer) and self.charge_offset_outer > 1.0):
+            raise GreensError("charge_offset_outer must be a finite number above 1, "
+                              f"not {self.charge_offset_outer!r}")
+        if not self.fail_threshold > 0.0:  # NaN fails too
+            raise GreensError("fail_threshold must be above 0, "
+                              f"not {self.fail_threshold!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """First and second domain variations of the mixed Green's function.
 
 Three independent routes are implemented for each variation: the boundary
-variational formula (trace pairings), an auxiliary harmonic BVP solved with
+variational formula (trace pairings, the second variation's volume term
+included, by Green's first identity), an auxiliary harmonic BVP solved with
 the same collocation machinery, and the tangent: the exact t-derivative at
 t = 0 of the discrete problem on the deformed domain T_t(Omega), the
 kept-column least-squares fit that ``GreensSolver.moved`` re-solves.  The
@@ -298,19 +299,25 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     - 2 <rho, d deltaN(.,x)/ds dN/ds(.,y) + d deltaN(.,y)/ds dN/ds(.,x)>
       on Neumann pieces.
     Symmetric in the poles term by term; with no Neumann piece it collapses
-    to the two-term Dirichlet form.  The interior gradients come from the
-    first-variation charge fields, both from one kernel matrix.
+    to the two-term Dirichlet form.  The first variations are charge fields
+    with every charge outside the closed domain, so they are harmonic in
+    Omega, and Green's first identity turns the volume term into
+    -<deltaN(.,x), d deltaN(.,y)/dnu> - <deltaN(.,y), d deltaN(.,x)/dnu>
+    over every piece.  Each component takes one value and one gradient
+    block of the first variations at its grid nodes.
     """
-    interior = solver.domain.interior()
-    gx, gy = udot.gradient(interior.nodes)
-    total = -2.0 * float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))
+    total = 0.0
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
+        vx, vy = udot.value(grid.nodes)
+        grad_udot = udot.gradient(grid.nodes)
+        dx, dy = rowwise_dot(grad_udot, grid.normal)
+        total -= float(np.dot(comp.weights, vx * dy + vy * dx))
         if comp.dirichlet:
             qx, qy = ev.normal_trace(i)
             total += float(np.dot(comp.weights, coeffs.chi[i] * qx * qy))
         else:
             qx, qy = ev.tangential_trace(i)
-            wx, wy = rowwise_dot(udot.gradient(grid.nodes), grid.tangent)
+            wx, wy = rowwise_dot(grad_udot, grid.tangent)
             rho = boundary_data(family, grid).normal_velocity
             total -= float(np.dot(comp.weights, coeffs.chi[i] * qx * qy))
             total -= 2.0 * float(np.dot(comp.weights, rho * (wx * qy + wy * qx)))
@@ -344,7 +351,9 @@ def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
     (grad deltaN(.,x), grad deltaN(.,y))_Omega
     = -<rho dN/dnu(.,y), d deltaN/dnu(.,x)> on Dirichlet pieces
       -<dN/ds(.,x), rho d deltaN/ds(.,y)> on Neumann pieces
-    (the Neumann pairing already integrated by parts).
+    (the Neumann pairing already integrated by parts).  The left side is the
+    interior rule's value of the Dirichlet integral that ``delta2_n_formula``
+    pairs on the boundary.
     """
     interior = solver.domain.interior()
     gx, gy = udot.gradient(interior.nodes)

@@ -366,6 +366,29 @@ class TestDiagnostics:
             solver.solver.solve(col, check_data=chk)
 
 
+class TestConfig:
+    """A config that cannot give a valid fit fails when it is built."""
+
+    @pytest.mark.parametrize("offset", [0.9, 1.0, -1.6, np.inf, np.nan])
+    def test_an_outer_ring_that_cannot_enclose_the_curve_is_rejected(self, offset):
+        with pytest.raises(gr.GreensError, match="charge_offset_outer"):
+            gr.GreensConfig(charge_offset_outer=offset)
+
+    @pytest.mark.parametrize("n_charges", [0, -3])
+    def test_a_ring_without_charges_is_rejected(self, n_charges):
+        with pytest.raises(gr.GreensError, match="n_charges"):
+            gr.GreensConfig(n_charges=n_charges)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-4, np.nan])
+    def test_a_residual_gate_that_passes_nothing_is_rejected(self, threshold):
+        with pytest.raises(gr.GreensError, match="fail_threshold"):
+            gr.GreensConfig(fail_threshold=threshold)
+
+    def test_the_bounds_themselves_are_kept(self):
+        config = gr.GreensConfig(n_charges=1, charge_offset_outer=1.01, fail_threshold=np.inf)
+        assert (config.n_charges, config.charge_offset_outer) == (1, 1.01)
+
+
 def _fresh_python(code: str) -> str:
     """The standard output of ``code`` in a fresh interpreter that finds shapelab."""
     src = Path(gr.__file__).resolve().parents[1]
