@@ -98,10 +98,10 @@ INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
 # kernel entries in one row block of a field evaluation (at least 64 rows)
-# or of a collocation matrix assembly.  A gradient on the 9216-node interior
-# rule (``gradient_pairing_residual``) against 384 charges makes one 57 MB
-# kernel whole, and 4 MB blocks at 2 ** 18 entries; at 2 ** 14, peak RSS
-# fell by 2 MB on the green-variations benchmark and by 5 MB on the registry
+# or of a collocation matrix assembly.  On the 9216-node interior rule
+# against 384 charges a whole gradient kernel is 57 MB and a block of 2 ** 18
+# entries 4 MB; while the second variation took that rule, 2 ** 14 cut peak
+# RSS by 2 MB on the green-variations benchmark and by 5 MB on the registry
 # (two-vCPU x86_64, one BLAS thread), at the same CPU time
 BLOCK_ENTRIES = 2 ** 14
 # kernel entries in one row block of a rate product: its few complex
