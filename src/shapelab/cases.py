@@ -138,7 +138,7 @@ def fd_details(fd: FDResult) -> dict:
     return details
 
 
-def route_result(tri: hd.RouteTriangle, err=None, fd: hd.ResolvedLadder | None = None,
+def route_result(tri: hd.RouteTriangle, err=None, fd: FDResult | None = None,
                  **oracles):
     """(value, oracles, err, details) of a Hadamard route run.
 
@@ -147,8 +147,7 @@ def route_result(tri: hd.RouteTriangle, err=None, fd: hd.ResolvedLadder | None =
     probe warnings on the base boundary (a list, empty without any) go to
     details.  A row that also re-solves along an FD ladder passes it as
     ``fd``: its value joins the oracles and err, as the worst gap of the
-    four values, and the rank of each re-solve in ascending t and the
-    ladder's FD record join details.
+    four values, and the ladder's FD record joins details.
     """
     details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings)}
     oracles = oracles or {"bvp": tri.bvp, "tangent": tri.tangent}
@@ -156,7 +155,7 @@ def route_result(tri: hd.RouteTriangle, err=None, fd: hd.ResolvedLadder | None =
     if fd is not None:
         oracles["fd"] = fd.value
         err = max(err, tri.max_gap_with(fd.value))
-        details.update(re_solve_ranks=list(fd.re_solve_ranks), **fd_details(fd))
+        details.update(fd_details(fd))
     return tri.formula, oracles, err, details
 
 
@@ -477,9 +476,6 @@ def _greens_perturbed_scaling(st, case):
     fam = pert.TaylorFamily(pert.dilation())
     t = 0.05
     y = np.array([0.0, 0.4])
-    # the kept charges come from a solve on the base boundary, so the row does
-    # not depend on which cases ran before it
-    base.solve(y)
     ev = base.moved(fam, t).solve(y)
     rng = st.rng(case.case_id)
     worst = 0.0

@@ -626,21 +626,24 @@ class Domain:
         """The interior rule of the domain (48 x 192 nodes), built once."""
         return self.memo("interior", lambda: interior_quadrature(self.curve))
 
-    def charge_rings(self, n_charges: int, outer_offset: float) -> tuple:
-        """Read-only (n_charges, 2) source rings of each component, built once per key.
+    def charge_rings(self, n_charges: int) -> tuple:
+        """Read-only (n_charges, 2) source rings of each component, built once per count.
 
         Ring i is component i dilated about its area centroid, by
-        ``outer_offset`` for the outer curve and by 0.6 for a hole, sampled at
-        the angles 2 pi (j + 1/4) / n_charges.
+        R = 10 ** (16 / n_charges), so R ** n_charges = 1e16, for the outer
+        curve and by 1 / R for a hole, sampled at the angles
+        2 pi (j + 1/4) / n_charges.  Under this rule the Green's solver keeps
+        every column of the disk and the annulus from 32 to 192 charges.
         """
         def build():
             thetas = TWO_PI * (np.arange(n_charges) + 0.25) / n_charges
+            outer = 10.0 ** (16.0 / n_charges)
             rings = []
             for i, curve in enumerate(self.curve.components):
-                factor = outer_offset if i == 0 else 0.6
+                factor = outer if i == 0 else 1.0 / outer
                 ring = curve.scaled_about(curve.centroid(), factor).point(thetas)
                 ring.flags.writeable = False
                 rings.append(ring)
             return tuple(rings)
 
-        return self.memo(("charge_rings", n_charges, outer_offset), build)
+        return self.memo(("charge_rings", n_charges), build)

@@ -2,62 +2,50 @@
 
 The harmonic corrector is represented by the method of fundamental
 solutions: a sum of log-kernels with sources on dilated copies of each
-boundary component (outside the domain for the outer curve, inside each
-hole).  Coefficients are fit by least squares on oversampled collocation
-nodes with column-pivoted QR and relative truncation (LAPACK gelsy), the
-standard stabilization for these exponentially ill-conditioned systems.
-The collocation matrix is assembled once per boundary and shared by every
-right-hand side.  Its condition estimate is an SVD, computed only when read.
+boundary component (``Domain.charge_rings``: the outer curve dilated about
+its centroid by R = 10^(16/n_charges), each hole by 1/R).  Coefficients are
+fit by least squares on oversampled collocation nodes.  The collocation
+matrix is assembled once per boundary and shared by every right-hand side.
+Its condition estimate is an SVD, computed only when read.
 
-One factorization per matrix, and the rank decided once per boundary.  The
-first solve on a base matrix is a gelsy call, which yields the rank and
-the columns its truncation kept.  gelsy decides the rank with LAPACK's
-incremental condition estimator dlaic1, which scipy does not expose.
-Every later solve on that matrix applies gelsy's factors, built once at
-that rank by gelsy's own LAPACK steps (dgeqp3, then dtzrzf below full
-rank) and applied as gelsy applies them (dormqr, dtrsm, dormrz, then the
-pivots), so it returns gelsy's solution bit for bit.  Each run shares its
-base solvers: ``base_solver`` keeps one solver per (boundary assignment,
-config) in the domain's memo, and a run keeps one Domain per curve, so
-every case on a boundary solves on one matrix and one set of factors.
-
-Kept columns: ``GreensSolver.moved(family, t)`` is the one owner of the
-re-solve rule, and it needs a solved base.  The solver of T_t(Omega) it
-returns takes the T_t images of the kept charges only, in ring order, and
-the base's rank, which is its column count.  Its first solve factors that
+One QR path for every solve.  A solver of a base boundary decides its
+columns once, when it is built: column-pivoted QR (dgeqp3) of its matrix
+keeps the columns with |R_kk| > KEEP_CUT |R_11| (1e-10), in ring order, and
+the solver keeps only those columns and their charges.  Under the ring rule
+the disk and the annulus keep every column; a boundary such as the 1 x 0.5
+ellipse stays rank-deficient, and an unpivoted fit of all its columns is not
+stable (KEEP_CUT).  Every solver factors its
 matrix once, in place, by unpivoted blocked QR (dgeqrt, then dgemqrt and
-dtrsm): no re-pivoting and no re-truncation, so every t of a
-finite-difference ladder has the same charge set and the same rank; on a
-768x226 matrix dgeqrt takes about a third of gelsy's time.  The Hadamard
-tangent route differentiates this problem at t = 0 instead of re-solving
-it: ``collocation_rate_products`` applies the exact t-rates of its matrix
-and data, row block by row block, without assembling them, and
-``MixedSolver.fit`` applies A^+ and (A^T A)^-1 = R^-1 R^-T on the QR
-factors of ``moved(None, 0.0)``.  So the green-variations benchmark makes
-12 such t = 0 solves and no re-solve at t != 0, where it made 102 FD
-re-solves; the registry re-solves only for the FD ladders of its two
-mixed-annulus route rows and for its perturbed-scaling case.  On a
-full-rank matrix every column is kept, in its
-original order; every matrix of the built-in registry is full rank, so
-truncation and kept columns serve rank-deficient boundaries such as rings
-of 192 charges.  Solves on the base matrix itself, poles and variation
-data alike, use every column: the variation data feed boundary
-derivatives, and on the mixed annulus a fit on the kept columns alone
-resolved those less well than gelsy's fit on every column.
+dtrsm), at its first solve or fit.  Each run shares its base solvers:
+``base_solver`` keeps one solver per (boundary assignment, config) in the
+domain's memo, and a run keeps one Domain per curve, so every case on a
+boundary solves on one matrix and one set of factors.
+
+Re-solves: ``GreensSolver.moved(family, t)`` is the solver of T_t(Omega) on
+the T_t images of its base's kept charges, in ring order.  It decides
+nothing, so every t of a finite-difference ladder has the same charge set,
+and at t = 0 its matrix is the base's own.  The Hadamard tangent route
+differentiates that problem at t = 0 on the base's factors instead of
+re-solving it: ``collocation_rate_products`` applies the exact t-rates of
+its matrix and data, row block by row block, without assembling them, and
+``MixedSolver.fit`` applies A^+ and (A^T A)^-1 = R^-1 R^-T.  So the
+green-variations benchmark assembles and factors one matrix per boundary
+and makes no re-solve; the registry re-solves only for the FD ladders of
+its two mixed-annulus route rows and for its perturbed-scaling case.
 
 Blocks are the unit of work: one solve per batch; per-column products
 keep bits.  A solve takes one data set or a block of k of them (several
-poles, several variation data sets) and fits them at once; gelsy's rank
-depends only on the matrix, so every column gets the same truncation.  The
-result is a field with a (K, k) coefficient block.  A block field builds
-its (N, K) kernel matrix once per call and takes one matrix-vector product
-per column, so column j of any block evaluation is bit-identical to
-evaluating field j alone (one gemm would reorder the sums).  Block results
-stack the k columns on a leading axis.  Fields evaluate their kernel in
-row blocks of at most BLOCK_ENTRIES entries, each row with the BLAS kernel
-it meets in one whole evaluation, so rows keep their bits and no block
-passes 1 MB, even on the 9216-node interior rule.  A collocation matrix
-is written in such row blocks too, straight into its Fortran-ordered array.
+poles, several variation data sets) and fits them at once on the same
+columns.  The result is a field with a (K, k) coefficient block.  A block
+field builds its (N, K) kernel matrix once per call and takes one
+matrix-vector product per column, so column j of any block evaluation is
+bit-identical to evaluating field j alone (one gemm would reorder the
+sums).  Block results stack the k columns on a leading axis.  Fields
+evaluate their kernel in row blocks of at most BLOCK_ENTRIES entries, each
+row with the BLAS kernel it meets in one whole evaluation, so rows keep
+their bits and no block passes 1 MB, even on the 9216-node interior rule.
+A collocation matrix is written in such row blocks too, straight into its
+Fortran-ordered array.
 
 The kernels work on (N, K) arrays of point-source offsets.  Sums of kernel
 gradients over the charges use the complex form
@@ -70,9 +58,9 @@ so re-solves along a finite-difference t-ladder differ only through the
 deformation, never through a change of discretization at t=0.
 
 LAPACK and BLAS come from scipy's compiled modules scipy.linalg._flapack
-(dgelsy, dgeqp3, dtzrzf, dormqr, dormrz, dgeqrt, dgemqrt, dgesdd and their
-workspace queries) and scipy.linalg._fblas (dtrsm), loaded from their files
-after ``import scipy``.  Importing the scipy.linalg package instead runs its
+(dgeqp3, dgeqrt, dgemqrt, dgesdd and its workspace query) and
+scipy.linalg._fblas (dtrsm), loaded from their files after
+``import scipy``.  Importing the scipy.linalg package instead runs its
 __init__, whose array-API copy of the numpy namespace imports numpy.f2py,
 numpy.testing and unittest: 0.3 s of CPU in every fresh process, half of
 what ``import shapelab.cli`` cost.  The routines are the objects that
@@ -81,6 +69,7 @@ scipy.linalg.lapack and .blas re-export, so every solve keeps its bits.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import os
@@ -107,6 +96,18 @@ BLOCK_ENTRIES = 2 ** 14
 # kernel entries in one row block of a rate product: its few complex
 # temporaries stay at 64 KB each
 RATE_BLOCK_ENTRIES = 2 ** 12
+# a base solver keeps the columns whose pivoted-QR diagonal |R_kk| exceeds
+# KEEP_CUT |R_11|.  Under the ring rule the smallest such ratio of the
+# disk, the annulus and the eps = 0.2 star is at least 1e-9, so they keep
+# every column.  The 1 x 0.5 ellipse at 96 charges keeps 82 of 96:
+# unpivoted QR of all 96 reads min |R_kk| / |R_11| = 2e-16, and its fit of
+# the pole (0, 0.2) has coefficients near 6e7, against 2e2 on the kept 82.
+# A cut of 1e-12 kept 116 of its 128 columns at m=256, where 10 of 64 route
+# rows that passed on the former fixed rings failed the check gate
+# (residuals 1.0e-4 to 2.1e-4); at 1e-10 (110 kept) none did
+KEEP_CUT = 1e-10
+# panel width of the blocked QR (dgeqrt), and the block of dgeqp3's workspace
+QR_BLOCK = 32
 
 
 def _linalg_extension(name: str):
@@ -145,24 +146,17 @@ class GreensAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class GreensConfig:
-    """Charges per ring, the outer ring's dilation about the centroid, and
-    the largest check-node residual a solve may return.
+    """Charges per ring and the largest check-node residual a solve may return.
 
-    The outer ring must enclose the curve, so its factor is a finite number
-    above 1: the fit, and the charge fields being harmonic in the domain,
-    rely on it.
+    The rings themselves follow one rule (``Domain.charge_rings``).
     """
 
     n_charges: int = 128
-    charge_offset_outer: float = 1.6
     fail_threshold: float = 1e-4
 
     def __post_init__(self):
         if not self.n_charges >= 1:
             raise GreensError(f"n_charges must be at least 1, not {self.n_charges!r}")
-        if not (np.isfinite(self.charge_offset_outer) and self.charge_offset_outer > 1.0):
-            raise GreensError("charge_offset_outer must be a finite number above 1, "
-                              f"not {self.charge_offset_outer!r}")
         if not self.fail_threshold > 0.0:  # NaN fails too
             raise GreensError("fail_threshold must be above 0, "
                               f"not {self.fail_threshold!r}")
@@ -353,8 +347,8 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     nodes, charge rings) is the T_t image of its base-boundary set, with
     frames from the deformation Jacobian, and ``family=None`` is the
     identity.  The base charges of each component are ``charges[i]``, by
-    default the domain's cached ring (a dilation of the component about its
-    area centroid).  The discretization is therefore continuous in t, and a
+    default the domain's cached ring (``Domain.charge_rings``).  The
+    discretization is therefore continuous in t, and a
     family that does not move a point set leaves it bit-identical.
     """
     if len(mixed.kinds) != domain.n_components:
@@ -362,7 +356,7 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     n_col = int(round(2.0 * config.n_charges))  # two collocation nodes per charge
     th_col = TWO_PI * np.arange(n_col) / n_col
     if charges is None:
-        charges = domain.charge_rings(config.n_charges, config.charge_offset_outer)
+        charges = domain.charge_rings(config.n_charges)
     comps = []
     for i, (curve, grid, base) in enumerate(zip(domain.curve.components, domain.grids,
                                                 charges)):
@@ -446,85 +440,14 @@ class HarmonicField:
 @dataclass
 class SolveDiagnostics:
     residual: float
-    rank: int
     n_unknowns: int
 
 
-def _gelsy_lwork(m: int, n: int, n_rhs: int) -> int:
-    """The workspace gelsy takes for an (m, n) matrix and n_rhs data columns."""
-    work, _ = _lapack.dgelsy_lwork(m, n, n_rhs, 1e-13)
-    return int(work)
-
-
-def _gelsy(matrix: np.ndarray, rhs: np.ndarray):
-    """(solution, rank, pivots) of the truncated least-squares fit, relative threshold 1e-13.
-
-    The LAPACK call ``scipy.linalg.lstsq(..., lapack_driver="gelsy")`` makes,
-    with its workspace, so the solution keeps lstsq's bits; ``pivots`` are
-    gelsy's 1-based column pivots, whose first ``rank`` entries are the
-    columns the truncation kept.
-    """
-    matrix, rhs = np.asarray_chkfinite(matrix), np.asarray_chkfinite(rhs)
-    m, n = matrix.shape
-    n_rhs = 1 if rhs.ndim == 1 else rhs.shape[1]
-    _, x, pivots, rank, info = _lapack.dgelsy(
-        matrix, rhs, np.zeros(n, dtype=np.int32), 1e-13, _gelsy_lwork(m, n, n_rhs),
-        False, False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gelsy")
-    return x[:n], rank, pivots
-
-
-class _GelsyFactors:
-    """gelsy's factors of one matrix at its rank, stored for the solves after the first.
-
-    They come from gelsy's own LAPACK steps with its workspace: the
-    column-pivoted QR  A P = Q [R11 R12; 0 R22]  (dgeqp3) and, below full
-    rank, the RZ factorization  [R11 R12] = [T11 0] Z  (dtzrzf).  A solve
-    applies Q^T (dormqr), T11^-1 (dtrsm), Z^T (dormrz) and the pivots, the
-    steps gelsy takes after its rank estimate, so it returns gelsy's solution
-    bit for bit whenever gelsy does not rescale: while the largest entry of
-    the matrix, and of a nonzero data block, lies in [1e-292, 1e292].
-    """
-
-    def __init__(self, matrix: np.ndarray, rank: int):
-        m, n = matrix.shape
-        self.shape, self.rank, self.mn = matrix.shape, rank, min(m, n)
-        lwork = _gelsy_lwork(m, n, 1)
-        self.qr, self.pivots, self.tau, _, _ = _lapack.dgeqp3(
-            matrix, lwork=lwork - self.mn)
-        self.rz, self.tau_z = self.qr[:rank], None
-        if rank < n:
-            self.rz, self.tau_z, _ = _lapack.dtzrzf(self.rz, lwork=lwork - 2 * self.mn)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """gelsy's solution for data (rows,) or a (rows, k) block."""
-        m, n = self.shape
-        block = np.asarray_chkfinite(rhs).reshape(m, -1)
-        # each step gets what gelsy leaves it of its workspace: an undersized
-        # dormqr workspace runs unblocked and moves the bits
-        lwork = _gelsy_lwork(m, n, block.shape[1]) - 2 * self.mn
-        qtb, _, _ = _lapack.dormqr("L", "T", self.qr[:, :self.mn], self.tau, block, lwork)
-        y = np.zeros((n, block.shape[1]), order="F")
-        # BLAS dtrsm as gelsy calls it; LAPACK's dtrtrs differs for one column
-        y[:self.rank] = _blas.dtrsm(1.0, self.rz[:, :self.rank], qtb[:self.rank])
-        if self.rank < n:
-            y, _ = _lapack.dormrz(self.rz, self.tau_z, y, side="L", trans="T",
-                                  lwork=lwork)
-        x = np.empty_like(y)
-        x[self.pivots - 1] = y
-        return x if rhs.ndim == 2 else x[:, 0]
-
-
-# panel width of the blocked QR (dgeqrt) that factors a re-solve's matrix
-QR_BLOCK = 32
-
-
 class _QRFactors:
-    """Unpivoted blocked QR  A = Q R  of a re-solve's matrix, built at its first solve.
+    """Unpivoted blocked QR  A = Q R  of a solver's matrix, built at its first solve.
 
-    The matrix holds only the T_t images of the charges its base solve kept,
-    so it is factored at the base rank: no pivoting and no truncation.
+    The matrix holds only columns that a base solver's pivoted QR kept, or
+    their T_t images, so it is factored without pivoting or truncation.
     dgeqrt factors it in place (Elmroth-Gustavson recursive QR, BLAS-3 on
     panels of QR_BLOCK columns), since a Fortran-ordered matrix passed with
     overwrite_a is not copied.  A solve applies Q^T (dgemqrt) and R^-1
@@ -567,28 +490,25 @@ class MixedSolver:
 
     Dirichlet rows match values, Neumann rows match normal derivatives.  The
     matrix is assembled once, in Fortran order, and shared by every
-    right-hand side.  Each ``solve`` is a least-squares fit of a data set or
-    a block of them, and the rank is decided once per boundary.  On a base
-    matrix the first solve is gelsy's pivoted-QR fit, truncated at the
-    relative threshold 1e-13; it stores gelsy's ``rank`` and the columns
-    gelsy kept, sorted, as ``kept``, and the solves after it apply gelsy's
-    factors, built once at that rank, with gelsy's bits.  A re-solve's
-    matrix (``GreensSolver.moved``) holds the images of those kept columns'
-    charges only and comes with its base's ``rank``: its first solve factors
-    it by unpivoted blocked QR at that rank, in place, so from then on
-    ``matrix`` holds the QR factors.  The condition estimate is an SVD of the
-    matrix, or of the re-solve's R factor once factored, computed on first
-    read.
+    right-hand side.  With ``decide``, on a base boundary, the solver then
+    keeps only the columns that column-pivoted QR (dgeqp3) finds
+    independent, |R_kk| > KEEP_CUT |R_11|, in ring order, and its
+    ``components`` and ``charges`` only their charges.  Without it, on the
+    images of a base's kept charges, it keeps every column.  Each ``solve``
+    is a least-squares fit of a data set or a block of them on unpivoted QR
+    factors, which the first solve or fit builds in place, so from then on
+    ``matrix`` holds them.  The condition estimate is an SVD of the matrix,
+    or of its R factor once factored, computed on first read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
-                 config: GreensConfig | None = None):
+                 config: GreensConfig | None = None, decide: bool = True):
         self.config = config or GreensConfig()
         self.components = components
         self.charges = np.vstack([c.charges for c in components])
-        # Fortran order, so a re-solve's QR factors it without a copy.  It is
-        # written in row blocks of at most BLOCK_ENTRIES entries, so the
-        # kernel's temporaries stay one block each
+        # Fortran order, so the QR factors it without a copy.  It is written
+        # in row blocks of at most BLOCK_ENTRIES entries, so the kernel's
+        # temporaries stay one block each
         self.matrix = np.empty((sum(len(c.colloc_nodes) for c in components),
                                 len(self.charges)), order="F")
         step = max(1, BLOCK_ENTRIES // len(self.charges))
@@ -606,17 +526,41 @@ class MixedSolver:
                     gy *= comp.colloc_normal[block, 1:]
                     rows += gy
             offset += len(comp.colloc_nodes)
-        self.rank: int | None = None  # set by the first base solve, with kept
-        self.kept: np.ndarray | None = None
-        # built by a base's second solve or a re-solve's first
-        self._factors: _GelsyFactors | _QRFactors | None = None
+        if decide:
+            self._keep_independent_columns()
+        self._factors: _QRFactors | None = None
+
+    def _keep_independent_columns(self) -> None:
+        """Drop the columns, and their charges, that pivoted QR of a copy of
+        the matrix finds dependent."""
+        n = self.matrix.shape[1]
+        qr, pivots, _, _, info = _lapack.dgeqp3(self.matrix, lwork=2 * n + (n + 1) * QR_BLOCK)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+        diagonal = np.abs(np.diagonal(qr))
+        keep = np.zeros(n, dtype=bool)
+        keep[pivots[diagonal > KEEP_CUT * diagonal[0]] - 1] = True
+        if keep.all():
+            return
+        self.matrix = np.asfortranarray(self.matrix[:, keep])
+        self.charges = self.charges[keep]
+        splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
+        self.components = [dataclasses.replace(c, charges=c.charges[k])
+                           for c, k in zip(self.components, np.split(keep, splits))]
+
+    @property
+    def factors(self) -> _QRFactors:
+        """The QR factors of the matrix, built in place on first use."""
+        if self._factors is None:
+            self._factors = _QRFactors(self.matrix)
+        return self._factors
 
     @functools.cached_property
     def condition_estimate(self) -> float:
         # the dgesdd call of scipy.linalg.svdvals, with its workspace; R has
         # the singular values of the matrix its QR overwrote
         matrix = self.matrix
-        if isinstance(self._factors, _QRFactors):
+        if self._factors is not None:
             matrix = np.triu(matrix[:matrix.shape[1]])
         m, n = matrix.shape
         work, _ = _lapack.dgesdd_lwork(m, n, compute_uv=0, full_matrices=0)
@@ -638,22 +582,12 @@ class MixedSolver:
         ones they agree to rounding.
         """
         rhs = np.concatenate(rhs_per_component, axis=-1)
-        if self.rank is None:
-            coeff, self.rank, pivots = _gelsy(self.matrix, rhs.T)
-            self.kept = np.sort(pivots[:self.rank] - 1)
-        else:
-            if self._factors is None:
-                # a re-solve keeps no columns of its own: QR at its base's
-                # rank, overwriting the matrix
-                self._factors = (_GelsyFactors(self.matrix, self.rank)
-                                 if self.kept is not None else _QRFactors(self.matrix))
-            coeff = self._factors.solve(rhs.T)
-        fld = HarmonicField(self.charges, coeff)
+        fld = HarmonicField(self.charges, self.factors.solve(rhs.T))
         # per data set, the worst check-node residual over the components
         residual = np.max([np.max(np.abs(comp.datum(fld.value, fld.gradient, "check_")
                                          - data), axis=-1)
                            for comp, data in zip(self.components, check_data)], axis=0)
-        diags = tuple(SolveDiagnostics(float(r), int(self.rank), self.matrix.shape[1])
+        diags = tuple(SolveDiagnostics(float(r), self.matrix.shape[1])
                       for r in np.atleast_1d(residual))
         total = float(np.max(residual))
         if not total <= self.config.fail_threshold:  # a NaN residual fails too
@@ -664,11 +598,8 @@ class MixedSolver:
         return fld, diags[0] if rhs.ndim == 1 else diags
 
     def fit(self, data: np.ndarray, gram: np.ndarray):
-        """``_QRFactors.fit`` on a re-solve's matrix, which its first solve factored."""
-        if not isinstance(self._factors, _QRFactors):
-            raise GreensError("a fit needs the QR factors of a solved re-solve "
-                              "(GreensSolver.moved)")
-        return self._factors.fit(data, gram)
+        """``_QRFactors.fit`` on this solver's matrix."""
+        return self.factors.fit(data, gram)
 
     @functools.cached_property
     def _fourier_bases(self) -> list[tuple[FourierBasis, FourierBasis]]:
@@ -761,9 +692,10 @@ class GreensSolver:
     """Green's-function factory for one domain and boundary assignment
     (``base_solver`` shares the one of the undeformed boundary).
 
-    ``charges`` are the base charges of each component before T_t, by
-    default the domain's charge rings; ``moved`` passes the charges its
-    solver kept.
+    ``charges`` are the base charges of each component before T_t.  By
+    default they are the domain's charge rings, whose independent columns
+    the solver keeps (``MixedSolver``); ``moved`` passes a base's kept
+    charges, which the solver keeps whole.
     """
 
     def __init__(self, domain: Domain, mixed: MixedBoundary,
@@ -772,8 +704,10 @@ class GreensSolver:
         self.domain = domain
         self.mixed = mixed
         self.config = config or GreensConfig()
-        self.components = discretize_pushed(domain, mixed, family, t, self.config, charges)
-        self.solver = MixedSolver(self.components, self.config)
+        self.solver = MixedSolver(
+            discretize_pushed(domain, mixed, family, t, self.config, charges),
+            self.config, decide=charges is None)
+        self.components = self.solver.components
 
     def corrector_data(self, y: np.ndarray):
         """Corrector data at collocation and check nodes for a pole or (k, 2)
@@ -807,10 +741,11 @@ class GreensSolver:
         the corrector data for the pole y, as this undeformed boundary and its
         charges move by ``family``.
 
-        On ``moved(None, 0.0)`` these are the rates of the problem that the
-        re-solves ``moved(family, t)`` fit.  Nodes and charges move with
-        ``family.velocity`` and ``acceleration``, the pole stays, and Neumann
-        rows turn with ``frame_rates``; the pole is one more kernel column.
+        These are the rates of the problem that the re-solves
+        ``moved(family, t)`` fit, whose t = 0 matrix is this solver's own.
+        Nodes and charges move with ``family.velocity`` and ``acceleration``,
+        the pole stays, and Neumann rows turn with ``frame_rates``; the pole
+        is one more kernel column.
         ``right`` is (K + 1,) or (K + 1, p) and ``left`` (rows,) or (rows, p).
         P_k is never whole: each row block of ``kernel_rates`` adds its share
         to both products.
@@ -843,19 +778,11 @@ class GreensSolver:
         return [row[0] for row in (fundamental_solution(x, charges), *rates)]
 
     def moved(self, family, t: float) -> "GreensSolver":
-        """The solver of T_t(Omega) for this solved, undeformed one, on the T_t
-        images of the charges its first solve kept, in order, and at its rank,
-        so the re-solves of an FD ladder share one charge set and one rank."""
-        if self.solver.kept is None:
-            raise GreensError("a re-solve on T_t(Omega) needs a solved base: "
-                              "solve on the undeformed boundary first")
-        keep = np.zeros(len(self.solver.charges), dtype=bool)
-        keep[self.solver.kept] = True
-        splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
-        charges = [c.charges[k] for c, k in zip(self.components, np.split(keep, splits))]
-        moved = GreensSolver(self.domain, self.mixed, self.config, family, t, charges)
-        moved.solver.rank = self.solver.rank
-        return moved
+        """The solver of T_t(Omega) for this undeformed one, on the T_t images
+        of its kept charges, in ring order: it decides no columns, so the
+        re-solves of an FD ladder share one charge set."""
+        return GreensSolver(self.domain, self.mixed, self.config, family, t,
+                            [c.charges for c in self.components])
 
 
 def base_solver(domain: Domain, mixed: MixedBoundary,
@@ -863,8 +790,8 @@ def base_solver(domain: Domain, mixed: MixedBoundary,
     """The domain's one solver of its undeformed boundary under (mixed, config).
 
     Built on the first request and kept in the domain's memo, so every route
-    and case on that boundary shares its matrix, its first gelsy solve and
-    the factors of the solves after it.
+    and case on that boundary shares its kept columns, its matrix and the QR
+    factors of its solves.
     """
     config = config or GreensConfig()
     return domain.memo(("greens", mixed, config),

@@ -5,10 +5,11 @@ variational formula (trace pairings, the second variation's volume term
 included, by Green's first identity), an auxiliary harmonic BVP solved with
 the same collocation machinery, and the tangent: the exact t-derivative at
 t = 0 of the discrete problem on the deformed domain T_t(Omega), the
-kept-column least-squares fit that ``GreensSolver.moved`` re-solves.  The
-tangent differentiates that fit by the Golub-Pereyra rule for the
-derivative of a least-squares solution, from the QR factors of its t = 0
-matrix and the exact rates of its entries, so it re-solves nothing.
+least-squares fit on the base's kept charges that ``GreensSolver.moved``
+re-solves.  The tangent differentiates that fit by the Golub-Pereyra rule
+for the derivative of a least-squares solution, from the base solver's QR
+factors (its matrix is the fit's t = 0 matrix) and the exact rates of its
+entries, so it assembles and re-solves nothing.
 Finite differences of full re-solves along a t-ladder (``delta_n_fd``,
 ``delta2_n_fd``) differentiate the same problem; the registry keeps them on
 the mixed annulus, as the tangent's own oracle.  The second variation's
@@ -167,16 +168,8 @@ def _probe_messages(solver: GreensSolver, points) -> list[str]:
     return [m for m in (probe_warning(solver, p) for p in points) if m is not None]
 
 
-@dataclass
-class ResolvedLadder(FDResult):
-    """An FD ladder of full re-solves, with the rank of each re-solve, one per
-    abscissa in ascending t."""
-
-    re_solve_ranks: tuple = ()
-
-
 def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamily,
-                     x, y, ladder) -> ResolvedLadder:
+                     x, y, ladder) -> FDResult:
     """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega)
     by ``solver.moved``.
 
@@ -185,22 +178,20 @@ def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamil
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    messages, ranks = [], {}
+    messages = []
 
     def value(t):
         moved = solver.moved(family, t)
         messages.extend(_probe_messages(moved, (x, y)))
-        ev = moved.solve(y)
-        ranks[t] = ev.diagnostics.rank
-        return ev.value(x[None, :])[0]
+        return moved.solve(y).value(x[None, :])[0]
 
     fd = derivative_ladder(value, order=order, ladder=ladder)
     fd.warnings = tuple(dict.fromkeys(fd.warnings + tuple(messages)))
-    return ResolvedLadder(**vars(fd), re_solve_ranks=tuple(ranks[t] for t in sorted(ranks)))
+    return fd
 
 
 def delta_n_fd(solver: GreensSolver, family: PerturbationFamily,
-               x: np.ndarray, y: np.ndarray, ladder=None) -> ResolvedLadder:
+               x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
     """First variation by re-solving on the deformed domain of the base
     ``solver`` along a t-ladder."""
     return _resolved_ladder(1, solver, family, x, y, ladder)
@@ -209,10 +200,10 @@ def delta_n_fd(solver: GreensSolver, family: PerturbationFamily,
 def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
              x, y) -> list[float]:
     """The t-derivatives of orders 1 to ``order`` at t = 0 of t -> N_t(x, y),
-    the value ``_resolved_ladder`` differences, for the solved base ``solver``.
+    the value ``_resolved_ladder`` differences, for the base ``solver``.
 
-    At t = 0 the re-solve's fit A c = b is ``solver.moved(None, 0.0)``, which
-    one solve factors by QR.  With r = b - A c and (A^T A)^-1 = R^-1 R^-T
+    At t = 0 the re-solve's fit A c = b is the base's own, on its QR
+    factors.  With r = b - A c and (A^T A)^-1 = R^-1 R^-T
     (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
     c' = A^+(b' - A'c) + (A^T A)^-1 A'^T r, r' = b' - A'c - A c', and
     c'' = A^+(b'' - A''c - 2A'c') + (A^T A)^-1 (A''^T r + 2 A'^T r').
@@ -223,13 +214,12 @@ def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
     variation's second pass gives A'c' and A'^T r'.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    at_zero = solver.moved(None, 0.0)
-    c = at_zero.solve(y).corrector.coefficients  # factors A, under the check-node gate
-    fit = at_zero.solver.fit
-    _, r = fit(np.concatenate(at_zero.corrector_data(y)[0]), np.zeros_like(c))
-    products = functools.partial(at_zero.collocation_rate_products, family, y)
+    c = solver.solve(y).corrector.coefficients  # under the check-node gate
+    fit = solver.solver.fit
+    _, r = fit(np.concatenate(solver.corrector_data(y)[0]), np.zeros_like(c))
+    products = functools.partial(solver.collocation_rate_products, family, y)
     (d1, g1), *second = products(order, np.append(c, 1.0), r)
-    kernel = at_zero.kernel_row_rates(family, x, order)
+    kernel = solver.kernel_row_rates(family, x, order)
     c1, r1 = fit(-d1, g1[:-1])
     rates = [float(kernel[0] @ c1 + kernel[1] @ c)]
     if second:
@@ -304,7 +294,10 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     Omega, and Green's first identity turns the volume term into
     -<deltaN(.,x), d deltaN(.,y)/dnu> - <deltaN(.,y), d deltaN(.,x)/dnu>
     over every piece.  Each component takes one value and one gradient
-    block of the first variations at its grid nodes.
+    block of the first variations at its grid nodes.  That trapezoid rule's
+    error on a product of two charge fields falls like R^-m for the ring
+    factor R of ``Domain.charge_rings``, so it stays at rounding while the
+    grid has m >= n_charges nodes.
     """
     total = 0.0
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
@@ -325,7 +318,7 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
 
 
 def delta2_n_fd(solver: GreensSolver, family: PerturbationFamily,
-                x: np.ndarray, y: np.ndarray, ladder=None) -> ResolvedLadder:
+                x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
     """Second variation by 5-point differencing of full re-solves, as in
     ``delta_n_fd``."""
     return _resolved_ladder(2, solver, family, x, y, ladder)
@@ -400,10 +393,10 @@ def disk_dilation_delta_n(x, y, order: int = 1) -> float:
 class RouteTriangle:
     """Pairwise comparison of the formula, BVP and tangent routes for one probe pair.
 
-    ``residual``, ``rank`` and ``n_unknowns`` summarize the base and BVP
-    solves: the worst check-node residual, the smallest rank, and the
-    number of charges.  ``probe_warnings`` are the probe warnings on the
-    base boundary, the only boundary the routes solve on.
+    ``residual`` and ``n_unknowns`` summarize the base and BVP solves: the
+    worst check-node residual and the number of kept charges.
+    ``probe_warnings`` are the probe warnings on the base boundary, the only
+    boundary the routes solve on.
     """
 
     formula: float
@@ -411,7 +404,6 @@ class RouteTriangle:
     tangent: float
     pairwise: dict
     residual: float
-    rank: int
     n_unknowns: int
     probe_warnings: list[str]
 
@@ -426,8 +418,7 @@ class RouteTriangle:
 
     def solve_details(self) -> dict:
         """The solve summary as report ``details``."""
-        return {"solve_residual": self.residual, "solve_rank": self.rank,
-                "n_unknowns": self.n_unknowns}
+        return {"solve_residual": self.residual, "n_unknowns": self.n_unknowns}
 
 
 def _rel(a: float, b: float) -> float:
@@ -442,7 +433,6 @@ def _triangle(formula: float, bvp: float, tangent: float,
                 "bvp_vs_tangent": _rel(bvp, tangent)}
     return RouteTriangle(formula, bvp, tangent, pairwise,
                          max(d.residual for d in diagnostics),
-                         min(d.rank for d in diagnostics),
                          diagnostics[0].n_unknowns, issued)
 
 
@@ -476,8 +466,8 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     """Run all three second-variation routes for one probe pair.
 
     Three solves on the base matrix: the poles (x, y), their first
-    variations, then the second variation for y; the tangent adds one on
-    its t = 0 matrix.
+    variations, then the second variation for y; the tangent adds one for y
+    on the same factors.
     """
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)

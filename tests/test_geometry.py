@@ -231,6 +231,21 @@ class TestCollar:
         np.testing.assert_allclose(a.divergence(pts), fd, atol=1e-7)
 
 
+class TestChargeRings:
+    @pytest.mark.parametrize("n_charges", [32, 96, 192])
+    def test_each_ring_dilates_its_component_by_the_rule(self, n_charges):
+        domain = geo.Domain(geo.annulus(0.5, 1.0), m=64)
+        outer, hole = domain.charge_rings(n_charges)
+        factor = 10.0 ** (16.0 / n_charges)  # R ** n_charges = 1e16
+        np.testing.assert_allclose(np.hypot(*outer.T), factor, rtol=1e-14)
+        np.testing.assert_allclose(np.hypot(*hole.T), 0.5 / factor, rtol=1e-14)
+        angles = np.arctan2(outer[:, 1], outer[:, 0]) % TWO_PI
+        np.testing.assert_allclose(angles, TWO_PI * (np.arange(n_charges) + 0.25) / n_charges,
+                                   rtol=0, atol=1e-13)
+        assert not (outer.flags.writeable or hole.flags.writeable)
+        assert domain.charge_rings(n_charges)[0] is outer  # built once per count
+
+
 class TestInteriorQuadrature:
     def test_disk_area(self):
         rule = geo.interior_quadrature(geo.disk(1.0))

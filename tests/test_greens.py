@@ -334,9 +334,17 @@ class TestDiagnostics:
     def test_condition_estimate_reported(self, disk_solver):
         assert disk_solver.solver.condition_estimate > 1e6
 
-    def test_condition_estimate_is_the_singular_value_ratio(self, annulus_solver):
-        sv = scipy.linalg.svdvals(annulus_solver.solver.matrix)
-        assert annulus_solver.solver.condition_estimate == float(sv[0] / sv[-1])
+    def test_condition_estimate_is_the_singular_value_ratio(self):
+        # the truncated ellipse, solved, so its matrix holds its QR factors:
+        # the estimate from R against the SVD of a fresh assembly of its
+        # kept columns.  Both are 7.0e10, so their smallest singular values
+        # may part by eps times that, 1.6e-5 relative; they read 1.7e-9 apart
+        _, solver = _block_solver("ellipse", 128, 96)
+        solver.solve(BLOCK_POLES["ellipse"][0])
+        fresh = gr.MixedSolver(solver.components, decide=False).matrix
+        assert fresh.shape == (192, 82)
+        sv = scipy.linalg.svdvals(fresh)
+        assert solver.solver.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-4)
 
     def test_fd_route_computes_no_svd(self, disk, monkeypatch):
         def refuse(*args, **kwargs):
@@ -345,7 +353,6 @@ class TestDiagnostics:
         monkeypatch.setattr(gr._lapack, "dgesdd", refuse)
         fam = pert.TaylorFamily(pert.dilation())
         solver = gr.GreensSolver(disk, geo.all_dirichlet(1))
-        solver.solve(np.array([0.0, 0.4]))  # re-solves need a solved base
         result = hd.delta_n_fd(solver, fam, np.array([0.3, 0.0]), np.array([0.0, 0.4]))
         assert np.isfinite(result.value)
         with pytest.raises(AssertionError, match="dgesdd"):  # the patch is the one read
@@ -369,11 +376,6 @@ class TestDiagnostics:
 class TestConfig:
     """A config that cannot give a valid fit fails when it is built."""
 
-    @pytest.mark.parametrize("offset", [0.9, 1.0, -1.6, np.inf, np.nan])
-    def test_an_outer_ring_that_cannot_enclose_the_curve_is_rejected(self, offset):
-        with pytest.raises(gr.GreensError, match="charge_offset_outer"):
-            gr.GreensConfig(charge_offset_outer=offset)
-
     @pytest.mark.parametrize("n_charges", [0, -3])
     def test_a_ring_without_charges_is_rejected(self, n_charges):
         with pytest.raises(gr.GreensError, match="n_charges"):
@@ -385,8 +387,8 @@ class TestConfig:
             gr.GreensConfig(fail_threshold=threshold)
 
     def test_the_bounds_themselves_are_kept(self):
-        config = gr.GreensConfig(n_charges=1, charge_offset_outer=1.01, fail_threshold=np.inf)
-        assert (config.n_charges, config.charge_offset_outer) == (1, 1.01)
+        config = gr.GreensConfig(n_charges=1, fail_threshold=np.inf)
+        assert (config.n_charges, config.fail_threshold) == (1, np.inf)
 
 
 def _fresh_python(code: str) -> str:
@@ -402,8 +404,7 @@ class TestLinalgHandles:
     """greens takes its LAPACK and BLAS routines from scipy.linalg's compiled
     modules without running scipy/linalg/__init__.py."""
 
-    LAPACK = ("dgelsy", "dgelsy_lwork", "dgeqp3", "dtzrzf", "dormqr", "dormrz",
-              "dgesdd", "dgesdd_lwork")
+    LAPACK = ("dgeqp3", "dgeqrt", "dgemqrt", "dgesdd", "dgesdd_lwork")
 
     def test_cli_import_leaves_scipy_linalg_and_numpy_testing_unloaded(self):
         out = _fresh_python(
@@ -427,29 +428,32 @@ class TestLinalgHandles:
         out = _fresh_python(
             "import sys, importlib.machinery as im; im.EXTENSION_SUFFIXES.insert(0, '.none'); "
             "from shapelab import greens as gr; loaded = 'scipy.linalg' in sys.modules; "
-            "import scipy.linalg.lapack as la; print(loaded, gr._lapack.dgelsy is la.dgelsy)")
+            "import scipy.linalg.lapack as la; print(loaded, gr._lapack.dgeqrt is la.dgeqrt)")
         assert out == "True True"
 
 
 # ---------------------------------------------------------------------------
-# Block layer: one gelsy call per batch, one kernel matrix per point set
+# Block layer: one solve per batch, one kernel matrix per point set
 # ---------------------------------------------------------------------------
 
 BLOCK_POLES = {"disk": np.array([[0.3, 0.0], [0.0, 0.4], [-0.5, 0.2], [0.1, -0.6]]),
-               "annulus": np.array([[0.0, 0.75], [-0.74, -0.1], [0.6, 0.3], [0.2, -0.7]])}
-MIXED = {"disk": geo.all_dirichlet(1), "annulus": geo.MixedBoundary(("dirichlet", "neumann"))}
+               "annulus": np.array([[0.0, 0.75], [-0.74, -0.1], [0.6, 0.3], [0.2, -0.7]]),
+               "ellipse": np.array([[0.3, 0.0], [0.0, 0.2], [-0.5, 0.1], [0.1, -0.25]])}
+MIXED = {"disk": geo.all_dirichlet(1), "annulus": geo.MixedBoundary(("dirichlet", "neumann")),
+         "ellipse": geo.all_dirichlet(1)}
+CURVES = {"disk": geo.disk(1.0), "annulus": geo.annulus(0.5, 1.0),
+          "ellipse": geo.elliptical_domain(1.0, 0.5)}
 
 
 def _block_solver(kind, m, n_charges):
-    curve = geo.disk(1.0) if kind == "disk" else geo.annulus(0.5, 1.0)
-    domain = geo.Domain(curve, m=m)
+    domain = geo.Domain(CURVES[kind], m=m)
     return domain, gr.GreensSolver(domain, MIXED[kind], gr.GreensConfig(n_charges=n_charges))
 
 
 class TestBlockLayer:
     @pytest.mark.parametrize("kind", ["disk", "annulus"])
     def test_block_solves_are_bit_identical_on_192_or_more_columns(self, kind):
-        # 384x192 disk (rank 112) and 768x384 annulus (rank 226)
+        # 384x192 disk and 768x384 annulus, both at full rank
         _, solver = _block_solver(kind, 256, 192)
         assert solver.solver.matrix.shape[1] >= 192
         block = solver.solve(BLOCK_POLES[kind])
@@ -472,7 +476,7 @@ class TestBlockLayer:
         values = block.value(nodes)
         for j, pole in enumerate(BLOCK_POLES["disk"]):
             single = solver.solve(pole)
-            assert block.diagnostics[j].rank == single.diagnostics.rank
+            assert block.diagnostics[j].n_unknowns == single.diagnostics.n_unknowns == 96
             assert np.max(np.abs(values[j] - single.value(nodes))) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["disk", "annulus"])
@@ -535,48 +539,58 @@ class TestBlockLayer:
 
 
 class TestKeptColumns:
-    """The first solve names the kept columns; ladder re-solves use only those."""
+    """A base solver keeps the columns pivoted QR finds independent, in ring
+    order; re-solves use only those.  The 1 x 0.5 ellipse at m=128 and 96
+    charges keeps 82 of 96."""
 
-    @pytest.mark.parametrize("kind,m,n_charges", [("annulus", 256, 192), ("disk", 256, 192),
-                                                  ("annulus", 128, 96)])
-    def test_gelsy_entry_point_matches_lstsq_bit_for_bit(self, kind, m, n_charges):
+    @pytest.mark.parametrize("kind,m,n_charges,n_kept", [
+        ("ellipse", 128, 96, 82), ("annulus", 256, 192, 384), ("disk", 256, 192, 192)])
+    def test_pivoted_qr_keeps_the_columns_above_the_cut_in_ring_order(self, kind, m,
+                                                                       n_charges, n_kept):
+        domain, solver = _block_solver(kind, m, n_charges)
+        rings = domain.charge_rings(n_charges)
+        whole = gr.MixedSolver(gr.discretize_pushed(domain, MIXED[kind], None, 0.0,
+                                                    solver.config), decide=False).matrix
+        r, pivots = scipy.linalg.qr(whole, mode="r", pivoting=True)
+        diagonal = np.abs(np.diag(r))
+        kept = np.sort(pivots[diagonal > gr.KEEP_CUT * diagonal[0]])
+        assert len(kept) == n_kept
+        np.testing.assert_array_equal(solver.solver.charges, np.vstack(rings)[kept])
+        np.testing.assert_array_equal(solver.solver.matrix, whole[:, kept])
+        assert solver.solver.matrix.flags.f_contiguous
+        np.testing.assert_array_equal(np.vstack([c.charges for c in solver.components]),
+                                      solver.solver.charges)
+
+    @pytest.mark.parametrize("m,n_charges", [(128, 32), (128, 64), (128, 96), (256, 128),
+                                             (256, 192)])
+    @pytest.mark.parametrize("kind", ["disk", "annulus"])
+    def test_the_registry_boundaries_keep_every_column_under_the_ring_rule(self, kind, m,
+                                                                           n_charges):
         _, solver = _block_solver(kind, m, n_charges)
-        matrix = solver.solver.matrix
-        rhs = np.concatenate(solver.corrector_data(BLOCK_POLES[kind])[0], axis=-1).T
-        _, qr_pivots = scipy.linalg.qr(matrix, mode="r", pivoting=True)
-        for data in (rhs, rhs[:, 0]):
-            x, rank, pivots = gr._gelsy(matrix, data)
-            ref, _, ref_rank, _ = scipy.linalg.lstsq(matrix, data, cond=1e-13,
-                                                     lapack_driver="gelsy")
-            np.testing.assert_array_equal(x, ref)
-            assert rank == ref_rank
-            # gelsy pivots as the column-pivoted QR (LAPACK geqp3) it runs
-            np.testing.assert_array_equal(pivots[:rank] - 1, qr_pivots[:rank])
+        n_columns = n_charges * len(solver.components)
+        assert solver.solver.matrix.shape == (2 * n_columns, n_columns)
 
-    def test_route_re_solves_factor_exactly_the_base_rank_of_columns(self, monkeypatch):
+    def test_route_solves_factor_the_kept_columns_once(self, monkeypatch):
         shapes, solve = [], gr.MixedSolver.solve
 
         def recorded(self, *args, **kwargs):
-            shapes.append(self.matrix.shape)
+            shapes.append((id(self), self.matrix.shape))
             return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(gr.MixedSolver, "solve", recorded)
-        domain = geo.Domain(geo.annulus(0.5, 1.0), m=256)
-        tri = hd.delta2_n_routes(domain, MIXED["annulus"],
+        domain = geo.Domain(CURVES["ellipse"], m=128)
+        tri = hd.delta2_n_routes(domain, MIXED["ellipse"],
                                  pert.TaylorFamily(pert.translation(1.0, 0.0)),
-                                 *BLOCK_POLES["annulus"][:2], gr.GreensConfig(n_charges=192))
-        assert tri.rank < tri.n_unknowns == 384
-        # poles, first and second variations on the whole base matrix, then
-        # the tangent's one solve at t = 0 on the kept columns only
-        assert shapes == [(768, 384)] * 3 + [(768, tri.rank)]
+                                 *BLOCK_POLES["ellipse"][:2], gr.GreensConfig(n_charges=96))
+        assert tri.n_unknowns == 82
+        # poles, first and second variations, then the tangent's pole: all
+        # on the base solver's kept columns
+        base = id(gr.base_solver(domain, MIXED["ellipse"], gr.GreensConfig(n_charges=96)).solver)
+        assert shapes == [(base, (192, 82))] * 4
 
-    def test_zero_velocity_ladder_values_are_bit_identical_at_every_t(self, annulus,
-                                                                      monkeypatch):
-        solver = gr.GreensSolver(annulus, MIXED["annulus"])
-        x, y = BLOCK_POLES["annulus"][:2]
-        solver.solve(np.stack([x, y]))
-        charges = [c.charges for c in solver.moved(None, 0.0).components]
-        assert sum(map(len, charges)) < solver.solver.matrix.shape[1]
+    def test_zero_velocity_ladder_values_are_bit_identical_at_every_t(self, monkeypatch):
+        _, solver = _block_solver("ellipse", 128, 96)
+        x, y = BLOCK_POLES["ellipse"][:2]
         values, ladder = {}, hd.derivative_ladder
 
         def recording(g, *args, **kwargs):
@@ -584,16 +598,16 @@ class TestKeptColumns:
 
         monkeypatch.setattr(hd, "derivative_ladder", recording)
         hd.delta2_n_fd(solver, pert.TaylorFamily(pert.zero_field()), x, y)
-        assert len(values) == 9 and len(set(values.values())) == 1
+        # every re-solve has the base's matrix, so the base's own value
+        assert len(values) == 9
+        assert set(values.values()) == {solver.solve(y).value(x[None, :])[0]}
 
     def test_a_full_rank_boundary_keeps_every_column_in_order(self, annulus):
         cfg = gr.GreensConfig(n_charges=96)  # 384x192 at full rank
         solver = gr.GreensSolver(annulus, MIXED["annulus"], cfg)
         x, y = BLOCK_POLES["annulus"][:2]
-        solver.solve(np.stack([x, y]))
-        np.testing.assert_array_equal(solver.solver.kept, np.arange(192))
-        for kept, ring in zip([c.charges for c in solver.moved(None, 0.0).components],
-                              annulus.charge_rings(96, 1.6)):
+        for kept, ring in zip([c.charges for c in solver.components],
+                              annulus.charge_rings(96)):
             np.testing.assert_array_equal(kept, ring)
         fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
         for t in (0.02, -0.01):
@@ -601,11 +615,13 @@ class TestKeptColumns:
             moved = solver.moved(fam, t)
             matrix = moved.solver.matrix.copy()
             kept = moved.solve(y)
-            # the blocked QR's solution, within rounding of gelsy's on the whole ring
+            # the blocked QR's solution, and the one of a solver that decides
+            # its own columns on T_t(Omega), which keeps all of them too
             col = np.concatenate(moved.corrector_data(y)[0])
             np.testing.assert_array_equal(kept.corrector.coefficients,
                                           _blocked_qr(matrix, col))
-            assert abs(kept.value(x[None, :])[0] - whole.value(x[None, :])[0]) <= 1e-12
+            np.testing.assert_array_equal(kept.corrector.coefficients,
+                                          whole.corrector.coefficients)
 
     @pytest.mark.parametrize("routes", [hd.delta_n_routes, hd.delta2_n_routes])
     def test_a_route_computes_each_components_centroid_once(self, monkeypatch, routes):
@@ -633,17 +649,17 @@ def _blocked_qr(matrix, rhs):
 
 
 class TestReSolves:
-    """A re-solve on T_t(Omega) takes its base's kept charges and rank and
-    factors once by blocked QR, in place."""
+    """A re-solve on T_t(Omega) takes its base's kept charges and factors
+    once by blocked QR, in place."""
 
-    @pytest.mark.parametrize("kind,m,n_charges", [("annulus", 256, 192), ("disk", 128, 192)])
+    @pytest.mark.parametrize("kind,m,n_charges,n_kept", [("ellipse", 128, 96, 82),
+                                                         ("annulus", 256, 192, 384)])
     def test_qr_factor_solves_equal_a_direct_lapack_reference_bit_for_bit(self, kind, m,
-                                                                          n_charges):
+                                                                          n_charges, n_kept):
         _, solver = _block_solver(kind, m, n_charges)
         poles = BLOCK_POLES[kind]
-        solver.solve(poles)
         moved = solver.moved(pert.TaylorFamily(pert.dilation()), 0.01)
-        assert moved.solver.matrix.shape[1] == solver.solver.rank < n_charges * 2
+        assert moved.solver.matrix.shape[1] == n_kept
         rhs = np.concatenate(moved.corrector_data(poles)[0], axis=-1).T
         matrix = moved.solver.matrix
         assert matrix.flags.f_contiguous
@@ -653,23 +669,22 @@ class TestReSolves:
         for data, want in zip((rhs[:, 0], rhs[:, 1:3]), reference):
             np.testing.assert_array_equal(factors.solve(data), want)
 
-    def test_a_re_solve_factors_once_in_place_and_reports_the_base_rank(self, disk,
-                                                                         monkeypatch):
+    def test_a_re_solve_factors_once_in_place_on_the_kept_columns(self, monkeypatch):
         calls = []
-        for name in ("dgelsy", "dgeqp3", "dgeqrt"):
+        for name in ("dgeqp3", "dgeqrt"):
             lapack = getattr(gr._lapack, name)
             monkeypatch.setattr(gr._lapack, name,
                                 lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k))
-        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), gr.GreensConfig(n_charges=192))
-        y = np.array([0.0, 0.4])
+        _, solver = _block_solver("ellipse", 128, 96)
+        y = BLOCK_POLES["ellipse"][1]
         solver.solve(y)
         moved = solver.moved(pert.TaylorFamily(pert.dilation()), 0.05)
         sv = scipy.linalg.svdvals(moved.solver.matrix)
-        first, second = moved.solve(y), moved.solve(np.array([0.3, 0.0]))
-        assert calls == ["dgelsy", "dgeqrt"]
-        assert moved.solver.matrix is moved.solver._factors.qr  # factored in place
-        assert first.diagnostics.rank == second.diagnostics.rank == solver.solver.rank == 112
-        assert first.diagnostics.n_unknowns == 112
+        first, second = moved.solve(y), moved.solve(BLOCK_POLES["ellipse"][0])
+        # the base decides and factors; the re-solve only factors
+        assert calls == ["dgeqp3", "dgeqrt", "dgeqrt"]
+        assert moved.solver.matrix is moved.solver.factors.qr  # factored in place
+        assert first.diagnostics.n_unknowns == second.diagnostics.n_unknowns == 82
         # once factored, the condition estimate comes from R, whose singular
         # values are the matrix's
         assert moved.solver.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-3)
@@ -684,18 +699,15 @@ class TestReSolves:
         with pytest.raises(gr.GreensAccuracyError, match="residual nan"):
             solver.moved(pert.TaylorFamily(pert.dilation()), 0.01).solve(np.stack([y, y]))
 
-    def test_a_re_solve_needs_a_solved_base(self, disk):
+    def test_a_re_solve_takes_the_images_of_the_kept_charges_of_an_unsolved_base(self):
         fam = pert.TaylorFamily(pert.dilation())
-        x, y = np.array([0.3, 0.0]), np.array([0.0, 0.4])
-        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), gr.GreensConfig(n_charges=192))
-        with pytest.raises(gr.GreensError, match="needs a solved base"):
-            solver.moved(fam, 0.01)
-        with pytest.raises(gr.GreensError, match="needs a solved base"):
-            hd.delta_n_fd(solver, fam, x, y)
-        solver.solve(y)
-        result = hd.delta_n_fd(solver, fam, x, y)
-        assert np.isfinite(result.value)
-        assert result.re_solve_ranks == (112,) * 8
+        x, y = BLOCK_POLES["ellipse"][:2]
+        _, solver = _block_solver("ellipse", 128, 96)
+        moved = solver.moved(fam, 0.01)  # no solve on the base first
+        for comp, base in zip(moved.components, solver.components):
+            np.testing.assert_array_equal(comp.charges, fam.map(base.charges, 0.01))
+        assert moved.solver.matrix.shape == (192, 82)
+        assert np.isfinite(hd.delta_n_fd(solver, fam, x, y).value)
 
 
 # the deformation kinds of the rate tests: R = 0 with a turning frame, a
@@ -731,11 +743,10 @@ class TestCollocationRates:
         for t in (-2 * h, -h, 0.0, h, 2 * h):
             moved = solver.moved(family, t)
             problem[t] = (moved.solver.matrix.copy(), np.concatenate(moved.corrector_data(y)[0]))
-        at_zero = solver.moved(None, 0.0)
-        n_rows, n_columns = at_zero.solver.matrix.shape
+        n_rows, n_columns = solver.solver.matrix.shape
         left = np.random.default_rng(1).standard_normal(n_rows)
         # with the identity on the right, P_k = [A_k | -b_k] comes out whole
-        products = at_zero.collocation_rate_products(family, y, 2, np.eye(n_columns + 1), left)
+        products = solver.collocation_rate_products(family, y, 2, np.eye(n_columns + 1), left)
         rates = []
         for whole, back in products:
             np.testing.assert_allclose(back, whole.T @ left, rtol=0,
@@ -766,61 +777,9 @@ class TestCollocationRates:
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(residual, data - matrix @ x, rtol=0, atol=1e-13)
 
-    def test_a_gram_fit_needs_a_factored_re_solve(self, solved):
-        solver, y = solved
-        data, gram = np.concatenate(solver.corrector_data(y)[0]), np.zeros(len(solver.solver.kept))
-        with pytest.raises(gr.GreensError, match="QR factors"):
-            solver.solver.fit(data, gram)
-        with pytest.raises(gr.GreensError, match="QR factors"):
-            solver.moved(None, 0.0).solver.fit(data, gram)
-
-
-def _dgelsy(matrix, rhs):
-    """scipy's dgelsy as ``_gelsy`` calls it, workspace and threshold alike."""
-    m, n = matrix.shape
-    work, _ = scipy.linalg.lapack.dgelsy_lwork(m, n, 1 if rhs.ndim == 1 else rhs.shape[1],
-                                               1e-13)
-    _, x, _, rank, _ = scipy.linalg.lapack.dgelsy(matrix, rhs, np.zeros(n, dtype=np.int32),
-                                                  1e-13, int(work), False, False)
-    return x[:n], rank
-
-
-# (kind, m, n_charges, rank): a truncated 384x192 disk and a full-rank 384x192 annulus
-FACTOR_MATRICES = [("disk", 128, 192, 112), ("annulus", 128, 96, 192)]
-
 
 class TestStoredFactors:
-    """Solves after the first apply gelsy's stored factors with gelsy's bits."""
-
-    @pytest.mark.parametrize("kind,m,n_charges,rank", FACTOR_MATRICES)
-    def test_stored_factor_solves_equal_dgelsy_bit_for_bit(self, kind, m, n_charges, rank):
-        _, solver = _block_solver(kind, m, n_charges)
-        matrix = solver.solver.matrix
-        assert matrix.shape == (384, 192)
-        rhs = np.concatenate(solver.corrector_data(BLOCK_POLES[kind])[0], axis=-1).T
-        assert _dgelsy(matrix, rhs[:, 0])[1] == rank
-        factors = gr._GelsyFactors(matrix, rank)
-        for data in (rhs[:, 0], rhs[:, 1], rhs[:, :2], rhs[:, 2:]):
-            np.testing.assert_array_equal(factors.solve(data), _dgelsy(matrix, data)[0])
-
-    @pytest.mark.parametrize("kind,m,n_charges,rank", FACTOR_MATRICES)
-    def test_solver_factors_once_and_keeps_gelsy_bits(self, kind, m, n_charges, rank,
-                                                      monkeypatch):
-        calls = []
-        for name in ("dgelsy", "dgeqp3"):
-            lapack = getattr(gr._lapack, name)
-            monkeypatch.setattr(gr._lapack, name,
-                                lambda *a, _f=lapack, _n=name, **k: calls.append(_n) or _f(*a, **k))
-        _, solver = _block_solver(kind, m, n_charges)
-        poles = BLOCK_POLES[kind]
-        evals = [solver.solve(poles[:2]), solver.solve(poles[2]), solver.solve(poles[2:])]
-        assert calls == ["dgelsy", "dgeqp3"]
-        assert solver.solver.rank == rank
-        for ev, data in zip(evals, (poles[:2], poles[2], poles[2:])):
-            col = np.concatenate(solver.corrector_data(data)[0], axis=-1).T
-            np.testing.assert_array_equal(ev.corrector.coefficients,
-                                          _dgelsy(solver.solver.matrix, col)[0])
-            assert all(d.rank == rank for d in np.atleast_1d(ev.diagnostics))
+    """Row-blocked evaluations and matrix assembly keep the bits of one block."""
 
     @pytest.mark.parametrize("n_points", [9216, 193, 64, 1])
     def test_row_blocked_evaluations_equal_one_block_bit_for_bit(self, annulus_solver,
@@ -850,70 +809,65 @@ class TestStoredFactors:
         np.testing.assert_array_equal(blocked, whole)
 
 
-class TestGelsyBudget:
-    def test_registry_solves_in_at_most_50_factorizations_inside_mixed_solver(self,
-                                                                             monkeypatch):
-        # perfbench times the solve layer as MixedSolver.solve; every gelsy
-        # call, every factorization for stored-factor solves (dgeqp3) and
-        # every re-solve's blocked QR (dgeqrt) must run inside it, and
-        # batching, shared base solvers and stored factors keep the registry
-        # at <= 50 of them; every gelsy call is full rank, so the registry
-        # never takes the kept-column or below-full-rank factor paths, and
-        # no re-solve of T_t(Omega) calls gelsy
-        calls, solving, outside, gelsy_ranks, re_solve_gelsy = [], [], [], [], []
-        re_solvers = []  # held, so that no id is reused
+class TestLapackLedger:
+    def test_registry_factors_once_per_solver_inside_mixed_solver(self, monkeypatch):
+        # perfbench times factorizations as MixedSolver.__init__ and solves as
+        # MixedSolver.solve.  Over the registry every LAPACK and BLAS call of
+        # greens runs inside a MixedSolver method; each base solver makes one
+        # pivoted QR (dgeqp3), when it is built, each solver one blocked QR
+        # (dgeqrt), and none of gelsy's steps runs
+        ledger, inside, built = [], [], {}  # built: solver -> decide, held
 
-        def counted(name):
-            lapack = getattr(gr._lapack, name)
+        def counted(module, name):
+            routine = getattr(module, name)
 
             def call(*args, **kwargs):
-                calls.append(name)
-                if not solving:
-                    outside.append(len(calls))
-                elif name == "dgelsy" and any(s is solving[-1] for s in re_solvers):
-                    re_solve_gelsy.append(len(calls))
-                result = lapack(*args, **kwargs)
-                if name == "dgelsy":
-                    gelsy_ranks.append((result[3], args[0].shape[1]))
-                return result
+                ledger.append((name, inside[-1] if inside else None))
+                return routine(*args, **kwargs)
 
             return call
 
-        solve, moved = gr.MixedSolver.solve, gr.GreensSolver.moved
+        def entered(method):
+            def run(self, *args, **kwargs):
+                inside.append(self)
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    inside.pop()
 
-        def entered(self, *args, **kwargs):
-            solving.append(self)
-            try:
-                return solve(self, *args, **kwargs)
-            finally:
-                solving.pop()
+            return run
 
-        def recorded(self, *args, **kwargs):
-            re_solver = moved(self, *args, **kwargs)
-            re_solvers.append(re_solver.solver)
-            return re_solver
+        init = gr.MixedSolver.__init__
 
-        for name in ("dgelsy", "dgeqp3", "dgeqrt"):
-            monkeypatch.setattr(gr._lapack, name, counted(name))
-        monkeypatch.setattr(gr.MixedSolver, "solve", entered)
-        monkeypatch.setattr(gr.GreensSolver, "moved", recorded)
+        def constructed(self, components, config=None, decide=True):
+            built[self] = decide
+            init(self, components, config, decide)
+
+        for name in ("dgeqp3", "dgeqrt", "dgemqrt", "dgesdd", "dgelsy", "dtzrzf", "dormrz",
+                     "dormqr"):
+            monkeypatch.setattr(gr._lapack, name, counted(gr._lapack, name))
+        monkeypatch.setattr(gr._blas, "dtrsm", counted(gr._blas, "dtrsm"))
+        monkeypatch.setattr(gr.MixedSolver, "__init__", entered(constructed))
+        for name in ("solve", "fit"):
+            monkeypatch.setattr(gr.MixedSolver, name, entered(getattr(gr.MixedSolver, name)))
         case_settings = CaseSettings(seed=7)
         rows = [case.run(case_settings) for case in build_registry()]
         assert all(row.passed for row in rows), [r.case_id for r in rows if not r.passed]
-        assert "dgeqp3" in calls
-        assert 0 < calls.count("dgeqrt") == len(re_solvers)  # one QR per re-solve
-        assert 0 < len(calls) <= 50
-        assert outside == []
-        assert re_solve_gelsy == []
-        assert gelsy_ranks and all(rank == n for rank, n in gelsy_ranks), gelsy_ranks
+        assert [call for call in ledger if call[1] is None] == []
+        names = [name for name, _ in ledger]
+        assert not {"dgelsy", "dtzrzf", "dormrz", "dormqr"} & set(names)
+        assert 0 < names.count("dgeqp3") < names.count("dgeqrt") == len(built) <= 50
+        for solver, decide in built.items():
+            made = [name for name, by in ledger if by is solver]
+            assert (made.count("dgeqp3"), made.count("dgeqrt")) == (int(decide), 1)
 
 
 # Poles kept well inside each domain, where the solver resolves N to about
-# 1e-11; the star uses a closer charge ring, which it needs for that.
+# 1e-11.
 PROPERTY_DOMAINS = {
     "disk": (geo.disk(1.0), geo.all_dirichlet(1), (0.0, 0.7), gr.GreensConfig()),
     "star": (geo.star_domain(1.0, 0.2, 3), geo.all_dirichlet(1), (0.0, 0.55),
-             gr.GreensConfig(charge_offset_outer=1.3)),
+             gr.GreensConfig()),
     "annulus": (geo.annulus(0.5, 1.0), geo.MixedBoundary(("dirichlet", "neumann")),
                 (0.7, 0.8), gr.GreensConfig()),
 }
@@ -942,7 +896,7 @@ class TestBlockProperties:
         block = solver.solve(poles)
         for i, pole in enumerate(poles):
             single = solver.solve(pole)
-            assert block.diagnostics[i].rank == single.diagnostics.rank
+            assert block.diagnostics[i].n_unknowns == single.diagnostics.n_unknowns
             for j, other in enumerate(poles):
                 if i == j:
                     continue

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shapelab import geometry as geo
+from shapelab import greens as gr
 from shapelab import hadamard as hd
 from shapelab import perturbation as pert
 from shapelab.cases import route_result
@@ -230,9 +231,7 @@ class TestSecondVariationData:
     """
 
     def test_dirichlet_data_matches_chain_rule(self, annulus, annulus_mixed):
-        # the closer 1.3 ring resolves the traces of every pole: on the 1.6
-        # ring the gap is 1.7e-5 at (0, 0.75)
-        solver = GreensSolver(annulus, annulus_mixed, GreensConfig(charge_offset_outer=1.3))
+        solver = GreensSolver(annulus, annulus_mixed)
         fam = translation()
         coeffs = hd.chi_sigma(annulus, fam)
         grid = annulus.grids[0]
@@ -364,10 +363,8 @@ class TestSecondVariationRoutes:
                                         hd.chi_sigma(annulus, fam))
         diags = [*ev.diagnostics, *udot_diags, uddot_diag]
         assert tri.residual == max(d.residual for d in diags) > 0.0
-        assert tri.rank == min(d.rank for d in diags)
         assert tri.n_unknowns == solver.solver.matrix.shape[1] == 256
-        assert tri.solve_details() == {"solve_residual": tri.residual,
-                                       "solve_rank": tri.rank, "n_unknowns": 256}
+        assert tri.solve_details() == {"solve_residual": tri.residual, "n_unknowns": 256}
 
     def test_pole_exchange_symmetry(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
@@ -464,15 +461,15 @@ class TestTangentRoute:
     def test_the_tangent_re_solves_nothing(self, annulus, annulus_mixed, monkeypatch):
         solver = GreensSolver(annulus, annulus_mixed)
         x, y = ANNULUS_PROBES
-        solver.solve(np.stack([x, y]))
-        moved = []
-        original = GreensSolver.moved
-        monkeypatch.setattr(GreensSolver, "moved",
-                            lambda self, family, t: moved.append((family, t))
-                            or original(self, family, t))
+        built = []
+        init = gr.MixedSolver.__init__
+        monkeypatch.setattr(gr.MixedSolver, "__init__",
+                            lambda self, *args, **kwargs: built.append(self)
+                            or init(self, *args, **kwargs))
         monkeypatch.setattr(hd, "derivative_ladder", None)
-        hd.delta2_n_tangent(solver, translation(), x, y)
-        assert moved == [(None, 0.0)]  # only the t = 0 problem
+        value = hd.delta2_n_tangent(solver, translation(), x, y)
+        # no re-solve, and no t = 0 matrix beside the base's own
+        assert np.isfinite(value) and built == []
 
 
 DIRICHLET_DOMAINS = {
@@ -574,7 +571,6 @@ class TestRouteDetails:
         # the route row's convergence table: the ladder and its estimates
         assert details["ladder"] == list(ladder.ladder)
         assert details["estimates"] == list(ladder.estimates)
-        assert details["re_solve_ranks"] == [tri.rank] * 8
         assert oracles == {"bvp": tri.bvp, "tangent": tri.tangent, "fd": ladder.value}
 
     def test_a_degenerate_fd_order_is_null_with_a_reason(self, disk):
