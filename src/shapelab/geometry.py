@@ -630,14 +630,19 @@ class Domain:
         """Read-only (n_charges, 2) source rings of each component, built once per count.
 
         Ring i is component i dilated about its area centroid, by
-        R = 10 ** (16 / n_charges), so R ** n_charges = 1e16, for the outer
-        curve and by 1 / R for a hole, sampled at the angles
-        2 pi (j + 1/4) / n_charges.  Under this rule the Green's solver keeps
-        every column of the disk and the annulus from 32 to 192 charges.
+        R = min(1.6, 10 ** (20 / n_charges)) for the outer curve and by 1 / R
+        for a hole, sampled at the angles 2 pi (j + 1/4) / n_charges.  Up to
+        97 charges R is 1.6; from 98 on R ** n_charges = 1e20, so the
+        disk's smallest pivoted-QR ratio, about R ** (-n_charges / 2), stays
+        near 1e-10, above the Green's solver's 1e-12 cut.  Under this rule
+        the solver keeps every column of the disk, the annulus and the
+        eps = 0.2 star from 16 to 256 charges.  A ring further out fits
+        worse where the count is low: at 64 charges a 1.78 ring fails check
+        gates that the 1.6 ring passes.
         """
         def build():
             thetas = TWO_PI * (np.arange(n_charges) + 0.25) / n_charges
-            outer = 10.0 ** (16.0 / n_charges)
+            outer = min(1.6, 10.0 ** (20.0 / n_charges))
             rings = []
             for i, curve in enumerate(self.curve.components):
                 factor = outer if i == 0 else 1.0 / outer

@@ -3,14 +3,14 @@
 The harmonic corrector is represented by the method of fundamental
 solutions: a sum of log-kernels with sources on dilated copies of each
 boundary component (``Domain.charge_rings``: the outer curve dilated about
-its centroid by R = 10^(16/n_charges), each hole by 1/R).  Coefficients are
+its centroid by R = min(1.6, 10^(20/n_charges)), each hole by 1/R).  Coefficients are
 fit by least squares on oversampled collocation nodes.  The collocation
 matrix is assembled once per boundary and shared by every right-hand side.
 Its condition estimate is an SVD, computed only when read.
 
 One QR path for every solve.  A solver of a base boundary decides its
 columns once, when it is built: column-pivoted QR (dgeqp3) of its matrix
-keeps the columns with |R_kk| > KEEP_CUT |R_11| (1e-10), in ring order, and
+keeps the columns with |R_kk| > KEEP_CUT |R_11| (1e-12), in ring order, and
 the solver keeps only those columns and their charges.  Under the ring rule
 the disk and the annulus keep every column; a boundary such as the 1 x 0.5
 ellipse stays rank-deficient, and an unpivoted fit of all its columns is not
@@ -98,14 +98,12 @@ BLOCK_ENTRIES = 2 ** 14
 RATE_BLOCK_ENTRIES = 2 ** 12
 # a base solver keeps the columns whose pivoted-QR diagonal |R_kk| exceeds
 # KEEP_CUT |R_11|.  Under the ring rule the smallest such ratio of the
-# disk, the annulus and the eps = 0.2 star is at least 1e-9, so they keep
-# every column.  The 1 x 0.5 ellipse at 96 charges keeps 82 of 96:
-# unpivoted QR of all 96 reads min |R_kk| / |R_11| = 2e-16, and its fit of
-# the pole (0, 0.2) has coefficients near 6e7, against 2e2 on the kept 82.
-# A cut of 1e-12 kept 116 of its 128 columns at m=256, where 10 of 64 route
-# rows that passed on the former fixed rings failed the check gate
-# (residuals 1.0e-4 to 2.1e-4); at 1e-10 (110 kept) none did
-KEEP_CUT = 1e-10
+# disk, the annulus and the eps = 0.2 star is at least 5.7e-12 from 16 to
+# 256 charges, so they keep every column.  The 1 x 0.5 ellipse at 96
+# charges keeps 82 of 96: unpivoted QR of all 96 reads min |R_kk| / |R_11|
+# = 1e-16, and its fit of the pole (0, 0.2) has coefficients near 5e8,
+# against 5e4 on the kept 82
+KEEP_CUT = 1e-12
 # panel width of the blocked QR (dgeqrt), and the block of dgeqp3's workspace
 QR_BLOCK = 32
 
@@ -320,6 +318,9 @@ class ComponentDiscretization:
     check_nodes: np.ndarray
     check_normal: np.ndarray
     charges: np.ndarray
+    # the charges are the domain's whole rings, whose independent columns a
+    # solver keeps, not the images of a base's kept charges
+    whole_rings: bool = False
 
     def datum(self, value, gradient, at: str = "") -> np.ndarray:
         """A function's value on a Dirichlet piece, its normal derivative on a
@@ -347,15 +348,17 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     nodes, charge rings) is the T_t image of its base-boundary set, with
     frames from the deformation Jacobian, and ``family=None`` is the
     identity.  The base charges of each component are ``charges[i]``, by
-    default the domain's cached ring (``Domain.charge_rings``).  The
-    discretization is therefore continuous in t, and a
-    family that does not move a point set leaves it bit-identical.
+    default the domain's cached ring (``Domain.charge_rings``), and then
+    the components are ``whole_rings``.  The discretization is therefore
+    continuous in t, and a family that does not move a point set leaves it
+    bit-identical.
     """
     if len(mixed.kinds) != domain.n_components:
         raise GreensError("boundary assignment does not match component count")
     n_col = int(round(2.0 * config.n_charges))  # two collocation nodes per charge
     th_col = TWO_PI * np.arange(n_col) / n_col
-    if charges is None:
+    whole_rings = charges is None
+    if whole_rings:
         charges = domain.charge_rings(config.n_charges)
     comps = []
     for i, (curve, grid, base) in enumerate(zip(domain.curve.components, domain.grids,
@@ -369,7 +372,7 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
             normal=normal, weights=(TWO_PI / grid.size) * speed,
             colloc_nodes=col_n, colloc_normal=col_nu,
             colloc_thetas=th_col, check_nodes=chk_n, check_normal=chk_nu,
-            charges=charges_i))
+            charges=charges_i, whole_rings=whole_rings))
     return comps
 
 
@@ -490,11 +493,11 @@ class MixedSolver:
 
     Dirichlet rows match values, Neumann rows match normal derivatives.  The
     matrix is assembled once, in Fortran order, and shared by every
-    right-hand side.  With ``decide``, on a base boundary, the solver then
-    keeps only the columns that column-pivoted QR (dgeqp3) finds
-    independent, |R_kk| > KEEP_CUT |R_11|, in ring order, and its
-    ``components`` and ``charges`` only their charges.  Without it, on the
-    images of a base's kept charges, it keeps every column.  Each ``solve``
+    right-hand side.  On the domain's whole charge rings (a base boundary)
+    the solver then keeps only the columns that column-pivoted QR (dgeqp3)
+    finds independent, |R_kk| > KEEP_CUT |R_11|, in ring order, and its
+    ``components`` and ``charges`` only their charges.  On the images of a
+    base's kept charges it keeps every column.  Each ``solve``
     is a least-squares fit of a data set or a block of them on unpivoted QR
     factors, which the first solve or fit builds in place, so from then on
     ``matrix`` holds them.  The condition estimate is an SVD of the matrix,
@@ -502,7 +505,7 @@ class MixedSolver:
     """
 
     def __init__(self, components: list[ComponentDiscretization],
-                 config: GreensConfig | None = None, decide: bool = True):
+                 config: GreensConfig | None = None):
         self.config = config or GreensConfig()
         self.components = components
         self.charges = np.vstack([c.charges for c in components])
@@ -526,7 +529,7 @@ class MixedSolver:
                     gy *= comp.colloc_normal[block, 1:]
                     rows += gy
             offset += len(comp.colloc_nodes)
-        if decide:
+        if all(c.whole_rings for c in components):
             self._keep_independent_columns()
         self._factors: _QRFactors | None = None
 
@@ -545,7 +548,7 @@ class MixedSolver:
         self.matrix = np.asfortranarray(self.matrix[:, keep])
         self.charges = self.charges[keep]
         splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
-        self.components = [dataclasses.replace(c, charges=c.charges[k])
+        self.components = [dataclasses.replace(c, charges=c.charges[k], whole_rings=False)
                            for c, k in zip(self.components, np.split(keep, splits))]
 
     @property
@@ -705,8 +708,7 @@ class GreensSolver:
         self.mixed = mixed
         self.config = config or GreensConfig()
         self.solver = MixedSolver(
-            discretize_pushed(domain, mixed, family, t, self.config, charges),
-            self.config, decide=charges is None)
+            discretize_pushed(domain, mixed, family, t, self.config, charges), self.config)
         self.components = self.solver.components
 
     def corrector_data(self, y: np.ndarray):

@@ -297,8 +297,12 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     block of the first variations at its grid nodes.  That trapezoid rule's
     error on a product of two charge fields falls like R^-m for the ring
     factor R of ``Domain.charge_rings``, so it stays at rounding while the
-    grid has m >= n_charges nodes.
+    grid has m >= n_charges nodes, and a coarser grid is warned of.
     """
+    m, n_charges = solver.domain.grids[0].size, solver.config.n_charges
+    if m < n_charges:
+        warnings.warn(f"m={m} is below n_charges={n_charges}: the second variation's "
+                      "boundary-paired volume term may lose accuracy", stacklevel=2)
     total = 0.0
     for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
         vx, vy = udot.value(grid.nodes)

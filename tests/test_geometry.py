@@ -232,11 +232,13 @@ class TestCollar:
 
 
 class TestChargeRings:
-    @pytest.mark.parametrize("n_charges", [32, 96, 192])
-    def test_each_ring_dilates_its_component_by_the_rule(self, n_charges):
+    @pytest.mark.parametrize("n_charges,factor", [
+        (32, 1.6), (96, 1.6), (98, 10.0 ** (20.0 / 98)), (192, 10.0 ** (20.0 / 192))])
+    def test_each_ring_dilates_its_component_by_the_rule(self, n_charges, factor):
+        # R = min(1.6, 10 ** (20 / n_charges)): 1.6 up to 97 charges, then
+        # R ** n_charges = 1e20
         domain = geo.Domain(geo.annulus(0.5, 1.0), m=64)
         outer, hole = domain.charge_rings(n_charges)
-        factor = 10.0 ** (16.0 / n_charges)  # R ** n_charges = 1e16
         np.testing.assert_allclose(np.hypot(*outer.T), factor, rtol=1e-14)
         np.testing.assert_allclose(np.hypot(*hole.T), 0.5 / factor, rtol=1e-14)
         angles = np.arctan2(outer[:, 1], outer[:, 0]) % TWO_PI

@@ -317,6 +317,18 @@ class TestSecondVariationRoutes:
         assert abs(tri.formula - oracle) / (1 + abs(oracle)) < 1e-2
         assert tri.max_pairwise < 1e-2
 
+    def test_a_grid_coarser_than_the_charge_count_is_warned_of(self):
+        # the boundary-paired volume term is at rounding while m >= n_charges
+        x, y = DISK_PROBES
+        for m, n_charges in [(64, 96), (128, 96)]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tri = hd.delta2_n_routes(geo.Domain(geo.disk(1.0), m=m), geo.all_dirichlet(1),
+                                         translation(), x, y, GreensConfig(n_charges=n_charges))
+            coarse = [w for w in caught if "below n_charges" in str(w.message)]
+            assert len(coarse) == (m < n_charges)
+            assert tri.max_pairwise < 1e-6
+
     def test_translation_analytic_oracle(self, disk):
         x, y = DISK_PROBES
         tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), translation(), x, y)
