@@ -138,25 +138,22 @@ def fd_details(fd: FDResult) -> dict:
     return details
 
 
-def route_result(tri: hd.RouteTriangle, err=None, fd: FDResult | None = None,
-                 **oracles):
+def route_result(tri: hd.RouteTriangle, fd: FDResult | None = None, **checked):
     """(value, oracles, err, details) of a Hadamard route run.
 
-    By default the oracles are the BVP and tangent routes and err is the
-    worst pairwise gap of the three routes.  The solves' summary and the
-    probe warnings on the base boundary (a list, empty without any) go to
-    details.  A row that also re-solves along an FD ladder passes it as
-    ``fd``: its value joins the oracles and err, as the worst gap of the
-    four values, and the ladder's FD record joins details.
+    The oracles are the BVP and tangent routes and every further value
+    ``checked``, by name; err is ``RouteTriangle.err`` over all of them.
+    The solves' summary and the probe warnings on the base boundary (a
+    list, empty without any) go to details.  A row that also re-solves
+    along an FD ladder passes it as ``fd``: its value is checked as ``fd``,
+    and the ladder's FD record joins details.
     """
     details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings)}
-    oracles = oracles or {"bvp": tri.bvp, "tangent": tri.tangent}
-    err = tri.max_pairwise if err is None else err
     if fd is not None:
-        oracles["fd"] = fd.value
-        err = max(err, tri.max_gap_with(fd.value))
+        checked["fd"] = fd.value
         details.update(fd_details(fd))
-    return tri.formula, oracles, err, details
+    return (tri.formula, {"bvp": tri.bvp, "tangent": tri.tangent, **checked},
+            tri.err(*checked.values()), details)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,8 @@ def _chi_sigma_three_form(st, case):
     dom = geo.Domain(geo.elliptical_domain(2.0, 1.0), m=max(st.m, 256))
     fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 1.0, (1, 1, 1): 1.0}))
     co = hd.chi_sigma(dom, fam)
-    return 0.0, {}, co.max_discrepancy, {"forms": 3}
+    display = max(float(np.max(np.abs(r))) for r in co.chi_display_residual)
+    return 0.0, {}, co.max_discrepancy, {"forms": 3, "max_chi_display_residual": display}
 
 
 def _chi_sigma_dilation(st, case):
@@ -535,20 +533,17 @@ def _delta_n_rotation(st, case):
 
 
 def _route_triangle(order: int, kind: str):
-    """The three routes of one variation.  The disk adds the scaling oracle;
-    the annulus adds FD re-solves, the tangent's own oracle, and err is the
-    worst pairwise gap of the four values."""
+    """The three routes of one variation.  The disk checks them against the
+    scaling oracle, the annulus against FD re-solves, the tangent's own
+    oracle."""
     def runner(st, case):
         routes = hd.delta_n_routes if order == 1 else hd.delta2_n_routes
         mixed, (x, y), fam = GREENS_BOUNDARIES[kind]
         tri = routes(_domain(st, kind), mixed, fam, x, y, st.greens_config())
-        if kind != "disk":
-            fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(
-                _base_solver(st, kind), fam, x, y)
-            return route_result(tri, fd=fd)
-        oracle = hd.disk_dilation_delta_n(x, y, order=order)
-        err = max(tri.max_pairwise, abs(tri.formula - oracle) / (1 + abs(oracle)))
-        return route_result(tri, err, bvp=tri.bvp, tangent=tri.tangent, scaling_oracle=oracle)
+        if kind == "disk":
+            return route_result(tri, scaling_oracle=hd.disk_dilation_delta_n(x, y, order))
+        fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(_base_solver(st, kind), fam, x, y)
+        return route_result(tri, fd=fd)
 
     return runner
 
@@ -557,8 +552,7 @@ def _delta2_rotation(st, case):
     x, y = GREENS_BOUNDARIES["disk"].probes
     tri = hd.delta2_n_routes(_domain(st, "disk"), GREENS_BOUNDARIES["disk"].mixed,
                              pert.FlowFamily(pert.rotation()), x, y, st.greens_config())
-    return route_result(tri, max(abs(tri.formula), abs(tri.bvp), abs(tri.tangent)),
-                        symmetry=0.0)
+    return route_result(tri, symmetry=0.0)
 
 
 def _gradient_pairing(kind: str):

@@ -390,14 +390,12 @@ def tangential_grad(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
     return fourier_derivative(values) / grid.speed
 
 
-def second_fundamental_form(grid: BoundaryGrid, xi, eta, j: int) -> float:
-    """Curvature-weighted tangential bilinear form kappa (xi.tau)(eta.tau) at node j.
-
-    The normal direction is in the kernel; on the unit circle the value on a
-    pair of unit tangents is +1.
-    """
-    tau = grid.tangent[j]
-    return float(grid.curvature[j] * np.dot(xi, tau) * np.dot(eta, tau))
+def second_fundamental_form(grid: BoundaryGrid, xi, eta) -> np.ndarray:
+    """Curvature-weighted tangential bilinear form kappa (xi.tau)(eta.tau) at
+    every node, for nodal (M, 2) fields xi and eta.  The normal direction is
+    in the kernel; on the unit circle a pair of unit tangents gives +1."""
+    tau = grid.tangent[:, :, None]
+    return grid.curvature * (xi[:, None, :] @ tau)[:, 0, 0] * (eta[:, None, :] @ tau)[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

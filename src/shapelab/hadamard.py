@@ -9,12 +9,16 @@ least-squares fit on the base's kept charges that ``GreensSolver.moved``
 re-solves.  The tangent differentiates that fit by the Golub-Pereyra rule
 for the derivative of a least-squares solution, from the base solver's QR
 factors (its matrix is the fit's t = 0 matrix) and the exact rates of its
-entries, so it assembles and re-solves nothing.
+entries, so it assembles and re-solves nothing.  One rule per piece,
+``_Piece``, sets how the formula and the BVP read a Dirichlet or a Neumann
+piece, and one rule, ``RouteTriangle.err``, gives a route row's err.
 Finite differences of full re-solves along a t-ladder (``delta_n_fd``,
 ``delta2_n_fd``) differentiate the same problem; the registry keeps them on
-the mixed annulus, as the tangent's own oracle.  The second variation's
-boundary coefficients chi and sigma are assembled in three algebraic forms
-whose nodewise agreement is itself a shipped check.
+the mixed annulus, as the tangent's own oracle.  On the dilated disk the
+scaling identity gives the t-derivatives in closed form
+(``disk_dilation_delta_n``).  The second variation's boundary coefficients
+chi and sigma are assembled in three algebraic forms whose nodewise
+agreement is itself a shipped check.
 
 Conventions for the coefficient forms (2-D, collar-extended normal with
 d(nu)/dn = 0, so (grad nu) restricted to the boundary is kappa tau tau):
@@ -23,7 +27,8 @@ transport form trades it for normal/tangential derivatives of the normal
 speed, and the curvature form expresses everything through the second
 fundamental form.  The transport form as commonly displayed omits one
 tangential-transport term; the corrected rendering is used and the literal
-one is kept as a reported diagnostic (``chi_display_residual``).
+one is kept as a diagnostic (``chi_display_residual``), whose largest value
+the ``hadamard-chi-sigma-three-form`` row reports.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fd import FDResult, derivative_ladder
-from .geometry import (Domain, MixedBoundary, fourier_derivative,
-                       second_fundamental_form, tangential_grad)
-from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField,
-                     SolveDiagnostics, base_solver, rowwise_dot)
+from .geometry import (BoundaryGrid, Domain, MixedBoundary, second_fundamental_form,
+                       tangential_grad)
+from .greens import (ComponentDiscretization, GreensConfig, GreensEval, GreensSolver,
+                     HarmonicField, SolveDiagnostics, base_solver, rowwise_dot)
 from .perturbation import PerturbationFamily, advective_normal_component, boundary_data
 
 
@@ -95,8 +100,8 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
         chi_tr = chi_lit - s_tan * ds_rho
         sigma_tr = rho2 - 2.0 * s_tan * ds_rho + grad_nu_ss
 
-        b_form = np.array([second_fundamental_form(grid, st, st, j)
-                           for j, st in enumerate(data.tangential_velocity)])
+        b_form = second_fundamental_form(grid, data.tangential_velocity,
+                                         data.tangential_velocity)
         sigma_cv = rho2 - 2.0 * s_tan * ds_rho + b_form
         chi_cv = sigma_cv - rho ** 2 * kappa
 
@@ -112,6 +117,38 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
 # ---------------------------------------------------------------------------
 # First variation
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Piece:
+    """Boundary piece ``i`` with the family's normal speed ``rho``, under its
+    condition's rule: a Dirichlet piece's trace is d/dnu, its pairings take
+    the sign +1 and the BVP datum of a product P paired with its trace is -P;
+    a Neumann piece's trace is d/ds, its sign -1 and its datum dP/ds."""
+
+    i: int
+    grid: BoundaryGrid
+    comp: ComponentDiscretization
+    rho: np.ndarray
+
+    def trace(self, ev: GreensEval) -> np.ndarray:  # of a pole block
+        return ev.normal_trace(self.i) if self.comp.dirichlet else ev.tangential_trace(self.i)
+
+    def gradient_trace(self, gradient: np.ndarray) -> np.ndarray:  # of a field
+        return rowwise_dot(gradient, self.grid.normal if self.comp.dirichlet else self.grid.tangent)
+
+    def pair(self, values: np.ndarray) -> float:  # sign * <values>
+        total = float(np.dot(self.comp.weights, values))
+        return total if self.comp.dirichlet else -total
+
+    def datum(self, product: np.ndarray) -> np.ndarray:
+        return -product if self.comp.dirichlet else tangential_grad(self.grid, product)
+
+
+def _pieces(solver: GreensSolver, family: PerturbationFamily):
+    """The solver's boundary pieces under ``family``, in component order."""
+    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
+        yield _Piece(i, grid, comp, boundary_data(family, grid).normal_velocity)
+
 
 def probe_warning(solver: GreensSolver, point: np.ndarray) -> str | None:
     """Accuracy warning for probes closer to the boundary than three node gaps."""
@@ -134,14 +171,9 @@ def delta_n_formula(solver: GreensSolver, family: PerturbationFamily,
     <rho dN/ds(.,x), dN/ds(.,y)> on Neumann pieces; symmetric in x, y.
     """
     total = 0.0
-    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
-        rho = boundary_data(family, grid).normal_velocity
-        if comp.dirichlet:
-            qx, qy = ev.normal_trace(i)
-            total += float(np.dot(comp.weights, rho * qx * qy))
-        else:
-            qx, qy = ev.tangential_trace(i)
-            total -= float(np.dot(comp.weights, rho * qx * qy))
+    for piece in _pieces(solver, family):
+        qx, qy = piece.trace(ev)
+        total += piece.pair(piece.rho * qx * qy)
     return total
 
 
@@ -153,15 +185,8 @@ def delta_n_bvp(solver: GreensSolver, family: PerturbationFamily,
     assembled nodally and interpolated to the collocation nodes.  For a
     block of poles the fields come from one solve, as a block.
     """
-    nodal = []
-    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
-        rho = boundary_data(family, grid).normal_velocity
-        if comp.dirichlet:
-            nodal.append(-rho * ev_y.normal_trace(i))
-        else:
-            product = rho * ev_y.tangential_trace(i)
-            nodal.append(fourier_derivative(product) / grid.speed)
-    return solver.harmonic_bvp(nodal)
+    return solver.harmonic_bvp([piece.datum(piece.rho * piece.trace(ev_y))
+                                for piece in _pieces(solver, family)])
 
 
 def _probe_messages(solver: GreensSolver, points) -> list[str]:
@@ -169,9 +194,9 @@ def _probe_messages(solver: GreensSolver, points) -> list[str]:
 
 
 def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamily,
-                     x, y, ladder) -> FDResult:
-    """FD ladder of t -> N_t(x, y), each value a full re-solve on T_t(Omega)
-    by ``solver.moved``.
+                     x, y) -> FDResult:
+    """FD ladder of t -> N_t(x, y) at the default steps, each value a full
+    re-solve on T_t(Omega) by ``solver.moved``.
 
     The result's ``warnings`` gain the probe warnings of every re-solve,
     judged against that re-solve's own boundary, each distinct one once.
@@ -185,16 +210,16 @@ def _resolved_ladder(order: int, solver: GreensSolver, family: PerturbationFamil
         messages.extend(_probe_messages(moved, (x, y)))
         return moved.solve(y).value(x[None, :])[0]
 
-    fd = derivative_ladder(value, order=order, ladder=ladder)
+    fd = derivative_ladder(value, order=order)
     fd.warnings = tuple(dict.fromkeys(fd.warnings + tuple(messages)))
     return fd
 
 
 def delta_n_fd(solver: GreensSolver, family: PerturbationFamily,
-               x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
+               x: np.ndarray, y: np.ndarray) -> FDResult:
     """First variation by re-solving on the deformed domain of the base
     ``solver`` along a t-ladder."""
-    return _resolved_ladder(1, solver, family, x, y, ladder)
+    return _resolved_ladder(1, solver, family, x, y)
 
 
 def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
@@ -202,9 +227,9 @@ def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
     """The t-derivatives of orders 1 to ``order`` at t = 0 of t -> N_t(x, y),
     the value ``_resolved_ladder`` differences, for the base ``solver``.
 
-    At t = 0 the re-solve's fit A c = b is the base's own, on its QR
-    factors.  With r = b - A c and (A^T A)^-1 = R^-1 R^-T
-    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
+    At t = 0 the re-solve's fit A c = b is the base's own: one fit on the
+    base's QR factors gives c (the base solve's, bit for bit) and
+    r = b - A c.  With (A^T A)^-1 = R^-1 R^-T (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
     c' = A^+(b' - A'c) + (A^T A)^-1 A'^T r, r' = b' - A'c - A c', and
     c'' = A^+(b'' - A''c - 2A'c') + (A^T A)^-1 (A''^T r + 2 A'^T r').
     The value Gamma(x - y) + sum_j c_j Gamma(x - z_j(t)) at the fixed x then
@@ -214,9 +239,8 @@ def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
     variation's second pass gives A'c' and A'^T r'.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    c = solver.solve(y).corrector.coefficients  # under the check-node gate
     fit = solver.solver.fit
-    _, r = fit(np.concatenate(solver.corrector_data(y)[0]), np.zeros_like(c))
+    c, r = fit(np.concatenate(solver.corrector_data(y)[0]), np.zeros(len(solver.solver.charges)))
     products = functools.partial(solver.collocation_rate_products, family, y)
     (d1, g1), *second = products(order, np.append(c, 1.0), r)
     kernel = solver.kernel_row_rates(family, x, order)
@@ -252,20 +276,9 @@ def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
     deformation (chain rule on the moving boundary); each piece is pinned by
     kernel-level oracles in the tests.
     """
-    nodal = []
-    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
-        rho = boundary_data(family, grid).normal_velocity
-        grad_udot = udot_y.gradient(grid.nodes)
-        if comp.dirichlet:
-            dn_udot = rowwise_dot(grad_udot, grid.normal)
-            nodal.append(-coeffs.chi[i] * ev_y.normal_trace(i)
-                         - 2.0 * rho * dn_udot)
-        else:
-            ds_udot = rowwise_dot(grad_udot, grid.tangent)
-            product = (coeffs.chi[i] * ev_y.tangential_trace(i)
-                       + 2.0 * rho * ds_udot)
-            nodal.append(fourier_derivative(product) / grid.speed)
-    return nodal
+    return [piece.datum(coeffs.chi[piece.i] * piece.trace(ev_y) + 2.0 * piece.rho
+                        * piece.gradient_trace(udot_y.gradient(piece.grid.nodes)))
+            for piece in _pieces(solver, family)]
 
 
 def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
@@ -304,28 +317,25 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
         warnings.warn(f"m={m} is below n_charges={n_charges}: the second variation's "
                       "boundary-paired volume term may lose accuracy", stacklevel=2)
     total = 0.0
-    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
-        vx, vy = udot.value(grid.nodes)
-        grad_udot = udot.gradient(grid.nodes)
-        dx, dy = rowwise_dot(grad_udot, grid.normal)
-        total -= float(np.dot(comp.weights, vx * dy + vy * dx))
-        if comp.dirichlet:
-            qx, qy = ev.normal_trace(i)
-            total += float(np.dot(comp.weights, coeffs.chi[i] * qx * qy))
-        else:
-            qx, qy = ev.tangential_trace(i)
-            wx, wy = rowwise_dot(grad_udot, grid.tangent)
-            rho = boundary_data(family, grid).normal_velocity
-            total -= float(np.dot(comp.weights, coeffs.chi[i] * qx * qy))
-            total -= 2.0 * float(np.dot(comp.weights, rho * (wx * qy + wy * qx)))
+    for piece in _pieces(solver, family):
+        nodes = piece.grid.nodes
+        vx, vy = udot.value(nodes)
+        grad_udot = udot.gradient(nodes)
+        dx, dy = rowwise_dot(grad_udot, piece.grid.normal)
+        total -= float(np.dot(piece.comp.weights, vx * dy + vy * dx))
+        qx, qy = piece.trace(ev)
+        total += piece.pair(coeffs.chi[piece.i] * qx * qy)
+        if not piece.comp.dirichlet:
+            wx, wy = piece.gradient_trace(grad_udot)
+            total += 2.0 * piece.pair(piece.rho * (wx * qy + wy * qx))
     return total
 
 
 def delta2_n_fd(solver: GreensSolver, family: PerturbationFamily,
-                x: np.ndarray, y: np.ndarray, ladder=None) -> FDResult:
+                x: np.ndarray, y: np.ndarray) -> FDResult:
     """Second variation by 5-point differencing of full re-solves, as in
     ``delta_n_fd``."""
-    return _resolved_ladder(2, solver, family, x, y, ladder)
+    return _resolved_ladder(2, solver, family, x, y)
 
 
 def delta2_n_tangent(solver: GreensSolver, family: PerturbationFamily,
@@ -356,15 +366,12 @@ def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
     gx, gy = udot.gradient(interior.nodes)
     lhs = float(np.dot(interior.weights, np.einsum("ni,ni->n", gx, gy)))
     rhs = 0.0
-    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
-        rho = boundary_data(family, grid).normal_velocity
-        if comp.dirichlet:
-            dn_udot_x = rowwise_dot(udot[0].gradient(grid.nodes), grid.normal)
-            rhs -= float(np.dot(comp.weights, rho * ev.normal_trace(i)[1] * dn_udot_x))
-        else:
-            ds_udot_y = rowwise_dot(udot[1].gradient(grid.nodes), grid.tangent)
-            rhs -= float(np.dot(comp.weights,
-                                ev.tangential_trace(i)[0] * rho * ds_udot_y))
+    for piece in _pieces(solver, family):
+        # the pole whose trace pairs with the other pole's variation
+        pole = 1 if piece.comp.dirichlet else 0
+        trace_udot = piece.gradient_trace(udot[1 - pole].gradient(piece.grid.nodes))
+        rhs -= float(np.dot(piece.comp.weights,
+                            piece.rho * piece.trace(ev)[pole] * trace_udot))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -373,29 +380,28 @@ def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
 # ---------------------------------------------------------------------------
 
 def disk_dilation_delta_n(x, y, order: int = 1) -> float:
-    """d^order/dt^order of the disk Green's function under dilation, exactly.
+    """d^order/dt^order at t = 0, for order 1 or 2, of the unit disk's
+    Dirichlet Green's function under the dilation T_t = (1+t) id, in closed form.
 
-    Under T_t = (1+t) id the Dirichlet Green's function of the unit disk
-    satisfies N_t(x, y) = N(x/(1+t), y/(1+t)); the derivative of that scaling
-    identity is differenced on the analytic formula with tight steps.
+    In complex notation, with s = 1 + t and y* = 1/conj(y), the scaling
+    identity N_t(x, y) = N(x/s, y/s) reads N_t = Re log g(s)/(2 pi) plus a
+    constant, where g(s) = x/s - s y*.  At s = 1, g = x - y*, g'/g = 1 - q
+    and g''/g = q for q = 2x/g, so N' = Re(1 - q)/(2 pi) and
+    N'' = Re(q - (1 - q)^2)/(2 pi).  At y = 0, N_t(x, 0) = (log s - log|x|)/(2 pi)
+    gives 1/(2 pi) and -1/(2 pi).
     """
-    from .greens import disk_greens
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def g(t):
-        return disk_greens(x / (1.0 + t), y / (1.0 + t))
-
-    # g is a closed form, free of solver noise, so finer steps than the
-    # default ladders pay off: the default second ladder moves this value
-    # by 6.1e-11
-    ladder = (1e-3, 5e-4) if order == 1 else (2e-2, 1e-2, 5e-3)
-    return derivative_ladder(g, order=order, ladder=ladder).value
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, not {order!r}")
+    z, w = complex(*np.asarray(x, dtype=float)), complex(*np.asarray(y, dtype=float))
+    if w == 0.0:
+        return (1.0 if order == 1 else -1.0) / (2.0 * np.pi)
+    q = 2.0 * z / (z - 1.0 / w.conjugate())
+    return (1.0 - q if order == 1 else q - (1.0 - q) ** 2).real / (2.0 * np.pi)
 
 
 @dataclass
 class RouteTriangle:
-    """Pairwise comparison of the formula, BVP and tangent routes for one probe pair.
+    """The formula, BVP and tangent routes of one probe pair.
 
     ``residual`` and ``n_unknowns`` summarize the base and BVP solves: the
     worst check-node residual and the number of kept charges.
@@ -406,19 +412,16 @@ class RouteTriangle:
     formula: float
     bvp: float
     tangent: float
-    pairwise: dict
     residual: float
     n_unknowns: int
     probe_warnings: list[str]
 
-    @property
-    def max_pairwise(self) -> float:
-        return max(self.pairwise.values())
-
-    def max_gap_with(self, value: float) -> float:
-        """The worst pairwise gap of the three routes and one more ``value``."""
-        return max(self.max_pairwise,
-                   *(_rel(route, value) for route in (self.formula, self.bvp, self.tangent)))
+    def err(self, *checked: float) -> float:
+        """A route row's err: the worst relative gap |a - b| / (1 + max(|a|, |b|))
+        among the formula, the BVP, the tangent and every further value
+        ``checked`` (none: the three routes alone)."""
+        values = (self.formula, self.bvp, self.tangent, *checked)
+        return max(_rel(a, b) for a in values for b in values)
 
     def solve_details(self) -> dict:
         """The solve summary as report ``details``."""
@@ -431,12 +434,8 @@ def _rel(a: float, b: float) -> float:
 
 def _triangle(formula: float, bvp: float, tangent: float,
               diagnostics: list[SolveDiagnostics], issued: list[str]) -> RouteTriangle:
-    """The route comparison, with the probe warnings ``issued`` on the base boundary."""
-    pairwise = {"formula_vs_bvp": _rel(formula, bvp),
-                "formula_vs_tangent": _rel(formula, tangent),
-                "bvp_vs_tangent": _rel(bvp, tangent)}
-    return RouteTriangle(formula, bvp, tangent, pairwise,
-                         max(d.residual for d in diagnostics),
+    """The routes, with the probe warnings ``issued`` on the base boundary."""
+    return RouteTriangle(formula, bvp, tangent, max(d.residual for d in diagnostics),
                          diagnostics[0].n_unknowns, issued)
 
 
@@ -470,8 +469,8 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     """Run all three second-variation routes for one probe pair.
 
     Three solves on the base matrix: the poles (x, y), their first
-    variations, then the second variation for y; the tangent adds one for y
-    on the same factors.
+    variations, then the second variation for y; the tangent fits y on the
+    same factors.
     """
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)

@@ -3,8 +3,10 @@
 Runs ``shapelab run --suite all --seed 7`` under each of the ten BLAS
 settings that ``test_acceptance.py`` names (one and two threads on each of
 five OpenBLAS CPU kernels), one subprocess at a time.  Every run must pass.
-Only the rows named on the command line are rewritten, each with its largest
-err over the ten runs; every other row keeps its baseline.
+Only the rows named on the command line are rewritten, each with the smaller
+of its baseline and its largest err over the ten runs, so a baseline only
+tightens; every other row keeps its baseline.  Every row, named or not, whose
+largest err exceeds its baseline is printed.
 
     python tests/regen_err_baseline.py CASE_ID [CASE_ID ...]
 """
@@ -50,7 +52,7 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.case_ids) - set(baseline))
     if unknown:
         parser.error(f"not rows of the baseline: {unknown}")
-    largest = dict.fromkeys(args.case_ids, 0.0)
+    largest = dict.fromkeys(baseline, 0.0)
     with tempfile.TemporaryDirectory() as tmp:
         for coretype in CORETYPES:
             for threads in THREADS:
@@ -58,10 +60,14 @@ def main(argv=None) -> int:
                 for case_id in largest:
                     largest[case_id] = max(largest[case_id], errs[case_id])
                 print(f"{coretype:<11s} {threads} thread(s): "
-                      + "  ".join(f"{errs[c]:.3e}" for c in largest))
+                      + "  ".join(f"{errs[c]:.3e}" for c in args.case_ids))
     for case_id, err in largest.items():
-        print(f"{case_id}: {baseline[case_id]!r} -> {err!r}")
-    baseline.update(largest)
+        if err > baseline[case_id]:
+            print(f"{case_id}: largest err {err!r} exceeds its baseline {baseline[case_id]!r}")
+    for case_id in args.case_ids:
+        tightened = min(baseline[case_id], largest[case_id])
+        print(f"{case_id}: {baseline[case_id]!r} -> {tightened!r}")
+        baseline[case_id] = tightened
     BASELINE.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -210,14 +210,14 @@ def test_criterion_6_first_variation():
 
     tri = hd.delta_n_routes(disk, geo.all_dirichlet(1),
                             pert.TaylorFamily(pert.dilation()), x, y)
-    assert tri.max_pairwise <= 1e-3
+    assert tri.err() <= 1e-3
 
     annulus = geo.Domain(geo.annulus(0.5, 1.0), m=128)
     mixed = geo.MixedBoundary(("dirichlet", "neumann"))
     tri = hd.delta_n_routes(annulus, mixed,
                             pert.TaylorFamily(pert.translation(1.0, 0.0)),
                             np.array([0.0, 0.75]), np.array([-0.74, -0.1]))
-    assert tri.max_pairwise <= 1e-3
+    assert tri.err() <= 1e-3
 
     rotation = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
                                   solver.solve(np.stack([x, y])))
@@ -240,14 +240,14 @@ def test_criterion_7_second_variation():
     x, y = np.array([0.3, 0.0]), np.array([0.0, 0.4])
     tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1),
                              pert.TaylorFamily(pert.dilation()), x, y)
-    assert tri.max_pairwise <= 1e-2
+    assert tri.err() <= 1e-2
 
     annulus = geo.Domain(geo.annulus(0.5, 1.0), m=128)
     mixed = geo.MixedBoundary(("dirichlet", "neumann"))
     xa, ya = np.array([0.0, 0.75]), np.array([-0.74, -0.1])
     fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
     tri = hd.delta2_n_routes(annulus, mixed, fam, xa, ya)
-    assert tri.max_pairwise <= 1e-2
+    assert tri.err() <= 1e-2
 
     solver = GreensSolver(annulus, mixed)
     ev = solver.solve(np.stack([xa, ya]))
@@ -309,9 +309,10 @@ def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
 # baseline holds only for the settings above.  No row is raised, so a row
 # that a change moved up keeps its older value and may read above it within
 # the 100x gate (greens-disk-poisson-kernel up to 2.5x,
-# hadamard-delta-n-triangle-annulus 1.3x).  Regenerate the
-# baseline only with a change that means to move a row, and list the moved
-# rows in CHANGES.md.
+# hadamard-delta-n-triangle-annulus 1.3x, hadamard-delta2-rotation-zero
+# 1.05x); ``regen_err_baseline.py`` keeps it so and prints such rows.
+# Regenerate the baseline only with a change that means to move a row, and
+# list the moved rows in CHANGES.md.
 ERR_BASELINE = Path(__file__).with_name("registry_err_seed7.json")
 
 
@@ -420,4 +421,4 @@ def test_truncated_ellipse_routes_at_128_charges_agree_to_1e_8(variation, family
         tri = variation(domain, geo.all_dirichlet(1), family, x, y,
                         GreensConfig(n_charges=128))
         assert tri.n_unknowns == 108
-        assert tri.max_pairwise <= 1e-8, (x, y, tri.pairwise)
+        assert tri.err() <= 1e-8, (x, y, tri.formula, tri.bvp, tri.tangent)

@@ -153,25 +153,29 @@ class TestTangentialCalculus:
 class TestSecondFundamentalForm:
     def test_normal_in_kernel(self):
         grid = geo.build_grid(geo.ellipse(2.0, 1.0), 64)
-        for j in (0, 7, 23):
-            assert geo.second_fundamental_form(grid, grid.normal[j],
-                                               grid.tangent[j], j) == pytest.approx(0.0)
+        form = geo.second_fundamental_form(grid, grid.normal, grid.tangent)
+        assert form.shape == (64,)
+        np.testing.assert_allclose(form, 0.0, atol=1e-12)
 
     def test_circle_tangent_pair(self):
         grid = geo.build_grid(geo.circle(1.0), 64)
-        assert geo.second_fundamental_form(grid, grid.tangent[5],
-                                           grid.tangent[5], 5) == pytest.approx(1.0)
+        np.testing.assert_allclose(
+            geo.second_fundamental_form(grid, grid.tangent, grid.tangent), 1.0, rtol=1e-12)
 
     def test_ellipse_anchor(self):
         grid = geo.build_grid(geo.ellipse(2.0, 1.0), 256)
-        value = geo.second_fundamental_form(grid, grid.tangent[0], grid.tangent[0], 0)
+        value = geo.second_fundamental_form(grid, grid.tangent, grid.tangent)[0]
         assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_bilinear_symmetry(self):
         grid = geo.build_grid(geo.star(1.0, 0.2, 3), 128)
-        xi, eta = np.array([0.3, -1.1]), np.array([0.7, 0.2])
-        assert geo.second_fundamental_form(grid, xi, eta, 11) == pytest.approx(
-            geo.second_fundamental_form(grid, eta, xi, 11))
+        rng = np.random.default_rng(11)
+        xi, eta = rng.normal(size=(2, 128, 2))
+        form = geo.second_fundamental_form(grid, xi, eta)
+        np.testing.assert_allclose(form, geo.second_fundamental_form(grid, eta, xi),
+                                   rtol=1e-15)
+        assert form[11] == pytest.approx(grid.curvature[11] * np.dot(xi[11], grid.tangent[11])
+                                         * np.dot(eta[11], grid.tangent[11]))
 
 
 class TestCollar:
