@@ -394,6 +394,7 @@ def second_fundamental_form(grid: BoundaryGrid, xi, eta) -> np.ndarray:
     """Curvature-weighted tangential bilinear form kappa (xi.tau)(eta.tau) at
     every node, for nodal (M, 2) fields xi and eta.  The normal direction is
     in the kernel; on the unit circle a pair of unit tangents gives +1."""
+    # 1x2 @ 2x1 per node rounds as the node's np.dot does, einsum may not
     tau = grid.tangent[:, :, None]
     return grid.curvature * (xi[:, None, :] @ tau)[:, 0, 0] * (eta[:, None, :] @ tau)[:, 0, 0]
 
