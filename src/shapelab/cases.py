@@ -419,7 +419,7 @@ def _greens_symmetry(st, case):
 def _greens_annulus_flux(st, case):
     solver = _base_solver(st, "annulus")
     ev = solver.solve(np.array([0.0, 0.72]))
-    flux = float(np.dot(solver.components[0].weights, ev.normal_trace(0)))
+    flux = solver.components[0].grid.integrate(ev.normal_trace(0))
     return flux, {"analytic": -1.0}, abs(flux + 1.0)
 
 

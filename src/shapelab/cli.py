@@ -156,12 +156,13 @@ def _tolerance(value) -> float:
 
 
 def _finite(value, shape=()) -> np.ndarray | None:
-    """``value`` as a finite float array of ``shape``, or None."""
+    """``value``, numbers other than booleans, as a finite float array of ``shape``, or None."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         return None
-    return array if array.shape == shape and np.all(np.isfinite(array)) else None
+    booleans = any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object)))
+    return array if array.shape == shape and np.all(np.isfinite(array)) and not booleans else None
 
 
 def _curve(domain):
@@ -177,14 +178,19 @@ def _liouville_case(id, kind, domain, family, integrand, tolerance=1e-4, ladder=
     curve, domain_key = _curve(domain)
     family = read_object("family", family, _family)
     flux = kind.startswith("flux")
-    if flux and (isinstance(integrand, str) or len(integrand) != 2):
-        raise ConfigError(f"a {kind} integrand is a list of 2 expressions, not {integrand!r}")
-    sp, _ = _sympy()  # only user-written integrands need it
+    items = integrand if flux else [integrand]
+    if not isinstance(items, list) or len(items) != (2 if flux else 1) or not all(
+            isinstance(item, (str, int, float)) and not isinstance(item, bool) for item in items):
+        shape = "a list of 2 expressions" if flux else "one expression"
+        raise ConfigError(f"a {kind} integrand is {shape}, not {integrand!r}")
+    sp, symbols = _sympy()  # only user-written integrands need it
     try:
-        for item in (integrand if flux else [integrand]):
-            sp.sympify(item)
+        exprs = [sp.sympify(item) for item in items]
     except sp.SympifyError as exc:
         raise ConfigError(f"integrand {integrand!r} does not parse: {exc}") from exc
+    others = sorted(str(s) for e in exprs for s in e.free_symbols - set(symbols))
+    if others:
+        raise ConfigError(f"integrand {integrand!r} has symbols other than x1, x2, t: {others}")
     tolerance = _tolerance(tolerance)
     ladder = ladder_steps(ladder)
 
@@ -238,6 +244,9 @@ def _assemble(section: str, specs, build) -> list[Case]:
             raise ConfigError(f"custom case {spec.get('id')!r}: {exc}") from exc
         if not isinstance(case.case_id, str):
             raise ConfigError(f"custom case id must be a string, not {case.case_id!r}")
+        if case.case_id in ("", ".", "..") or any(c in case.case_id for c in "/\\\0"):
+            raise ConfigError(f"custom case id {case.case_id!r} is not a file name: it may not "
+                              "be empty, '.' or '..', or hold '/', '\\' or NUL")
         out.append(case)
     return out
 

@@ -2,11 +2,13 @@
 
 Curves are closed trigonometric-polynomial maps theta in [0, 2pi) -> R^2,
 so all derivatives are analytic and equispaced trapezoid quadrature is
-spectrally accurate.  The module provides the one frame path
-(``pushed_frame``, for base and deformed point sets alike) and its exact
-t-rates at t = 0 (``frame_rates``), boundary grids
-with frames and curvature, tangential differentiation, constant-along-normal
-collar extensions, and a blended radial quadrature for the enclosed region.
+spectrally accurate.  The module provides the one point-set path
+(``pushed_frame``: the nodes, unit frame and trapezoid line element of
+T_t(curve) at given angles, for base and deformed boundaries alike), boundary
+grids (the undeformed point set with its curve and curvature), the frame's
+exact t-rates at t = 0 (``frame_rates``), tangential differentiation,
+constant-along-normal collar extensions, and a blended radial quadrature for
+the enclosed region.
 
 Conventions: the outer component runs counterclockwise and holes run
 clockwise, so the unit normal nu = rot(tau) always points out of the
@@ -303,21 +305,18 @@ MIN_SPEED = 1e-10
 
 
 @dataclass(frozen=True)
-class BoundaryGrid:
-    """Equispaced-in-theta nodes of one component with frame and curvature.
+class PointSet:
+    """``pushed_frame``'s nodes of T_t(curve) at M angles, the unit tangent
+    DT_t x'/|DT_t x'| and normal, the speed |DT_t x'| and the trapezoid
+    weights (2 pi / M) speed: on equispaced angles sum(weights) is the
+    arclength to spectral accuracy."""
 
-    weights are trapezoid-in-theta times |x'(theta)|, so sum(weights) is the
-    arclength to spectral accuracy.
-    """
-
-    curve: FourierCurve
     thetas: np.ndarray
     nodes: np.ndarray        # (M, 2)
-    speed: np.ndarray        # |x'(theta_j)|
-    weights: np.ndarray
     tangent: np.ndarray      # (M, 2), unit
     normal: np.ndarray       # (M, 2), unit, rot(tangent)
-    curvature: np.ndarray    # signed
+    speed: np.ndarray
+    weights: np.ndarray
 
     @property
     def size(self) -> int:
@@ -330,14 +329,23 @@ class BoundaryGrid:
         return float(np.dot(self.weights, values))
 
 
-def pushed_frame(curve: FourierCurve, thetas: np.ndarray, family=None, t: float = 0.0):
-    """Nodes, unit tangent, unit normal and speed of T_t(curve) at ``thetas``.
+@dataclass(frozen=True)
+class BoundaryGrid(PointSet):
+    """The undeformed point set of a component at M equispaced angles, with
+    its curve and signed curvature."""
 
-    The one place a curve velocity becomes a frame.  The tangent is the
-    pushforward DT_t x'(theta) of the curve's velocity, with T_t and DT_t
-    from ``family.map_and_jacobian``; ``family=None`` is the identity, so
-    the undeformed curve takes the same path.  Rejects a speed that
-    collapses at any node.
+    curve: FourierCurve
+    curvature: np.ndarray
+
+
+def pushed_frame(curve: FourierCurve, thetas: np.ndarray, family=None, t: float = 0.0):
+    """The ``PointSet`` of T_t(curve) at ``thetas``.
+
+    The one place a curve velocity becomes a frame and a line element.  The
+    tangent is the pushforward DT_t x'(theta) of the curve's velocity, with
+    T_t and DT_t from ``family.map_and_jacobian``; ``family=None`` is the
+    identity, so the undeformed curve takes the same path.  Rejects a speed
+    that collapses at any node.
     """
     nodes = curve.point(thetas)
     dx = curve.velocity(thetas)
@@ -349,7 +357,9 @@ def pushed_frame(curve: FourierCurve, thetas: np.ndarray, family=None, t: float 
     if bad.size:
         raise GeometryError(f"degenerate boundary: |DT_t x'| ~ 0 at node {bad[0]}")
     tangent = dx / speed[:, None]
-    return nodes, tangent, _rotate_quarter(tangent), speed
+    # no angles (a collar's points with no foot) give no weights
+    return PointSet(thetas, nodes, tangent, _rotate_quarter(tangent), speed,
+                    (TWO_PI / max(len(speed), 1)) * speed)
 
 
 def frame_rates(curve: FourierCurve, thetas: np.ndarray, family):
@@ -374,19 +384,18 @@ def frame_rates(curve: FourierCurve, thetas: np.ndarray, family):
 def build_grid(curve: FourierCurve, m: int) -> BoundaryGrid:
     """Sample one curve component at M equispaced parameters.
 
-    M must be a power of two with M >= 16.  The frame comes from
+    M must be a power of two with M >= 16.  The point set comes from
     ``pushed_frame`` with no deformation.
     """
     if m < 16 or (m & (m - 1)) != 0:
         raise GeometryError("node count must be a power of two >= 16")
     thetas = TWO_PI * np.arange(m) / m
-    nodes, tangent, normal, speed = pushed_frame(curve, thetas)
-    return BoundaryGrid(curve, thetas, nodes, speed, (TWO_PI / m) * speed, tangent, normal,
-                        curve.curvature(thetas))
+    return BoundaryGrid(**vars(pushed_frame(curve, thetas)), curve=curve,
+                        curvature=curve.curvature(thetas))
 
 
-def tangential_grad(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
-    """Arclength derivative df/ds of nodal values on one component."""
+def tangential_grad(grid: PointSet, values: np.ndarray) -> np.ndarray:
+    """Arclength derivative df/ds of nodal values on an equispaced point set."""
     return fourier_derivative(values) / grid.speed
 
 
@@ -463,12 +472,13 @@ class CollarExtension:
             theta -= step
             if np.max(np.abs(step), initial=0.0) < 1e-14:
                 break
-        x, tau, nu, speed = pushed_frame(curve, theta)
-        offset = np.einsum("ij,ij->i", points - x, nu)
+        feet = pushed_frame(curve, theta)
+        offset = np.einsum("ij,ij->i", points - feet.nodes, feet.normal)
         keep = np.abs(offset) <= self.half_width * (1 + 1e-9)
         inside = np.zeros(len(d2), dtype=bool)
         inside[near[keep]] = True
-        feet = CollarFrame(theta, offset, tau, nu, speed, curve.curvature(theta))
+        feet = CollarFrame(theta, offset, feet.tangent, feet.normal, feet.speed,
+                           curve.curvature(theta))
         return inside, CollarFrame(*(a[keep] for a in feet))
 
     def frame(self, points: np.ndarray) -> CollarFrame:

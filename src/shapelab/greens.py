@@ -52,10 +52,10 @@ gradients over the charges use the complex form
 grad Gamma(p - s) = -conj(1 / (z - s)) / (2 pi) with z = p1 + i p2, which
 turns the sum into one complex matrix-vector product per field.
 
-The deformed boundary of T_t(Omega) takes the base boundary's path: its
-nodes, frames and charge rings are the T_t images of the base point sets,
-so re-solves along a finite-difference t-ladder differ only through the
-deformation, never through a change of discretization at t=0.
+One discretization path for the base and the deformed boundary: every
+point set (grid, collocation and check nodes) is ``pushed_frame``'s, and a
+base solver's grid is the Domain's own, so re-solves along a t-ladder differ
+only through the deformation, never through a change of discretization at t=0.
 
 LAPACK and BLAS come from scipy's compiled modules scipy.linalg._flapack
 (dgeqp3, dgeqrt, dgemqrt, dgesdd and its workspace query) and
@@ -81,7 +81,8 @@ from importlib.util import module_from_spec, spec_from_loader
 import numpy as np
 import scipy
 
-from .geometry import TWO_PI, Domain, FourierBasis, MixedBoundary, frame_rates, pushed_frame
+from .geometry import (TWO_PI, Domain, FourierBasis, MixedBoundary, PointSet, frame_rates,
+                       pushed_frame)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
@@ -305,31 +306,23 @@ def rowwise_dot(vectors: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ComponentDiscretization:
-    """All per-component point sets the collocation solver needs."""
+    """A component's condition, its grid, collocation and check point sets, and charges."""
 
     dirichlet: bool
-    nodes: np.ndarray       # grid nodes (M, 2)
-    tangent: np.ndarray
-    normal: np.ndarray
-    weights: np.ndarray
-    colloc_nodes: np.ndarray
-    colloc_normal: np.ndarray
-    colloc_thetas: np.ndarray
-    check_nodes: np.ndarray
-    check_normal: np.ndarray
+    grid: PointSet
+    colloc: PointSet
+    check: PointSet
     charges: np.ndarray
     # the charges are the domain's whole rings, whose independent columns a
     # solver keeps, not the images of a base's kept charges
     whole_rings: bool = False
 
-    def datum(self, value, gradient, at: str = "") -> np.ndarray:
+    def datum(self, value, gradient, points: PointSet) -> np.ndarray:
         """A function's value on a Dirichlet piece, its normal derivative on a
-        Neumann piece, at the point set ``at`` names ("" grid, "colloc_" or
-        "check_" nodes), from its ``value`` or ``gradient`` at (N, 2) points."""
-        points = getattr(self, at + "nodes")
+        Neumann piece, at ``points``, from its ``value`` or ``gradient``."""
         if self.dirichlet:
-            return value(points)
-        return rowwise_dot(gradient(points), getattr(self, at + "normal"))
+            return value(points.nodes)
+        return rowwise_dot(gradient(points.nodes), points.normal)
 
 
 def _winding_number(nodes: np.ndarray, point: np.ndarray) -> float:
@@ -345,13 +338,13 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     """Discretize the boundary of T_t(Omega) for collocation.
 
     One path for every t: each point set (grid, collocation and check
-    nodes, charge rings) is the T_t image of its base-boundary set, with
-    frames from the deformation Jacobian, and ``family=None`` is the
-    identity.  The base charges of each component are ``charges[i]``, by
-    default the domain's cached ring (``Domain.charge_rings``), and then
-    the components are ``whole_rings``.  The discretization is therefore
-    continuous in t, and a family that does not move a point set leaves it
-    bit-identical.
+    nodes) is ``pushed_frame``'s at its angles, and the charges are the T_t
+    images of the base charges.  ``family=None`` is the identity, and then
+    the grid is the domain's own ``BoundaryGrid``.  The base charges of each
+    component are ``charges[i]``, by default the domain's cached ring
+    (``Domain.charge_rings``), and then the components are ``whole_rings``.
+    The discretization is therefore continuous in t, and a family that does
+    not move a point set leaves it bit-identical.
     """
     if len(mixed.kinds) != domain.n_components:
         raise GreensError("boundary assignment does not match component count")
@@ -363,16 +356,13 @@ def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
     comps = []
     for i, (curve, grid, base) in enumerate(zip(domain.curve.components, domain.grids,
                                                 charges)):
-        nodes, tangent, normal, speed = pushed_frame(curve, grid.thetas, family, t)
-        col_n, _, col_nu, _ = pushed_frame(curve, th_col, family, t)
-        chk_n, _, chk_nu, _ = pushed_frame(curve, CHECK_THETAS, family, t)
-        charges_i = base if family is None else family.map(base, t)
+        if family is not None:
+            grid = pushed_frame(curve, grid.thetas, family, t)
+        colloc, check = (pushed_frame(curve, thetas, family, t)
+                         for thetas in (th_col, CHECK_THETAS))
         comps.append(ComponentDiscretization(
-            dirichlet=mixed.is_dirichlet(i), nodes=nodes, tangent=tangent,
-            normal=normal, weights=(TWO_PI / grid.size) * speed,
-            colloc_nodes=col_n, colloc_normal=col_nu,
-            colloc_thetas=th_col, check_nodes=chk_n, check_normal=chk_nu,
-            charges=charges_i, whole_rings=whole_rings))
+            mixed.is_dirichlet(i), grid, colloc, check,
+            base if family is None else family.map(base, t), whole_rings))
     return comps
 
 
@@ -512,23 +502,23 @@ class MixedSolver:
         # Fortran order, so the QR factors it without a copy.  It is written
         # in row blocks of at most BLOCK_ENTRIES entries, so the kernel's
         # temporaries stay one block each
-        self.matrix = np.empty((sum(len(c.colloc_nodes) for c in components),
+        self.matrix = np.empty((sum(c.colloc.size for c in components),
                                 len(self.charges)), order="F")
         step = max(1, BLOCK_ENTRIES // len(self.charges))
         offset = 0
         for comp in components:
-            for start in range(0, len(comp.colloc_nodes), step):
+            for start in range(0, comp.colloc.size, step):
                 block = slice(start, start + step)
-                nodes = comp.colloc_nodes[block]
+                nodes = comp.colloc.nodes[block]
                 rows = self.matrix[offset + start:offset + start + len(nodes)]
                 if comp.dirichlet:
                     rows[...] = fundamental_solution(nodes, self.charges)
                 else:
                     gx, gy = _gradient_components(nodes, self.charges)
-                    np.multiply(gx, comp.colloc_normal[block, :1], out=rows)
-                    gy *= comp.colloc_normal[block, 1:]
+                    np.multiply(gx, comp.colloc.normal[block, :1], out=rows)
+                    gy *= comp.colloc.normal[block, 1:]
                     rows += gy
-            offset += len(comp.colloc_nodes)
+            offset += comp.colloc.size
         if all(c.whole_rings for c in components):
             self._keep_independent_columns()
         self._factors: _QRFactors | None = None
@@ -587,7 +577,7 @@ class MixedSolver:
         rhs = np.concatenate(rhs_per_component, axis=-1)
         fld = HarmonicField(self.charges, self.factors.solve(rhs.T))
         # per data set, the worst check-node residual over the components
-        residual = np.max([np.max(np.abs(comp.datum(fld.value, fld.gradient, "check_")
+        residual = np.max([np.max(np.abs(comp.datum(fld.value, fld.gradient, comp.check)
                                          - data), axis=-1)
                            for comp, data in zip(self.components, check_data)], axis=0)
         diags = tuple(SolveDiagnostics(float(r), self.matrix.shape[1])
@@ -605,11 +595,12 @@ class MixedSolver:
         return self.factors.fit(data, gram)
 
     @functools.cached_property
-    def _fourier_bases(self) -> list[tuple[FourierBasis, FourierBasis]]:
-        """Per component, the interpolation from its grid nodes to its
-        collocation and to its check angles."""
-        return [(FourierBasis.at(len(c.nodes), c.colloc_thetas),
-                 FourierBasis.at(len(c.nodes), CHECK_THETAS)) for c in self.components]
+    def _fourier_bases(self) -> tuple[FourierBasis, FourierBasis]:
+        """The interpolation from grid nodes to the collocation and to the check
+        angles, which every component shares (``discretize_pushed``)."""
+        comp = self.components[0]
+        return (FourierBasis.at(comp.grid.size, comp.colloc.thetas),
+                FourierBasis.at(comp.grid.size, comp.check.thetas))
 
     def solve_nodal(self, nodal_per_component: list[np.ndarray]):
         """Fit grid-nodal data, (M,) or (k, M) per component, Fourier-interpolated
@@ -619,9 +610,8 @@ class MixedSolver:
                 return basis(nodal)
             return np.stack([basis(row) for row in nodal])
 
-        bases = self._fourier_bases
-        col = [interpolate(nodal, b[0]) for nodal, b in zip(nodal_per_component, bases)]
-        chk = [interpolate(nodal, b[1]) for nodal, b in zip(nodal_per_component, bases)]
+        col, chk = ([interpolate(nodal, basis) for nodal in nodal_per_component]
+                    for basis in self._fourier_bases)
         return self.solve(col, check_data=chk)
 
 
@@ -670,8 +660,8 @@ class GreensEval:
     def _trace(self, i: int, frame: str) -> np.ndarray:
         key = (frame, i)
         if key not in self._traces:
-            comp = self.components[i]
-            trace = rowwise_dot(self.gradient(comp.nodes), getattr(comp, frame))
+            grid = self.components[i].grid
+            trace = rowwise_dot(self.gradient(grid.nodes), getattr(grid, frame))
             trace.flags.writeable = False
             self._traces[key] = trace
         return self._traces[key]
@@ -683,11 +673,11 @@ class GreensEval:
         return self._trace(i, "tangent")
 
     def boundary_values(self, i: int) -> np.ndarray:
-        return self.value(self.components[i].nodes)
+        return self.value(self.components[i].grid.nodes)
 
 
 def contains(components: list[ComponentDiscretization], point: np.ndarray) -> bool:
-    w = sum(_winding_number(c.nodes, np.asarray(point, float)) for c in components)
+    w = sum(_winding_number(c.grid.nodes, np.asarray(point, float)) for c in components)
     return abs(w - 1.0) < 0.5
 
 
@@ -716,8 +706,8 @@ class GreensSolver:
         poles: minus the boundary datum of Gamma(. - y)."""
         value = functools.partial(_per_pole, fundamental_solution, y=y)
         gradient = functools.partial(_per_pole, fundamental_gradient, y=y)
-        return tuple([-comp.datum(value, gradient, at) for comp in self.components]
-                     for at in ("colloc_", "check_"))
+        return ([-c.datum(value, gradient, c.colloc) for c in self.components],
+                [-c.datum(value, gradient, c.check) for c in self.components])
 
     def solve(self, y) -> GreensEval:
         """N(., y) for one pole (2,), or a block for poles (k, 2) in one solve."""
@@ -758,9 +748,9 @@ class GreensSolver:
                      np.zeros((len(sources), *np.shape(left)[1:]))) for _ in range(order)]
         offset = 0
         for curve, comp in zip(self.domain.curve.components, self.components):
-            nodes = comp.colloc_nodes
+            nodes = comp.colloc.nodes
             normals = (None if comp.dirichlet
-                       else frame_rates(curve, comp.colloc_thetas, family))
+                       else frame_rates(curve, comp.colloc.thetas, family))
             for start, rates in kernel_rates(_plane(nodes), sources, _motion(family, nodes),
                                              source_motion, normals, order):
                 rows = slice(offset + start, offset + start + len(rates[0]))
@@ -840,10 +830,10 @@ def _log_moment_boundary(components, y: np.ndarray) -> float:
     """
     total = 0.0
     for comp in components:
-        diff = comp.nodes - y[None, :]
+        diff = comp.grid.nodes - y[None, :]
         r = np.hypot(diff[:, 0], diff[:, 1])
         v = (-np.log(r) * INV_2PI / 2.0 + INV_2PI / 4.0)[:, None] * diff
-        total += float(np.dot(comp.weights, np.einsum("ni,ni->n", v, comp.normal)))
+        total += comp.grid.integrate(np.einsum("ni,ni->n", v, comp.grid.normal))
     return total
 
 
@@ -871,14 +861,14 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     corrector = ev.corrector_value(interior.nodes)
     gamma = fundamental_solution(interior.nodes, probes).T
     moments = [_log_moment_boundary(solver.components, y) for y in probes]
-    traces = [ev.normal_trace(i) if comp.dirichlet else ev.value(comp.nodes)
+    traces = [ev.normal_trace(i) if comp.dirichlet else ev.value(comp.grid.nodes)
               for i, comp in enumerate(solver.components)]
     reports = []
     for spec in specs:
         hess = spec.hessian(interior.nodes, 0.0)
         f = -(hess[:, 0, 0] + hess[:, 1, 1])
-        data = [comp.datum(lambda p: spec.value(p, 0.0), lambda p: spec.gradient(p, 0.0))
-                for comp in solver.components]
+        data = [comp.datum(lambda p: spec.value(p, 0.0), lambda p: spec.gradient(p, 0.0),
+                           comp.grid) for comp in solver.components]
         exact, recon = [], []
         for j, y in enumerate(probes):
             fy = float(-np.trace(spec.hessian(y[None, :], 0.0)[0]))
@@ -886,10 +876,8 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
                                  corrector[j] * f + gamma[j] * (f - fy)))
             total += fy * moments[j]
             for comp, trace, phi in zip(solver.components, traces, data):
-                if comp.dirichlet:
-                    total -= float(np.dot(comp.weights, phi * trace[j]))
-                else:
-                    total += float(np.dot(comp.weights, trace[j] * phi))
+                pairing = comp.grid.integrate(trace[j] * phi)
+                total += -pairing if comp.dirichlet else pairing
             recon.append(total)
             exact.append(float(spec.value(y[None, :], 0.0)[0]))
         recon = np.asarray(recon)

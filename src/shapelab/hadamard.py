@@ -40,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fd import FDResult, derivative_ladder
-from .geometry import (BoundaryGrid, Domain, MixedBoundary, second_fundamental_form,
-                       tangential_grad)
-from .greens import (ComponentDiscretization, GreensConfig, GreensEval, GreensSolver,
-                     HarmonicField, SolveDiagnostics, base_solver, rowwise_dot)
+from .geometry import Domain, MixedBoundary, PointSet, second_fundamental_form, tangential_grad
+from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField, SolveDiagnostics,
+                     base_solver, rowwise_dot)
 from .perturbation import PerturbationFamily, advective_normal_component, boundary_data
 
 
@@ -120,42 +119,42 @@ def chi_sigma(domain: Domain, family: PerturbationFamily) -> HadamardCoefficient
 
 @dataclass(frozen=True)
 class _Piece:
-    """Boundary piece ``i`` with the family's normal speed ``rho``, under its
-    condition's rule: a Dirichlet piece's trace is d/dnu, its pairings take
-    the sign +1 and the BVP datum of a product P paired with its trace is -P;
-    a Neumann piece's trace is d/ds, its sign -1 and its datum dP/ds."""
+    """Boundary piece ``i`` on its grid with the family's normal speed ``rho``,
+    under its condition's rule: a Dirichlet piece's trace is d/dnu, its
+    pairings take the sign +1 and the BVP datum of a product P paired with its
+    trace is -P; a Neumann piece's trace is d/ds, its sign -1 and its datum dP/ds."""
 
     i: int
-    grid: BoundaryGrid
-    comp: ComponentDiscretization
+    grid: PointSet
+    dirichlet: bool
     rho: np.ndarray
 
     def trace(self, ev: GreensEval) -> np.ndarray:  # of a pole block
-        return ev.normal_trace(self.i) if self.comp.dirichlet else ev.tangential_trace(self.i)
+        return ev.normal_trace(self.i) if self.dirichlet else ev.tangential_trace(self.i)
 
     def gradient_trace(self, gradient: np.ndarray) -> np.ndarray:  # of a field
-        return rowwise_dot(gradient, self.grid.normal if self.comp.dirichlet else self.grid.tangent)
+        return rowwise_dot(gradient, self.grid.normal if self.dirichlet else self.grid.tangent)
 
     def pair(self, values: np.ndarray) -> float:  # sign * <values>
-        total = float(np.dot(self.comp.weights, values))
-        return total if self.comp.dirichlet else -total
+        total = self.grid.integrate(values)
+        return total if self.dirichlet else -total
 
     def datum(self, product: np.ndarray) -> np.ndarray:
-        return -product if self.comp.dirichlet else tangential_grad(self.grid, product)
+        return -product if self.dirichlet else tangential_grad(self.grid, product)
 
 
 def _pieces(solver: GreensSolver, family: PerturbationFamily):
     """The solver's boundary pieces under ``family``, in component order."""
-    for i, (grid, comp) in enumerate(zip(solver.domain.grids, solver.components)):
-        yield _Piece(i, grid, comp, boundary_data(family, grid).normal_velocity)
+    for i, comp in enumerate(solver.components):
+        yield _Piece(i, comp.grid, comp.dirichlet, boundary_data(family, comp.grid).normal_velocity)
 
 
 def probe_warning(solver: GreensSolver, point: np.ndarray) -> str | None:
     """Accuracy warning for probes closer to the boundary than three node gaps."""
     point = np.asarray(point, dtype=float)
     for comp in solver.components:
-        gaps = np.linalg.norm(comp.nodes - point[None, :], axis=1)
-        spacing = float(np.mean(comp.weights))
+        gaps = np.linalg.norm(comp.grid.nodes - point[None, :], axis=1)
+        spacing = float(np.mean(comp.grid.weights))
         if gaps.min() < 3.0 * spacing:
             return (f"probe {point} is within 3.0 node spacings of "
                     "the boundary; trace quadrature degrades")
@@ -322,10 +321,10 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
         vx, vy = udot.value(nodes)
         grad_udot = udot.gradient(nodes)
         dx, dy = rowwise_dot(grad_udot, piece.grid.normal)
-        total -= float(np.dot(piece.comp.weights, vx * dy + vy * dx))
+        total -= piece.grid.integrate(vx * dy + vy * dx)
         qx, qy = piece.trace(ev)
         total += piece.pair(coeffs.chi[piece.i] * qx * qy)
-        if not piece.comp.dirichlet:
+        if not piece.dirichlet:
             wx, wy = piece.gradient_trace(grad_udot)
             total += 2.0 * piece.pair(piece.rho * (wx * qy + wy * qx))
     return total
@@ -368,10 +367,9 @@ def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
     rhs = 0.0
     for piece in _pieces(solver, family):
         # the pole whose trace pairs with the other pole's variation
-        pole = 1 if piece.comp.dirichlet else 0
+        pole = 1 if piece.dirichlet else 0
         trace_udot = piece.gradient_trace(udot[1 - pole].gradient(piece.grid.nodes))
-        rhs -= float(np.dot(piece.comp.weights,
-                            piece.rho * piece.trace(ev)[pole] * trace_udot))
+        rhs -= piece.grid.integrate(piece.rho * piece.trace(ev)[pole] * trace_udot)
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._fd import FDResult, derivative_ladder
-from .geometry import TWO_PI, Domain, pushed_frame, tangential_grad
+from .geometry import Domain, pushed_frame, tangential_grad
 from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .perturbation import (PerturbationError, PerturbationFamily,
                            advective_normal_component, boundary_data)
@@ -34,28 +34,19 @@ def pullback_volume_integral(domain: Domain, family: PerturbationFamily,
     return float(np.dot(interior.weights, c.value(img, t) * det))
 
 
-def _pushed_frames(domain: Domain, family: PerturbationFamily, t: float):
-    for grid in domain.grids:
-        img, tangent, normal, speed = pushed_frame(grid.curve, grid.thetas, family, t)
-        yield img, (TWO_PI / grid.size) * speed, tangent, normal
-
-
 def pushed_area_integral(domain: Domain, family: PerturbationFamily,
                          c: IntegrandSpec, t: float) -> float:
     """integral of c(., t) over the deformed boundary with stretched weights."""
-    total = 0.0
-    for img, weights, _, _ in _pushed_frames(domain, family, t):
-        total += float(np.dot(weights, c.value(img, t)))
-    return total
+    pushed = (pushed_frame(grid.curve, grid.thetas, family, t) for grid in domain.grids)
+    return sum(p.integrate(c.value(p.nodes, t)) for p in pushed)
 
 
 def pushed_flux_integral(domain: Domain, family: PerturbationFamily,
                          a: VectorIntegrandSpec, t: float) -> float:
     """integral of nu . a(., t) over the deformed boundary."""
-    total = 0.0
-    for img, weights, _, normal in _pushed_frames(domain, family, t):
-        total += float(np.dot(weights, np.einsum("ni,ni->n", a.value(img, t), normal)))
-    return total
+    pushed = (pushed_frame(grid.curve, grid.thetas, family, t) for grid in domain.grids)
+    return sum(p.integrate(np.einsum("ni,ni->n", a.value(p.nodes, t), p.normal))
+               for p in pushed)
 
 
 def fd_reference(kind: str, domain: Domain, family: PerturbationFamily,
@@ -260,6 +251,6 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily):
             theta += step
             if np.max(np.abs(step)) < 1e-13:
                 break
-        return pushed_frame(grid.curve, theta, family, t)[2]
+        return pushed_frame(grid.curve, theta, family, t).normal
 
     return [derivative_ladder(lambda t: normal_at(grid, t), order=1) for grid in domain.grids]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .geometry import BoundaryGrid, collar_extend, fourier_derivative, fourier_interpolate
+from .geometry import (BoundaryGrid, PointSet, collar_extend, fourier_derivative,
+                       fourier_interpolate)
 from .integrands import _shifted
 
 
@@ -480,7 +481,7 @@ class BoundaryData:
     tangential_velocity: np.ndarray  # S_tau = S - (S.nu) nu, (M, 2)
 
 
-def boundary_data(family: PerturbationFamily, grid: BoundaryGrid) -> BoundaryData:
+def boundary_data(family: PerturbationFamily, grid: PointSet) -> BoundaryData:
     s = family.velocity(grid.nodes)
     r = family.acceleration(grid.nodes)
     ds = family.velocity_jacobian(grid.nodes)
@@ -490,7 +491,7 @@ def boundary_data(family: PerturbationFamily, grid: BoundaryGrid) -> BoundaryDat
     return BoundaryData(s, r, ds, rho, rho2, s_tau)
 
 
-def advective_normal_component(data: BoundaryData, grid: BoundaryGrid) -> np.ndarray:
+def advective_normal_component(data: BoundaryData, grid: PointSet) -> np.ndarray:
     """Nodal [(S.grad)S].nu computed from the velocity Jacobian."""
     adv = np.einsum("nij,nj->ni", data.velocity_jacobian, data.velocity)
     return np.einsum("ni,ni->n", adv, grid.normal)

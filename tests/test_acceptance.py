@@ -184,7 +184,7 @@ def test_criterion_5_greens_solver():
     mixed = geo.MixedBoundary(("dirichlet", "neumann"))
     asolver = GreensSolver(annulus, mixed)
     aev = asolver.solve(np.array([0.0, 0.72]))
-    flux = np.dot(asolver.components[0].weights, aev.normal_trace(0))
+    flux = np.dot(asolver.components[0].grid.weights, aev.normal_trace(0))
     assert abs(flux + 1.0) <= 1e-6
 
     for dom, mb, z, pts in (

@@ -219,6 +219,9 @@ class TestCli:
         ("second_volume", "x1**", "does not parse"),
         ("flux_first", ["x1*x2", "x2**"], "does not parse"),
         ("flux_first", ["x1", "x2", "x1*x2"], "list of 2 expressions"),
+        ("second_volume", "x1*y", "symbols other than x1, x2, t: ['y']"),
+        ("second_volume", ["x1", "x2"], "a second_volume integrand is one expression"),
+        ("flux_first", {"x1": 1, "x2": 2}, "list of 2 expressions"),
     ])
     def test_unparsable_integrand_is_config_error(self, tmp_path, capsys, kind,
                                                   integrand, message):
@@ -238,6 +241,10 @@ class TestCli:
         ("custom_hadamard", "probes", [[0.3, 0.0, 1.0], [0.0, 0.4]],
          "probes must be two points of two finite coordinates"),
         ("custom_liouville", "tolerance", "nan", "tolerance must be a finite positive number"),
+        # a boolean is not a number
+        ("custom_liouville", "tolerance", True, "tolerance must be a finite positive number"),
+        ("custom_hadamard", "probes", [[True, 0], [0.0, 0.4]],
+         "probes must be two points of two finite coordinates"),
     ])
     def test_bad_value_is_a_config_error_at_load(self, tmp_path, capsys, section, key,
                                                   value, message):
@@ -530,6 +537,10 @@ class TestConfigReader:
         ({"custom_liouville": [STAR_SHEAR, STAR_SHEAR]},
          "case id 'custom-star-shear' is declared twice"),
         ({"out_dir": 5}, "out_dir must be a string, not 5"),
+        # an id names its case's csv under the report directory
+        *(({"custom_liouville": [dict(STAR_SHEAR, id=case_id)]},
+           f"custom case id {case_id!r} is not a file name")
+          for case_id in ("../escaped", "nested/dir/case", "", ".", "..", "a\\b", "a\0b")),
     ])
     def test_case_ids_and_out_dir_are_checked_at_load(self, tmp_path, capsys, cfg,
                                                        message):

@@ -4,7 +4,8 @@ import pytest
 from shapelab import cli
 from shapelab import geometry as geo
 from shapelab.integrands import IntegrandSpec, normal_scaled_integrand
-from shapelab.perturbation import FlowFamily, PolynomialField, TaylorFamily, dilation, shear
+from shapelab.perturbation import (FlowFamily, NormalFamily, PolynomialField, TaylorFamily,
+                                   dilation, shear)
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,7 +41,7 @@ class TestGrid:
         TaylorFamily(dilation())], ids=["shear-with-R", "quadratic-flow", "dilation"])
     def test_frame_rates_are_the_t_derivatives_of_the_pushed_normal(self, family):
         curve, thetas, h = geo.star(1.0, 0.2, 3), TWO_PI * np.arange(64) / 64, 1e-3
-        normal = {t: geo.pushed_frame(curve, thetas, family, t)[2] @ (1.0, 1j)
+        normal = {t: geo.pushed_frame(curve, thetas, family, t).normal @ (1.0, 1j)
                   for t in (-2 * h, -h, 0.0, h, 2 * h)}
         nu, rate, acceleration = geo.frame_rates(curve, thetas, family)
         np.testing.assert_allclose(nu, normal[0.0], rtol=0, atol=1e-15)
@@ -93,12 +94,22 @@ class TestGrid:
                                        geo.circle(0.5).reversed()])
     def test_grid_is_the_unpushed_frame(self, curve):
         grid = geo.build_grid(curve, 128)
-        nodes, tangent, normal, speed = geo.pushed_frame(curve, grid.thetas)
+        frame = geo.pushed_frame(curve, grid.thetas)
+        nodes, tangent, normal, speed = frame.nodes, frame.tangent, frame.normal, frame.speed
         for got, want in ((grid.nodes, nodes), (grid.tangent, tangent),
                           (grid.normal, normal), (grid.speed, speed),
                           (grid.curvature, curve.curvature(grid.thetas)),
                           (grid.weights, (TWO_PI / 128) * speed)):
             np.testing.assert_array_equal(got, want)
+
+    def test_a_point_set_of_no_angles_has_empty_weights(self):
+        frame = geo.pushed_frame(geo.circle(1.0), np.empty(0))
+        assert frame.size == 0 and frame.weights.shape == (0,)
+        # points far from a collar project no foot, so the feet are no angles
+        grid = geo.build_grid(geo.circle(1.0), 64)
+        family = NormalFamily(grid, np.ones(64))
+        far = np.array([[3.0, 0.0], [0.0, -4.0]])
+        np.testing.assert_array_equal(family.velocity(far), 0.0)
 
 
 class TestTangentialCalculus:

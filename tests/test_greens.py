@@ -102,12 +102,12 @@ class TestKernelLayer:
         solver = annulus_solver.solver
         rows = []
         for comp in solver.components:
-            diff, r2 = _einsum_offsets(comp.colloc_nodes, solver.charges)
+            diff, r2 = _einsum_offsets(comp.colloc.nodes, solver.charges)
             if comp.dirichlet:
                 rows.append(-0.5 * gr.INV_2PI * np.log(r2))
             else:
                 grad = -gr.INV_2PI * diff / r2[..., None]
-                rows.append(np.einsum("nki,ni->nk", grad, comp.colloc_normal))
+                rows.append(np.einsum("nki,ni->nk", grad, comp.colloc.normal))
         assert not solver.components[1].dirichlet
         np.testing.assert_array_equal(solver.matrix, np.vstack(rows))
 
@@ -220,7 +220,7 @@ class TestAnnulusMixed:
 
     def test_dirichlet_flux_balance(self, annulus_solver):
         ev = annulus_solver.solve(np.array([0.0, 0.72]))
-        flux = np.dot(annulus_solver.components[0].weights, ev.normal_trace(0))
+        flux = np.dot(annulus_solver.components[0].grid.weights, ev.normal_trace(0))
         assert abs(flux + 1.0) < 1e-6
 
     def test_neumann_trace_vanishes(self, annulus_solver):
@@ -284,10 +284,19 @@ class TestRepresentation:
 
 class TestPerturbedGreens:
     def test_base_components_are_the_domain_grids(self, annulus_solver, annulus):
-        # the undeformed boundary takes the grids' frame path, bit for bit
+        # the undeformed boundary's grid point sets are the domain's own
         for comp, grid in zip(annulus_solver.components, annulus.grids):
-            for name in ("nodes", "tangent", "normal", "weights"):
-                np.testing.assert_array_equal(getattr(comp, name), getattr(grid, name))
+            assert comp.grid is grid
+
+    def test_moved_point_sets_are_the_pushed_frames(self, annulus_solver, annulus):
+        # a moved solver's grid, collocation and check sets are pushed_frame's
+        fam, t = pert.FlowFamily(pert.shear(0.5)), 0.05
+        moved = annulus_solver.moved(fam, t)
+        for curve, comp in zip(annulus.curve.components, moved.components):
+            for points in (comp.grid, comp.colloc, comp.check):
+                want = geo.pushed_frame(curve, points.thetas, fam, t)
+                for name in ("thetas", "nodes", "tangent", "normal", "speed", "weights"):
+                    np.testing.assert_array_equal(getattr(points, name), getattr(want, name))
 
     def test_zero_deformation_matches_base(self, disk):
         mixedb = geo.all_dirichlet(1)
@@ -756,7 +765,7 @@ class TestCollocationRates:
             np.testing.assert_allclose(back, whole.T @ left, rtol=0,
                                        atol=1e-12 * np.max(np.abs(back)))
             rates.append((whole[:, :-1], -whole[:, -1]))
-        n_dirichlet = len(solver.components[0].colloc_nodes)
+        n_dirichlet = solver.components[0].colloc.size
         for k in (0, 1):  # the matrix, then the data
             g = {t: value[k] for t, value in problem.items()}
             first = (-g[2 * h] + 8 * g[h] - 8 * g[-h] + g[-2 * h]) / (12 * h)
