@@ -191,6 +191,11 @@ def _liouville_case(id, kind, domain, family, integrand, tolerance=1e-4, ladder=
     others = sorted(str(s) for e in exprs for s in e.free_symbols - set(symbols))
     if others:
         raise ConfigError(f"integrand {integrand!r} has symbols other than x1, x2, t: {others}")
+    undefined = sorted(str(f.func) for e in exprs for f in e.atoms(sp.core.function.AppliedUndef))
+    if undefined:
+        raise ConfigError(f"integrand {integrand!r} calls undefined functions: {undefined}")
+    if any(e.has(sp.I) for e in exprs):  # compiled values are cast to float
+        raise ConfigError(f"integrand {integrand!r} is not real: it uses I")
     tolerance = _tolerance(tolerance)
     ladder = ladder_steps(ladder)
 

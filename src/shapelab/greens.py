@@ -8,15 +8,17 @@ fit by least squares on oversampled collocation nodes.  The collocation
 matrix is assembled once per boundary and shared by every right-hand side.
 Its condition estimate is an SVD, computed only when read.
 
-One QR path for every solve.  A solver of a base boundary decides its
-columns once, when it is built: column-pivoted QR (dgeqp3) of its matrix
-keeps the columns with |R_kk| > KEEP_CUT |R_11| (1e-12), in ring order, and
-the solver keeps only those columns and their charges.  Under the ring rule
+One QR path for every solve.  Every solver factors its matrix once, in
+place, by unpivoted blocked QR (dgeqrt, then dgemqrt and dtrsm): a base
+boundary's solver when it is built, any other at its first solve or fit.
+The base's solver then decides its columns once: column-pivoted QR
+(dgeqp3) of the n x n triangle R, whose pivots are the matrix's
+(A^T A = R^T R), keeps the columns with |R_kk| > KEEP_CUT |R_11| (1e-12),
+in ring order, with their charges; when one goes, the kept columns are
+assembled again, bit for bit, and factored in place.  Under the ring rule
 the disk and the annulus keep every column; a boundary such as the 1 x 0.5
 ellipse stays rank-deficient, and an unpivoted fit of all its columns is not
-stable (KEEP_CUT).  Every solver factors its
-matrix once, in place, by unpivoted blocked QR (dgeqrt, then dgemqrt and
-dtrsm), at its first solve or fit.  Each run shares its base solvers:
+stable (KEEP_CUT).  Each run shares its base solvers:
 ``base_solver`` keeps one solver per (boundary assignment, config) in the
 domain's memo, and a run keeps one Domain per curve, so every case on a
 boundary solves on one matrix and one set of factors.
@@ -27,11 +29,13 @@ nothing, so every t of a finite-difference ladder has the same charge set,
 and at t = 0 its matrix is the base's own.  The Hadamard tangent route
 differentiates that problem at t = 0 on the base's factors instead of
 re-solving it: ``collocation_rate_products`` applies the exact t-rates of
-its matrix and data, row block by row block, without assembling them, and
-``MixedSolver.fit`` applies A^+ and (A^T A)^-1 = R^-1 R^-T.  So the
-green-variations benchmark assembles and factors one matrix per boundary
-and makes no re-solve; the registry re-solves only for the FD ladders of
-its two mixed-annulus route rows and for its perturbed-scaling case.
+its matrix and data to a block of columns, row block by row block in one
+sweep per component, without assembling them, and ``MixedSolver.fit``
+applies A^+ and (A^T A)^-1 = R^-1 R^-T.  So the green-variations benchmark
+assembles and factors one matrix per boundary, pivots three n x n
+triangles and makes no re-solve; the registry re-solves only for the FD
+ladders of its two mixed-annulus route rows and for its perturbed-scaling
+case.
 
 Blocks are the unit of work: one solve per batch; per-column products
 keep bits.  A solve takes one data set or a block of k of them (several
@@ -97,13 +101,15 @@ BLOCK_ENTRIES = 2 ** 14
 # kernel entries in one row block of a rate product: its few complex
 # temporaries stay at 64 KB each
 RATE_BLOCK_ENTRIES = 2 ** 12
-# a base solver keeps the columns whose pivoted-QR diagonal |R_kk| exceeds
-# KEEP_CUT |R_11|.  Under the ring rule the smallest such ratio of the
-# disk, the annulus and the eps = 0.2 star is at least 5.7e-12 from 16 to
-# 256 charges, so they keep every column.  The 1 x 0.5 ellipse at 96
-# charges keeps 82 of 96: unpivoted QR of all 96 reads min |R_kk| / |R_11|
-# = 1e-16, and its fit of the pole (0, 0.2) has coefficients near 5e8,
-# against 5e4 on the kept 82
+# a base solver keeps the columns whose diagonal |R_kk| in the pivoted QR
+# of its matrix's triangle R exceeds KEEP_CUT |R_11|.  Under the ring rule
+# the smallest such ratio of the disk, the annulus and the eps = 0.2 star is
+# at least 5.7e-12 from 16 to 256 charges, so they keep every column.  The
+# 1 x 0.5 ellipse at 96 charges keeps 82 of 96: unpivoted QR of all 96
+# reads min |R_kk| / |R_11| = 1e-16, and its fit of the pole (0, 0.2) has
+# coefficients near 5e8, against 5e4 on the kept 82.  Pivoting R keeps as
+# many columns as pivoting the matrix on the three ellipses tried, from 32 to
+# 256 charges, though on a symmetric near-tie it may keep the other twin
 KEEP_CUT = 1e-12
 # panel width of the blocked QR (dgeqrt), and the block of dgeqp3's workspace
 QR_BLOCK = 32
@@ -483,15 +489,16 @@ class MixedSolver:
 
     Dirichlet rows match values, Neumann rows match normal derivatives.  The
     matrix is assembled once, in Fortran order, and shared by every
-    right-hand side.  On the domain's whole charge rings (a base boundary)
-    the solver then keeps only the columns that column-pivoted QR (dgeqp3)
-    finds independent, |R_kk| > KEEP_CUT |R_11|, in ring order, and its
-    ``components`` and ``charges`` only their charges.  On the images of a
-    base's kept charges it keeps every column.  Each ``solve``
-    is a least-squares fit of a data set or a block of them on unpivoted QR
-    factors, which the first solve or fit builds in place, so from then on
-    ``matrix`` holds them.  The condition estimate is an SVD of the matrix,
-    or of its R factor once factored, computed on first read.
+    right-hand side.  Each ``solve`` is a least-squares fit of a data set or
+    a block of them on its unpivoted QR factors, built in place, so from
+    then on ``matrix`` holds them.  On the domain's whole charge rings (a
+    base boundary) the solver factors when it is built, then keeps only the
+    columns that column-pivoted QR (dgeqp3) of R finds independent,
+    |R_kk| > KEEP_CUT |R_11|, in ring order, and its ``components`` and
+    ``charges`` only their charges.  On the images of a base's kept charges
+    it keeps every column and factors at its first solve or fit.  The
+    condition estimate is an SVD of the matrix, or of its R factor once
+    factored, computed on first read.
     """
 
     def __init__(self, components: list[ComponentDiscretization],
@@ -499,18 +506,24 @@ class MixedSolver:
         self.config = config or GreensConfig()
         self.components = components
         self.charges = np.vstack([c.charges for c in components])
-        # Fortran order, so the QR factors it without a copy.  It is written
-        # in row blocks of at most BLOCK_ENTRIES entries, so the kernel's
-        # temporaries stay one block each
-        self.matrix = np.empty((sum(c.colloc.size for c in components),
-                                len(self.charges)), order="F")
+        self.matrix = self._assemble()
+        self._factors: _QRFactors | None = None
+        if all(c.whole_rings for c in components):
+            self._keep_independent_columns()
+
+    def _assemble(self) -> np.ndarray:
+        """The collocation matrix on the solver's charges, in Fortran order (QR
+        factors it without a copy), written in row blocks of at most
+        BLOCK_ENTRIES entries; an entry depends on its node and charge alone."""
+        matrix = np.empty((sum(c.colloc.size for c in self.components), len(self.charges)),
+                          order="F")
         step = max(1, BLOCK_ENTRIES // len(self.charges))
         offset = 0
-        for comp in components:
+        for comp in self.components:
             for start in range(0, comp.colloc.size, step):
                 block = slice(start, start + step)
                 nodes = comp.colloc.nodes[block]
-                rows = self.matrix[offset + start:offset + start + len(nodes)]
+                rows = matrix[offset + start:offset + start + len(nodes)]
                 if comp.dirichlet:
                     rows[...] = fundamental_solution(nodes, self.charges)
                 else:
@@ -519,27 +532,29 @@ class MixedSolver:
                     gy *= comp.colloc.normal[block, 1:]
                     rows += gy
             offset += comp.colloc.size
-        if all(c.whole_rings for c in components):
-            self._keep_independent_columns()
-        self._factors: _QRFactors | None = None
+        return matrix
 
     def _keep_independent_columns(self) -> None:
-        """Drop the columns, and their charges, that pivoted QR of a copy of
-        the matrix finds dependent."""
+        """Factor the matrix in place, then drop the columns, and their charges,
+        that pivoted QR of its n x n triangle R (A^T A = R^T R) finds dependent;
+        the kept columns are then assembled again, bit for bit, and factored."""
         n = self.matrix.shape[1]
-        qr, pivots, _, _, info = _lapack.dgeqp3(self.matrix, lwork=2 * n + (n + 1) * QR_BLOCK)
+        triangle = np.tril(self.factors.qr[:n].T).T  # R, Fortran-ordered: pivoted in place
+        r, pivots, _, _, info = _lapack.dgeqp3(triangle, overwrite_a=1,
+                                               lwork=2 * n + (n + 1) * QR_BLOCK)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgeqp3")
-        diagonal = np.abs(np.diagonal(qr))
+        diagonal = np.abs(np.diagonal(r))
         keep = np.zeros(n, dtype=bool)
         keep[pivots[diagonal > KEEP_CUT * diagonal[0]] - 1] = True
         if keep.all():
             return
-        self.matrix = np.asfortranarray(self.matrix[:, keep])
         self.charges = self.charges[keep]
         splits = np.cumsum([len(c.charges) for c in self.components])[:-1]
         self.components = [dataclasses.replace(c, charges=c.charges[k], whole_rings=False)
                            for c, k in zip(self.components, np.split(keep, splits))]
+        self.matrix = self._assemble()
+        self._factors = _QRFactors(self.matrix)
 
     @property
     def factors(self) -> _QRFactors:

@@ -9,7 +9,10 @@ least-squares fit on the base's kept charges that ``GreensSolver.moved``
 re-solves.  The tangent differentiates that fit by the Golub-Pereyra rule
 for the derivative of a least-squares solution, from the base solver's QR
 factors (its matrix is the fit's t = 0 matrix) and the exact rates of its
-entries, so it assembles and re-solves nothing.  One rule per piece,
+entries, so it assembles and re-solves nothing.  It sweeps those rates
+once for either order: the second variation needs c'' only through the
+probe's kernel row, so it pairs the rates with that row's adjoint pair,
+one more fit, instead of fitting c''.  One rule per piece,
 ``_Piece``, sets how the formula and the BVP read a Dirichlet or a Neumann
 piece, and one rule, ``RouteTriangle.err``, gives a route row's err.
 Finite differences of full re-solves along a t-ladder (``delta_n_fd``,
@@ -232,25 +235,31 @@ def _tangent(order: int, solver: GreensSolver, family: PerturbationFamily,
     c' = A^+(b' - A'c) + (A^T A)^-1 A'^T r, r' = b' - A'c - A c', and
     c'' = A^+(b'' - A''c - 2A'c') + (A^T A)^-1 (A''^T r + 2 A'^T r').
     The value Gamma(x - y) + sum_j c_j Gamma(x - z_j(t)) at the fixed x then
-    takes the rates of c and of its charges' kernel row, by Leibniz's rule.
-    A' and A'' enter only through products: with P_k = [A_k | -b_k], one
-    pass gives P_k (c, 1) = A_k c - b_k and P_k^T r, and the second
-    variation's second pass gives A'c' and A'^T r'.
+    takes the rates of c and of its charges' kernel row k_0, k_1, k_2, by
+    Leibniz's rule.  A' and A'' enter only through products, from one sweep
+    of their row blocks: with P_k = [A_k | -b_k], it gives P_k (c, 1) = A_k c - b_k
+    and P_k^T r.  The second variation needs c'' only as k_0 . c'', which
+    the value row's adjoint pair beta = (A^T A)^-1 k_0, alpha = A beta =
+    (A^+)^T k_0 (one fit) gives as
+    -alpha . (A''c - b'') + beta . A''^T r - 2 (A'^T alpha) . c' + 2 (A' beta) . r',
+    with (beta, 0) and alpha as second columns of the same sweep.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     fit = solver.solver.fit
     c, r = fit(np.concatenate(solver.corrector_data(y)[0]), np.zeros(len(solver.solver.charges)))
-    products = functools.partial(solver.collocation_rate_products, family, y)
-    (d1, g1), *second = products(order, np.append(c, 1.0), r)
     kernel = solver.kernel_row_rates(family, x, order)
-    c1, r1 = fit(-d1, g1[:-1])
-    rates = [float(kernel[0] @ c1 + kernel[1] @ c)]
-    if second:
-        (d2, g2), = second
-        (e1, h1), = products(1, np.append(c1, 0.0), r1)
-        c2, _ = fit(-d2 - 2.0 * e1, g2[:-1] + 2.0 * h1[:-1])
-        rates.append(float(kernel[0] @ c2 + 2.0 * (kernel[1] @ c1) + kernel[2] @ c))
-    return rates
+    products = functools.partial(solver.collocation_rate_products, family, y, order)
+    if order == 1:
+        (d1, g1), = products(np.append(c, 1.0), r)
+        c1, _ = fit(-d1, g1[:-1])
+        return [float(kernel[0] @ c1 + kernel[1] @ c)]
+    beta, minus_alpha = fit(np.zeros(len(r)), kernel[0])  # the fit's residual is -A beta
+    (d1, g1), (d2, g2) = products(np.column_stack([np.append(c, 1.0), np.append(beta, 0.0)]),
+                                  np.column_stack([r, minus_alpha]))
+    c1, r1 = fit(-d1[:, 0], g1[:-1, 0])
+    value_c2 = beta @ g2[:-1, 0] + minus_alpha @ d2[:, 0] + 2.0 * (d1[:, 1] @ r1 + g1[:-1, 1] @ c1)
+    return [float(kernel[0] @ c1 + kernel[1] @ c),
+            float(value_c2 + 2.0 * (kernel[1] @ c1) + kernel[2] @ c)]
 
 
 def delta_n_tangent(solver: GreensSolver, family: PerturbationFamily,
@@ -265,7 +274,7 @@ def delta_n_tangent(solver: GreensSolver, family: PerturbationFamily,
 # ---------------------------------------------------------------------------
 
 def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
-                    ev_y: GreensEval, udot_y: HarmonicField,
+                    ev_y: GreensEval, udot_y: HarmonicField | list,
                     coeffs: HadamardCoefficients):
     """Nodal boundary data (g on Dirichlet, h on Neumann) for the second BVP.
 
@@ -273,15 +282,22 @@ def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
     h = d/ds(chi dN/ds(.,y) + 2 rho d(udot)/ds).
     Both follow from twice differentiating the boundary conditions along the
     deformation (chain rule on the moving boundary); each piece is pinned by
-    kernel-level oracles in the tests.
+    kernel-level oracles in the tests.  ``udot_y`` is the first variation
+    for y, or its gradient at each piece's grid nodes (``_grid_gradients``).
     """
-    return [piece.datum(coeffs.chi[piece.i] * piece.trace(ev_y) + 2.0 * piece.rho
-                        * piece.gradient_trace(udot_y.gradient(piece.grid.nodes)))
+    gradients = udot_y if isinstance(udot_y, list) else _grid_gradients(solver, udot_y)
+    return [piece.datum(coeffs.chi[piece.i] * piece.trace(ev_y)
+                        + 2.0 * piece.rho * piece.gradient_trace(gradients[piece.i]))
             for piece in _pieces(solver, family)]
 
 
+def _grid_gradients(solver: GreensSolver, udot: HarmonicField) -> list[np.ndarray]:
+    """The gradient of a field, or of a block, at each component's grid nodes."""
+    return [udot.gradient(comp.grid.nodes) for comp in solver.components]
+
+
 def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
-                 ev_y: GreensEval, udot_y: HarmonicField,
+                 ev_y: GreensEval, udot_y: HarmonicField | list,
                  coeffs: HadamardCoefficients):
     """Second variation as the harmonic field with the second-order data."""
     nodal = second_bvp_data(solver, family, ev_y, udot_y, coeffs)
@@ -290,7 +306,7 @@ def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
 
 def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
                      ev: GreensEval, udot: HarmonicField,
-                     coeffs: HadamardCoefficients) -> float:
+                     coeffs: HadamardCoefficients, gradients=None) -> float:
     """Second variation by the variational formula.
 
     ``ev`` is the block of the poles (x, y) and ``udot`` the block of their
@@ -306,7 +322,8 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     Omega, and Green's first identity turns the volume term into
     -<deltaN(.,x), d deltaN(.,y)/dnu> - <deltaN(.,y), d deltaN(.,x)/dnu>
     over every piece.  Each component takes one value and one gradient
-    block of the first variations at its grid nodes.  That trapezoid rule's
+    block of the first variations at its grid nodes; ``gradients`` are those
+    blocks (``_grid_gradients``), evaluated here when not given.  That trapezoid rule's
     error on a product of two charge fields falls like R^-m for the ring
     factor R of ``Domain.charge_rings``, so it stays at rounding while the
     grid has m >= n_charges nodes, and a coarser grid is warned of.
@@ -315,11 +332,12 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     if m < n_charges:
         warnings.warn(f"m={m} is below n_charges={n_charges}: the second variation's "
                       "boundary-paired volume term may lose accuracy", stacklevel=2)
+    if gradients is None:
+        gradients = _grid_gradients(solver, udot)
     total = 0.0
     for piece in _pieces(solver, family):
-        nodes = piece.grid.nodes
-        vx, vy = udot.value(nodes)
-        grad_udot = udot.gradient(nodes)
+        vx, vy = udot.value(piece.grid.nodes)
+        grad_udot = gradients[piece.i]
         dx, dy = rowwise_dot(grad_udot, piece.grid.normal)
         total -= piece.grid.integrate(vx * dy + vy * dx)
         qx, qy = piece.trace(ev)
@@ -468,13 +486,15 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
 
     Three solves on the base matrix: the poles (x, y), their first
     variations, then the second variation for y; the tangent fits y on the
-    same factors.
+    same factors.  The first variations' gradient is evaluated once per
+    piece, for the formula and the second BVP's data.
     """
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)
     udot, udot_diags = delta_n_bvp(solver, family, ev)
-    formula = delta2_n_formula(solver, family, ev, udot, coeffs)
-    uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], udot[1], coeffs)
+    gradients = _grid_gradients(solver, udot)  # per-column products: y's keep their bits
+    formula = delta2_n_formula(solver, family, ev, udot, coeffs, gradients)
+    uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], [g[1] for g in gradients], coeffs)
     bvp = float(uddot.value(x[None, :])[0])
     tangent = delta2_n_tangent(solver, family, x, y)
     return _triangle(formula, bvp, tangent, [*ev.diagnostics, *udot_diags, uddot_diag],

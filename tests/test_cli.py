@@ -220,6 +220,11 @@ class TestCli:
         ("flux_first", ["x1*x2", "x2**"], "does not parse"),
         ("flux_first", ["x1", "x2", "x1*x2"], "list of 2 expressions"),
         ("second_volume", "x1*y", "symbols other than x1, x2, t: ['y']"),
+        # an undefined function has only x1, x2, t as symbols, and failed at run
+        ("first_volume", "f(x1)", "calls undefined functions: ['f']"),
+        ("flux_first", ["x1", "g(x2, t)*x1"], "calls undefined functions: ['g']"),
+        # a complex integrand ran as its real part
+        ("first_volume", "x1*I", "is not real: it uses I"),
         ("second_volume", ["x1", "x2"], "a second_volume integrand is one expression"),
         ("flux_first", {"x1": 1, "x2": 2}, "list of 2 expressions"),
     ])

@@ -98,8 +98,12 @@ class TestKernelLayer:
                                 - np.eye(2)[None, None] / r2[..., None, None])
         np.testing.assert_array_equal(gr.fundamental_hessian(pts, src), hessian)
 
-    def test_annulus_collocation_matrix_equals_einsum_form(self, annulus_solver):
-        solver = annulus_solver.solver
+    def test_annulus_collocation_matrix_equals_einsum_form(self, annulus, annulus_solver):
+        # a base solver's matrix holds its QR factors; a solver on the same
+        # charges, given as charges, keeps its matrix unfactored until it solves
+        solver = gr.MixedSolver(gr.discretize_pushed(
+            annulus, annulus_solver.mixed, None, 0.0, annulus_solver.config,
+            [c.charges for c in annulus_solver.components]))
         rows = []
         for comp in solver.components:
             diff, r2 = _einsum_offsets(comp.colloc.nodes, solver.charges)
@@ -562,12 +566,18 @@ class TestKeptColumns:
         # the rings passed as given charges, so the solver keeps them whole
         whole = gr.MixedSolver(gr.discretize_pushed(domain, MIXED[kind], None, 0.0,
                                                     solver.config, rings)).matrix
-        r, pivots = scipy.linalg.qr(whole, mode="r", pivoting=True)
+        # the cut is pivoted QR of the whole matrix's blocked-QR triangle R
+        n = whole.shape[1]
+        triangle = np.triu(scipy.linalg.lapack.dgeqrt(min(gr.QR_BLOCK, n), whole)[0][:n])
+        r, pivots = scipy.linalg.qr(triangle, mode="r", pivoting=True)
         diagonal = np.abs(np.diag(r))
         kept = np.sort(pivots[diagonal > gr.KEEP_CUT * diagonal[0]])
         assert len(kept) == n_kept
         np.testing.assert_array_equal(solver.solver.charges, np.vstack(rings)[kept])
-        np.testing.assert_array_equal(solver.solver.matrix, whole[:, kept])
+        # the matrix holds the blocked-QR factors of the whole matrix's kept columns
+        factors, _, _ = scipy.linalg.lapack.dgeqrt(min(gr.QR_BLOCK, len(kept)), whole[:, kept])
+        np.testing.assert_array_equal(solver.solver.matrix, factors)
+        assert solver.solver.matrix is solver.solver.factors.qr
         assert solver.solver.matrix.flags.f_contiguous
         np.testing.assert_array_equal(np.vstack([c.charges for c in solver.components]),
                                       solver.solver.charges)
@@ -694,8 +704,9 @@ class TestReSolves:
         moved = solver.moved(pert.TaylorFamily(pert.dilation()), 0.05)
         sv = scipy.linalg.svdvals(moved.solver.matrix)
         first, second = moved.solve(y), moved.solve(BLOCK_POLES["ellipse"][0])
-        # the base decides and factors; the re-solve only factors
-        assert calls == ["dgeqp3", "dgeqrt", "dgeqrt"]
+        # the base factors, decides on its R factor and factors its 82 kept
+        # columns again; the re-solve only factors
+        assert calls == ["dgeqrt", "dgeqp3", "dgeqrt", "dgeqrt"]
         assert moved.solver.matrix is moved.solver.factors.qr  # factored in place
         assert first.diagnostics.n_unknowns == second.diagnostics.n_unknowns == 82
         # once factored, the condition estimate comes from R, whose singular

@@ -491,6 +491,131 @@ class TestTangentRoute:
         assert np.isfinite(value) and built == []
 
 
+def _two_sweep_delta2(solver, family, x, y):
+    """The second t-derivative by the two-sweep Golub-Pereyra rule: c'' from
+    its own fit, whose A'c' and A'^T r' take a second, order-1 sweep."""
+    fit = solver.solver.fit
+    c, r = fit(np.concatenate(solver.corrector_data(y)[0]), np.zeros(len(solver.solver.charges)))
+    (d1, g1), (d2, g2) = solver.collocation_rate_products(family, y, 2, np.append(c, 1.0), r)
+    c1, r1 = fit(-d1, g1[:-1])
+    (e1, h1), = solver.collocation_rate_products(family, y, 1, np.append(c1, 0.0), r1)
+    c2, _ = fit(-d2 - 2.0 * e1, g2[:-1] + 2.0 * h1[:-1])
+    kernel = solver.kernel_row_rates(family, x, 2)
+    return float(kernel[0] @ c2 + 2.0 * (kernel[1] @ c1) + kernel[2] @ c)
+
+
+SWEEP_BOUNDARIES = {
+    "disk": (geo.disk(1.0), geo.all_dirichlet(1), DISK_PROBES),
+    "annulus-dn": (geo.annulus(0.5, 1.0), geo.MixedBoundary(("dirichlet", "neumann")),
+                   ANNULUS_PROBES),
+    "annulus-nd": (geo.annulus(0.5, 1.0), geo.MixedBoundary(("neumann", "dirichlet")),
+                   ANNULUS_PROBES),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_solvers():
+    """Per boundary: the m=256, 192-charge base solver, solved at its poles."""
+    solvers = {}
+    for kind, (curve, mixed, poles) in SWEEP_BOUNDARIES.items():
+        solver = GreensSolver(geo.Domain(curve, m=256), mixed, GreensConfig(n_charges=192))
+        solver.solve(np.stack(poles))
+        solvers[kind] = solver
+    return solvers
+
+
+class TestOneSweepTangent:
+    """The second-variation tangent reads k_0 . c'' off the value row's adjoint
+    pair in the order-2 sweep; it is the two-sweep Golub-Pereyra value."""
+
+    @pytest.mark.parametrize("kind", sorted(SWEEP_BOUNDARIES))
+    @pytest.mark.parametrize("name", sorted(TANGENT_FAMILIES))
+    def test_one_sweep_equals_two_sweeps_at_192_charges(self, sweep_solvers, kind, name):
+        # largest gap over the five OpenBLAS core types of the drift
+        # baseline: 9.2e-15 relative
+        solver, (x, y) = sweep_solvers[kind], SWEEP_BOUNDARIES[kind][2]
+        family = TANGENT_FAMILIES[name]
+        value = hd.delta2_n_tangent(solver, family, x, y)
+        reference = _two_sweep_delta2(solver, family, x, y)
+        assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
+
+    @pytest.mark.parametrize("name", sorted(TANGENT_FAMILIES))
+    def test_one_sweep_and_two_sweeps_on_the_registry_annulus(self, annulus, annulus_mixed,
+                                                              name):
+        # m=128 and 96 charges: the 384x192 matrix's condition estimate is
+        # 8.5e11 and the fit of the pole y leaves a residual of up to 8.1e-9
+        # (4.3e-15 at 192 charges), which the two rules weigh differently.
+        # Measured relative gap over these families and the five OpenBLAS core
+        # types: 4.9e-11 (translation, the registry row's family) to 1.6e-10
+        # on SkylakeX, at most 3.9e-10 (Nehalem)
+        solver = GreensSolver(annulus, annulus_mixed, GreensConfig(n_charges=96))
+        x, y = ANNULUS_PROBES
+        family = TANGENT_FAMILIES[name]
+        value = hd.delta2_n_tangent(solver, family, x, y)
+        reference = _two_sweep_delta2(solver, family, x, y)
+        assert _rel(value, reference) <= 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["disk", "annulus-dn"])
+    def test_a_tangent_sweeps_each_component_once(self, sweep_solvers, monkeypatch,
+                                                  kind, order):
+        sweeps, rates = [], gr.kernel_rates
+
+        def counted(points, *args, **kwargs):
+            sweeps.append(np.size(points))
+            return rates(points, *args, **kwargs)
+
+        monkeypatch.setattr(gr, "kernel_rates", counted)
+        solver, (x, y) = sweep_solvers[kind], SWEEP_BOUNDARIES[kind][2]
+        tangent = hd.delta_n_tangent if order == 1 else hd.delta2_n_tangent
+        assert np.isfinite(tangent(solver, TANGENT_FAMILIES["dilation"], x, y))
+        # one sweep of each component's collocation nodes, and the probe's row
+        assert sorted(sweeps) == sorted([1, *(c.colloc.size for c in solver.components)])
+
+
+class TestGradientReuse:
+    def test_routes_take_the_first_variations_gradient_once_per_piece(self, annulus,
+                                                                      annulus_mixed,
+                                                                      monkeypatch):
+        fields, data, calls = [], [], []
+        bvp, bvp_data, gradient = hd.delta_n_bvp, hd.second_bvp_data, HarmonicField.gradient
+
+        def first_variations(*args, **kwargs):
+            solved = bvp(*args, **kwargs)
+            fields.append(solved[0])
+            return solved
+
+        def recorded_data(*args, **kwargs):
+            data.append(bvp_data(*args, **kwargs))
+            return data[-1]
+
+        def counted(field, points):
+            calls.append((field, points))
+            return gradient(field, points)
+
+        monkeypatch.setattr(hd, "delta_n_bvp", first_variations)
+        monkeypatch.setattr(hd, "second_bvp_data", recorded_data)
+        monkeypatch.setattr(HarmonicField, "gradient", counted)
+        family = generic_flow()
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, family, *ANNULUS_PROBES)
+        assert np.isfinite(tri.err())
+        udot, = fields
+        # on the grid nodes, the block's gradient once per piece and no
+        # single field's (its solve's check residual reads check nodes)
+        grids = [grid.nodes for grid in annulus.grids]
+        on_grids = [(field is udot, [points is nodes for nodes in grids].index(True))
+                    for field, points in calls
+                    if np.shares_memory(field.coefficients, udot.coefficients)
+                    and any(points is nodes for nodes in grids)]
+        assert on_grids == [(True, 0), (True, 1)]
+        # the data equal those of y's own field, bit for bit
+        solver = gr.base_solver(annulus, annulus_mixed)
+        ev = solver.solve(np.stack(ANNULUS_PROBES))
+        for got, want in zip(data[0], bvp_data(solver, family, ev[1], udot[1],
+                                               hd.chi_sigma(annulus, family))):
+            np.testing.assert_array_equal(got, want)
+
+
 DIRICHLET_DOMAINS = {
     "disk": (geo.disk(1.0), geo.all_dirichlet(1), DISK_PROBES),
     "annulus-dn": (geo.annulus(0.5, 1.0), geo.MixedBoundary(("dirichlet", "neumann")),
