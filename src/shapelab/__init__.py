@@ -20,7 +20,7 @@ from .hadamard import (HadamardCoefficients, chi_sigma, delta2_n_bvp,
                        delta2_n_tangent, delta_n_bvp, delta_n_fd,
                        delta_n_formula, delta_n_routes, delta_n_tangent,
                        gradient_pairing_residual, probe_warning,
-                       second_bvp_data)
+                       second_bvp_data, translation_transport)
 from .integrands import IntegrandSpec, VectorIntegrandSpec
 from .liouville import (boundary_flux_first, boundary_flux_second,
                         fd_reference, first_area, first_volume, nu_dot,

@@ -534,16 +534,16 @@ def _delta_n_rotation(st, case):
 
 def _route_triangle(order: int, kind: str):
     """The three routes of one variation.  The disk checks them against the
-    scaling oracle, the annulus against FD re-solves, the tangent's own
-    oracle."""
+    scaling oracle, the annulus, whose family is a translation, against the
+    translation transport; neither re-solves."""
     def runner(st, case):
         routes = hd.delta_n_routes if order == 1 else hd.delta2_n_routes
         mixed, (x, y), fam = GREENS_BOUNDARIES[kind]
         tri = routes(_domain(st, kind), mixed, fam, x, y, st.greens_config())
         if kind == "disk":
             return route_result(tri, scaling_oracle=hd.disk_dilation_delta_n(x, y, order))
-        fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(_base_solver(st, kind), fam, x, y)
-        return route_result(tri, fd=fd)
+        transport = hd.translation_transport(_base_solver(st, kind), fam, x, y)
+        return route_result(tri, transport=transport[order - 1])
 
     return runner
 
@@ -720,13 +720,13 @@ def build_registry() -> list[Case]:
              description="Pairing formula vs variation BVP vs exact discrete derivative (tangent) on the disk, plus the scaling oracle."),
         Case("hadamard-delta-n-triangle-annulus", "hadamard",
              "first-variation route agreement", 1e-3, _route_triangle(1, "annulus"),
-             description="Same three routes on the mixed annulus under translation, plus FD re-solves as the tangent's oracle."),
+             description="Same three routes on the mixed annulus under translation, plus the translation transport N_t(x, y) = N(x - ta, y - ta)."),
         Case("hadamard-delta2-n-triangle-disk", "hadamard",
              "second-variation route agreement", 1e-2, _route_triangle(2, "disk"),
              description="Second variation: formula vs second-order BVP vs tangent, plus the scaling oracle."),
         Case("hadamard-delta2-n-triangle-annulus", "hadamard",
              "second-variation route agreement", 1e-2, _route_triangle(2, "annulus"),
-             description="Same three routes on the mixed annulus under translation, plus 5-point FD re-solves as the tangent's oracle."),
+             description="Same three routes on the mixed annulus under translation, plus the transport's second t-derivative."),
         Case("hadamard-delta2-rotation-zero", "hadamard",
              "second-variation route agreement", 1e-6, _delta2_rotation,
              description="Rotation flow on the disk: second variation vanishes in all routes."),

@@ -33,9 +33,8 @@ its matrix and data to a block of columns, row block by row block in one
 sweep per component, without assembling them, and ``MixedSolver.fit``
 applies A^+ and (A^T A)^-1 = R^-1 R^-T.  So the green-variations benchmark
 assembles and factors one matrix per boundary, pivots three n x n
-triangles and makes no re-solve; the registry re-solves only for the FD
-ladders of its two mixed-annulus route rows and for its perturbed-scaling
-case.
+triangles and makes no re-solve; the registry re-solves only for its
+perturbed-scaling case.
 
 Blocks are the unit of work: one solve per batch; per-column products
 keep bits.  A solve takes one data set or a block of k of them (several

@@ -16,9 +16,11 @@ one more fit, instead of fitting c''.  One rule per piece,
 ``_Piece``, sets how the formula and the BVP read a Dirichlet or a Neumann
 piece, and one rule, ``RouteTriangle.err``, gives a route row's err.
 Finite differences of full re-solves along a t-ladder (``delta_n_fd``,
-``delta2_n_fd``) differentiate the same problem; the registry keeps them on
-the mixed annulus, as the tangent's own oracle.  On the dilated disk the
-scaling identity gives the t-derivatives in closed form
+``delta2_n_fd``) differentiate the same problem; the tests keep them as the
+tangent's reference.  Under a translation the identity
+N_t(x, y) = N(x - ta, y - ta) gives the t-derivatives from the base solve
+(``translation_transport``), the registry's mixed-annulus oracle, and on the
+dilated disk the scaling identity gives them in closed form
 (``disk_dilation_delta_n``).  The second variation's boundary coefficients
 chi and sigma are assembled in three algebraic forms whose nodewise
 agreement is itself a shipped check.
@@ -45,7 +47,7 @@ import numpy as np
 from ._fd import FDResult, derivative_ladder
 from .geometry import Domain, MixedBoundary, PointSet, second_fundamental_form, tangential_grad
 from .greens import (GreensConfig, GreensEval, GreensSolver, HarmonicField, SolveDiagnostics,
-                     base_solver, rowwise_dot)
+                     base_solver, fundamental_gradient, fundamental_hessian, rowwise_dot)
 from .perturbation import PerturbationFamily, advective_normal_component, boundary_data
 
 
@@ -389,6 +391,53 @@ def gradient_pairing_residual(solver: GreensSolver, family: PerturbationFamily,
         trace_udot = piece.gradient_trace(udot[1 - pole].gradient(piece.grid.nodes))
         rhs -= piece.grid.integrate(piece.rho * piece.trace(ev)[pole] * trace_udot)
     return lhs, rhs, abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# Transport oracle for a translation
+# ---------------------------------------------------------------------------
+
+def _dipole_corrector(solver: GreensSolver, y: np.ndarray, a: np.ndarray) -> HarmonicField:
+    """a . grad_y of the corrector of the pole y: the corrector of the dipole
+    a . grad_y Gamma(. - y), whose data is the datum of a . grad Gamma(. - y),
+    fitted on the base factors."""
+    value = lambda points: fundamental_gradient(points, y)[:, 0] @ a
+    gradient = lambda points: fundamental_hessian(points, y)[:, 0] @ a
+    field, _ = solver.solver.solve(
+        [comp.datum(value, gradient, comp.colloc) for comp in solver.components],
+        check_data=[comp.datum(value, gradient, comp.check) for comp in solver.components])
+    return field
+
+
+def translation_transport(solver: GreensSolver, family: PerturbationFamily,
+                          x, y) -> list[float]:
+    """The first and second t-derivatives at t = 0 of N_t(x, y) under a
+    translation T_t = id + ta, from the base ``solver`` alone.
+
+    A translation moves the nodes, the normals and the charges together, so
+    N_t(x, y) = N(x - ta, y - ta) (Garabedian & Schiffer, J. Analyse Math. 2,
+    1952), for the discrete fit too: its matrix stays the base's.  The
+    derivatives are -a.(grad_x N + grad_y N) and (a.grad_x + a.grad_y)^2 N.
+    The y-derivatives come from the pole block's other pole, by
+    N(x, y) = N(y, x), which the fit keeps to its own accuracy; the mixed
+    term a.grad_x a.grad_y N = -a.H Gamma(x - y) a + a.grad w(x) takes the
+    dipole corrector w (``_dipole_corrector``), one more right-hand side.
+    A family whose S varies or whose R is not 0 is no translation: ValueError.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    points = np.vstack([x, y, *(comp.grid.nodes for comp in solver.components)])
+    velocity = family.velocity(points)
+    a = velocity[0]
+    if (np.any(velocity != a) or np.any(family.velocity_jacobian(points))
+            or np.any(family.acceleration(points))):
+        raise ValueError("translation_transport needs a translation (DS = 0, R = 0)")
+    ev = solver.solve(np.stack([x, y]))
+    grad_x, grad_y = ev[1].gradient(x)[0], ev[0].gradient(y)[0]
+    hess_x, hess_y = ev[1].hessian(x)[0], ev[0].hessian(y)[0]
+    mixed = (a @ _dipole_corrector(solver, y, a).gradient(x)[0]
+             - a @ fundamental_hessian(x, y)[0, 0] @ a)
+    return [float(-a @ (grad_x + grad_y)),
+            float(a @ hess_x @ a + 2.0 * mixed + a @ hess_y @ a)]
 
 
 # ---------------------------------------------------------------------------

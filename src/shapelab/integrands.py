@@ -3,19 +3,20 @@
 Scalar integrands c(x, t) carry evaluators for c, c_t, c_tt, grad c, and
 hess c; vector fields a(x, t) additionally declare divergence data.
 Polynomials (every integrand of the built-in registry) are numpy coefficient
-arrays differentiated by index shifts; user-written expressions go through
-sympy, imported on first use, which builds all derivatives symbolically (the
-usual manufactured-solution workflow).  Every evaluator is vectorized over
-point arrays of shape (N, 2).
+arrays differentiated by index shifts, on the ``monomials`` that
+``perturbation``'s fields share; user-written expressions go through sympy,
+imported on first use, which builds all derivatives symbolically (the usual
+manufactured-solution workflow).  Every evaluator is vectorized over point
+arrays of shape (N, 2).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyvander2d
 
 from ._fd import _max_abs, derivative_ladder
 
@@ -63,16 +64,46 @@ def _shifted(c: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(power * c, -1, axis=axis)
 
 
+@functools.cache
+def monomial_powers(degree: int) -> tuple:
+    """(a, b) of the monomials x1**a x2**b with a + b <= ``degree``, by total
+    degree d, then b, so row d (d + 1) / 2 + b; a lower degree's are a prefix."""
+    return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
+
+
+def monomials(xy: np.ndarray, degree: int, out=None) -> np.ndarray:
+    """The (K, N) ``monomial_powers(degree)`` at component-major points (2, N),
+    into ``out`` when given.  Each is the one d rows back times x1, or for
+    a = 0 the one d + 1 rows back times x2, so a lower degree's rows are a
+    prefix, bit for bit."""
+    powers = monomial_powers(degree)
+    if out is None:
+        out = np.empty((len(powers), xy.shape[1]))
+    out[0] = 1.0
+    for k, (a, b) in enumerate(powers[1:], start=1):
+        np.multiply(out[k - a - b - (a == 0)], xy[int(a == 0)], out=out[k])
+    return out
+
+
 def _polynomial(coeffs: list, shape_tail=()):
-    """f(points, t) of sum c[px, py, pt] x1**px x2**py t**pt, one c per trailing entry."""
+    """f(points, t) of sum c[px, py, pt] x1**px x2**py t**pt, one c per trailing
+    entry, on the ``monomials`` to the highest degree of a nonzero c, summed
+    px-major as numpy's polyvander2d tensor basis was (fewer rows round anew)."""
     stacked = np.stack(coeffs)
     k, px, py, pt = stacked.shape
+    degree = int(np.sum(np.argwhere(stacked.any(axis=(0, 3))), axis=1).max(initial=0))
+    powers = np.array(monomial_powers(degree))
+    rows = np.lexsort(powers.T[::-1])  # px-major
+    a, b = powers[rows].T
+    inside = (a < px) & (b < py)
+    table = np.zeros((k, len(rows), pt))
+    table[:, inside] = stacked[:, a[inside], b[inside]]
 
     def call(points: np.ndarray, t: float = 0.0) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        monomials = polyvander2d(points[:, 0], points[:, 1], (px - 1, py - 1))
-        space = (stacked @ (float(t) ** np.arange(pt))).reshape(k, -1)
-        return (monomials @ space.T).reshape((len(points),) + shape_tail)
+        space = table @ (float(t) ** np.arange(pt))
+        return (monomials(points.T, degree)[rows].T @ space.T).reshape(
+            (len(points),) + shape_tail)
 
     return call
 

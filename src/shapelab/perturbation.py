@@ -16,11 +16,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .geometry import (BoundaryGrid, PointSet, collar_extend, fourier_derivative,
                        fourier_interpolate)
-from .integrands import _shifted
+from .integrands import _shifted, monomial_powers, monomials
 
 
 # largest |t| a flow integration accepts
@@ -48,7 +47,7 @@ class PolynomialField:
     holds the coefficients of v_i (rows 0-1), dv_i/dx_j (rows 2-5, ``i``
     major) or d^2 v_i/dx_j dx_k (rows 6-13), the derivative rows built by
     index shifts of the coefficients.  An evaluation builds the monomials
-    once and contracts only the rows it needs.
+    once (``integrands.monomials``) and contracts only the rows it needs.
     """
 
     MAX_DEGREE = 3
@@ -64,7 +63,7 @@ class PolynomialField:
                                         f"{(comp, px, py)}")
             if coeff != 0.0:
                 coeffs[(comp, px, py)] = coeff
-        degree = max((px + py for _, px, py in coeffs), default=0)
+        self.degree = degree = max((px + py for _, px, py in coeffs), default=0)
         c = np.zeros((degree + 1, degree + 1, 2))  # c[px, py, comp]
         for (comp, px, py), coeff in coeffs.items():
             c[px, py, comp] = coeff
@@ -77,31 +76,24 @@ class PolynomialField:
             [(i, 0) for i in range(2)]
             + [(i, 1 + j) for i in range(2) for j in range(2)]
             + [(i, 3 + j + k) for i in range(2) for j in range(2) for k in range(2)]).T
-        # monomials by total degree; each after the first is an earlier one times x or y
-        self._powers = [(d - b, b) for d in range(degree + 1) for b in range(d + 1)]
-        self._recurrence = [(self._powers.index((a - 1, b)), 0) if a
-                            else (self._powers.index((a, b - 1)), 1)
-                            for a, b in self._powers[1:]]
-        px, py = np.array(self._powers).T
+        px, py = np.array(monomial_powers(degree)).T
         self.table = np.ascontiguousarray(derivs[px, py][:, comps, orders].T)
 
     @property
     def terms(self) -> dict:
         """The nonzero coefficients, keyed (component, px, py)."""
         return {(comp, px, py): float(c) for comp in (0, 1)
-                for (px, py), c in zip(self._powers, self.table[comp]) if c != 0.0}
+                for (px, py), c in zip(monomial_powers(self.degree), self.table[comp])
+                if c != 0.0}
 
     def _contract(self, xy: np.ndarray, rows: slice, out=None, basis=None) -> np.ndarray:
-        """Table ``rows`` at component-major points (2, N), one monomial basis.
-
-        ``basis`` is scratch space for the monomials whose row 0 holds ones;
-        ``out`` receives the rows.
-        """
+        """Table ``rows`` at component-major points (2, N), one matrix product
+        with the ``monomials`` there.  ``basis`` holds them to this field's
+        degree or higher (a lower degree's are a prefix), or they are built
+        here; ``out`` receives the rows."""
         if basis is None:
-            basis = np.ones((len(self._powers), xy.shape[1]))
-        for k, (earlier, axis) in enumerate(self._recurrence, start=1):
-            np.multiply(basis[earlier], xy[axis], out=basis[k])
-        return np.einsum("rk,kn->rn", self.table[rows], basis, out=out)
+            basis = monomials(xy, self.degree)
+        return np.matmul(self.table[rows], basis[:self.table.shape[1]], out=out)
 
     def _at(self, points: np.ndarray, rows: slice, tail: tuple) -> np.ndarray:
         """Table ``rows`` at (N, 2) points, point-major with trailing shape ``tail``."""
@@ -187,6 +179,9 @@ def _jacobian_rows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(2, 2, -1).transpose(2, 0, 1)
 
 
+_IDENTITY_ROWS = np.eye(2).reshape(4, 1)  # the identity as component-major Jacobian rows
+
+
 class TaylorFamily(PerturbationFamily):
     """T_t = I + t S + (t^2/2) R with no higher-order remainder."""
 
@@ -194,24 +189,27 @@ class TaylorFamily(PerturbationFamily):
         self.s_field = s_field
         self.r_field = r_field if r_field is not None else zero_field()
 
+    def _rows(self, points: np.ndarray, rows: slice):
+        """Table ``rows`` of S and of R at (N, 2) points, on one monomial basis."""
+        xy = points.T
+        basis = monomials(xy, max(self.s_field.degree, self.r_field.degree))
+        return [f._contract(xy, rows, basis=basis) for f in (self.s_field, self.r_field)]
+
     @staticmethod
     def _jacobian(ds, dr, t):
-        """I + t DS + (t^2/2) DR from component-major Jacobian rows."""
-        return np.eye(2) + t * _jacobian_rows(ds) + 0.5 * t * t * _jacobian_rows(dr)
+        """I + t DS + (t^2/2) DR, formed on component-major Jacobian rows."""
+        return _jacobian_rows(_IDENTITY_ROWS + t * ds + 0.5 * t * t * dr)
 
     def map(self, points, t, *, with_jacobian=False):
-        """T_t(points), or the pair (T_t, DT_t) from one basis per field with ``with_jacobian``."""
+        """T_t(points), or the pair (T_t, DT_t) from one basis with ``with_jacobian``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        rows = VALUE_AND_JACOBIAN if with_jacobian else VALUE
-        s = self.s_field._contract(points.T, rows)
-        r = self.r_field._contract(points.T, rows)
+        s, r = self._rows(points, VALUE_AND_JACOBIAN if with_jacobian else VALUE)
         image = points + t * s[VALUE].T + 0.5 * t * t * r[VALUE].T
         return (image, self._jacobian(s[JACOBIAN], r[JACOBIAN], t)) if with_jacobian else image
 
     def map_jacobian(self, points, t):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._jacobian(self.s_field._contract(points.T, JACOBIAN),
-                              self.r_field._contract(points.T, JACOBIAN), t)
+        return self._jacobian(*self._rows(np.atleast_2d(np.asarray(points, dtype=float)),
+                                          JACOBIAN), t)
 
     def map_and_jacobian(self, points, t):
         # Through map: perfbench times map and map_jacobian as the Taylor layer.
@@ -269,26 +267,33 @@ class FlowFamily(PerturbationFamily):
         n = len(points)
         state = np.empty((6, n))
         state[VALUE] = points.T
-        state[JACOBIAN] = np.eye(2).reshape(4, 1)
-        rates, stage, total, scaled, fields = (np.empty_like(state) for _ in range(5))
-        basis = np.ones((len(self.field._powers), n))
+        state[JACOBIAN] = _IDENTITY_ROWS
+        rates, stage, total = (np.empty_like(state) for _ in range(3))
+        dv = np.empty((4, n))
+        basis = np.empty((len(monomial_powers(self.field.degree)), n))
 
-        def rhs(s):
-            """rates <- (v(X), Dv(X) J) of the packed state s."""
-            self.field._contract(s[VALUE], VALUE_AND_JACOBIAN, out=fields, basis=basis)
-            rates[VALUE] = fields[VALUE]
-            np.einsum("ijn,jkn->ikn", fields[JACOBIAN].reshape(2, 2, n),
-                      s[JACOBIAN].reshape(2, 2, n), out=rates[JACOBIAN].reshape(2, 2, n))
+        def rhs(s, out):
+            """out <- (v(X), Dv(X) J) of the packed state s; Dv passes through dv."""
+            self.field._contract(s[VALUE], VALUE_AND_JACOBIAN, out=out,
+                                 basis=monomials(s[VALUE], self.field.degree, basis))
+            dv[:] = out[JACOBIAN]
+            np.einsum("ijn,jkn->ikn", dv.reshape(2, 2, n), s[JACOBIAN].reshape(2, 2, n),
+                      out=out[JACOBIAN].reshape(2, 2, n))
 
         for _ in range(n_steps):
-            # total sums k1 + 2 k2 + 2 k3 + k4 left to right
-            rhs(state)
-            total[:] = rates
-            for shift, weight in ((0.5 * h, 2.0), (0.5 * h, 2.0), (h, 1.0)):
-                np.add(state, np.multiply(rates, shift, out=scaled), out=stage)
-                rhs(stage)
-                total += np.multiply(rates, weight, out=scaled)
-            state += np.multiply(total, h / 6.0, out=scaled)
+            # total sums k1 + 2 k2 + 2 k3 + k4 left to right, k1 written in place;
+            # the stages take k1 h/2, (2 k2) h/4 and (2 k3) h/2: doubling is exact
+            rhs(state, total)
+            k = total
+            for shift, weight in ((0.5 * h, 2.0), (0.25 * h, 2.0), (0.5 * h, 1.0)):
+                np.multiply(k, shift, out=stage)
+                stage += state
+                rhs(stage, rates)
+                rates *= weight
+                total += rates
+                k = rates
+            total *= h / 6.0
+            state += total
         return state
 
     def map(self, points, t, *, with_jacobian=False):
@@ -440,7 +445,7 @@ def minor_polynomial(ds: np.ndarray, dr: np.ndarray, i: int, j: int) -> np.ndarr
     out = np.zeros(2 * (d - 1) + 1)
     for perm in itertools.permutations(range(d - 1)):
         inversions = sum(p > q for a, p in enumerate(perm) for q in perm[a + 1:])
-        term = functools.reduce(P.polymul, (entries[a, b] for a, b in enumerate(perm)),
+        term = functools.reduce(np.convolve, (entries[a, b] for a, b in enumerate(perm)),
                                 np.ones(1))
         out[:term.size] += (-1.0) ** inversions * term
     return out

@@ -290,7 +290,10 @@ def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
     fd_rows = [row for row in rows
                if any(key == "fd" or key.startswith("fd_") or key.endswith("_fd")
                       for key in row["oracles"])]
-    assert len(fd_rows) >= 25  # 25 at --seed 7: the selector is not empty
+    # 23 at --seed 7: the selector is not empty.  The two mixed-annulus route
+    # rows left it when they took the translation transport in place of FD
+    # re-solves (25 before)
+    assert len(fd_rows) >= 23
     assert "liouville-nu-dot-translation" in [row["case_id"] for row in fd_rows]
     for row in fd_rows:
         details = row["details"]
@@ -303,14 +306,15 @@ def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
 # one and two BLAS threads and over five OpenBLAS CPU kernels (SkylakeX,
 # Haswell, SandyBridge, Nehalem, Prescott, chosen by OPENBLAS_CORETYPE) of
 # the scipy-openblas 0.3.31 build the project was tested with.  Rows near
-# rounding move up to 16x between these settings (liouville-random-first-5
-# reads 7.4e-16 to 1.2e-14).  A different
+# rounding move up to 17x between these settings (liouville-random-first-5
+# reads 7.4e-16 to 1.3e-14).  A different
 # BLAS library or build may round further from these values than that; the
 # baseline holds only for the settings above.  No row is raised, so a row
 # that a change moved up keeps its older value and may read above it within
 # the 100x gate (greens-disk-poisson-kernel up to 2.5x,
-# hadamard-delta-n-triangle-annulus 1.3x, hadamard-delta2-rotation-zero
-# 1.05x); ``regen_err_baseline.py`` keeps it so and prints such rows.
+# liouville-random-second-2 1.1x, liouville-random-first-5 and
+# hadamard-delta2-rotation-zero 1.08x); ``regen_err_baseline.py`` keeps it so
+# and prints such rows.
 # Regenerate the baseline only with a change that means to move a row, and
 # list the moved rows in CHANGES.md.
 ERR_BASELINE = Path(__file__).with_name("registry_err_seed7.json")

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shapelab import cli
 from shapelab import greens as gr
+from shapelab import hadamard as hd
 from shapelab import perturbation as pert
 from shapelab._fd import DEFAULT_SECOND_LADDER
-from shapelab.cases import Case, CaseSettings, build_registry
+from shapelab.cases import GREENS_BOUNDARIES, Case, CaseSettings, _domain, build_registry
 from shapelab.integrands import IntegrandSpec
 from shapelab.report import ReportRow, write_reports
 
@@ -595,9 +597,24 @@ def test_a_count_is_a_detail_not_an_oracle(case_id, count):
     assert row.passed and row.oracles == {} and row.details[count] > 0
 
 
-@pytest.mark.parametrize("case_id, n_abscissae", [
-    ("hadamard-delta-n-triangle-annulus", 8), ("hadamard-delta2-n-triangle-annulus", 9)])
-def test_a_registry_route_row_re_solves_at_full_rank(case_id, n_abscissae, monkeypatch):
+@pytest.mark.parametrize("case_id", [
+    "hadamard-delta-n-triangle-disk", "hadamard-delta-n-triangle-annulus",
+    "hadamard-delta2-n-triangle-disk", "hadamard-delta2-n-triangle-annulus"])
+def test_a_registry_route_row_re_solves_nothing(case_id, monkeypatch):
+    # the annulus rows check the routes against the translation transport,
+    # which solves on the base factors only
+    def refuse(self, family, t):
+        raise AssertionError("a registry route row re-solved")
+
+    monkeypatch.setattr(gr.GreensSolver, "moved", refuse)
+    registry = {c.case_id: c for c in build_registry()}
+    row = registry[case_id].run(CaseSettings(seed=7))
+    assert row.passed and row.error is None and "fd" not in row.oracles
+
+
+@pytest.mark.parametrize("order, n_abscissae", [(1, 8), (2, 9)])
+def test_fd_re_solves_on_the_registry_annulus_keep_every_column(order, n_abscissae,
+                                                                 monkeypatch):
     columns, moved = [], gr.GreensSolver.moved
 
     def recorded(self, family, t):
@@ -606,7 +623,34 @@ def test_a_registry_route_row_re_solves_at_full_rank(case_id, n_abscissae, monke
         return re_solver
 
     monkeypatch.setattr(gr.GreensSolver, "moved", recorded)
-    registry = {c.case_id: c for c in build_registry()}
-    details = registry[case_id].run(CaseSettings(seed=7)).details
+    mixed, (x, y), family = GREENS_BOUNDARIES["annulus"]
+    solver = gr.base_solver(_domain(CaseSettings(seed=7), "annulus"), mixed,
+                            CaseSettings(seed=7).greens_config())
+    fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(solver, family, x, y)
+    assert np.isfinite(fd.value)
     # every ring column, at the base and at each abscissa of the ladder
-    assert columns == [details["n_unknowns"]] * n_abscissae == [192] * n_abscissae
+    assert columns == [solver.solver.matrix.shape[1]] * n_abscissae == [192] * n_abscissae
+
+
+def test_the_registry_run_counts_its_re_solves_factorizations_and_flows(monkeypatch):
+    # --suite all --seed 7 made 18 moved calls and 22 factorizations while its
+    # two mixed-annulus route rows re-solved along FD ladders; 160 flow
+    # integrations before and after
+    counts = dict.fromkeys(["moved", "factorizations", "flows"], 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gr.GreensSolver, "moved", counted("moved", gr.GreensSolver.moved))
+    monkeypatch.setattr(gr._QRFactors, "__init__",
+                        counted("factorizations", gr._QRFactors.__init__))
+    monkeypatch.setattr(pert.FlowFamily, "_integrate",
+                        counted("flows", pert.FlowFamily._integrate))
+    settings = CaseSettings(seed=7)
+    assert all(case.run(settings).passed for case in build_registry())
+    # the one re-solve is greens-perturbed-scaling's; one factorization per
+    # base boundary and configuration, and the re-solve's
+    assert counts == {"moved": 1, "factorizations": 5, "flows": 160}

@@ -760,6 +760,93 @@ class TestDiskScalingOracle:
         assert np.isfinite(hd.disk_dilation_delta_n(*DISK_PROBES, order=2))
 
 
+TRANSPORT_SHIFTS = [(1.0, 0.0), (0.6, -0.35)]
+# |transport - route| on the registry discretization (m=128, 96 charges),
+# worst over TRANSPORT_SHIFTS, measured with one OpenBLAS thread; each bound
+# is about 30x the gap.  D/N annulus: 3.2e-14 (first) and 2.8e-12 (second)
+# from the formula, 2.5e-12 and 2.2e-10 from the tangent.  Disk: 1.9e-16.
+# N/D annulus, first order: 3.0e-14 from the formula, 1.5e-12 from the tangent
+TRANSPORT_BOUNDS = {("annulus-dn", 1): (1e-12, 8e-11), ("annulus-dn", 2): (8e-11, 7e-9),
+                    ("disk", 1): (5e-15, 5e-15), ("disk", 2): (5e-15, 5e-15),
+                    ("annulus-nd", 1): (1e-12, 5e-11)}
+
+
+class TestTranslationTransport:
+    """N_t(x, y) = N(x - ta, y - ta) under a translation: its t-derivatives
+    from the base solve against the formula, the tangent and FD re-solves."""
+
+    @pytest.mark.parametrize("shift", TRANSPORT_SHIFTS)
+    @pytest.mark.parametrize("kind, order", sorted(TRANSPORT_BOUNDS))
+    def test_the_transport_matches_the_formula_and_the_tangent(self, disk, annulus, kind,
+                                                              order, shift):
+        domain, mixed, (x, y) = {
+            "disk": (disk, geo.all_dirichlet(1), DISK_PROBES),
+            "annulus-dn": (annulus, geo.MixedBoundary(("dirichlet", "neumann")), ANNULUS_PROBES),
+            "annulus-nd": (annulus, geo.MixedBoundary(("neumann", "dirichlet")), ANNULUS_PROBES),
+        }[kind]
+        family, config = pert.TaylorFamily(pert.translation(*shift)), GreensConfig(n_charges=96)
+        transport = hd.translation_transport(hd.base_solver(domain, mixed, config), family, x, y)
+        tri = (hd.delta_n_routes if order == 1 else hd.delta2_n_routes)(domain, mixed, family,
+                                                                        x, y, config)
+        to_formula, to_tangent = TRANSPORT_BOUNDS[kind, order]
+        assert abs(transport[order - 1] - tri.formula) <= to_formula
+        assert abs(transport[order - 1] - tri.tangent) <= to_tangent
+
+    @pytest.mark.parametrize("shift", TRANSPORT_SHIFTS)
+    def test_the_n_d_annulus_second_order_at_192_charges(self, shift):
+        # at 96 charges the second BVP of these probes fails the 1e-4 check
+        # gate (residual 7.5e-4); here the gaps are 2.8e-17 from the formula
+        # and 1.1e-15 from the tangent
+        domain, mixed = geo.Domain(geo.annulus(0.5, 1.0), m=256), geo.MixedBoundary(
+            ("neumann", "dirichlet"))
+        family, config = pert.TaylorFamily(pert.translation(*shift)), GreensConfig(n_charges=192)
+        second = hd.translation_transport(hd.base_solver(domain, mixed, config), family,
+                                          *ANNULUS_PROBES)[1]
+        tri = hd.delta2_n_routes(domain, mixed, family, *ANNULUS_PROBES, config)
+        assert abs(second - tri.formula) <= 1e-15
+        assert abs(second - tri.tangent) <= 3e-14
+
+    def test_the_transport_matches_fd_re_solves_within_their_noise(self, annulus,
+                                                                   annulus_mixed):
+        # the registry annulus row's family; gaps 2.3e-11 (first) and 7.3e-10
+        # (second), the FD ladders' noise
+        solver = hd.base_solver(annulus, annulus_mixed, GreensConfig(n_charges=96))
+        x, y = ANNULUS_PROBES
+        first, second = hd.translation_transport(solver, translation(), x, y)
+        assert abs(first - hd.delta_n_fd(solver, translation(), x, y).value) <= 7e-10
+        assert abs(second - hd.delta2_n_fd(solver, translation(), x, y).value) <= 2e-8
+
+    def test_the_dipole_corrector_is_the_pole_derivative_of_the_corrector(self, annulus,
+                                                                          annulus_mixed):
+        # central differences of block-solved poles y +- h a sit 3.1e-6 (h = 1e-2)
+        # and 3.1e-8 (h = 1e-3) from it: second order, on values near 0.07
+        solver = hd.base_solver(annulus, annulus_mixed, GreensConfig(n_charges=96))
+        y, a = ANNULUS_PROBES[1], np.array([0.6, -0.35])
+        points = np.array([[0.0, 0.75], [0.6, 0.1], [-0.2, -0.7]])
+        dipole = hd._dipole_corrector(solver, y, a).value(points)
+        gaps = []
+        for h in (1e-2, 1e-3):
+            ahead, behind = solver.solve(np.stack([y + h * a, y - h * a])).corrector.value(points)
+            gaps.append(np.max(np.abs((ahead - behind) / (2.0 * h) - dipole)))
+        assert gaps[1] <= 1e-6 and 50.0 < gaps[0] / gaps[1] < 200.0
+
+    @pytest.mark.parametrize("family", [
+        pert.TaylorFamily(pert.dilation()), pert.FlowFamily(pert.rotation()),
+        pert.TaylorFamily(pert.translation(1.0, 0.0), pert.translation(0.0, 1.0))],
+        ids=["dilation", "rotation", "translation-with-R"])
+    def test_a_family_that_is_not_a_translation_is_refused(self, annulus, annulus_mixed,
+                                                          family):
+        solver = hd.base_solver(annulus, annulus_mixed, GreensConfig(n_charges=96))
+        with pytest.raises(ValueError, match="translation"):
+            hd.translation_transport(solver, family, *ANNULUS_PROBES)
+
+    def test_a_translation_flow_is_accepted(self, annulus, annulus_mixed):
+        solver = hd.base_solver(annulus, annulus_mixed, GreensConfig(n_charges=96))
+        flow = pert.FlowFamily(pert.translation(1.0, 0.0))
+        assert (hd.translation_transport(solver, flow, *ANNULUS_PROBES)
+                == hd.translation_transport(solver, translation(), *ANNULUS_PROBES))
+
+
 def _route_rows(report):
     """The route rows of a report.json: those checked by the BVP and the tangent."""
     rows = json.loads(report.read_text())["cases"]

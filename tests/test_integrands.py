@@ -8,11 +8,12 @@ import pytest
 
 import shapelab
 from shapelab import geometry as geo
-from shapelab.integrands import (IntegrandSpec, VectorIntegrandSpec,
-                                 normal_scaled_integrand,
+from shapelab.integrands import (IntegrandSpec, VectorIntegrandSpec, monomial_powers,
+                                 monomials, normal_scaled_integrand,
                                  random_polynomial_integrand)
 
 PTS = np.array([[0.4, -0.3], [1.2, 0.8]])
+EPS = np.finfo(float).eps
 
 
 class TestIntegrandSpec:
@@ -102,6 +103,45 @@ class TestCoefficientIntegrand:
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == f"{len(self.POLYNOMIAL_CASES)} True False"
+
+
+class TestMonomialBasis:
+    """Polynomial integrands and velocity fields evaluate on one total-degree
+    monomial basis, which replaced numpy's polyvander2d tensor basis."""
+
+    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
+        # only the interior rule's Gauss-Legendre nodes import it, when built
+        src = Path(shapelab.__file__).resolve().parents[1]
+        code = ("import sys, shapelab.cli; from shapelab import geometry as geo; "
+                "loaded = lambda: any(m.startswith('numpy.polynomial') for m in sys.modules); "
+                "before = loaded(); geo.Domain(geo.disk(1.0), m=32).interior(); "
+                "print(before, loaded())")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False True"
+
+    def test_a_lower_degree_is_a_prefix_bit_for_bit(self):
+        xy = np.random.default_rng(12).uniform(-1.5, 1.5, size=(2, 50))
+        assert monomial_powers(4)[:6] == monomial_powers(2)
+        np.testing.assert_array_equal(monomials(xy, 4)[:6], monomials(xy, 2))
+        for row, (a, b) in zip(monomials(xy, 4), monomial_powers(4)):
+            np.testing.assert_allclose(row, xy[0] ** a * xy[1] ** b, rtol=4 * EPS)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_polynomials_match_the_tensor_basis_within_rounding(self, degree):
+        from numpy.polynomial.polynomial import polyvander2d
+        rng = np.random.default_rng(30 + degree)
+        points = rng.uniform(-1.5, 1.5, size=(200, 2))
+        px, py = np.indices((degree + 1, degree + 1))
+        for t in (0.0, 0.3):
+            coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, degree + 1, 3))
+            coeffs[px + py > degree] = 0.0
+            tensor = polyvander2d(points[:, 0], points[:, 1], (degree, degree))
+            reference = tensor @ (coeffs @ t ** np.arange(3)).reshape(-1)
+            got = IntegrandSpec.from_coefficients(coeffs).value(points, t)
+            # measured at most 1.9 EPS of the largest value
+            assert np.abs(got - reference).max() <= 8 * EPS * np.abs(reference).max()
 
 
 class TestVectorCoefficientIntegrand:

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -152,6 +155,22 @@ class TestMinorExpansion:
                 full = np.eye(d) + t * ds + 0.5 * t * t * dr
                 det = np.linalg.det(np.delete(np.delete(full, i, axis=0), j, axis=1))
                 assert abs(P.polyval(t, coeffs) - det) <= 1e-12 * max(1.0, abs(det))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_the_expansion_equals_the_polymul_products_bit_for_bit(self, d):
+        # np.convolve is the product P.polymul takes before trimming zeros
+        rng = np.random.default_rng(70 + d)
+        ds, dr = rng.uniform(-1.0, 1.0, size=(2, d, d))
+        for i, j in itertools.product(range(d), repeat=2):
+            entries = np.delete(np.delete(np.stack([np.eye(d), ds, 0.5 * dr], axis=-1),
+                                          i, axis=0), j, axis=1)
+            reference = np.zeros(2 * d - 1)
+            for perm in itertools.permutations(range(d - 1)):
+                inversions = sum(p > q for a, p in enumerate(perm) for q in perm[a + 1:])
+                term = functools.reduce(P.polymul, (entries[a, b] for a, b in enumerate(perm)),
+                                        np.ones(1))
+                reference[:term.size] += (-1.0) ** inversions * term
+            np.testing.assert_array_equal(pert.minor_polynomial(ds, dr, i, j), reference)
 
     @pytest.mark.parametrize("d,i,j", [(3, 1, 1), (3, 0, 2), (4, 2, 0), (2, 0, 1)])
     def test_random_matrices_cubic_remainder(self, d, i, j):
