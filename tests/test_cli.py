@@ -624,8 +624,8 @@ def test_fd_re_solves_on_the_registry_annulus_keep_every_column(order, n_absciss
 
     monkeypatch.setattr(gr.GreensSolver, "moved", recorded)
     mixed, (x, y), family = GREENS_BOUNDARIES["annulus"]
-    solver = gr.base_solver(_domain(CaseSettings(seed=7), "annulus"), mixed,
-                            CaseSettings(seed=7).greens_config())
+    settings = CaseSettings(seed=7)
+    solver = gr.base_solver(_domain(settings, "annulus"), mixed, settings.greens_config())
     fd = (hd.delta_n_fd if order == 1 else hd.delta2_n_fd)(solver, family, x, y)
     assert np.isfinite(fd.value)
     # every ring column, at the base and at each abscissa of the ladder

@@ -762,13 +762,14 @@ class TestDiskScalingOracle:
 
 TRANSPORT_SHIFTS = [(1.0, 0.0), (0.6, -0.35)]
 # |transport - route| on the registry discretization (m=128, 96 charges),
-# worst over TRANSPORT_SHIFTS, measured with one OpenBLAS thread; each bound
-# is about 30x the gap.  D/N annulus: 3.2e-14 (first) and 2.8e-12 (second)
-# from the formula, 2.5e-12 and 2.2e-10 from the tangent.  Disk: 1.9e-16.
-# N/D annulus, first order: 3.0e-14 from the formula, 1.5e-12 from the tangent
-TRANSPORT_BOUNDS = {("annulus-dn", 1): (1e-12, 8e-11), ("annulus-dn", 2): (8e-11, 7e-9),
-                    ("disk", 1): (5e-15, 5e-15), ("disk", 2): (5e-15, 5e-15),
-                    ("annulus-nd", 1): (1e-12, 5e-11)}
+# worst over TRANSPORT_SHIFTS and over the five OpenBLAS kernels of the drift
+# baseline (one thread; the kernels move these gaps by up to 10x); each bound
+# is about 30x the gap.  D/N annulus: 2.2e-13 (first) and 1.0e-11 (second)
+# from the formula, 5.5e-12 and 2.2e-10 from the tangent.  Disk: 2.2e-16.
+# N/D annulus, first order: 9.7e-14 from the formula, 3.3e-12 from the tangent
+TRANSPORT_BOUNDS = {("annulus-dn", 1): (7e-12, 2e-10), ("annulus-dn", 2): (3e-10, 7e-9),
+                    ("disk", 1): (7e-15, 7e-15), ("disk", 2): (7e-15, 7e-15),
+                    ("annulus-nd", 1): (3e-12, 1e-10)}
 
 
 class TestTranslationTransport:
@@ -795,26 +796,26 @@ class TestTranslationTransport:
     @pytest.mark.parametrize("shift", TRANSPORT_SHIFTS)
     def test_the_n_d_annulus_second_order_at_192_charges(self, shift):
         # at 96 charges the second BVP of these probes fails the 1e-4 check
-        # gate (residual 7.5e-4); here the gaps are 2.8e-17 from the formula
-        # and 1.1e-15 from the tangent
+        # gate (residual 7.5e-4); here the gaps are at most 1.3e-15 from the
+        # formula and 4.1e-15 from the tangent over the five OpenBLAS kernels
         domain, mixed = geo.Domain(geo.annulus(0.5, 1.0), m=256), geo.MixedBoundary(
             ("neumann", "dirichlet"))
         family, config = pert.TaylorFamily(pert.translation(*shift)), GreensConfig(n_charges=192)
         second = hd.translation_transport(hd.base_solver(domain, mixed, config), family,
                                           *ANNULUS_PROBES)[1]
         tri = hd.delta2_n_routes(domain, mixed, family, *ANNULUS_PROBES, config)
-        assert abs(second - tri.formula) <= 1e-15
-        assert abs(second - tri.tangent) <= 3e-14
+        assert abs(second - tri.formula) <= 4e-14
+        assert abs(second - tri.tangent) <= 1.2e-13
 
     def test_the_transport_matches_fd_re_solves_within_their_noise(self, annulus,
                                                                    annulus_mixed):
-        # the registry annulus row's family; gaps 2.3e-11 (first) and 7.3e-10
-        # (second), the FD ladders' noise
+        # the registry annulus row's family; gaps at most 2.3e-11 (first) and
+        # 1.5e-9 (second) over the five OpenBLAS kernels, the FD ladders' noise
         solver = hd.base_solver(annulus, annulus_mixed, GreensConfig(n_charges=96))
         x, y = ANNULUS_PROBES
         first, second = hd.translation_transport(solver, translation(), x, y)
         assert abs(first - hd.delta_n_fd(solver, translation(), x, y).value) <= 7e-10
-        assert abs(second - hd.delta2_n_fd(solver, translation(), x, y).value) <= 2e-8
+        assert abs(second - hd.delta2_n_fd(solver, translation(), x, y).value) <= 5e-8
 
     def test_the_dipole_corrector_is_the_pole_derivative_of_the_corrector(self, annulus,
                                                                           annulus_mixed):
