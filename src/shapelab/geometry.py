@@ -532,13 +532,13 @@ class InteriorQuadrature:
         return self.nodes.shape[0]
 
 
-def _blended_rule(curve: BoundaryCurve, n_radial: int, n_angular: int):
+def _blended_rule(curve: BoundaryCurve, m: int):
     from numpy.polynomial.legendre import leggauss
-    gl_x, gl_w = leggauss(n_radial)
+    gl_x, gl_w = leggauss(m // 4)
     rho = 0.5 * (gl_x + 1.0)
     rho_w = 0.5 * gl_w
-    theta = TWO_PI * np.arange(n_angular) / n_angular
-    theta_w = TWO_PI / n_angular
+    theta = TWO_PI * np.arange(m) / m
+    theta_w = TWO_PI / m
 
     outer = curve.components[0]
     xo = outer.point(theta)
@@ -563,16 +563,18 @@ def _blended_rule(curve: BoundaryCurve, n_radial: int, n_angular: int):
     return pts.reshape(-1, 2), w.reshape(-1)
 
 
-def interior_quadrature(curve: BoundaryCurve, n_radial: int = 48,
-                        n_angular: int = 192) -> InteriorQuadrature:
-    """Quadrature over the region enclosed by ``curve``.
+def interior_quadrature(curve: BoundaryCurve, m: int) -> InteriorQuadrature:
+    """Quadrature over the region enclosed by ``curve``: the boundary grid's
+    M angles 2 pi j / M (trapezoid) times M // 4 Gauss-Legendre radii.
 
     Supports a single star-like component or one outer curve with one hole
     (radial blending between the two).  More holes are rejected.
     """
     if curve.n_components > 2:
         raise GeometryError("interior quadrature supports at most one hole")
-    nodes, weights = _blended_rule(curve, n_radial, n_angular)
+    if m < 4:
+        raise GeometryError(f"interior quadrature needs at least 4 angles, not {m}")
+    nodes, weights = _blended_rule(curve, m)
     return InteriorQuadrature(nodes, weights)
 
 
@@ -632,8 +634,8 @@ class Domain:
         return self._memo[key]
 
     def interior(self) -> InteriorQuadrature:
-        """The interior rule of the domain (48 x 192 nodes), built once."""
-        return self.memo("interior", lambda: interior_quadrature(self.curve))
+        """The interior rule on the grid's M angles (M // 4 x M nodes), built once."""
+        return self.memo("interior", lambda: interior_quadrature(self.curve, self.grids[0].size))
 
     def charge_rings(self, n_charges: int) -> tuple:
         """Read-only (n_charges, 2) source rings of each component, built once per count.

@@ -46,7 +46,7 @@ bit-identical to evaluating field j alone (one gemm would reorder the
 sums).  Block results stack the k columns on a leading axis.  Fields
 evaluate their kernel in row blocks of at most BLOCK_ENTRIES entries, each
 row with the BLAS kernel it meets in one whole evaluation, so rows keep
-their bits and no block passes 1 MB, even on the 9216-node interior rule.
+their bits and no block passes 1 MB, whatever the point count.
 A collocation matrix is written in such row blocks too, straight into its
 Fortran-ordered array.
 
@@ -62,12 +62,13 @@ only through the deformation, never through a change of discretization at t=0.
 
 LAPACK and BLAS come from scipy's compiled modules scipy.linalg._flapack
 (dgeqp3, dgeqrt, dgemqrt, dgesdd and its workspace query) and
-scipy.linalg._fblas (dtrsm), loaded from their files after
-``import scipy``.  Importing the scipy.linalg package instead runs its
-__init__, whose array-API copy of the numpy namespace imports numpy.f2py,
-numpy.testing and unittest: 0.3 s of CPU in every fresh process, half of
-what ``import shapelab.cli`` cost.  The routines are the objects that
-scipy.linalg.lapack and .blas re-export, so every solve keeps its bits.
+scipy.linalg._fblas (dtrsm), loaded from their files in the directory that
+``find_spec("scipy")`` names, without importing scipy (9-22 ms of CPU).
+Importing the scipy.linalg package instead runs its __init__, whose array-API
+copy of the numpy namespace imports numpy.f2py, numpy.testing and unittest:
+0.3 s of CPU in every fresh process, half of what ``import shapelab.cli``
+cost.  The routines are the objects that scipy.linalg.lapack and .blas
+re-export, so every solve keeps its bits.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
-import scipy
 
 from .geometry import (TWO_PI, Domain, FourierBasis, MixedBoundary, PointSet, frame_rates,
                        pushed_frame)
@@ -91,11 +91,11 @@ INV_2PI = 1.0 / (2.0 * np.pi)
 # angles of the off-grid check nodes of each component
 CHECK_THETAS = TWO_PI * (np.arange(64) + 0.5) / 64
 # kernel entries in one row block of a field evaluation (at least 64 rows)
-# or of a collocation matrix assembly.  On the 9216-node interior rule
-# against 384 charges a whole gradient kernel is 57 MB and a block of 2 ** 18
-# entries 4 MB; while the second variation took that rule, 2 ** 14 cut peak
-# RSS by 2 MB on the green-variations benchmark and by 5 MB on the registry
-# (two-vCPU x86_64, one BLAS thread), at the same CPU time
+# or of a collocation matrix assembly.  On the former 9216-node interior rule
+# (48 x 192) against 384 charges a whole gradient kernel was 57 MB and a block
+# of 2 ** 18 entries 4 MB; while the second variation took that rule, 2 ** 14
+# cut peak RSS by 2 MB on the green-variations benchmark and by 5 MB on the
+# registry (two-vCPU x86_64, one BLAS thread), at the same CPU time
 BLOCK_ENTRIES = 2 ** 14
 # kernel entries in one row block of a rate product: its few complex
 # temporaries stay at 64 KB each
@@ -116,14 +116,14 @@ QR_BLOCK = 32
 
 def _linalg_extension(name: str):
     """scipy.linalg's compiled module ``name``, loaded from its file without
-    running scipy/linalg/__init__.py.
+    running scipy/__init__.py or scipy/linalg/__init__.py.
 
     Once scipy.linalg is imported, or when the file does not load, this is
-    the ordinary import, which returns the same module.
-    """
-    full = f"scipy.linalg.{name}"
-    if "scipy.linalg" not in sys.modules and full not in sys.modules:
-        path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+    the ordinary import, which returns the same module (without scipy, an
+    ImportError)."""
+    full, scipy = f"scipy.linalg.{name}", find_spec("scipy")
+    if scipy is not None and "scipy.linalg" not in sys.modules and full not in sys.modules:
+        path = os.path.join(scipy.submodule_search_locations[0], "linalg",
                             name + EXTENSION_SUFFIXES[0])
         loader = ExtensionFileLoader(full, path)
         try:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapelab import cli
+from shapelab import cases, cli
 from shapelab import geometry as geo
 from shapelab import hadamard as hd
 from shapelab import liouville as lv
@@ -426,3 +426,71 @@ def test_truncated_ellipse_routes_at_128_charges_agree_to_1e_8(variation, family
                         GreensConfig(n_charges=128))
         assert tri.n_unknowns == 108
         assert tri.err() <= 1e-8, (x, y, tri.formula, tri.bvp, tri.tangent)
+
+
+def _interior_rule_quantities(monkeypatch) -> dict:
+    """Case id -> the quantity of a ``--suite all --seed 7`` row that
+    integrates on its Domain's interior rule, as a function that reads the
+    rule at each call: a volume formula's value, or the interior side of the
+    gradient pairing.  Each row runs with its oracle calls recorded, not made."""
+    quantities, current = {}, []
+
+    def volume_row(kind, domain, family, integrand, ladder=None, analytic=None):
+        if kind.endswith("volume"):
+            formula = cases.variation_ops()[kind][0]
+            quantities[current[-1]] = lambda: formula(domain, family, integrand)
+        return 0.0, {}, 0.0
+
+    def pairing_row(solver, family, ev, udot):
+        quantities[current[-1]] = lambda: pairing(solver, family, ev, udot)[0]
+        return 0.0, 0.0, 0.0
+
+    pairing = hd.gradient_pairing_residual
+    monkeypatch.setattr(cases, "variation_result", volume_row)
+    monkeypatch.setattr(hd, "gradient_pairing_residual", pairing_row)
+    settings = CaseSettings(seed=7)
+    for case in build_registry():
+        if case.case_id.startswith(("liouville-", "hadamard-gradient-pairing-")):
+            current.append(case.case_id)
+            case.run(settings)
+    monkeypatch.undo()
+    return quantities
+
+
+def test_registry_rows_on_the_interior_rule_read_as_on_the_rule_of_4m(monkeypatch):
+    """A Domain's rule of m // 4 x m nodes (32 x 128 here) is converged for
+    every row that integrates on it: each quantity reads within 5e-13
+    (relative to max(1, |value|)) of the rule of 4m.  The largest gap is the
+    annulus gradient pairing's, 5.0e-14 on SkylakeX and at most 1.7e-13 over
+    the five OpenBLAS kernels of the drift baseline.  The rule of m / 2
+    (16 x 64) reads 2.0e-12 to 2.6e-12 there, so a rule cut below
+    convergence fails; the polynomial volume rows are exact on either rule."""
+    quantities = _interior_rule_quantities(monkeypatch)
+    assert sorted(quantities) == sorted(
+        ["hadamard-gradient-pairing-annulus", "hadamard-gradient-pairing-disk",
+         "liouville-disk-dilation-first-volume", "liouville-disk-dilation-second-volume",
+         "liouville-disk-translation-moment", "liouville-random-first-0",
+         "liouville-random-first-3", "liouville-random-second-0", "liouville-random-second-3",
+         "liouville-rotation-first-volume-zero"])
+    own = {case_id: quantity() for case_id, quantity in quantities.items()}
+
+    def on_rule(factor):
+        rules = {}
+
+        def rule(domain):
+            if domain not in rules:
+                rules[domain] = geo.interior_quadrature(domain.curve,
+                                                        int(factor * domain.grids[0].size))
+            return rules[domain]
+
+        monkeypatch.setattr(geo.Domain, "interior", rule)
+        return {case_id: quantity() for case_id, quantity in quantities.items()}
+
+    fine, coarse = on_rule(4), on_rule(0.5)
+
+    def gaps(values):
+        return {case_id: abs(values[case_id] - fine[case_id]) / max(1.0, abs(fine[case_id]))
+                for case_id in fine}
+
+    assert max(gaps(own).values()) <= 5e-13, gaps(own)
+    assert max(gaps(coarse).values()) > 5e-13, gaps(coarse)

@@ -121,7 +121,7 @@ class TestKernelLayer:
         solver = request.getfixturevalue(f"{which}_solver")
         field = solver.solve(np.array([0.1, 0.7])).corrector
         nodes = domain.interior().nodes
-        assert len(nodes) == 9216
+        assert len(nodes) == 4096  # the m = 128 rule: 32 radii x 128 angles
         terms = gr.fundamental_gradient(nodes, field.charges)
         reference = np.einsum("nki,k->ni", terms, field.coefficients)
         # rounding bound of the reordered sum, point by point
@@ -416,16 +416,23 @@ def _fresh_python(code: str) -> str:
 
 class TestLinalgHandles:
     """greens takes its LAPACK and BLAS routines from scipy.linalg's compiled
-    modules without running scipy/linalg/__init__.py."""
+    modules without running scipy/__init__.py or scipy/linalg/__init__.py."""
 
     LAPACK = ("dgeqp3", "dgeqrt", "dgemqrt", "dgesdd", "dgesdd_lwork")
 
     def test_cli_import_leaves_scipy_linalg_and_numpy_testing_unloaded(self):
         out = _fresh_python(
             "import sys, shapelab.cli; from shapelab import greens as gr; "
-            "print(gr._lapack.__name__, gr._blas.__name__, "
-            "[m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') if m in sys.modules])")
+            "print(gr._lapack.__name__, gr._blas.__name__, [m for m in "
+            "('scipy', 'scipy.linalg', 'numpy.f2py', 'numpy.testing') if m in sys.modules])")
         assert out == "scipy.linalg._flapack scipy.linalg._fblas []"
+
+    def test_a_missing_scipy_raises_import_error(self):
+        out = _fresh_python(
+            "import sys; sys.modules['scipy'] = None\n"
+            "try:\n    import shapelab.greens\nexcept ImportError as exc:\n"
+            "    print(type(exc).__name__)")
+        assert out == "ModuleNotFoundError"
 
     def test_routines_are_the_scipy_linalg_lapack_and_blas_objects(self):
         # loaded from their files first, then scipy.linalg imported
@@ -805,11 +812,12 @@ class TestCollocationRates:
 class TestStoredFactors:
     """Row-blocked evaluations and matrix assembly keep the bits of one block."""
 
-    @pytest.mark.parametrize("n_points", [9216, 193, 64, 1])
+    @pytest.mark.parametrize("n_points", [None, 193, 64, 1])
     def test_row_blocked_evaluations_equal_one_block_bit_for_bit(self, annulus_solver,
                                                                  annulus, monkeypatch,
                                                                  n_points):
-        # 193 points leave a last block of one row, which joins the one before
+        # None takes the whole interior rule; 193 points leave a last block of
+        # one row, which joins the one before
         nodes = annulus.interior().nodes[:n_points]
         block = annulus_solver.solve(BLOCK_POLES["annulus"][:2]).corrector
         fields = (block, block[1])
