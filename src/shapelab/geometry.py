@@ -572,8 +572,6 @@ def interior_quadrature(curve: BoundaryCurve, m: int) -> InteriorQuadrature:
     """
     if curve.n_components > 2:
         raise GeometryError("interior quadrature supports at most one hole")
-    if m < 4:
-        raise GeometryError(f"interior quadrature needs at least 4 angles, not {m}")
     nodes, weights = _blended_rule(curve, m)
     return InteriorQuadrature(nodes, weights)
 

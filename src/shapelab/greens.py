@@ -121,9 +121,9 @@ def _linalg_extension(name: str):
     Once scipy.linalg is imported, or when the file does not load, this is
     the ordinary import, which returns the same module (without scipy, an
     ImportError)."""
-    full, scipy = f"scipy.linalg.{name}", find_spec("scipy")
-    if scipy is not None and "scipy.linalg" not in sys.modules and full not in sys.modules:
-        path = os.path.join(scipy.submodule_search_locations[0], "linalg",
+    full, spec = f"scipy.linalg.{name}", find_spec("scipy")
+    if spec is not None and "scipy.linalg" not in sys.modules and full not in sys.modules:
+        path = os.path.join(spec.submodule_search_locations[0], "linalg",
                             name + EXTENSION_SUFFIXES[0])
         loader = ExtensionFileLoader(full, path)
         try:

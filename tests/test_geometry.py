@@ -287,10 +287,6 @@ class TestInteriorQuadrature:
         with pytest.raises(geo.GeometryError):
             geo.interior_quadrature(geo.BoundaryCurve(comps), 128)
 
-    def test_fewer_than_four_angles_rejected(self):
-        with pytest.raises(geo.GeometryError, match="at least 4 angles, not 2"):
-            geo.interior_quadrature(geo.disk(1.0), 2)
-
     def test_a_domain_s_rule_follows_its_grid(self):
         domain = geo.Domain(geo.disk(1.0), m=64)
         rule = domain.interior()
