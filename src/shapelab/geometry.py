@@ -565,7 +565,7 @@ def _blended_rule(curve: BoundaryCurve, m: int):
 
 def interior_quadrature(curve: BoundaryCurve, m: int) -> InteriorQuadrature:
     """Quadrature over the region enclosed by ``curve``: the boundary grid's
-    M angles 2 pi j / M (trapezoid) times M // 4 Gauss-Legendre radii.
+    ``m`` angles 2 pi j / m (trapezoid) times m // 4 Gauss-Legendre radii.
 
     Supports a single star-like component or one outer curve with one hole
     (radial blending between the two).  More holes are rejected.
