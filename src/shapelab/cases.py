@@ -138,20 +138,15 @@ def fd_details(fd: FDResult) -> dict:
     return details
 
 
-def route_result(tri: hd.RouteTriangle, fd: FDResult | None = None, **checked):
+def route_result(tri: hd.RouteTriangle, **checked):
     """(value, oracles, err, details) of a Hadamard route run.
 
     The oracles are the BVP and tangent routes and every further value
     ``checked``, by name; err is ``RouteTriangle.err`` over all of them.
     The solves' summary and the probe warnings on the base boundary (a
-    list, empty without any) go to details.  A row that also re-solves
-    along an FD ladder passes it as ``fd``: its value is checked as ``fd``,
-    and the ladder's FD record joins details.
+    list, empty without any) go to details.
     """
     details = {**tri.solve_details(), "probe_warnings": list(tri.probe_warnings)}
-    if fd is not None:
-        checked["fd"] = fd.value
-        details.update(fd_details(fd))
     return (tri.formula, {"bvp": tri.bvp, "tangent": tri.tangent, **checked},
             tri.err(*checked.values()), details)
 
@@ -281,11 +276,9 @@ GREENS_BOUNDARIES = {
 }
 
 
-def _base_solver(st, kind: str, config: gr.GreensConfig | None = None) -> gr.GreensSolver:
-    """The run's base Green's solver on the registry boundary ``kind``, by
-    default at the run's config."""
-    return gr.base_solver(_domain(st, kind), GREENS_BOUNDARIES[kind].mixed,
-                          config or st.greens_config())
+def _base_solver(st, kind: str) -> gr.GreensSolver:
+    """The run's base Green's solver on the registry boundary ``kind``."""
+    return gr.base_solver(_domain(st, kind), GREENS_BOUNDARIES[kind].mixed, st.greens_config())
 
 
 def _poly(terms: dict) -> np.ndarray:
@@ -425,19 +418,16 @@ def _greens_annulus_flux(st, case):
 
 def _greens_representation(st, case):
     worst = 0.0
-    probes = np.array([[0.3, 0.2], [-0.4, 0.1]])
-    # 1, x1**2 - x2**2 and (x1**2 + x2**2)/4
+    # 1, x1**2 - x2**2 and (x1**2 + x2**2)/4 on the disk, 1 on the annulus
     solutions = [IntegrandSpec.from_coefficients(_poly(terms))
                  for terms in ({(0, 0, 0): 1.0}, {(2, 0, 0): 1.0, (0, 2, 0): -1.0},
                                {(2, 0, 0): 0.25, (0, 2, 0): 0.25})]
-    for rep in gr.representation_check(_domain(st, "disk"), GREENS_BOUNDARIES["disk"].mixed,
-                                       solutions, probes, st.greens_config()):
-        worst = max(worst, rep.max_error)
-    rep = gr.representation_check(_domain(st, "annulus"), GREENS_BOUNDARIES["annulus"].mixed,
-                                  IntegrandSpec.constant(1.0),
-                                  np.array([[0.0, 0.7], [0.6, 0.3]]),
-                                  st.greens_config())
-    worst = max(worst, rep.max_error)
+    for kind, specs, probes in (("disk", solutions, [[0.3, 0.2], [-0.4, 0.1]]),
+                                ("annulus", [IntegrandSpec.constant(1.0)],
+                                 [[0.0, 0.7], [0.6, 0.3]])):
+        for rep in gr.representation_check(_domain(st, kind), GREENS_BOUNDARIES[kind].mixed,
+                                           specs, probes, st.greens_config()):
+            worst = max(worst, rep.max_error)
     return 1.0, {}, worst, {"manufactured": 4}
 
 
@@ -461,7 +451,8 @@ def _greens_charge_convergence(st, case):
     res = {}
     for n in (32, 64):
         cfg = gr.GreensConfig(n_charges=n, fail_threshold=1.0)
-        ev = _base_solver(st, "annulus", cfg).solve(y)
+        ev = gr.base_solver(_domain(st, "annulus"), GREENS_BOUNDARIES["annulus"].mixed,
+                            cfg).solve(y)
         res[n] = ev.diagnostics.residual
     ratio = res[64] / max(res[32], 1e-300)
     err = 0.0 if (ratio <= 0.1 or res[64] <= 1e-9) else ratio
@@ -575,8 +566,10 @@ def _pole_symmetry(st, case):
     d1s = hd.delta_n_formula(solver, fam, ev[::-1])
     udot, _ = hd.delta_n_bvp(solver, fam, ev)
     co = hd.chi_sigma(solver.domain, fam)
-    d2 = hd.delta2_n_formula(solver, fam, ev, udot, co)
-    d2s = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co)
+    gradients = hd.grid_gradients(solver, udot)
+    d2 = hd.delta2_n_formula(solver, fam, ev, udot, co, gradients)
+    d2s = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co,
+                              [g[::-1] for g in gradients])
     return d2, {"swapped": d2s}, max(abs(d1 - d1s), abs(d2 - d2s))
 
 

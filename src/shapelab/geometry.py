@@ -343,14 +343,14 @@ def pushed_frame(curve: FourierCurve, thetas: np.ndarray, family=None, t: float 
 
     The one place a curve velocity becomes a frame and a line element.  The
     tangent is the pushforward DT_t x'(theta) of the curve's velocity, with
-    T_t and DT_t from ``family.map_and_jacobian``; ``family=None`` is the
+    T_t and DT_t from ``family.map(..., with_jacobian=True)``; ``family=None`` is the
     identity, so the undeformed curve takes the same path.  Rejects a speed
     that collapses at any node.
     """
     nodes = curve.point(thetas)
     dx = curve.velocity(thetas)
     if family is not None:
-        nodes, jac = family.map_and_jacobian(nodes, t)
+        nodes, jac = family.map(nodes, t, with_jacobian=True)
         dx = np.einsum("nij,nj->ni", jac, dx)
     speed = np.hypot(dx[:, 0], dx[:, 1])
     bad = np.flatnonzero(speed < MIN_SPEED)
@@ -501,16 +501,14 @@ class CollarExtension:
         return feet.curvature / (1.0 + feet.offset * feet.curvature)
 
 
-def collar_extend(grid: BoundaryGrid, values: np.ndarray,
-                  half_width: float | None = None) -> CollarExtension:
-    """Build the constant-along-normal collar extension of nodal data."""
+def collar_extend(grid: BoundaryGrid, values: np.ndarray) -> CollarExtension:
+    """Build the constant-along-normal collar extension of nodal data, of
+    half-width 0.4 / max |kappa|."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
         raise GeometryError("nodal data must match the grid size")
-    if half_width is None:
-        kmax = max(float(np.max(np.abs(grid.curvature))), 1e-12)
-        half_width = 0.4 / kmax
-    return CollarExtension(grid, values, half_width)
+    kmax = max(float(np.max(np.abs(grid.curvature))), 1e-12)
+    return CollarExtension(grid, values, 0.4 / kmax)
 
 
 # ---------------------------------------------------------------------------

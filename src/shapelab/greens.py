@@ -76,6 +76,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -152,13 +153,16 @@ class GreensAccuracyError(RuntimeError):
 class GreensConfig:
     """Charges per ring and the largest check-node residual a solve may return.
 
+    The charge count has no default: a run's is ``CaseSettings.n_charges``.
     The rings themselves follow one rule (``Domain.charge_rings``).
     """
 
-    n_charges: int = 128
+    n_charges: int
     fail_threshold: float = 1e-4
 
     def __post_init__(self):
+        if isinstance(self.n_charges, bool) or not isinstance(self.n_charges, numbers.Integral):
+            raise GreensError(f"n_charges must be an integer, not {self.n_charges!r}")
         if not self.n_charges >= 1:
             raise GreensError(f"n_charges must be at least 1, not {self.n_charges!r}")
         if not self.fail_threshold > 0.0:  # NaN fails too
@@ -500,9 +504,8 @@ class MixedSolver:
     factored, computed on first read.
     """
 
-    def __init__(self, components: list[ComponentDiscretization],
-                 config: GreensConfig | None = None):
-        self.config = config or GreensConfig()
+    def __init__(self, components: list[ComponentDiscretization], config: GreensConfig):
+        self.config = config
         self.components = components
         self.charges = np.vstack([c.charges for c in components])
         self.matrix = self._assemble()
@@ -705,12 +708,11 @@ class GreensSolver:
     charges, which the solver keeps whole.
     """
 
-    def __init__(self, domain: Domain, mixed: MixedBoundary,
-                 config: GreensConfig | None = None, family=None, t: float = 0.0,
-                 charges=None):
+    def __init__(self, domain: Domain, mixed: MixedBoundary, config: GreensConfig,
+                 family=None, t: float = 0.0, charges=None):
         self.domain = domain
         self.mixed = mixed
-        self.config = config or GreensConfig()
+        self.config = config
         self.solver = MixedSolver(
             discretize_pushed(domain, mixed, family, t, self.config, charges), self.config)
         self.components = self.solver.components
@@ -791,15 +793,13 @@ class GreensSolver:
                             [c.charges for c in self.components])
 
 
-def base_solver(domain: Domain, mixed: MixedBoundary,
-                config: GreensConfig | None = None) -> GreensSolver:
+def base_solver(domain: Domain, mixed: MixedBoundary, config: GreensConfig) -> GreensSolver:
     """The domain's one solver of its undeformed boundary under (mixed, config).
 
     Built on the first request and kept in the domain's memo, so every route
     and case on that boundary shares its kept columns, its matrix and the QR
     factors of its solves.
     """
-    config = config or GreensConfig()
     return domain.memo(("greens", mixed, config),
                        lambda: GreensSolver(domain, mixed, config))
 
@@ -851,8 +851,8 @@ def _log_moment_boundary(components, y: np.ndarray) -> float:
     return total
 
 
-def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
-                         config: GreensConfig | None = None):
+def representation_check(domain: Domain, mixed: MixedBoundary, z_specs: list, probes,
+                         config: GreensConfig) -> list[RepresentationReport]:
     """Reconstruct a manufactured solution from its Green's-function representation.
 
     Given z with -Laplacian z = f, Dirichlet values on gamma^0, and flux on
@@ -863,11 +863,10 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     corrector part is smooth, the log kernel against f(y) reduces exactly to
     a boundary integral, and the remaining integrand vanishes at the pole.
 
-    ``z_spec`` is one manufactured solution, or a list of them (then a list
-    of reports comes back).  The probes are solved at once, and
-    their correctors and traces are evaluated once for every solution.
+    ``z_specs`` is a list of manufactured solutions, one report each.  The
+    probes are solved at once, and their correctors and traces are evaluated
+    once for every solution.
     """
-    specs = list(z_spec) if isinstance(z_spec, (list, tuple)) else [z_spec]
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     solver = base_solver(domain, mixed, config)
     interior = domain.interior()
@@ -878,7 +877,7 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
     traces = [ev.normal_trace(i) if comp.dirichlet else ev.value(comp.grid.nodes)
               for i, comp in enumerate(solver.components)]
     reports = []
-    for spec in specs:
+    for spec in z_specs:
         hess = spec.hessian(interior.nodes, 0.0)
         f = -(hess[:, 0, 0] + hess[:, 1, 1])
         data = [comp.datum(lambda p: spec.value(p, 0.0), lambda p: spec.gradient(p, 0.0),
@@ -898,4 +897,4 @@ def representation_check(domain: Domain, mixed: MixedBoundary, z_spec, probes,
         exact = np.asarray(exact)
         reports.append(RepresentationReport(probes, recon, exact,
                                             float(np.max(np.abs(recon - exact)))))
-    return reports if isinstance(z_spec, (list, tuple)) else reports[0]
+    return reports

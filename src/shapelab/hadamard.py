@@ -276,7 +276,7 @@ def delta_n_tangent(solver: GreensSolver, family: PerturbationFamily,
 # ---------------------------------------------------------------------------
 
 def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
-                    ev_y: GreensEval, udot_y: HarmonicField | list,
+                    ev_y: GreensEval, gradients_y: list[np.ndarray],
                     coeffs: HadamardCoefficients):
     """Nodal boundary data (g on Dirichlet, h on Neumann) for the second BVP.
 
@@ -284,31 +284,30 @@ def second_bvp_data(solver: GreensSolver, family: PerturbationFamily,
     h = d/ds(chi dN/ds(.,y) + 2 rho d(udot)/ds).
     Both follow from twice differentiating the boundary conditions along the
     deformation (chain rule on the moving boundary); each piece is pinned by
-    kernel-level oracles in the tests.  ``udot_y`` is the first variation
-    for y, or its gradient at each piece's grid nodes (``_grid_gradients``).
+    kernel-level oracles in the tests.  ``gradients_y`` is the gradient of
+    the first variation for y at each piece's grid nodes (``grid_gradients``).
     """
-    gradients = udot_y if isinstance(udot_y, list) else _grid_gradients(solver, udot_y)
     return [piece.datum(coeffs.chi[piece.i] * piece.trace(ev_y)
-                        + 2.0 * piece.rho * piece.gradient_trace(gradients[piece.i]))
+                        + 2.0 * piece.rho * piece.gradient_trace(gradients_y[piece.i]))
             for piece in _pieces(solver, family)]
 
 
-def _grid_gradients(solver: GreensSolver, udot: HarmonicField) -> list[np.ndarray]:
+def grid_gradients(solver: GreensSolver, udot: HarmonicField) -> list[np.ndarray]:
     """The gradient of a field, or of a block, at each component's grid nodes."""
     return [udot.gradient(comp.grid.nodes) for comp in solver.components]
 
 
 def delta2_n_bvp(solver: GreensSolver, family: PerturbationFamily,
-                 ev_y: GreensEval, udot_y: HarmonicField | list,
+                 ev_y: GreensEval, gradients_y: list[np.ndarray],
                  coeffs: HadamardCoefficients):
     """Second variation as the harmonic field with the second-order data."""
-    nodal = second_bvp_data(solver, family, ev_y, udot_y, coeffs)
+    nodal = second_bvp_data(solver, family, ev_y, gradients_y, coeffs)
     return solver.harmonic_bvp(nodal)
 
 
 def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
                      ev: GreensEval, udot: HarmonicField,
-                     coeffs: HadamardCoefficients, gradients=None) -> float:
+                     coeffs: HadamardCoefficients, gradients: list[np.ndarray]) -> float:
     """Second variation by the variational formula.
 
     ``ev`` is the block of the poles (x, y) and ``udot`` the block of their
@@ -325,17 +324,15 @@ def delta2_n_formula(solver: GreensSolver, family: PerturbationFamily,
     -<deltaN(.,x), d deltaN(.,y)/dnu> - <deltaN(.,y), d deltaN(.,x)/dnu>
     over every piece.  Each component takes one value and one gradient
     block of the first variations at its grid nodes; ``gradients`` are those
-    blocks (``_grid_gradients``), evaluated here when not given.  That trapezoid rule's
-    error on a product of two charge fields falls like R^-m for the ring
-    factor R of ``Domain.charge_rings``, so it stays at rounding while the
-    grid has m >= n_charges nodes, and a coarser grid is warned of.
+    blocks (``grid_gradients``).  That trapezoid rule's error on a product of
+    two charge fields falls like R^-m for the ring factor R of
+    ``Domain.charge_rings``, so it stays at rounding while the grid has
+    m >= n_charges nodes, and a coarser grid is warned of.
     """
     m, n_charges = solver.domain.grids[0].size, solver.config.n_charges
     if m < n_charges:
         warnings.warn(f"m={m} is below n_charges={n_charges}: the second variation's "
                       "boundary-paired volume term may lose accuracy", stacklevel=2)
-    if gradients is None:
-        gradients = _grid_gradients(solver, udot)
     total = 0.0
     for piece in _pieces(solver, family):
         vx, vy = udot.value(piece.grid.nodes)
@@ -504,7 +501,7 @@ def _triangle(formula: float, bvp: float, tangent: float,
                          diagnostics[0].n_unknowns, issued)
 
 
-def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig | None):
+def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfig):
     """Probes, the domain's base solver, pole block (x, y) and probe warnings of a route run.
 
     The probe warnings on the base boundary are issued for the caller of the
@@ -519,7 +516,7 @@ def _route_poles(domain: Domain, mixed: MixedBoundary, x, y, config: GreensConfi
 
 
 def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
-                   x, y, config: GreensConfig | None = None) -> RouteTriangle:
+                   x, y, config: GreensConfig) -> RouteTriangle:
     """Run all three first-variation routes for one probe pair."""
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     formula = delta_n_formula(solver, family, ev)
@@ -530,7 +527,7 @@ def delta_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFam
 
 
 def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFamily,
-                    x, y, config: GreensConfig | None = None) -> RouteTriangle:
+                    x, y, config: GreensConfig) -> RouteTriangle:
     """Run all three second-variation routes for one probe pair.
 
     Three solves on the base matrix: the poles (x, y), their first
@@ -541,7 +538,7 @@ def delta2_n_routes(domain: Domain, mixed: MixedBoundary, family: PerturbationFa
     x, y, solver, ev, messages = _route_poles(domain, mixed, x, y, config)
     coeffs = chi_sigma(domain, family)
     udot, udot_diags = delta_n_bvp(solver, family, ev)
-    gradients = _grid_gradients(solver, udot)  # per-column products: y's keep their bits
+    gradients = grid_gradients(solver, udot)  # per-column products: y's keep their bits
     formula = delta2_n_formula(solver, family, ev, udot, coeffs, gradients)
     uddot, uddot_diag = delta2_n_bvp(solver, family, ev[1], [g[1] for g in gradients], coeffs)
     bvp = float(uddot.value(x[None, :])[0])

@@ -27,7 +27,7 @@ def pullback_volume_integral(domain: Domain, family: PerturbationFamily,
                              c: IntegrandSpec, t: float) -> float:
     """integral of c(., t) over T_t(Omega), pulled back to fixed interior nodes."""
     interior = domain.interior()
-    img, jac = family.map_and_jacobian(interior.nodes, t)
+    img, jac = family.map(interior.nodes, t, with_jacobian=True)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     if np.any(det <= 0.0):
         raise PerturbationError(f"deformation folds the domain at t={t}")
@@ -244,7 +244,7 @@ def nu_dot_fd(domain: Domain, family: PerturbationFamily):
     def normal_at(grid, t):
         theta = grid.thetas.copy()
         for _ in range(30):
-            y, jac = family.map_and_jacobian(grid.curve.point(theta), t)
+            y, jac = family.map(grid.curve.point(theta), t, with_jacobian=True)
             dy = np.einsum("nij,nj->ni", jac, grid.curve.velocity(theta))
             step = (np.einsum("ni,ni->n", grid.nodes - y, dy)
                     / np.einsum("ni,ni->n", dy, dy))

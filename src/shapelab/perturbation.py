@@ -149,15 +149,12 @@ def random_polynomial_field(rng: np.random.Generator, degree: int = 2,
 class PerturbationFamily:
     """Common interface: the map T_t, its spatial Jacobian, and the S/R fields."""
 
-    def map(self, points: np.ndarray, t: float) -> np.ndarray:
+    def map(self, points: np.ndarray, t: float, *, with_jacobian: bool = False):
+        """T_t(points), or the pair (T_t(points), DT_t(points)) with ``with_jacobian``."""
         raise NotImplementedError
 
     def map_jacobian(self, points: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
-
-    def map_and_jacobian(self, points: np.ndarray, t: float):
-        """(T_t(points), DT_t(points)) for callers that need both."""
-        return self.map(points, t), self.map_jacobian(points, t)
 
     def velocity(self, points: np.ndarray) -> np.ndarray:
         """First deformation field S = dT_t/dt at t=0."""
@@ -210,10 +207,6 @@ class TaylorFamily(PerturbationFamily):
     def map_jacobian(self, points, t):
         return self._jacobian(*self._rows(np.atleast_2d(np.asarray(points, dtype=float)),
                                           JACOBIAN), t)
-
-    def map_and_jacobian(self, points, t):
-        # Through map: perfbench times map and map_jacobian as the Taylor layer.
-        return self.map(points, t, with_jacobian=True)
 
     def velocity(self, points):
         return self.s_field(points)
@@ -304,10 +297,6 @@ class FlowFamily(PerturbationFamily):
     def map_jacobian(self, points, t):
         return self._integrate(points, t)[1]
 
-    def map_and_jacobian(self, points, t):
-        # Through map: perfbench times map and map_jacobian as the flow layer.
-        return self.map(points, t, with_jacobian=True)
-
     def velocity(self, points):
         return self.field(points)
 
@@ -386,9 +375,10 @@ class NormalFamily(PerturbationFamily):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.zeros((points.shape[0], 2, 2))
 
-    def map(self, points, t):
+    def map(self, points, t, *, with_jacobian=False):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return points + t * self.velocity(points)
+        image = points + t * self.velocity(points)
+        return (image, self.map_jacobian(points, t)) if with_jacobian else image
 
     def map_jacobian(self, points, t):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -24,6 +24,8 @@ from shapelab.greens import (GreensConfig, GreensSolver, disk_greens, disk_poiss
 from shapelab.integrands import IntegrandSpec, random_polynomial_integrand
 
 TWO_PI = 2.0 * np.pi
+# the charge count of the solves that name none
+CONFIG = GreensConfig(n_charges=128)
 
 
 def _stamp(number, description, start, bound):
@@ -160,7 +162,7 @@ def test_criterion_4_minor_expansion():
 def test_criterion_5_greens_solver():
     start = time.perf_counter()
     disk = geo.Domain(geo.disk(1.0), m=128)
-    solver = GreensSolver(disk, geo.all_dirichlet(1))
+    solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
     y = np.array([0.3, 0.0])
     ev = solver.solve(y)
 
@@ -182,7 +184,7 @@ def test_criterion_5_greens_solver():
 
     annulus = geo.Domain(geo.annulus(0.5, 1.0), m=128)
     mixed = geo.MixedBoundary(("dirichlet", "neumann"))
-    asolver = GreensSolver(annulus, mixed)
+    asolver = GreensSolver(annulus, mixed, CONFIG)
     aev = asolver.solve(np.array([0.0, 0.72]))
     flux = np.dot(asolver.components[0].grid.weights, aev.normal_trace(0))
     assert abs(flux + 1.0) <= 1e-6
@@ -191,7 +193,7 @@ def test_criterion_5_greens_solver():
             (disk, geo.all_dirichlet(1), "(x1**2 + x2**2)/4",
              np.array([[0.3, 0.2], [-0.4, 0.1]])),
             (annulus, mixed, "1", np.array([[0.0, 0.7], [0.6, 0.3]]))):
-        rep = representation_check(dom, mb, IntegrandSpec.from_expression(z), pts)
+        rep, = representation_check(dom, mb, [IntegrandSpec.from_expression(z)], pts, CONFIG)
         assert rep.max_error <= 1e-5
     _stamp(5, "Green's solver: analytic disk, Poisson kernel, symmetry, "
               "flux balance, representation", start, 30.0)
@@ -202,21 +204,21 @@ def test_criterion_6_first_variation():
     disk = geo.Domain(geo.disk(1.0), m=128)
     x, y = np.array([0.3, 0.0]), np.array([0.0, 0.4])
 
-    solver = GreensSolver(disk, geo.all_dirichlet(1))
+    solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
     value = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
                                solver.solve(np.stack([x, y])))
     oracle = hd.disk_dilation_delta_n(x, y, order=1)
     assert abs(value - oracle) / (1 + abs(oracle)) <= 1e-4
 
     tri = hd.delta_n_routes(disk, geo.all_dirichlet(1),
-                            pert.TaylorFamily(pert.dilation()), x, y)
+                            pert.TaylorFamily(pert.dilation()), x, y, CONFIG)
     assert tri.err() <= 1e-3
 
     annulus = geo.Domain(geo.annulus(0.5, 1.0), m=128)
     mixed = geo.MixedBoundary(("dirichlet", "neumann"))
     tri = hd.delta_n_routes(annulus, mixed,
                             pert.TaylorFamily(pert.translation(1.0, 0.0)),
-                            np.array([0.0, 0.75]), np.array([-0.74, -0.1]))
+                            np.array([0.0, 0.75]), np.array([-0.74, -0.1]), CONFIG)
     assert tri.err() <= 1e-3
 
     rotation = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
@@ -239,17 +241,17 @@ def test_criterion_7_second_variation():
 
     x, y = np.array([0.3, 0.0]), np.array([0.0, 0.4])
     tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1),
-                             pert.TaylorFamily(pert.dilation()), x, y)
+                             pert.TaylorFamily(pert.dilation()), x, y, CONFIG)
     assert tri.err() <= 1e-2
 
     annulus = geo.Domain(geo.annulus(0.5, 1.0), m=128)
     mixed = geo.MixedBoundary(("dirichlet", "neumann"))
     xa, ya = np.array([0.0, 0.75]), np.array([-0.74, -0.1])
     fam = pert.TaylorFamily(pert.translation(1.0, 0.0))
-    tri = hd.delta2_n_routes(annulus, mixed, fam, xa, ya)
+    tri = hd.delta2_n_routes(annulus, mixed, fam, xa, ya, CONFIG)
     assert tri.err() <= 1e-2
 
-    solver = GreensSolver(annulus, mixed)
+    solver = GreensSolver(annulus, mixed, CONFIG)
     ev = solver.solve(np.stack([xa, ya]))
     udot, _ = hd.delta_n_bvp(solver, fam, ev)
     _, _, residual = hd.gradient_pairing_residual(solver, fam, ev, udot)
@@ -494,3 +496,18 @@ def test_registry_rows_on_the_interior_rule_read_as_on_the_rule_of_4m(monkeypatc
 
     assert max(gaps(own).values()) <= 5e-13, gaps(own)
     assert max(gaps(coarse).values()) > 5e-13, gaps(coarse)
+
+
+def test_the_readme_quick_start_reproduces_its_registry_row(capsys):
+    """The README's library quick start runs as written, and its route
+    triangle is the seed-7 registry row it shows, bit for bit."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), namespace)
+    tri = namespace["tri"]
+    case, = (c for c in build_registry() if c.case_id == "hadamard-delta2-n-triangle-annulus")
+    row = case.run(CaseSettings(seed=7))
+    assert row.passed
+    assert ((tri.formula, tri.bvp, tri.tangent)
+            == (row.formula_value, row.oracles["bvp"], row.oracles["tangent"]))

@@ -219,7 +219,7 @@ class TestCollar:
     def test_collar_width_restricted_by_curvature(self):
         grid = geo.build_grid(geo.ellipse(2.0, 1.0), 64)  # max curvature 2
         with pytest.raises(geo.GeometryError):
-            geo.collar_extend(grid, np.ones(64), half_width=0.3)
+            geo.CollarExtension(grid, np.ones(64), 0.3)
 
     def test_gradient_is_tangential(self):
         # central differences of the extension across and along the circle

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ from shapelab.cases import CaseSettings, build_registry
 from shapelab.integrands import IntegrandSpec
 
 TWO_PI = 2.0 * np.pi
+# the charge count of the solves that name none
+CONFIG = gr.GreensConfig(n_charges=128)
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +36,12 @@ def annulus():
 
 @pytest.fixture(scope="module")
 def disk_solver(disk):
-    return gr.GreensSolver(disk, geo.all_dirichlet(1))
+    return gr.GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
 
 
 @pytest.fixture(scope="module")
 def annulus_solver(annulus):
-    return gr.GreensSolver(annulus, geo.MixedBoundary(("dirichlet", "neumann")))
+    return gr.GreensSolver(annulus, geo.MixedBoundary(("dirichlet", "neumann")), CONFIG)
 
 
 class TestFundamentalSolution:
@@ -103,7 +106,7 @@ class TestKernelLayer:
         # charges, given as charges, keeps its matrix unfactored until it solves
         solver = gr.MixedSolver(gr.discretize_pushed(
             annulus, annulus_solver.mixed, None, 0.0, annulus_solver.config,
-            [c.charges for c in annulus_solver.components]))
+            [c.charges for c in annulus_solver.components]), annulus_solver.config)
         rows = []
         for comp in solver.components:
             diff, r2 = _einsum_offsets(comp.colloc.nodes, solver.charges)
@@ -255,34 +258,34 @@ class TestAnnulusMixed:
 
 class TestRepresentation:
     def test_constant_state_on_annulus(self, annulus):
-        rep = gr.representation_check(
+        rep, = gr.representation_check(
             annulus, geo.MixedBoundary(("dirichlet", "neumann")),
-            IntegrandSpec.constant(1.0), np.array([[0.0, 0.7], [0.6, 0.3]]))
+            [IntegrandSpec.constant(1.0)], np.array([[0.0, 0.7], [0.6, 0.3]]), CONFIG)
         assert rep.max_error < 1e-7
 
     def test_harmonic_solution_on_disk(self, disk):
-        rep = gr.representation_check(disk, geo.all_dirichlet(1),
-                                      IntegrandSpec.from_expression("x1**2 - x2**2"),
-                                      np.array([[0.3, 0.2], [-0.4, 0.1]]))
+        rep, = gr.representation_check(disk, geo.all_dirichlet(1),
+                                       [IntegrandSpec.from_expression("x1**2 - x2**2")],
+                                       np.array([[0.3, 0.2], [-0.4, 0.1]]), CONFIG)
         assert rep.max_error < 1e-6
 
     def test_poisson_solution_with_volume_term(self, disk):
-        rep = gr.representation_check(disk, geo.all_dirichlet(1),
-                                      IntegrandSpec.from_expression("(x1**2 + x2**2)/4"),
-                                      np.array([[0.3, 0.2], [-0.4, 0.1]]))
+        rep, = gr.representation_check(disk, geo.all_dirichlet(1),
+                                       [IntegrandSpec.from_expression("(x1**2 + x2**2)/4")],
+                                       np.array([[0.3, 0.2], [-0.4, 0.1]]), CONFIG)
         assert rep.max_error < 1e-5
 
     def test_nonconstant_forcing(self, disk):
-        rep = gr.representation_check(disk, geo.all_dirichlet(1),
-                                      IntegrandSpec.from_expression("x1**4"),
-                                      np.array([[0.3, 0.2]]))
+        rep, = gr.representation_check(disk, geo.all_dirichlet(1),
+                                       [IntegrandSpec.from_expression("x1**4")],
+                                       np.array([[0.3, 0.2]]), CONFIG)
         assert rep.max_error < 1e-4
 
     def test_star_domain_harmonic_solution(self):
         dom = geo.Domain(geo.star_domain(1.0, 0.2, 3), m=128)
-        rep = gr.representation_check(dom, geo.all_dirichlet(1),
-                                      IntegrandSpec.from_expression("x1**2 - x2**2"),
-                                      np.array([[0.2, 0.1], [-0.3, 0.25]]))
+        rep, = gr.representation_check(dom, geo.all_dirichlet(1),
+                                       [IntegrandSpec.from_expression("x1**2 - x2**2")],
+                                       np.array([[0.2, 0.1], [-0.3, 0.25]]), CONFIG)
         assert rep.max_error < 1e-6
 
 
@@ -306,15 +309,15 @@ class TestPerturbedGreens:
         mixedb = geo.all_dirichlet(1)
         fam = pert.TaylorFamily(pert.dilation())
         y = np.array([0.0, 0.4])
-        base = gr.GreensSolver(disk, mixedb).solve(y)
-        moved = gr.GreensSolver(disk, mixedb, family=fam, t=0.0).solve(y)
+        base = gr.GreensSolver(disk, mixedb, CONFIG).solve(y)
+        moved = gr.GreensSolver(disk, mixedb, CONFIG, family=fam, t=0.0).solve(y)
         x = np.array([[0.3, -0.1]])
         assert base.value(x)[0] == pytest.approx(moved.value(x)[0], abs=1e-12)
 
     def test_dilated_disk_scaling_identity(self, disk):
         fam = pert.TaylorFamily(pert.dilation())
         t, y = 0.05, np.array([0.0, 0.4])
-        ev = gr.GreensSolver(disk, geo.all_dirichlet(1), family=fam, t=t).solve(y)
+        ev = gr.GreensSolver(disk, geo.all_dirichlet(1), CONFIG, family=fam, t=t).solve(y)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-0.6, 0.6, size=2)
@@ -337,8 +340,8 @@ class TestPerturbedGreens:
     def test_rotation_invariance_center_pole(self, disk):
         fam = pert.FlowFamily(pert.rotation())
         y = np.array([0.0, 0.0])
-        base = gr.GreensSolver(disk, geo.all_dirichlet(1)).solve(y)
-        moved = gr.GreensSolver(disk, geo.all_dirichlet(1), family=fam, t=0.1).solve(y)
+        base = gr.GreensSolver(disk, geo.all_dirichlet(1), CONFIG).solve(y)
+        moved = gr.GreensSolver(disk, geo.all_dirichlet(1), CONFIG, family=fam, t=0.1).solve(y)
         x = np.array([[0.35, 0.2]])
         assert abs(base.value(x)[0] - moved.value(x)[0]) < 1e-9
 
@@ -354,7 +357,7 @@ class TestDiagnostics:
         # may part by eps times that, 2.1e-3 relative; they read 8.0e-5 apart
         _, solver = _block_solver("ellipse", 128, 96)
         solver.solve(BLOCK_POLES["ellipse"][0])
-        fresh = gr.MixedSolver(solver.components).matrix
+        fresh = gr.MixedSolver(solver.components, solver.config).matrix
         assert fresh.shape == (192, 82)
         sv = scipy.linalg.svdvals(fresh)
         rounding = np.finfo(float).eps * sv[0] / sv[-1]
@@ -366,7 +369,7 @@ class TestDiagnostics:
 
         monkeypatch.setattr(gr._lapack, "dgesdd", refuse)
         fam = pert.TaylorFamily(pert.dilation())
-        solver = gr.GreensSolver(disk, geo.all_dirichlet(1))
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         result = hd.delta_n_fd(solver, fam, np.array([0.3, 0.0]), np.array([0.0, 0.4]))
         assert np.isfinite(result.value)
         with pytest.raises(AssertionError, match="dgesdd"):  # the patch is the one read
@@ -395,10 +398,22 @@ class TestConfig:
         with pytest.raises(gr.GreensError, match="n_charges"):
             gr.GreensConfig(n_charges=n_charges)
 
+    @pytest.mark.parametrize("n_charges", [True, np.bool_(True), 96.5, 96.0, "96", None])
+    def test_a_charge_count_that_is_not_an_integer_is_rejected(self, n_charges):
+        with pytest.raises(gr.GreensError,
+                           match=re.escape(f"n_charges must be an integer, not {n_charges!r}")):
+            gr.GreensConfig(n_charges=n_charges)
+
+    def test_a_charge_count_is_required_and_a_numpy_integer_is_one(self):
+        with pytest.raises(TypeError, match="n_charges"):
+            gr.GreensConfig()
+        config = gr.GreensConfig(n_charges=np.int64(96))
+        assert config == gr.GreensConfig(n_charges=96) and config.n_charges == 96
+
     @pytest.mark.parametrize("threshold", [0.0, -1e-4, np.nan])
     def test_a_residual_gate_that_passes_nothing_is_rejected(self, threshold):
         with pytest.raises(gr.GreensError, match="fail_threshold"):
-            gr.GreensConfig(fail_threshold=threshold)
+            gr.GreensConfig(n_charges=128, fail_threshold=threshold)
 
     def test_the_bounds_themselves_are_kept(self):
         config = gr.GreensConfig(n_charges=1, fail_threshold=np.inf)
@@ -551,9 +566,9 @@ class TestBlockLayer:
     def test_representation_of_several_solutions_matches_one_at_a_time(self, disk):
         probes = np.array([[0.3, 0.2], [-0.4, 0.1]])
         specs = [IntegrandSpec.from_expression(e) for e in ("1", "x1**2 - x2**2")]
-        reports = gr.representation_check(disk, geo.all_dirichlet(1), specs, probes)
+        reports = gr.representation_check(disk, geo.all_dirichlet(1), specs, probes, CONFIG)
         for spec, rep in zip(specs, reports):
-            alone = gr.representation_check(disk, geo.all_dirichlet(1), spec, probes)
+            alone, = gr.representation_check(disk, geo.all_dirichlet(1), [spec], probes, CONFIG)
             np.testing.assert_allclose(rep.reconstructed, alone.reconstructed,
                                        rtol=0, atol=1e-14)
             assert rep.max_error < 1e-6
@@ -572,7 +587,7 @@ class TestKeptColumns:
         rings = domain.charge_rings(n_charges)
         # the rings passed as given charges, so the solver keeps them whole
         whole = gr.MixedSolver(gr.discretize_pushed(domain, MIXED[kind], None, 0.0,
-                                                    solver.config, rings)).matrix
+                                                    solver.config, rings), solver.config).matrix
         # the cut is pivoted QR of the whole matrix's blocked-QR triangle R
         n = whole.shape[1]
         triangle = np.triu(scipy.linalg.lapack.dgeqrt(min(gr.QR_BLOCK, n), whole)[0][:n])
@@ -664,7 +679,7 @@ class TestKeptColumns:
         monkeypatch.setattr(geo.FourierCurve, "centroid", counted)
         domain = geo.Domain(geo.annulus(0.5, 1.0), m=128)
         routes(domain, MIXED["annulus"], pert.TaylorFamily(pert.translation(1.0, 0.0)),
-               *BLOCK_POLES["annulus"][:2])
+               *BLOCK_POLES["annulus"][:2], CONFIG)
         assert sorted(calls) == sorted(id(c) for c in domain.curve.components)
 
 
@@ -723,7 +738,7 @@ class TestReSolves:
     def test_a_non_finite_re_solve_fails_the_residual_gate(self, disk, monkeypatch):
         # an unpivoted QR does not truncate, so a singular R would give NaN
         # coefficients; the gate must not read a NaN residual as a pass
-        solver = gr.GreensSolver(disk, geo.all_dirichlet(1))
+        solver = gr.GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         y = np.array([0.0, 0.4])
         solver.solve(y)
         monkeypatch.setattr(gr._blas, "dtrsm", lambda alpha, a, b: np.full(b.shape, np.nan))
@@ -831,12 +846,12 @@ class TestStoredFactors:
 
     def test_a_row_blocked_matrix_equals_one_block_bit_for_bit(self, annulus, monkeypatch):
         # Dirichlet rows on the outer circle, Neumann rows on the hole
-        components = gr.discretize_pushed(annulus, MIXED["annulus"], None, 0.0,
-                                          gr.GreensConfig(n_charges=64))
+        cfg = gr.GreensConfig(n_charges=64)
+        components = gr.discretize_pushed(annulus, MIXED["annulus"], None, 0.0, cfg)
         monkeypatch.setattr(gr, "BLOCK_ENTRIES", 2 ** 40)
-        whole = gr.MixedSolver(components).matrix
+        whole = gr.MixedSolver(components, cfg).matrix
         monkeypatch.setattr(gr, "BLOCK_ENTRIES", 1000)  # 7-row blocks, a last one of 2
-        blocked = gr.MixedSolver(components).matrix
+        blocked = gr.MixedSolver(components, cfg).matrix
         assert blocked.flags.f_contiguous
         np.testing.assert_array_equal(blocked, whole)
 
@@ -898,11 +913,11 @@ class TestLapackLedger:
 # 1e-11; the star needs a charge ring as close as 1.3, which the rule gives
 # it at 176 charges (at 128, R = 1.43, its symmetry gap reaches 2e-10).
 PROPERTY_DOMAINS = {
-    "disk": (geo.disk(1.0), geo.all_dirichlet(1), (0.0, 0.7), gr.GreensConfig()),
+    "disk": (geo.disk(1.0), geo.all_dirichlet(1), (0.0, 0.7), CONFIG),
     "star": (geo.star_domain(1.0, 0.2, 3), geo.all_dirichlet(1), (0.0, 0.55),
              gr.GreensConfig(n_charges=176)),
     "annulus": (geo.annulus(0.5, 1.0), geo.MixedBoundary(("dirichlet", "neumann")),
-                (0.7, 0.8), gr.GreensConfig()),
+                (0.7, 0.8), CONFIG),
 }
 
 

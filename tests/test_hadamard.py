@@ -13,7 +13,7 @@ from shapelab import geometry as geo
 from shapelab import greens as gr
 from shapelab import hadamard as hd
 from shapelab import perturbation as pert
-from shapelab.cases import route_result
+from shapelab.cases import fd_details, route_result
 from shapelab._fd import derivative_ladder
 from shapelab.geometry import _rotate_quarter, tangential_grad
 from shapelab.greens import GreensConfig, GreensSolver, HarmonicField, disk_greens
@@ -21,6 +21,8 @@ from shapelab.greens import GreensConfig, GreensSolver, HarmonicField, disk_gree
 TWO_PI = 2.0 * np.pi
 DISK_PROBES = (np.array([0.3, 0.0]), np.array([0.0, 0.4]))
 ANNULUS_PROBES = (np.array([0.0, 0.75]), np.array([-0.74, -0.1]))
+# the charge count of the solves that name none
+CONFIG = GreensConfig(n_charges=128)
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +114,14 @@ class TestCoefficients:
 class TestFirstVariation:
     def test_dilation_scaling_oracle(self, disk):
         x, y = DISK_PROBES
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         val = hd.delta_n_formula(solver, pert.TaylorFamily(pert.dilation()),
                                  solver.solve(np.stack([x, y])))
         oracle = hd.disk_dilation_delta_n(x, y, order=1)
         assert abs(val - oracle) / (1 + abs(oracle)) < 1e-4
 
     def test_center_pole_constant_variation(self, disk):
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         ev0 = solver.solve(np.array([0.0, 0.0]))
         udot, _ = hd.delta_n_bvp(solver, pert.TaylorFamily(pert.dilation()), ev0)
         probes = np.array([[0.3, 0.0], [-0.2, 0.4], [0.1, -0.5]])
@@ -127,14 +129,14 @@ class TestFirstVariation:
 
     def test_rotation_gives_zero(self, disk):
         x, y = DISK_PROBES
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         val = hd.delta_n_formula(solver, pert.FlowFamily(pert.rotation()),
                                  solver.solve(np.stack([x, y])))
         assert abs(val) < 1e-12
 
     def test_formula_symmetric_in_poles(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         ev = solver.solve(np.stack([x, y]))
         fam = translation()
         assert hd.delta_n_formula(solver, fam, ev) == pytest.approx(
@@ -143,17 +145,17 @@ class TestFirstVariation:
     def test_route_triangle_disk(self, disk):
         x, y = DISK_PROBES
         tri = hd.delta_n_routes(disk, geo.all_dirichlet(1),
-                                pert.TaylorFamily(pert.dilation()), x, y)
+                                pert.TaylorFamily(pert.dilation()), x, y, CONFIG)
         assert tri.err() < 1e-3
 
     def test_route_triangle_annulus(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
-        tri = hd.delta_n_routes(annulus, annulus_mixed, translation(), x, y)
+        tri = hd.delta_n_routes(annulus, annulus_mixed, translation(), x, y, CONFIG)
         assert tri.err() < 1e-3
 
     def test_bvp_equals_formula_at_probes(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         ev = solver.solve(np.stack([x, y]))
         fam = translation()
         udot, _ = hd.delta_n_bvp(solver, fam, ev[1])
@@ -161,7 +163,7 @@ class TestFirstVariation:
         assert abs(udot.value(x[None, :])[0] - formula) < 1e-5
 
     def test_probe_warning_near_boundary(self, disk):
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         assert hd.probe_warning(solver, np.array([0.99, 0.0])) is not None
         assert hd.probe_warning(solver, np.array([0.3, 0.0])) is None
 
@@ -172,10 +174,10 @@ class TestFirstVariation:
         near = np.array([0.86, 0.0])
         with pytest.warns(UserWarning, match="node spacings") as record:
             tri = routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.translation(0.0, 1.0)),
-                         near, DISK_PROBES[1])
+                         near, DISK_PROBES[1], CONFIG)
         assert np.isfinite(tri.err())
         # the row keeps the base-boundary warning the route issued
-        message = hd.probe_warning(GreensSolver(disk, geo.all_dirichlet(1)), near)
+        message = hd.probe_warning(GreensSolver(disk, geo.all_dirichlet(1), CONFIG), near)
         assert route_result(tri)[3]["probe_warnings"] == [message]
         assert message in [str(w.message) for w in record]
 
@@ -188,10 +190,10 @@ class TestFirstVariation:
         fam = pert.TaylorFamily(pert.dilation())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), fam, x, y)
+            tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), fam, x, y, CONFIG)
         assert tri.err() < 1e-9
         assert tri.residual < 1e-5
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         solver.solve(y)
         messages = [m for m in hd.delta2_n_fd(solver, fam, x, y).warnings
                     if "node spacings" in m]
@@ -238,7 +240,7 @@ class TestSecondVariationData:
     """
 
     def test_dirichlet_data_matches_chain_rule(self, annulus, annulus_mixed):
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         fam = translation()
         coeffs = hd.chi_sigma(annulus, fam)
         grid = annulus.grids[0]
@@ -247,18 +249,19 @@ class TestSecondVariationData:
         for y in (*ANNULUS_PROBES, np.array([0.6, -0.4])):
             ev_y = solver.solve(y)
             udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-            nodal = hd.second_bvp_data(solver, fam, ev_y, udot_y, coeffs)
+            nodal = hd.second_bvp_data(solver, fam, ev_y, hd.grid_gradients(solver, udot_y),
+                                       coeffs)
             oracle = -(np.einsum("ni,ni->n", r, ev_y.gradient(grid.nodes))
                        + np.einsum("ni,nij,nj->n", s, ev_y.hessian(grid.nodes), s)
                        + 2 * np.einsum("ni,ni->n", s, udot_y.gradient(grid.nodes)))
             np.testing.assert_allclose(nodal[0], oracle, atol=1e-5, err_msg=f"pole {y}")
 
     def test_neumann_data_matches_chain_rule(self, annulus, annulus_mixed):
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         fam = generic_flow()
         ev_y = solver.solve(ANNULUS_PROBES[1])
         udot_y, _ = hd.delta_n_bvp(solver, fam, ev_y)
-        nodal = hd.second_bvp_data(solver, fam, ev_y, udot_y,
+        nodal = hd.second_bvp_data(solver, fam, ev_y, hd.grid_gradients(solver, udot_y),
                                    hd.chi_sigma(annulus, fam))
 
         grid = annulus.grids[1]
@@ -302,14 +305,14 @@ class TestMixedAnnulusScalingOracle:
     def test_first_variation(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         tri = hd.delta_n_routes(annulus, annulus_mixed,
-                                pert.TaylorFamily(pert.dilation()), x, y)
+                                pert.TaylorFamily(pert.dilation()), x, y, CONFIG)
         oracle = self._series_scaling(x, y, 1)
         assert abs(tri.formula - oracle) / (1 + abs(oracle)) < 1e-8
 
     def test_second_variation(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         tri = hd.delta2_n_routes(annulus, annulus_mixed,
-                                 pert.TaylorFamily(pert.dilation()), x, y)
+                                 pert.TaylorFamily(pert.dilation()), x, y, CONFIG)
         oracle = self._series_scaling(x, y, 2)
         assert abs(tri.formula - oracle) / (1 + abs(oracle)) < 1e-6
         assert tri.err() < 1e-6
@@ -319,7 +322,7 @@ class TestSecondVariationRoutes:
     def test_dilation_scaling_oracle(self, disk):
         x, y = DISK_PROBES
         tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1),
-                                 pert.TaylorFamily(pert.dilation()), x, y)
+                                 pert.TaylorFamily(pert.dilation()), x, y, CONFIG)
         oracle = hd.disk_dilation_delta_n(x, y, order=2)
         assert abs(tri.formula - oracle) / (1 + abs(oracle)) < 1e-2
         assert tri.err() < 1e-2
@@ -338,7 +341,7 @@ class TestSecondVariationRoutes:
 
     def test_translation_analytic_oracle(self, disk):
         x, y = DISK_PROBES
-        tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), translation(), x, y)
+        tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1), translation(), x, y, CONFIG)
         e = np.array([1.0, 0.0])
         oracle = derivative_ladder(
             lambda t: disk_greens(x - t * e, y - t * e), order=2,
@@ -349,36 +352,36 @@ class TestSecondVariationRoutes:
     def test_rotation_vanishes_in_all_routes(self, disk):
         x, y = DISK_PROBES
         tri = hd.delta2_n_routes(disk, geo.all_dirichlet(1),
-                                 pert.FlowFamily(pert.rotation()), x, y)
+                                 pert.FlowFamily(pert.rotation()), x, y, CONFIG)
         assert max(abs(tri.formula), abs(tri.bvp), abs(tri.tangent)) < 1e-6
 
     def test_route_triangle_annulus_translation(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
-        tri = hd.delta2_n_routes(annulus, annulus_mixed, translation(), x, y)
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, translation(), x, y, CONFIG)
         assert tri.err() < 1e-2
 
     def test_route_triangle_annulus_flow(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         fam = pert.FlowFamily(pert.PolynomialField({(0, 2, 0): 0.3, (1, 1, 1): 0.25,
                                                     (1, 0, 0): -0.2}))
-        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y)
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y, CONFIG)
         assert tri.err() < 1e-2
 
     def test_route_triangle_normal_family(self, annulus, annulus_mixed):
         grid = annulus.grids[0]
         fam = pert.NormalFamily(grid, 0.5 + 0.2 * np.cos(2 * grid.thetas))
         x, y = ANNULUS_PROBES
-        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y)
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y, CONFIG)
         assert tri.err() < 1e-2
 
     def test_route_triangle_keeps_its_solve_diagnostics(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
         fam = translation()
-        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y)
-        solver = GreensSolver(annulus, annulus_mixed)
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, fam, x, y, CONFIG)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         ev = solver.solve(np.stack([x, y]))
         udot, udot_diags = hd.delta_n_bvp(solver, fam, ev)
-        _, uddot_diag = hd.delta2_n_bvp(solver, fam, ev[1], udot[1],
+        _, uddot_diag = hd.delta2_n_bvp(solver, fam, ev[1], hd.grid_gradients(solver, udot[1]),
                                         hd.chi_sigma(annulus, fam))
         diags = [*ev.diagnostics, *udot_diags, uddot_diag]
         assert tri.residual == max(d.residual for d in diags) > 0.0
@@ -387,13 +390,14 @@ class TestSecondVariationRoutes:
 
     def test_pole_exchange_symmetry(self, annulus, annulus_mixed):
         x, y = ANNULUS_PROBES
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         fam = translation()
         ev = solver.solve(np.stack([x, y]))
         udot, _ = hd.delta_n_bvp(solver, fam, ev)
         co = hd.chi_sigma(annulus, fam)
-        forward = hd.delta2_n_formula(solver, fam, ev, udot, co)
-        backward = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co)
+        forward = hd.delta2_n_formula(solver, fam, ev, udot, co, hd.grid_gradients(solver, udot))
+        backward = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], co,
+                                       hd.grid_gradients(solver, udot[::-1]))
         assert abs(forward - backward) < 1e-10
 
 
@@ -411,7 +415,7 @@ def exchange_setups():
     """Per (domain, family): the base solver and the chi/sigma coefficients."""
     setups = {}
     for kind, (curve, mixed, _) in EXCHANGE_DOMAINS.items():
-        solver = GreensSolver(geo.Domain(curve, m=128), mixed)
+        solver = GreensSolver(geo.Domain(curve, m=128), mixed, CONFIG)
         for name, family in EXCHANGE_FAMILIES.items():
             fam = family()
             setups[kind, name] = (solver, fam, hd.chi_sigma(solver.domain, fam))
@@ -437,8 +441,10 @@ class TestPoleExchangeProperty:
         udot, _ = hd.delta_n_bvp(solver, fam, ev)
         first = hd.delta_n_formula(solver, fam, ev)
         assert abs(first - hd.delta_n_formula(solver, fam, ev[::-1])) <= 1e-12 * (1 + abs(first))
-        second = hd.delta2_n_formula(solver, fam, ev, udot, coeffs)
-        swapped = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], coeffs)
+        second = hd.delta2_n_formula(solver, fam, ev, udot, coeffs,
+                                     hd.grid_gradients(solver, udot))
+        swapped = hd.delta2_n_formula(solver, fam, ev[::-1], udot[::-1], coeffs,
+                                      hd.grid_gradients(solver, udot[::-1]))
         assert abs(second - swapped) <= 1e-10 * (1 + abs(second))
 
 
@@ -478,7 +484,7 @@ class TestTangentRoute:
         assert gap <= TANGENT_FD_BOUNDS[kind, order]
 
     def test_the_tangent_re_solves_nothing(self, annulus, annulus_mixed, monkeypatch):
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         x, y = ANNULUS_PROBES
         built = []
         init = gr.MixedSolver.__init__
@@ -597,7 +603,7 @@ class TestGradientReuse:
         monkeypatch.setattr(hd, "second_bvp_data", recorded_data)
         monkeypatch.setattr(HarmonicField, "gradient", counted)
         family = generic_flow()
-        tri = hd.delta2_n_routes(annulus, annulus_mixed, family, *ANNULUS_PROBES)
+        tri = hd.delta2_n_routes(annulus, annulus_mixed, family, *ANNULUS_PROBES, CONFIG)
         assert np.isfinite(tri.err())
         udot, = fields
         # on the grid nodes, the block's gradient once per piece and no
@@ -609,9 +615,10 @@ class TestGradientReuse:
                     and any(points is nodes for nodes in grids)]
         assert on_grids == [(True, 0), (True, 1)]
         # the data equal those of y's own field, bit for bit
-        solver = gr.base_solver(annulus, annulus_mixed)
+        solver = gr.base_solver(annulus, annulus_mixed, CONFIG)
         ev = solver.solve(np.stack(ANNULUS_PROBES))
-        for got, want in zip(data[0], bvp_data(solver, family, ev[1], udot[1],
+        for got, want in zip(data[0], bvp_data(solver, family, ev[1],
+                                               hd.grid_gradients(solver, udot[1]),
                                                hd.chi_sigma(annulus, family))):
             np.testing.assert_array_equal(got, want)
 
@@ -662,8 +669,10 @@ class TestDirichletIntegral:
         coeffs = hd.chi_sigma(solver.domain, family)
         no_chi = dataclasses.replace(coeffs, chi=[np.zeros_like(c) for c in coeffs.chi])
         flipped = HarmonicField(udot.charges, -udot.coefficients)
-        volume = 0.5 * (hd.delta2_n_formula(solver, family, ev, udot, no_chi)
-                        + hd.delta2_n_formula(solver, family, ev, flipped, no_chi))
+        volume = 0.5 * (hd.delta2_n_formula(solver, family, ev, udot, no_chi,
+                                            hd.grid_gradients(solver, udot))
+                        + hd.delta2_n_formula(solver, family, ev, flipped, no_chi,
+                                              hd.grid_gradients(solver, flipped)))
         gap = abs(volume - expected) / (1.0 + max(abs(volume), abs(expected)))
         assert gap <= DIRICHLET_BOUNDS[kind]
         assert abs(expected) > 1e-4  # the term is not trivially zero
@@ -675,49 +684,41 @@ class TestDirichletIntegral:
         monkeypatch.setattr(geo.Domain, "interior", refuse)
         domain = geo.Domain(geo.annulus(0.5, 1.0), m=128)
         tri = hd.delta2_n_routes(domain, geo.MixedBoundary(("dirichlet", "neumann")),
-                                 translation(), *ANNULUS_PROBES)
+                                 translation(), *ANNULUS_PROBES, CONFIG)
         assert _rel(tri.formula, tri.tangent) < 1e-7
         with pytest.raises(AssertionError, match="interior"):  # the patch is the one read
             domain.interior()
 
 
-def _route_row_with_fd(domain, family, order):
-    """The route triangle on the disk probes and the report row of it with
-    the FD ladder of the same variation."""
-    routes, fd = ((hd.delta_n_routes, hd.delta_n_fd) if order == 1
-                  else (hd.delta2_n_routes, hd.delta2_n_fd))
-    tri = routes(domain, geo.all_dirichlet(1), family, *DISK_PROBES)
-    ladder = fd(hd.base_solver(domain, geo.all_dirichlet(1)), family, *DISK_PROBES)
-    return tri, ladder, route_result(tri, fd=ladder)
+def _disk_fd(domain, family, order):
+    """The FD ladder of a variation on the disk probes, by re-solves of the base solver."""
+    fd = hd.delta_n_fd if order == 1 else hd.delta2_n_fd
+    return fd(hd.base_solver(domain, geo.all_dirichlet(1), CONFIG), family, *DISK_PROBES)
 
 
 class TestRouteDetails:
     def test_a_route_row_without_re_solves_carries_no_fd_record(self, disk):
         tri = hd.delta_n_routes(disk, geo.all_dirichlet(1), pert.TaylorFamily(pert.dilation()),
-                                *DISK_PROBES)
+                                *DISK_PROBES, CONFIG)
         _, oracles, err, details = route_result(tri)
         assert oracles == {"bvp": tri.bvp, "tangent": tri.tangent}
         assert err == tri.err() == max(_rel(tri.formula, tri.bvp), _rel(tri.formula, tri.tangent),
                                        _rel(tri.bvp, tri.tangent))
         assert details == {**tri.solve_details(), "probe_warnings": []}
 
-    def test_route_rows_carry_the_fd_order_and_warnings(self, disk):
-        tri, ladder, (_, oracles, err, details) = _route_row_with_fd(
-            disk, pert.TaylorFamily(pert.dilation()), 1)
-        # err is the worst gap of the three routes and the FD value
-        assert err == max(tri.err(), *(_rel(route, ladder.value)
-                                        for route in (tri.formula, tri.bvp, tri.tangent)))
+    def test_an_fd_record_carries_the_order_the_table_and_warnings(self, disk):
+        ladder = _disk_fd(disk, pert.TaylorFamily(pert.dilation()), 1)
+        details = fd_details(ladder)
         assert 3.5 < details["fd_observed_order"] == ladder.observed_order < 4.5
         assert "fd_observed_order_reason" not in details
-        assert details["fd_warnings"] == [] and details["probe_warnings"] == []
-        # the route row's convergence table: the ladder and its estimates
+        assert details["fd_warnings"] == []
+        # the convergence table: the ladder and its estimates
         assert details["ladder"] == list(ladder.ladder)
         assert details["estimates"] == list(ladder.estimates)
-        assert oracles == {"bvp": tri.bvp, "tangent": tri.tangent, "fd": ladder.value}
 
     def test_a_degenerate_fd_order_is_null_with_a_reason(self, disk):
-        _, ladder, (_, _, _, details) = _route_row_with_fd(
-            disk, pert.FlowFamily(pert.rotation()), 2)
+        ladder = _disk_fd(disk, pert.FlowFamily(pert.rotation()), 2)
+        details = fd_details(ladder)
         assert ladder.observed_order == np.inf
         assert details["fd_observed_order"] is None
         assert details["fd_observed_order_reason"] == "ladder differences at rounding level"
@@ -902,12 +903,12 @@ def test_the_routes_raise_when_the_pole_fit_fails_the_check_gate(routes):
     with pytest.raises(gr.GreensAccuracyError, match="check-node residual"):
         routes(geo.Domain(geo.disk(1.0), m=128), geo.all_dirichlet(1),
                pert.TaylorFamily(pert.dilation()), *DISK_PROBES,
-               GreensConfig(fail_threshold=1e-300))
+               GreensConfig(n_charges=128, fail_threshold=1e-300))
 
 
 class TestGradientPairing:
     def test_degenerate_family_gives_zero(self, disk):
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         fam = pert.FlowFamily(pert.rotation())  # delta rho = 0
         x, y = DISK_PROBES
         ev = solver.solve(np.stack([x, y]))
@@ -916,7 +917,7 @@ class TestGradientPairing:
         assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
     def test_disk_dilation(self, disk):
-        solver = GreensSolver(disk, geo.all_dirichlet(1))
+        solver = GreensSolver(disk, geo.all_dirichlet(1), CONFIG)
         fam = pert.TaylorFamily(pert.dilation())
         x, y = DISK_PROBES
         ev = solver.solve(np.stack([x, y]))
@@ -925,7 +926,7 @@ class TestGradientPairing:
         assert residual < 1e-4
 
     def test_annulus_translation(self, annulus, annulus_mixed):
-        solver = GreensSolver(annulus, annulus_mixed)
+        solver = GreensSolver(annulus, annulus_mixed, CONFIG)
         fam = translation()
         x, y = ANNULUS_PROBES
         ev = solver.solve(np.stack([x, y]))

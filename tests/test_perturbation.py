@@ -48,7 +48,8 @@ class TestFlowMap:
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_time_must_be_finite(self, t):
         fam = pert.FlowFamily(pert.rotation())
-        for call in (fam.map, fam.map_jacobian, fam.map_and_jacobian):
+        for call in (fam.map, fam.map_jacobian,
+                     lambda points, t: fam.map(points, t, with_jacobian=True)):
             with pytest.raises(pert.PerturbationError, match="finite"):
                 call(PTS, t)
 
@@ -477,7 +478,7 @@ class TestBitIdentity:
             flow = pert.FlowFamily(field, step=2e-3).map(pts, t, with_jacobian=True)
             for got, ref in zip(flow, _ref_flow(field, pts, t, 2e-3)):
                 np.testing.assert_array_equal(got, ref)
-            for got, ref in zip(taylor.map_and_jacobian(pts, t),
+            for got, ref in zip(taylor.map(pts, t, with_jacobian=True),
                                 _ref_taylor(field, ONE_TERM["rotation"], pts, t)):
                 np.testing.assert_array_equal(got, ref)
 
@@ -513,11 +514,11 @@ class TestBitIdentity:
                 np.testing.assert_array_equal(field.jacobian(x),
                                               _ref_jacobian(field, point[None]))
             for fam in families:
-                img, jac = fam.map_and_jacobian(point, 0.05)
+                img, jac = fam.map(point, 0.05, with_jacobian=True)
                 assert img.shape == (1, 2) and jac.shape == (1, 2, 2)
                 np.testing.assert_array_equal(fam.map(point[None], 0.05), img)
                 np.testing.assert_array_equal(fam.map_jacobian(point, 0.05), jac)
-        for got, ref in zip(families[0].map_and_jacobian(pts[:1], 0.05),
+        for got, ref in zip(families[0].map(pts[:1], 0.05, with_jacobian=True),
                             _ref_flow(ONE_TERM["rotation"], pts[:1], 0.05, 2e-3)):
             np.testing.assert_array_equal(got, ref)
 
@@ -533,6 +534,6 @@ class TestBitIdentity:
         pts = np.vstack([1.02 * grid.nodes[::4], rng.uniform(-0.5, 0.5, size=(8, 2))])
         for fam in families:
             for t in (0.03, -0.01):
-                img, jac = fam.map_and_jacobian(pts, t)
+                img, jac = fam.map(pts, t, with_jacobian=True)
                 np.testing.assert_array_equal(img, fam.map(pts, t))
                 np.testing.assert_array_equal(jac, fam.map_jacobian(pts, t))
