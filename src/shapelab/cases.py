@@ -11,6 +11,7 @@ registry never imports sympy.
 
 from __future__ import annotations
 
+import random
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -49,9 +50,13 @@ class CaseSettings:
             self._domains[key] = geo.Domain(curve, m=self.m)
         return self._domains[key]
 
-    def rng(self, case_id: str) -> np.random.Generator:
-        return np.random.default_rng(int(self.seed) * 2654435761 % 2 ** 31
-                                     + zlib.crc32(case_id.encode()))
+    def rng(self, case_id: str) -> random.Random:
+        """The case's generator, seeded by the run's seed and the case id.  The
+        draws are a few dozen scalars, and the standard library's generator
+        keeps numpy.random, which loads OpenSSL through secrets and hashlib
+        (6 MB of resident memory), out of the run."""
+        return random.Random(int(self.seed) * 2654435761 % 2 ** 31
+                             + zlib.crc32(case_id.encode()))
 
     def greens_config(self) -> gr.GreensConfig:
         return gr.GreensConfig(n_charges=self.n_charges)
@@ -184,7 +189,7 @@ def _jacobian_poly_fd(formula, quantity):
         worst = None
         for draw in range(3):
             fam = pert.FlowFamily(pert.random_polynomial_field(rng, degree=2))
-            x0 = rng.uniform(-0.5, 0.5, size=(1, 2))
+            x0 = np.array([[rng.uniform(-0.5, 0.5) for _ in range(2)]])
             for order, analytic in enumerate(formula(fam, x0), start=1):
                 fd = derivative_ladder(lambda t: quantity(fam.map_jacobian(x0, t)[0]),
                                        order=order)
@@ -214,11 +219,10 @@ def _jacobian_minor(st, case):
     rng = st.rng(case.case_id)
     worst = None
     for draw in range(20):
-        d = int(rng.integers(2, 5))
-        ds = rng.integers(-3, 4, size=(d, d)).astype(float)
-        dr = rng.integers(-3, 4, size=(d, d)).astype(float)
-        i = int(rng.integers(0, d))
-        j = int(rng.integers(0, d))
+        d = rng.randrange(2, 5)
+        ds, dr = (np.array([[rng.randrange(-3, 4) for _ in range(d)] for _ in range(d)],
+                           dtype=float) for _ in range(2))
+        i, j = rng.randrange(d), rng.randrange(d)
         model = pert._predicted_minor(ds, dr, i, j)
         exact = pert.minor_polynomial(ds, dr, i, j)[:3]
         gap = float(np.max(np.abs(model - exact)))
@@ -366,7 +370,7 @@ def _greens_disk_analytic(st, case):
     rng = st.rng(case.case_id)
     worst, count = 0.0, 0
     while count < 20:
-        r = 0.85 * np.sqrt(rng.uniform())
+        r = 0.85 * np.sqrt(rng.random())
         a = rng.uniform(0, TWO_PI)
         x = np.array([r * np.cos(a), r * np.sin(a)])
         if np.linalg.norm(x - y) < 0.1:
@@ -387,7 +391,7 @@ def _greens_poisson_kernel(st, case):
 
 def _interior_probe(rng, kind: str) -> np.ndarray:
     """Random probe at least 0.15 from every boundary component."""
-    r = rng.uniform(0.66, 0.84) if kind == "annulus" else 0.85 * np.sqrt(rng.uniform())
+    r = rng.uniform(0.66, 0.84) if kind == "annulus" else 0.85 * np.sqrt(rng.random())
     a = rng.uniform(0.0, TWO_PI)
     return np.array([r * np.cos(a), r * np.sin(a)])
 
@@ -437,7 +441,7 @@ def _greens_harmonicity(st, case):
     rng = st.rng(case.case_id)
     worst = 0.0
     for _ in range(5):
-        center = rng.uniform(-0.4, 0.4, size=2)
+        center = np.array([rng.uniform(-0.4, 0.4) for _ in range(2)])
         radius = rng.uniform(0.1, 0.3)
         th = TWO_PI * np.arange(256) / 256
         circle = center + radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -468,7 +472,7 @@ def _greens_perturbed_scaling(st, case):
     rng = st.rng(case.case_id)
     worst = 0.0
     for _ in range(10):
-        x = rng.uniform(-0.6, 0.6, size=2)
+        x = np.array([rng.uniform(-0.6, 0.6) for _ in range(2)])
         if min(np.linalg.norm(x - y), np.linalg.norm(x)) < 0.15:
             continue
         exact = gr.disk_greens(x / (1 + t), y / (1 + t))

@@ -342,6 +342,19 @@ def _winding_number(nodes: np.ndarray, point: np.ndarray) -> float:
     return float(np.sum(dang) / TWO_PI)
 
 
+@functools.cache
+def _fourier_bases(m: int, n_col: int) -> tuple[FourierBasis, FourierBasis]:
+    """The interpolation from m grid nodes to the collocation angles 2 pi j / n_col
+    and to ``CHECK_THETAS`` (``discretize_pushed``'s), one read-only pair per
+    (m, n_col) that every solver shares."""
+    bases = (FourierBasis.at(m, TWO_PI * np.arange(n_col) / n_col),
+             FourierBasis.at(m, CHECK_THETAS))
+    for table in (a for basis in bases for a in (basis.cos, basis.sin, basis.nyquist)):
+        if table is not None:
+            table.flags.writeable = False
+    return bases
+
+
 def discretize_pushed(domain: Domain, mixed: MixedBoundary, family, t: float,
                       config: GreensConfig, charges=None) -> list[ComponentDiscretization]:
     """Discretize the boundary of T_t(Omega) for collocation.
@@ -611,13 +624,13 @@ class MixedSolver:
         """``_QRFactors.fit`` on this solver's matrix."""
         return self.factors.fit(data, gram)
 
-    @functools.cached_property
-    def _fourier_bases(self) -> tuple[FourierBasis, FourierBasis]:
+    @property
+    def fourier_bases(self) -> tuple[FourierBasis, FourierBasis]:
         """The interpolation from grid nodes to the collocation and to the check
-        angles, which every component shares (``discretize_pushed``)."""
+        angles, which every component shares, as does every solver on grids
+        of the same sizes."""
         comp = self.components[0]
-        return (FourierBasis.at(comp.grid.size, comp.colloc.thetas),
-                FourierBasis.at(comp.grid.size, comp.check.thetas))
+        return _fourier_bases(comp.grid.size, comp.colloc.size)
 
     def solve_nodal(self, nodal_per_component: list[np.ndarray]):
         """Fit grid-nodal data, (M,) or (k, M) per component, Fourier-interpolated
@@ -628,7 +641,7 @@ class MixedSolver:
             return np.stack([basis(row) for row in nodal])
 
         col, chk = ([interpolate(nodal, basis) for nodal in nodal_per_component]
-                    for basis in self._fourier_bases)
+                    for basis in self.fourier_bases)
         return self.solve(col, check_data=chk)
 
 

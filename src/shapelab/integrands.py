@@ -13,12 +13,11 @@ arrays of shape (N, 2).
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from ._fd import _max_abs, derivative_ladder
 
 
 def _sympy():
@@ -153,24 +152,6 @@ class IntegrandSpec:
     def constant(cls, value: float = 1.0) -> "IntegrandSpec":
         return cls.from_coefficients(np.full((1, 1, 1), value))
 
-    def spot_check(self, rng: np.random.Generator) -> float:
-        """Max relative error of the declared c_t, c_tt and grad c against the
-        FD engine at its default ladders, over 10 random (point, t) pairs."""
-        pts = rng.uniform(-1.0, 1.0, size=(10, 2))
-        ts = rng.uniform(-0.1, 0.1, size=10)
-        worst = 0.0
-        for p, t in zip(pts, ts):
-            p = p[None, :]
-            checks = [(self.dt, 1, lambda h: self.value(p, t + h)[0]),
-                      (self.dtt, 2, lambda h: self.value(p, t + h)[0]),
-                      (self.gradient, 1, lambda h: self.value(p + h * np.eye(2), t))]
-            scale = 1.0 + abs(self.value(p, t)[0])
-            for declared, order, g in checks:
-                if declared is not None:
-                    fd = derivative_ladder(g, order=order).value
-                    worst = max(worst, _max_abs(fd - declared(p, t)[0]) / scale)
-        return worst
-
 
 @dataclass(frozen=True)
 class VectorIntegrandSpec:
@@ -241,7 +222,7 @@ def normal_scaled_integrand(c: IntegrandSpec, collar) -> VectorIntegrandSpec:
                                divergence_gradient=None)
 
 
-def random_polynomial_integrand(rng: np.random.Generator, degree: int = 2,
+def random_polynomial_integrand(rng: random.Random, degree: int = 2,
                                 time_degree: int = 1, scale: float = 0.5) -> IntegrandSpec:
     """Random space-time polynomial used by the seeded property cases."""
     coeffs = np.zeros((degree + 1, degree + 1, time_degree + 1))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,7 @@ def zero_field() -> PolynomialField:
     return PolynomialField({})
 
 
-def random_polynomial_field(rng: np.random.Generator, degree: int = 2,
+def random_polynomial_field(rng: random.Random, degree: int = 2,
                             scale: float = 0.3) -> PolynomialField:
     terms = {}
     for comp in (0, 1):

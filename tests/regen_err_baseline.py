@@ -5,10 +5,14 @@ settings that ``test_acceptance.py`` names (one and two threads on each of
 five OpenBLAS CPU kernels), one subprocess at a time.  Every run must pass.
 Only the rows named on the command line are rewritten, each with the smaller
 of its baseline and its largest err over the ten runs, so a baseline only
-tightens; every other row keeps its baseline.  Every row, named or not, whose
-largest err exceeds its baseline is printed.
+tightens; every other row keeps its baseline.  Every row, named or not, is
+printed with its largest err as a multiple of the drift gate's reference
+max(baseline, 1e-15); a row above WARN_RATIO (30x) of it is flagged, since
+the gate fails at 100x.
 
-    python tests/regen_err_baseline.py CASE_ID [CASE_ID ...]
+    python tests/regen_err_baseline.py [CASE_ID ...]
+
+With no CASE_ID it rewrites nothing and only prints.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ BASELINE = TESTS / "registry_err_seed7.json"
 SRC = TESTS.parent / "src"
 CORETYPES = ("SkylakeX", "Haswell", "SandyBridge", "Nehalem", "Prescott")
 THREADS = (1, 2)
+# test_acceptance.py's drift gate fails a row above 100 * max(baseline, FLOOR)
+FLOOR = 1e-15
+WARN_RATIO = 30.0
 
 
 def registry_errs(coretype: str, threads: int, out_dir: str) -> dict:
@@ -46,7 +53,7 @@ def registry_errs(coretype: str, threads: int, out_dir: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("case_ids", nargs="+", help="baseline rows to rewrite")
+    parser.add_argument("case_ids", nargs="*", help="baseline rows to rewrite")
     args = parser.parse_args(argv)
     baseline = json.loads(BASELINE.read_text())
     unknown = sorted(set(args.case_ids) - set(baseline))
@@ -61,9 +68,11 @@ def main(argv=None) -> int:
                     largest[case_id] = max(largest[case_id], errs[case_id])
                 print(f"{coretype:<11s} {threads} thread(s): "
                       + "  ".join(f"{errs[c]:.3e}" for c in args.case_ids))
-    for case_id, err in largest.items():
-        if err > baseline[case_id]:
-            print(f"{case_id}: largest err {err!r} exceeds its baseline {baseline[case_id]!r}")
+    for case_id, err in sorted(largest.items()):
+        ratio = err / max(baseline[case_id], FLOOR)
+        flag = f"  ABOVE {WARN_RATIO:g}x" if ratio > WARN_RATIO else ""
+        print(f"{case_id:<42s} largest err {err:.3e} = {ratio:6.2f}x of "
+              f"max(baseline {baseline[case_id]:.3e}, {FLOOR:g}){flag}")
     for case_id in args.case_ids:
         tightened = min(baseline[case_id], largest[case_id])
         print(f"{case_id}: {baseline[case_id]!r} -> {tightened!r}")

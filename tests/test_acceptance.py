@@ -308,15 +308,15 @@ def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
 # one and two BLAS threads and over five OpenBLAS CPU kernels (SkylakeX,
 # Haswell, SandyBridge, Nehalem, Prescott, chosen by OPENBLAS_CORETYPE) of
 # the scipy-openblas 0.3.31 build the project was tested with.  Rows near
-# rounding move up to 17x between these settings (liouville-random-first-5
-# reads 7.4e-16 to 1.3e-14).  A different
+# rounding move up to 11x between these settings (liouville-random-second-0
+# reads 4.2e-14 to 4.6e-13).  A different
 # BLAS library or build may round further from these values than that; the
 # baseline holds only for the settings above.  No row is raised, so a row
 # that a change moved up keeps its older value and may read above it within
-# the 100x gate (greens-disk-poisson-kernel up to 2.5x,
-# liouville-random-second-2 1.1x, liouville-random-first-5 and
-# hadamard-delta2-rotation-zero 1.08x); ``regen_err_baseline.py`` keeps it so
-# and prints such rows.
+# the 100x gate (liouville-random-first-4 up to 58x since the randomized rows
+# draw from random.Random, liouville-random-second-2 4.2x,
+# liouville-random-first-3 3.7x, greens-disk-poisson-kernel 2.5x);
+# ``regen_err_baseline.py`` keeps it so and prints every row's multiple.
 # Regenerate the baseline only with a change that means to move a row, and
 # list the moved rows in CHANGES.md.
 ERR_BASELINE = Path(__file__).with_name("registry_err_seed7.json")

@@ -79,6 +79,15 @@ class TestRegistry:
         # ladder (8) and 0, +-h and +-2h over the default second ladder (9)
         assert len(calls) == len(set(calls)) == 51
 
+    def test_case_rng_draws_by_seed_and_case_id(self):
+        def draws(seed, case_id):
+            rng = CaseSettings(seed=seed).rng(case_id)
+            return [rng.uniform(-1.0, 1.0) for _ in range(4)] + [rng.randrange(-3, 4)]
+
+        assert draws(7, "liouville-random-first-0") == draws(7, "liouville-random-first-0")
+        assert draws(7, "liouville-random-first-0") != draws(7, "liouville-random-first-1")
+        assert draws(7, "liouville-random-first-0") != draws(8, "liouville-random-first-0")
+
     def test_single_case_runs(self):
         registry = {c.case_id: c for c in build_registry()}
         row = registry["liouville-disk-dilation-second-volume"].run(CaseSettings(seed=0))
@@ -280,6 +289,20 @@ class TestCli:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "hadamard-pole-symmetry" in done.stdout
+
+    def test_a_registry_run_loads_no_numpy_random_hashlib_or_numpy_polynomial(self, tmp_path):
+        # the randomized rows draw from random.Random and the interior rule's
+        # radii are geometry's own Gauss-Legendre nodes; numpy.random would
+        # load OpenSSL through secrets and hashlib
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys; from shapelab.cli import main; "
+                f"code = main(['run', '--suite', 'all', '--seed', '7', '--out-dir', {str(tmp_path)!r}]); "
+                "print(code, sorted(m for m in ('numpy.random', 'secrets', 'hashlib', "
+                "'numpy.polynomial') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_custom_hadamard_case(self, tmp_path):
         cfg = tmp_path / "cfg.json"

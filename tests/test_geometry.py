@@ -264,6 +264,18 @@ class TestChargeRings:
 
 
 class TestInteriorQuadrature:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_gauss_legendre_rule_matches_leggauss_and_is_exact(self, n):
+        from numpy.polynomial.legendre import leggauss
+        x, w = geo._gauss_legendre(n)
+        want_x, want_w = leggauss(n)
+        # leggauss's weights are within 5e-15 of the exact ones for n <= 64,
+        # the rule's within 3.4e-16 (against 40-digit Newton iterates)
+        np.testing.assert_allclose(x, want_x, rtol=0, atol=2.3e-16)
+        np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-14)
+        for k in range(2 * n):
+            assert abs(w @ x ** k - (1 + (-1) ** k) / (k + 1)) <= 5e-15, k
+
     def test_disk_area(self):
         rule = geo.interior_quadrature(geo.disk(1.0), 128)
         assert abs(np.sum(rule.weights) - np.pi) < 1e-10

@@ -305,6 +305,23 @@ class TestPerturbedGreens:
                 for name in ("thetas", "nodes", "tangent", "normal", "speed", "weights"):
                     np.testing.assert_array_equal(getattr(points, name), getattr(want, name))
 
+    def test_solvers_on_grids_of_one_size_share_their_fourier_bases(self, annulus_solver):
+        # two base solvers of one (m, n_charges) on different domains, and a
+        # moved one, hold one pair, which is the pair every component's own
+        # collocation and check angles give, bit for bit
+        star = gr.GreensSolver(geo.Domain(geo.star_domain(1.0, 0.2, 3), m=128),
+                               geo.all_dirichlet(1), CONFIG)
+        moved = annulus_solver.moved(pert.TaylorFamily(pert.dilation()), 0.05)
+        bases = annulus_solver.solver.fourier_bases
+        for other in (star, moved):
+            assert all(a is b for a, b in zip(other.solver.fourier_bases, bases))
+        for comp in star.components + moved.components:
+            for basis, points in zip(bases, (comp.colloc, comp.check)):
+                want = geo.FourierBasis.at(comp.grid.size, points.thetas)
+                for name in ("cos", "sin", "nyquist"):
+                    np.testing.assert_array_equal(getattr(basis, name), getattr(want, name))
+                    assert not getattr(basis, name).flags.writeable
+
     def test_zero_deformation_matches_base(self, disk):
         mixedb = geo.all_dirichlet(1)
         fam = pert.TaylorFamily(pert.dilation())

@@ -8,12 +8,32 @@ import pytest
 
 import shapelab
 from shapelab import geometry as geo
+from shapelab._fd import _max_abs, derivative_ladder
 from shapelab.integrands import (IntegrandSpec, VectorIntegrandSpec, monomial_powers,
                                  monomials, normal_scaled_integrand,
                                  random_polynomial_integrand)
 
 PTS = np.array([[0.4, -0.3], [1.2, 0.8]])
 EPS = np.finfo(float).eps
+
+
+def spot_check(spec: IntegrandSpec, rng: np.random.Generator) -> float:
+    """Max relative error of the declared c_t, c_tt and grad c against the
+    FD engine at its default ladders, over 10 random (point, t) pairs."""
+    pts = rng.uniform(-1.0, 1.0, size=(10, 2))
+    ts = rng.uniform(-0.1, 0.1, size=10)
+    worst = 0.0
+    for p, t in zip(pts, ts):
+        p = p[None, :]
+        checks = [(spec.dt, 1, lambda h: spec.value(p, t + h)[0]),
+                  (spec.dtt, 2, lambda h: spec.value(p, t + h)[0]),
+                  (spec.gradient, 1, lambda h: spec.value(p + h * np.eye(2), t))]
+        scale = 1.0 + abs(spec.value(p, t)[0])
+        for declared, order, g in checks:
+            if declared is not None:
+                fd = derivative_ladder(g, order=order).value
+                worst = max(worst, _max_abs(fd - declared(p, t)[0]) / scale)
+    return worst
 
 
 class TestIntegrandSpec:
@@ -24,7 +44,7 @@ class TestIntegrandSpec:
     ])
     def test_spot_check_under_tolerance(self, expr):
         spec = IntegrandSpec.from_expression(expr)
-        assert spec.spot_check(np.random.default_rng(0)) < 1e-6
+        assert spot_check(spec, np.random.default_rng(0)) < 1e-6
 
     def test_values_and_derivatives(self):
         spec = IntegrandSpec.from_expression("x1**2 - x2**2 + t*x1*x2")
@@ -108,18 +128,6 @@ class TestCoefficientIntegrand:
 class TestMonomialBasis:
     """Polynomial integrands and velocity fields evaluate on one total-degree
     monomial basis, which replaced numpy's polyvander2d tensor basis."""
-
-    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
-        # only the interior rule's Gauss-Legendre nodes import it, when built
-        src = Path(shapelab.__file__).resolve().parents[1]
-        code = ("import sys, shapelab.cli; from shapelab import geometry as geo; "
-                "loaded = lambda: any(m.startswith('numpy.polynomial') for m in sys.modules); "
-                "before = loaded(); geo.Domain(geo.disk(1.0), m=32).interior(); "
-                "print(before, loaded())")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False True"
 
     def test_a_lower_degree_is_a_prefix_bit_for_bit(self):
         xy = np.random.default_rng(12).uniform(-1.5, 1.5, size=(2, 50))
