@@ -349,9 +349,10 @@ def _fourier_bases(m: int, n_col: int) -> tuple[FourierBasis, FourierBasis]:
     (m, n_col) that every solver shares."""
     bases = (FourierBasis.at(m, TWO_PI * np.arange(n_col) / n_col),
              FourierBasis.at(m, CHECK_THETAS))
-    for table in (a for basis in bases for a in (basis.cos, basis.sin, basis.nyquist)):
-        if table is not None:
-            table.flags.writeable = False
+    for basis in bases:
+        for table in (basis.cos, basis.sin, basis.nyquist):
+            if table is not None:
+                table.flags.writeable = False
     return bases
 
 
