@@ -60,31 +60,27 @@ point set (grid, collocation and check nodes) is ``pushed_frame``'s, and a
 base solver's grid is the Domain's own, so re-solves along a t-ladder differ
 only through the deformation, never through a change of discretization at t=0.
 
-LAPACK and BLAS come from scipy's compiled modules scipy.linalg._flapack
-(dgeqp3, dgeqrt, dgemqrt, dgesdd and its workspace query) and
-scipy.linalg._fblas (dtrsm), loaded from their files in the directory that
-``find_spec("scipy")`` names, without importing scipy (9-22 ms of CPU).
-Importing the scipy.linalg package instead runs its __init__, whose array-API
-copy of the numpy namespace imports numpy.f2py, numpy.testing and unittest:
-0.3 s of CPU in every fresh process, half of what ``import shapelab.cli``
-cost.  The routines are the objects that scipy.linalg.lapack and .blas
-re-export, so every solve keeps its bits.
+LAPACK and BLAS (dgeqrt, dgemqrt, dgeqp3, dgesdd and its workspace query,
+dtrsm) come from the OpenBLAS library that numpy's wheel bundles and
+``import numpy`` has already mapped, called through ctypes (``_linalg``), so
+a process holds one OpenBLAS, not a second one of scipy's, and imports no
+scipy module.  Each routine has the call shape of its scipy.linalg.lapack or
+.blas namesake and raises a ValueError on an illegal argument; dtrsm reads
+``qr[:n]`` where it lies, without a copy.  Only where numpy bundles no such
+library are the routines scipy's compiled modules, loaded without importing
+the scipy.linalg package (0.3 s of CPU in a fresh process).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import importlib
 import numbers
-import os
-import sys
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
+from ._linalg import load as load_linalg
 from .geometry import (TWO_PI, Domain, FourierBasis, MixedBoundary, PointSet, frame_rates,
                        pushed_frame)
 
@@ -115,30 +111,7 @@ KEEP_CUT = 1e-12
 QR_BLOCK = 32
 
 
-def _linalg_extension(name: str):
-    """scipy.linalg's compiled module ``name``, loaded from its file without
-    running scipy/__init__.py or scipy/linalg/__init__.py.
-
-    Once scipy.linalg is imported, or when the file does not load, this is
-    the ordinary import, which returns the same module (without scipy, an
-    ImportError)."""
-    full, spec = f"scipy.linalg.{name}", find_spec("scipy")
-    if spec is not None and "scipy.linalg" not in sys.modules and full not in sys.modules:
-        path = os.path.join(spec.submodule_search_locations[0], "linalg",
-                            name + EXTENSION_SUFFIXES[0])
-        loader = ExtensionFileLoader(full, path)
-        try:
-            module = module_from_spec(spec_from_loader(full, loader))
-            loader.exec_module(module)
-        except ImportError:
-            pass
-        else:
-            sys.modules[full] = module
-    return importlib.import_module(full)
-
-
-_lapack = _linalg_extension("_flapack")
-_blas = _linalg_extension("_fblas")
+_lapack, _blas = load_linalg()
 
 
 class GreensError(ValueError):
@@ -471,10 +444,8 @@ class _QRFactors:
     """
 
     def __init__(self, matrix: np.ndarray):
-        self.qr, self.t, info = _lapack.dgeqrt(min(QR_BLOCK, matrix.shape[1]),
-                                               np.asarray_chkfinite(matrix), overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgeqrt")
+        self.qr, self.t, _ = _lapack.dgeqrt(min(QR_BLOCK, matrix.shape[1]),
+                                            np.asarray_chkfinite(matrix), overwrite_a=1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The least-squares solution for data (rows,) or a (rows, k) block."""
@@ -556,10 +527,8 @@ class MixedSolver:
         the kept columns are then assembled again, bit for bit, and factored."""
         n = self.matrix.shape[1]
         triangle = np.tril(self.factors.qr[:n].T).T  # R, Fortran-ordered: pivoted in place
-        r, pivots, _, _, info = _lapack.dgeqp3(triangle, overwrite_a=1,
-                                               lwork=2 * n + (n + 1) * QR_BLOCK)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+        r, pivots, _, _, _ = _lapack.dgeqp3(triangle, overwrite_a=1,
+                                            lwork=2 * n + (n + 1) * QR_BLOCK)
         diagonal = np.abs(np.diagonal(r))
         keep = np.zeros(n, dtype=bool)
         keep[pivots[diagonal > KEEP_CUT * diagonal[0]] - 1] = True

@@ -3,6 +3,9 @@
 Runs ``shapelab run --suite all --seed 7`` under each of the ten BLAS
 settings that ``test_acceptance.py`` names (one and two threads on each of
 five OpenBLAS CPU kernels), one subprocess at a time.  Every run must pass.
+Each setting's line gives the OpenBLAS build string and CPU core name that
+the run's own LAPACK handle reports (``shapelab._linalg.OpenBLAS.build``), so
+the baseline's "tested with" line is read off the runs.
 Only the rows named on the command line are rewritten, each with the smaller
 of its baseline and its largest err over the ten runs, so a baseline only
 tightens; every other row keeps its baseline.  Every row, named or not, is
@@ -33,22 +36,29 @@ THREADS = (1, 2)
 # test_acceptance.py's drift gate fails a row above 100 * max(baseline, FLOOR)
 FLOOR = 1e-15
 WARN_RATIO = 30.0
+# one registry run, whose last line of output is its LAPACK library's build
+RUN = ("import sys; from shapelab.cli import main; from shapelab import greens; "
+       "code = main(sys.argv[1:]); "
+       "print(getattr(greens._lapack, 'build', lambda: greens._lapack.__name__)()); "
+       "sys.exit(code)")
 
 
-def registry_errs(coretype: str, threads: int, out_dir: str) -> dict:
-    """Case id -> err of one registry run under one BLAS setting."""
+def registry_errs(coretype: str, threads: int, out_dir: str) -> tuple[dict, str]:
+    """Case id -> err of one registry run under one BLAS setting, and the
+    build its LAPACK routines came from."""
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
                OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "shapelab", "run", "--suite", "all",
+    done = subprocess.run([sys.executable, "-c", RUN, "run", "--suite", "all",
                            "--seed", "7", "--out-dir", out_dir],
                           env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{coretype}, {threads} thread(s): exit {done.returncode}\n"
                  f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
     rows = json.loads(Path(out_dir, "report.json").read_text())["cases"]
-    return {row["case_id"]: float(row["err"]) for row in rows}
+    return ({row["case_id"]: float(row["err"]) for row in rows},
+            done.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -63,11 +73,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for coretype in CORETYPES:
             for threads in THREADS:
-                errs = registry_errs(coretype, threads, os.path.join(tmp, coretype + str(threads)))
+                errs, build = registry_errs(coretype, threads,
+                                            os.path.join(tmp, coretype + str(threads)))
                 for case_id in largest:
                     largest[case_id] = max(largest[case_id], errs[case_id])
-                print(f"{coretype:<11s} {threads} thread(s): "
-                      + "  ".join(f"{errs[c]:.3e}" for c in args.case_ids))
+                print(f"{coretype:<11s} {threads} thread(s): {build}"
+                      + "".join(f"  {errs[c]:.3e}" for c in args.case_ids))
     for case_id, err in sorted(largest.items()):
         ratio = err / max(baseline[case_id], FLOOR)
         flag = f"  ABOVE {WARN_RATIO:g}x" if ratio > WARN_RATIO else ""

@@ -307,9 +307,14 @@ def test_rows_with_an_fd_oracle_carry_the_fd_record(registry_run):
 # The err of every row of ``run --suite all --seed 7``: the largest over
 # one and two BLAS threads and over five OpenBLAS CPU kernels (SkylakeX,
 # Haswell, SandyBridge, Nehalem, Prescott, chosen by OPENBLAS_CORETYPE) of
-# the scipy-openblas 0.3.31 build the project was tested with.  Rows near
-# rounding move up to 11x between these settings (liouville-random-second-0
-# reads 4.2e-14 to 4.6e-13).  A different
+# the scipy-openblas 0.3.31 build that numpy's wheel bundles, which serves
+# numpy and every LAPACK call of greens alike: "OpenBLAS 0.3.31.188.0
+# USE64BITINT DYNAMIC_ARCH NO_AFFINITY" on the cores SkylakeX, Haswell,
+# Sandybridge, Nehalem and Katmai (Prescott's), as ``regen_err_baseline.py``
+# reads them off its runs.  Before, greens' LAPACK ran on scipy's own
+# OpenBLAS 0.3.30; every row's largest err over the ten settings reads the
+# same on both.  Rows near rounding move up to 11x between these settings
+# (liouville-random-second-0 reads 4.2e-14 to 4.6e-13).  A different
 # BLAS library or build may round further from these values than that; the
 # baseline holds only for the settings above.  No row is raised, so a row
 # that a change moved up keeps its older value and may read above it within

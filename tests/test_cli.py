@@ -293,16 +293,32 @@ class TestCli:
     def test_a_registry_run_loads_no_numpy_random_hashlib_or_numpy_polynomial(self, tmp_path):
         # the randomized rows draw from random.Random and the interior rule's
         # radii are geometry's own Gauss-Legendre nodes; numpy.random would
-        # load OpenSSL through secrets and hashlib
+        # load OpenSSL through secrets and hashlib.  greens calls LAPACK in
+        # the OpenBLAS numpy mapped, so no scipy module loads and, where
+        # /proc/self/maps lists the mapped files, one OpenBLAS library shows
         src = Path(cli.__file__).resolve().parents[1]
-        code = ("import sys; from shapelab.cli import main; "
+        code = ("import json, os, sys; from shapelab.cli import main; "
                 f"code = main(['run', '--suite', 'all', '--seed', '7', '--out-dir', {str(tmp_path)!r}]); "
-                "print(code, sorted(m for m in ('numpy.random', 'secrets', 'hashlib', "
-                "'numpy.polynomial') if m in sys.modules))")
+                "from shapelab import greens, _linalg; "
+                "maps = '/proc/self/maps'; "
+                "print(json.dumps([code, sorted(m for m in ('numpy.random', 'secrets', 'hashlib', "
+                "'numpy.polynomial') if m in sys.modules), "
+                "isinstance(greens._lapack, _linalg.OpenBLAS), "
+                "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+                "sorted({line.split()[-1] for line in open(maps) if 'openblas' in line}) "
+                "if os.path.exists(maps) else None]))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 []"
+        code, loaded, on_openblas, scipy_modules, openblas = json.loads(
+            done.stdout.splitlines()[-1])
+        assert (code, loaded) == (0, [])
+        if not on_openblas:
+            pytest.skip("numpy bundles no ILP64 OpenBLAS, so scipy's LAPACK serves")
+        assert scipy_modules == []
+        if openblas is None:
+            pytest.skip("no /proc/self/maps to list the mapped libraries")
+        assert len(openblas) == 1, openblas
 
     def test_custom_hadamard_case(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,6 +16,7 @@ from shapelab import geometry as geo
 from shapelab import greens as gr
 from shapelab import hadamard as hd
 from shapelab import perturbation as pert
+from shapelab._linalg import OpenBLAS
 from shapelab.cases import CaseSettings, build_registry
 from shapelab.integrands import IntegrandSpec
 
@@ -446,43 +447,159 @@ def _fresh_python(code: str) -> str:
     return done.stdout.strip()
 
 
+# the handle's routines, or scipy's modules where numpy bundles no OpenBLAS
+ON_OPENBLAS = isinstance(gr._lapack, OpenBLAS)
+needs_openblas = pytest.mark.skipif(not ON_OPENBLAS,
+                                    reason="numpy bundles no ILP64 OpenBLAS library")
+# subprocess prologues, run before shapelab is imported: one finds no bundled
+# OpenBLAS beside numpy, the other finds one that does not load
+HIDDEN = ("import glob; _glob = glob.glob\n"
+          "glob.glob = lambda p, *a, **k: [] if 'openblas' in p else _glob(p, *a, **k)\n")
+UNLOADABLE = ("import ctypes; _cdll = ctypes.CDLL\n"
+              "def _refuse(name, *a, **k):\n"
+              "    if 'openblas' in str(name):\n        raise OSError(f'{name}: refused')\n"
+              "    return _cdll(name, *a, **k)\n"
+              "ctypes.CDLL = _refuse\n")
+
+
+def _whole_matrix(kind, m, n_charges):
+    """The collocation matrix on every ring charge, Fortran-ordered, unfactored."""
+    domain = geo.Domain(CURVES[kind], m=m)
+    config = gr.GreensConfig(n_charges=n_charges)
+    components = gr.discretize_pushed(domain, MIXED[kind], None, 0.0, config,
+                                      domain.charge_rings(n_charges))
+    return gr.MixedSolver(components, config).matrix
+
+
 class TestLinalgHandles:
-    """greens takes its LAPACK and BLAS routines from scipy.linalg's compiled
-    modules without running scipy/__init__.py or scipy/linalg/__init__.py."""
+    """greens takes its LAPACK and BLAS routines from the OpenBLAS library
+    that numpy's wheel bundles, through one ctypes handle, and from scipy's
+    compiled modules only where numpy bundles none."""
 
-    LAPACK = ("dgeqp3", "dgeqrt", "dgemqrt", "dgesdd", "dgesdd_lwork")
-
-    def test_cli_import_leaves_scipy_linalg_and_numpy_testing_unloaded(self):
+    @needs_openblas
+    def test_cli_import_loads_no_scipy_module_and_serves_both_names_from_one_handle(self):
         out = _fresh_python(
-            "import sys, shapelab.cli; from shapelab import greens as gr; "
-            "print(gr._lapack.__name__, gr._blas.__name__, [m for m in "
-            "('scipy', 'scipy.linalg', 'numpy.f2py', 'numpy.testing') if m in sys.modules])")
-        assert out == "scipy.linalg._flapack scipy.linalg._fblas []"
+            "import sys, shapelab.cli; from shapelab import greens as gr, _linalg; "
+            "print(type(gr._lapack).__name__, gr._lapack is gr._blas, "
+            "gr._lapack.path == _linalg.bundled_openblas(), sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m in ('numpy.f2py', 'numpy.testing')))")
+        assert out == "OpenBLAS True True []"
 
-    def test_a_missing_scipy_raises_import_error(self):
-        out = _fresh_python(
-            "import sys; sys.modules['scipy'] = None\n"
-            "try:\n    import shapelab.greens\nexcept ImportError as exc:\n"
-            "    print(type(exc).__name__)")
-        assert out == "ModuleNotFoundError"
+    # the registry's boundaries (m = 128, 96 charges: 192 x 96 and 384 x 192,
+    # and the rank-deficient 1 x 0.5 ellipse, whose pivots dgeqp3 decides)
+    # and green-variations' (m = 256, 192 charges: 384 x 192 and 768 x 384)
+    @needs_openblas
+    @pytest.mark.parametrize("kind,m,n_charges", [
+        ("disk", 128, 96), ("annulus", 128, 96), ("ellipse", 128, 96), ("disk", 256, 192),
+        ("annulus", 256, 192)])
+    def test_every_routine_equals_scipy_bit_for_bit(self, kind, m, n_charges):
+        la, bl = scipy.linalg.lapack, scipy.linalg.blas
+        matrix = _whole_matrix(kind, m, n_charges)
+        rows, n = matrix.shape
+        nb = min(gr.QR_BLOCK, n)
+        qr, t, info = gr._lapack.dgeqrt(nb, matrix.copy(order="F"), overwrite_a=1)
+        want_qr, want_t, _ = la.dgeqrt(nb, matrix)
+        assert info == 0
+        np.testing.assert_array_equal(qr, want_qr)
+        np.testing.assert_array_equal(t, want_t)
+        block = np.stack([np.cos(np.arange(rows) * (j + 1.0)) for j in range(3)], axis=1)
+        for trans in ("T", "N"):
+            got, info = gr._lapack.dgemqrt(qr, t, block, side="L", trans=trans)
+            assert info == 0
+            np.testing.assert_array_equal(got, la.dgemqrt(want_qr, want_t, block, trans=trans)[0])
+        qtb = gr._lapack.dgemqrt(qr, t, block, side="L", trans="T")[0]
+        for trans_a in (0, 1):  # the triangle passed as the view qr[:n], lda = rows
+            np.testing.assert_array_equal(
+                gr._blas.dtrsm(1.0, qr[:n], qtb[:n], trans_a=trans_a),
+                bl.dtrsm(1.0, want_qr[:n], qtb[:n], trans_a=trans_a))
+        triangle = np.tril(qr[:n].T).T
+        lwork = 2 * n + (n + 1) * gr.QR_BLOCK
+        got = gr._lapack.dgeqp3(triangle.copy(order="F"), overwrite_a=1, lwork=lwork)
+        want = la.dgeqp3(triangle, lwork=lwork)
+        for index in (0, 1, 2, 4):  # R, the pivots, tau and info
+            np.testing.assert_array_equal(got[index], want[index])
+        if kind == "ellipse":  # R is rank-deficient: the pivots decide the kept columns
+            diagonal = np.abs(np.diagonal(got[0]))
+            assert np.count_nonzero(diagonal > gr.KEEP_CUT * diagonal[0]) == 82
+        work = gr._lapack.dgesdd_lwork(rows, n, compute_uv=0, full_matrices=0)
+        assert work == la.dgesdd_lwork(rows, n, compute_uv=0, full_matrices=0)
+        np.testing.assert_array_equal(
+            gr._lapack.dgesdd(matrix, compute_uv=0, full_matrices=0, lwork=int(work[0]))[1],
+            la.dgesdd(matrix, compute_uv=0, full_matrices=0, lwork=int(work[0]))[1])
 
-    def test_routines_are_the_scipy_linalg_lapack_and_blas_objects(self):
-        # loaded from their files first, then scipy.linalg imported
-        out = _fresh_python(
-            "import sys; from shapelab import greens as gr; "
-            "loaded = 'scipy.linalg' in sys.modules; "
-            "import scipy.linalg.lapack as la, scipy.linalg.blas as bl; "
-            f"print(loaded, [n for n in {self.LAPACK!r} if getattr(gr._lapack, n) "
-            "is not getattr(la, n)], gr._blas.dtrsm is bl.dtrsm)")
-        assert out == "False [] True"
+    @needs_openblas
+    def test_wrong_shapes_and_block_sizes_raise_value_errors_without_a_crash(self):
+        # in a fresh process, so that a write out of bounds would show as a crash
+        out = _fresh_python("""
+import numpy as np
+from shapelab import greens as gr
+la = gr._lapack
+a = np.asfortranarray(np.arange(1.0, 49.0).reshape(8, 6) + np.eye(8, 6))
+qr, t, _ = la.dgeqrt(3, a.copy(order="F"))
+c = np.ones((8, 2))
+frozen = a.copy(order="F")
+frozen.flags.writeable = False
+calls = {
+    "dgeqrt nb 0": lambda: la.dgeqrt(0, a),
+    "dgeqrt nb 7": lambda: la.dgeqrt(7, a),
+    "dgeqrt 1-D": lambda: la.dgeqrt(2, a[:, 0]),
+    "dgeqrt C order": lambda: la.dgeqrt(2, np.ascontiguousarray(a), overwrite_a=1),
+    "dgeqrt float32": lambda: la.dgeqrt(2, a.astype(np.float32, order="F"), overwrite_a=1),
+    "dgeqrt read-only": lambda: la.dgeqrt(2, frozen, overwrite_a=1),
+    "dgemqrt v rows": lambda: la.dgemqrt(qr[:7], t, c, side="L", trans="T"),
+    "dgemqrt c rows": lambda: la.dgemqrt(qr, t, np.ones((7, 2)), side="L", trans="T"),
+    "dgemqrt t columns": lambda: la.dgemqrt(qr, t[:, :5], c, side="L", trans="T"),
+    "dgemqrt block 7": lambda: la.dgemqrt(qr, np.zeros((7, 6), order="F"), c, trans="T"),
+    "dgemqrt trans": lambda: la.dgemqrt(qr, t, c, side="L", trans="C"),
+    "dgemqrt 1-D": lambda: la.dgemqrt(qr, t, np.ones(8), side="L", trans="T"),
+    "dgeqp3 lwork": lambda: la.dgeqp3(a.copy(order="F"), overwrite_a=1, lwork=18),
+    "dgeqp3 C order": lambda: la.dgeqp3(np.ascontiguousarray(a), overwrite_a=1, lwork=64),
+    "dgesdd lwork 0": lambda: la.dgesdd(a, compute_uv=0, full_matrices=0, lwork=0),
+    "dgesdd lwork 1": lambda: la.dgesdd(a, compute_uv=0, full_matrices=0, lwork=1),
+    "dgesdd vectors": lambda: la.dgesdd(a, compute_uv=1, full_matrices=0, lwork=512),
+    "dtrsm a rows": lambda: gr._blas.dtrsm(1.0, qr[:5], c[:6]),
+    "dtrsm a order": lambda: gr._blas.dtrsm(1.0, qr[:6].T, c[:6]),
+    "dtrsm 1-D": lambda: gr._blas.dtrsm(1.0, qr[:6], c[:6, 0]),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except ValueError as exc:
+        print(name, "|", exc)
+    else:
+        print(name, "| no error")
+""")
+        # OpenBLAS's xerbla prints its own line for the illegal lwork
+        lines = dict(line.split(" | ", 1) for line in out.splitlines() if " | " in line)
+        assert len(lines) == 20 and "no error" not in lines.values(), out
+        for name, message in lines.items():
+            assert message.startswith(name.split()[0] + ": "), name
+        assert lines["dgesdd lwork 1"] == "dgesdd: illegal value in argument 12 (lwork)"
+        assert "argument nb = 7" in lines["dgeqrt nb 7"]
+        assert "column-major" in lines["dtrsm a order"]
+        assert "read-only" in lines["dgeqrt read-only"]
 
-    def test_an_unloadable_file_falls_back_to_the_ordinary_import(self):
-        # a suffix no file has makes the file load fail
+    @pytest.mark.parametrize("hide", [HIDDEN, UNLOADABLE], ids=["hidden", "unloadable"])
+    def test_without_the_bundled_library_scipy_serves_a_row_with_the_same_bits(self, hide):
+        # with the scipy modules serving, the same registry rows read the same bits
+        row = ("from shapelab.cases import CaseSettings, build_registry\n"
+               "print(*[case.run(CaseSettings(seed=7)).err.hex() for case in build_registry() "
+               "if case.case_id in ('greens-symmetry', 'hadamard-delta-n-triangle-annulus')])")
+        served = _fresh_python(
+            "import sys\n" + hide + "from shapelab import greens as gr\n"
+            "print(gr._lapack.__name__, gr._blas.__name__, 'scipy.linalg' in sys.modules)\n"
+            + row).splitlines()
+        assert served[0] == "scipy.linalg._flapack scipy.linalg._fblas False"
+        assert served[1] == _fresh_python(row)
+
+    def test_without_either_library_an_import_error_names_both(self):
         out = _fresh_python(
-            "import sys, importlib.machinery as im; im.EXTENSION_SUFFIXES.insert(0, '.none'); "
-            "from shapelab import greens as gr; loaded = 'scipy.linalg' in sys.modules; "
-            "import scipy.linalg.lapack as la; print(loaded, gr._lapack.dgeqrt is la.dgeqrt)")
-        assert out == "True True"
+            "import sys; sys.modules['scipy'] = None\n" + HIDDEN
+            + "try:\n    import shapelab.greens\nexcept ImportError as exc:\n"
+            "    print(type(exc).__name__, '|', exc)")
+        assert out.startswith("ImportError | no LAPACK for shapelab.greens: numpy bundles no "
+                              "ILP64 OpenBLAS"), out
+        assert "scipy's LAPACK modules do not load" in out
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +1024,11 @@ class TestLapackLedger:
             built[self] = all(c.whole_rings for c in components)
             init(self, components, config)
 
-        for name in ("dgeqp3", "dgeqrt", "dgemqrt", "dgesdd", "dgelsy", "dtzrzf", "dormrz",
-                     "dormqr"):
+        gelsy_steps = ("dgelsy", "dtzrzf", "dormrz", "dormqr")
+        if ON_OPENBLAS:  # the handle has none of them to call
+            assert not [name for name in gelsy_steps if hasattr(gr._lapack, name)]
+        for name in ("dgeqp3", "dgeqrt", "dgemqrt", "dgesdd",
+                     *[name for name in gelsy_steps if hasattr(gr._lapack, name)]):
             monkeypatch.setattr(gr._lapack, name, counted(gr._lapack, name))
         monkeypatch.setattr(gr._blas, "dtrsm", counted(gr._blas, "dtrsm"))
         monkeypatch.setattr(gr.MixedSolver, "__init__", entered(constructed))
@@ -919,7 +1039,7 @@ class TestLapackLedger:
         assert all(row.passed for row in rows), [r.case_id for r in rows if not r.passed]
         assert [call for call in ledger if call[1] is None] == []
         names = [name for name, _ in ledger]
-        assert not {"dgelsy", "dtzrzf", "dormrz", "dormqr"} & set(names)
+        assert not set(gelsy_steps) & set(names)
         assert 0 < names.count("dgeqp3") < names.count("dgeqrt") == len(built) <= 50
         for solver, base in built.items():
             made = [name for name, by in ledger if by is solver]
